@@ -105,8 +105,8 @@ def _census_own_seconds(spans: List[list]) -> float:
 def layer_metrics(spans: List[list], checkpoint: Tuple[int, int],
                   overhead_ratio: float) -> Dict[str, float]:
     """Every PER_LAYER metric from one traced run's spans, the checkpoint
-    (records, bytes) left by its last request, and traced over untraced
-    wall time."""
+    (records, bytes) left by its last request, and the tracing overhead
+    ratio."""
     st = LayerStats(spans)
     out: Dict[str, float] = {}
     for name in _CALLS:

@@ -9,9 +9,9 @@ files (checkpoints, span dumps) go to `.bench_work/` in the checkout.
 
 With `--trace 0` the workload is served in a closed loop by one caller
 for `--seconds` and the end-to-end metrics are printed. With
-`--trace 1` a fixed number of requests is served untraced and then
-served again with every layer boundary wrapped by `spans.Tracer`; the
-per-layer metrics come from the traced spans. The last line of output
+`--trace 1` each of a fixed number of requests is served twice, once
+untraced and once with every layer boundary wrapped by `spans.Tracer`;
+the per-layer metrics come from the traced spans. The last line of output
 is one JSON object: correct, attempted, failed and metrics. The exit
 code is 0 when every output check passed, 1 when one failed and 2 when
 the package source is missing.
@@ -84,27 +84,27 @@ def probe_setup(workload: str) -> float:
     return float(out.stdout.strip().splitlines()[-1])
 
 
-def serve(wl, seconds: Optional[float] = None, count: Optional[int] = None):
-    """Closed loop, one caller: serve `count` requests, or serve requests
-    until `seconds` would be exceeded (at least `wl.min_requests`).
+def serve_one(wl, i: int) -> Tuple[int, int]:
+    """Serve request `i`; returns (polynomials, failures). A request that
+    raises counts as one failure."""
+    try:
+        return wl.run(i)
+    except Exception:
+        log("request %d raised:\n%s" % (i, traceback.format_exc()))
+        return 0, 1
+
+
+def serve(wl, seconds: float):
+    """Closed loop, one caller: serve requests until `seconds` would be
+    exceeded (at least `wl.min_requests`).
     Returns (latencies, polynomials, failures, wall seconds)."""
     clock = time.perf_counter
     lat: List[float] = []
     polys = failed = 0
     start = clock()
-    while True:
-        i = len(lat)
-        if count is not None:
-            if i >= count:
-                break
-        elif i >= wl.min_requests and clock() - start + statistics.fmean(lat) > seconds:
-            break
+    while len(lat) < wl.min_requests or clock() - start + statistics.fmean(lat) <= seconds:
         t = clock()
-        try:
-            n, bad = wl.run(i)
-        except Exception:
-            log("request %d raised:\n%s" % (i, traceback.format_exc()))
-            n, bad = 0, 1
+        n, bad = serve_one(wl, len(lat))
         lat.append(clock() - t)
         polys += n
         failed += bad
@@ -120,7 +120,7 @@ def nearest_rank(values: List[float], q: float) -> Tuple[float, int]:
 
 def timed_run(wl, seconds: float) -> Tuple[Dict[str, float], int, int]:
     setup = [probe_setup(wl.name) for _ in range(SETUP_RUNS // 2)]
-    lat, polys, failed, wall = serve(wl, seconds=seconds)
+    lat, polys, failed, wall = serve(wl, seconds)
     setup += [probe_setup(wl.name) for _ in range(SETUP_RUNS - len(setup))]
     failed += wl.finish(len(lat))
     p90, beyond = nearest_rank(lat, 0.9)
@@ -137,17 +137,40 @@ def timed_run(wl, seconds: float) -> Tuple[Dict[str, float], int, int]:
 
 
 def traced_run(wl, name: str, seed: int):
-    count = wl.trace_requests
-    _, _, failed0, wall0 = serve(wl, count=count)
+    """Serve each of the first `wl.trace_requests` requests twice, once
+    untraced and once traced, alternating which goes first.
+
+    The overhead ratio is the untraced request time plus the tracer's
+    cost (spans recorded times the measured cost of one span) over the
+    untraced request time. The traced over untraced wall time of the
+    paired passes is printed too, but on a shared 2-core host the speed
+    swings by 10-40% within seconds, more than the tracer's 0.5-5% cost,
+    so that quotient mostly measures the host."""
+    clock = time.perf_counter
     tracer = Tracer()
-    with tracer:
-        _, _, failed1, wall1 = serve(wl, count=count)
-    failed = failed0 + failed1 + wl.finish(count)
+    wall = {False: 0.0, True: 0.0}
+    failed = 0
+    for i in range(wl.trace_requests):
+        for traced in ((False, True) if i % 2 == 0 else (True, False)):
+            if traced:
+                tracer.install()
+            try:
+                t = clock()
+                failed += serve_one(wl, i)[1]
+                wall[traced] += clock() - t
+            finally:
+                if traced:
+                    tracer.uninstall()
+    failed += wl.finish(wl.trace_requests)
     path = os.path.join(WORKDIR, "spans-%s-%d.jsonl.gz" % (name, seed))
     tracer.write(path)
-    print("traced %d requests: %d spans written to %s" % (count, len(tracer.spans), path))
-    metrics = layers.layer_metrics(tracer.spans, wl.checkpoint_size(), wall1 / wall0)
-    return metrics, 2 * count, failed
+    cost = tracer.span_cost()
+    overhead = 1.0 + len(tracer.spans) * cost / wall[False]
+    print("traced %d requests: %d spans written to %s" % (wl.trace_requests, len(tracer.spans), path))
+    print("tracer cost %.3f us per span; paired request time untraced %.3f s, traced %.3f s" % (
+        cost * 1e6, wall[False], wall[True]))
+    metrics = layers.layer_metrics(tracer.spans, wl.checkpoint_size(), overhead)
+    return metrics, 2 * wl.trace_requests, failed
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -20,6 +20,7 @@ import functools
 import gzip
 import importlib
 import json
+import statistics
 import time
 import types
 from typing import Callable, Dict, List
@@ -28,6 +29,9 @@ LAYERS = ("intpoly", "modp", "roots", "classify", "census")
 
 # fields of a span record
 NAME, START, END, PARENT, OUTER, NOTE = range(6)
+# span_cost() times this many rounds of this many calls each way
+CALIBRATION_ROUNDS = 15
+CALIBRATION_CALLS = 20000
 
 
 def _first_arg(args, kwargs, key):
@@ -114,6 +118,28 @@ class Tracer:
             return result
 
         return traced
+
+    def span_cost(self) -> float:
+        """Seconds the wrapper adds to one call: a bare and a wrapped no-op
+        timed in rounds that alternate which goes first, median of the
+        per-call differences. The spans it records are dropped."""
+        def noop(x):
+            return x
+
+        wrapped = self._wrap(noop, "spans.noop")
+        keep = len(self.spans)
+        clock = time.perf_counter
+        diffs = []
+        for r in range(CALIBRATION_ROUNDS):
+            took = {}
+            for fn in (noop, wrapped) if r % 2 == 0 else (wrapped, noop):
+                t = clock()
+                for i in range(CALIBRATION_CALLS):
+                    fn(i)
+                took[fn] = clock() - t
+            del self.spans[keep:]
+            diffs.append((took[wrapped] - took[noop]) / CALIBRATION_CALLS)
+        return statistics.median(diffs)
 
     def write(self, path: str) -> None:
         """Dump the spans as gzipped JSON lines: name, start, end, parent

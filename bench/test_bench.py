@@ -4,6 +4,7 @@ They use tiny inputs and finish in a few seconds; the real workloads
 run only through `run.py`.
 """
 
+import gzip
 import json
 import os
 import sys
@@ -51,8 +52,7 @@ def test_tampered_census_pin_fails():
 def test_tampered_stream_pin_fails(monkeypatch):
     monkeypatch.setattr(workloads, "DIGEST_COUNT", 3)
     wl = workloads.StreamWorkload(1, {"seed": 1, "sha256": "0" * 64})
-    lat, polys, failed, _ = run.serve(wl, count=3)
-    assert (polys, failed) == (3, 0)
+    assert [run.serve_one(wl, i) for i in range(3)] == [(1, 0)] * 3
     assert wl.finish(3) == 1
     wl.pinned = {"seed": 1, "sha256": wl.digest()}
     assert wl.finish(3) == 0
@@ -69,8 +69,7 @@ def test_injected_exception_in_a_wrapped_call_fails_the_request(monkeypatch):
     wl = workloads.StreamWorkload(1, {"seed": 1, "sha256": ""})
     tracer = Tracer()
     with tracer:
-        _, polys, failed, _ = run.serve(wl, count=2)
-    assert (polys, failed) == (0, 2)
+        assert [run.serve_one(wl, i) for i in range(2)] == [(0, 1)] * 2
     raised = [s for s in tracer.spans if (s[5] or {}).get("raised") == "RuntimeError"]
     assert [s[0] for s in raised] == ["roots.isolate_roots"] * 2
     assert roots.sturm_real_root_count is broken  # uninstall restored the binding
@@ -91,6 +90,23 @@ def test_tracer_spans_and_layer_metrics():
     assert m["classify.decision." + prof.decision] == 1
     assert m["classify.tie_path_ratio"] == m["roots.modulus_separation_bound.calls"]
     assert m["classify.modulus_profile.s"] >= m["classify.modulus_profile.self_s"] > 0
+    spans = len(tracer.spans)
+    assert tracer.span_cost() > 0
+    assert len(tracer.spans) == spans  # calibration spans are dropped
+
+
+def test_traced_run_pairs_each_request(monkeypatch, tmp_path):
+    """Each traced request is served once untraced and once traced; only
+    the traced pass leaves spans."""
+    monkeypatch.setattr(run, "WORKDIR", str(tmp_path))
+    pinned = workloads.table_digest(rc.run_census(SMALL))
+    wl = workloads.CensusWorkload("small", SMALL, lambda: None, pinned, trace_requests=2)
+    metrics, attempted, failed = run.traced_run(wl, "small", 1)
+    assert (attempted, failed) == (4, 0)
+    assert metrics["tracing_overhead_ratio"] > 1
+    with gzip.open(tmp_path / "spans-small-1.jsonl.gz", "rt") as fh:
+        rows = [json.loads(line) for line in fh]
+    assert [r[0] for r in rows if r[3] == -1] == ["census.run_census"] * 2
 
 
 def test_nearest_rank_keeps_ten_beyond_p90_at_100_samples():

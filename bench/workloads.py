@@ -33,12 +33,15 @@ QUARTIC_HEIGHT = 2
 DIGEST_COUNT = 100
 DENSE_BITS = 20
 # Battery cost grows steeply with degree: a dense polynomial of degree 4,
-# 5, 6, 7, 8 takes about 17, 33, 100, 340, 1100 ms. Each stream cycle
-# repeats the cheap strata so that a 30 s run serves over 200 polynomials,
-# and so that the median falls inside the narrow dense degree-5 stratum and
-# p90 inside the dense degree-7 one, not on a gap between strata where it
-# would jump from seed to seed. Degrees stop at 8, the cap of factorize.
-CYCLE = tuple(("dense", n) for n in (4, 4, 4, 5, 5, 5, 6, 7, 8)) + tuple(
+# 5, 6, 7, 8 takes about 20, 55, 115, 325, 1150 ms, with a narrow spread
+# inside each degree, while a structured one of degree 5-8 may take
+# anywhere from 1 to 300 ms. Each 21-polynomial stream cycle is weighted so
+# that the median falls in the middle of the dense degree-5 stratum (7
+# slots, a third of the cycle) and p90 in the middle of the dense degree-7
+# one (2 slots just below the single degree-8 slot): a quantile that sits
+# on a gap between strata, or where the structured class thins out, jumps
+# from seed to seed. Degrees stop at 8, the cap of factorize.
+CYCLE = tuple(("dense", n) for n in (4, 4, 5, 5, 5, 5, 5, 5, 5, 6, 6, 7, 7, 8)) + tuple(
     ("structured", n) for n in (4, 4, 4, 5, 6, 7, 8))
 
 PINNED_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "pinned.json")
@@ -256,10 +259,10 @@ def census_spec(name: str, checkpoint: Optional[str] = None) -> rc.CensusSpec:
                          checkpoint=checkpoint)
 
 
-def make_workload(name: str, seed: int, workdir: str, pins=None, report=None):
+def make_workload(name: str, seed: int, workdir: str, report=None):
     """Build a workload; census workloads ignore the seed (their input is
     the whole box)."""
-    pins = load_pins() if pins is None else pins
+    pins = load_pins()
     if name == "classify_stream":
         return StreamWorkload(seed, pins[name], report)
     if name == "census_quartic":
