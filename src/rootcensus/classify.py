@@ -7,7 +7,7 @@ Answers, with certificates, the questions driving the censuses:
   (unique);
 - root_signature: the number of real roots r and conjugate pairs s,
   r + 2s = n, by exact Sturm counts;
-- factorize / smallest_factor_degree: certified factorization into
+- factorize: certified factorization into
   irreducibles over the integers (rational roots, degree-pattern sieve
   mod p, Kronecker interpolation search);
 - sn_certificate: one-sided Galois certification via Frobenius cycle
@@ -15,8 +15,7 @@ Answers, with certificates, the questions driving the censuses:
   good primes generate S_n);
 - has_multiplicative_relation: whether alpha_i alpha_j = alpha_k alpha_l
   for two different root pairs, decided exactly through a repeated root
-  of the pairwise root-product polynomial;
-- is_power_substitution_structured: f(X) = g(X^m) structure.
+  of the pairwise root-product polynomial.
 
 Degrees 1-3 are decided by exact integer sign tests (the census hot
 path never touches floating point). Degree >= 4 escalates:
@@ -44,10 +43,12 @@ from .errors import (
     DegreeCapExceeded,
     DegreeTooSmall,
     NotIrreducible,
+    PrecisionCapExceeded,
     ZeroPolynomial,
 )
 from .intpoly import (
     IntPolynomial,
+    _deflate_zero_roots,
     disc3,
     discriminant,
     divmod_exact,
@@ -78,10 +79,8 @@ __all__ = [
     "modulus_profile",
     "root_signature",
     "factorize",
-    "smallest_factor_degree",
     "sn_certificate",
     "has_multiplicative_relation",
-    "is_power_substitution_structured",
     "profile_pair_deg2",
     "profile_pair_deg3",
     "real_count_deg2",
@@ -261,12 +260,7 @@ def modulus_profile(f: IntPolynomial, method: str = "auto") -> ModulusProfile:
 
 def _profile_certified(f: IntPolynomial) -> ModulusProfile:
     n = f.degree
-    cs = list(f.coeffs)
-    v = 0
-    while cs[-1] == 0:
-        cs.pop()
-        v += 1
-    u = IntPolynomial(tuple(cs))
+    v, u = _deflate_zero_roots(f)
     if u.degree == 0:
         # a_0 X^n: all roots are 0
         return ModulusProfile(n, n, n == 1, "EXACT")
@@ -458,14 +452,9 @@ def factorize(f: IntPolynomial, degree_cap: int = DEFAULT_DEGREE_CAP) -> Factori
     if p.degree == 0:
         return FactorizationResult(content, (), False)
     found: Dict[Tuple[int, ...], int] = {}
-    cs = list(p.coeffs)
-    v = 0
-    while cs[-1] == 0:
-        cs.pop()
-        v += 1
+    v, p = _deflate_zero_roots(p)
     if v:
         found[(1, 0)] = v
-        p = IntPolynomial(tuple(cs))
     while p.degree >= 1:
         root = _find_rational_root(p)
         if root is None:
@@ -626,20 +615,6 @@ def _interp_candidate(xs: Sequence[int], ys: Sequence[int]) -> IntPolynomial:
     return IntPolynomial(tuple(out))
 
 
-def smallest_factor_degree(
-    f: IntPolynomial, degree_cap: int = DEFAULT_DEGREE_CAP
-) -> Optional[int]:
-    """Minimal degree among irreducible factors when f is reducible;
-    None when f is irreducible (a repeated factor counts as reducible)."""
-    fr = factorize(f, degree_cap=degree_cap)
-    if fr.irreducible:
-        return None
-    degs = [p.degree for p, _ in fr.factors]
-    if not degs:
-        raise DegreeTooSmall("no positive-degree factors")
-    return min(degs)
-
-
 # -- Galois certification ------------------------------------------------------
 
 
@@ -726,7 +701,7 @@ def _products_separated(g: IntPolynomial) -> bool:
     D(c1 c2, |c1| r2 + |c2| r1 + r1 r2). False only means "not shown"."""
     try:
         rs = isolate_roots(g)
-    except Exception:
+    except PrecisionCapExceeded:
         return False
     for attempt in range(2):
         cs: List[Tuple[Fraction, Fraction, Fraction]] = []
@@ -762,12 +737,6 @@ def _products_separated(g: IntPolynomial) -> bool:
         if attempt == 0:
             try:
                 rs = refine(rs, Fraction(1, 10**25))
-            except Exception:
+            except PrecisionCapExceeded:
                 return False
     return False
-
-
-def is_power_substitution_structured(f: IntPolynomial) -> Tuple[bool, int]:
-    """(True, m) when f(X) = g(X^m) for some m >= 2, else (False, 1)."""
-    m, _ = power_substitution(f)
-    return (m >= 2, m)

@@ -92,7 +92,3 @@ class BudgetExceeded(RootCensusError):
 
 class CheckpointCorrupt(RootCensusError):
     """Checkpoint file failed checksum or structural validation."""
-
-
-class AmbiguousClassification(RootCensusError):
-    """A census in strict mode met a polynomial it could not certify."""

@@ -3,38 +3,49 @@
 The contract: isolate_roots(f) returns pairwise disjoint closed disks,
 one per distinct root, each carrying the multiplicity of its root and a
 certified is_real flag, such that every root of f lies in exactly one
-disk. All certification steps are rigorous:
+disk.
 
-- candidate centers come from Aberth-Ehrlich simultaneous iteration,
-  seeded by hardware companion-matrix eigenvalues when the coefficients
-  fit a double (falling back to a Fujiwara-radius circle with
-  deterministic coefficient-seeded angular jitter), run first in
-  hardware complex arithmetic and then at 128, 256, ... bits;
+Roots at zero are split off exactly and get a disk of radius zero, and
+Yun decomposition hands the rest over as squarefree factors. Each factor
+goes through one certification rung, written once and run in the
+arithmetic of its ladder step (see _Arithmetic):
+
+- candidate centers come from Aberth-Ehrlich simultaneous iteration in
+  hardware doubles, seeded by companion-matrix eigenvalues when the
+  coefficients fit a double and otherwise by a Fujiwara-radius circle
+  with deterministic coefficient-seeded angular jitter; an mpmath step
+  polishes them with further sweeps at its own precision;
 - each disk radius is deg(g) * |g(z)| / |g'(z)| for the squarefree
-  factor g, evaluated with a rigorous floating-point error bound, which
+  factor g, evaluated with a running bound on the rounding error, which
   by the classical argument (g'/g = sum 1/(z - root)) guarantees at
   least one root of g in the disk; pairwise disjointness then pins
   exactly one root per disk;
 - realness is decided by comparing the number of disks straddling the
-  real axis with the exact Sturm count of the factor, refining until
-  they agree; straddling disks are then centered on the axis and the
-  rest are matched into exact conjugate pairs.
+  real axis with the exact Sturm count of the factor; straddling disks
+  are then centered on the axis and the rest are matched into exact
+  conjugate pairs.
 
-Repeated roots are handled by Yun decomposition up front (Aberth only
-ever sees squarefree factors), and roots at zero get an exact disk of
-radius zero.
+A failed attempt escalates along a ladder that starts at
+max(precision_bits, 53, coefficient bits + 16) and doubles up to
+precision_cap (4096 bits by default). A start at 53 bits runs the
+hardware-double step, then mpmath at 106, 212, ... bits; the default
+start runs mpmath at 128, 256, ... bits. Past the cap isolate_roots
+raises PrecisionCapExceeded.
 """
 
 from __future__ import annotations
 
+import cmath
+import contextlib
+import functools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-from mpmath import mp, mpc, mpf, workprec
+from mpmath import mpc, mpf, workprec
 
 from .errors import (
     DegreeTooSmall,
@@ -43,6 +54,7 @@ from .errors import (
 )
 from .intpoly import (
     IntPolynomial,
+    _deflate_zero_roots,
     discriminant,
     pair_product_full,
     squarefree_decomposition,
@@ -103,32 +115,21 @@ class RootDisk:
             low = Fraction(0)
         return (low, hi + r)
 
-    def contains_zero(self) -> bool:
-        cre = mpf_to_fraction(self.center_re)
-        cim = mpf_to_fraction(self.center_im)
-        r = mpf_to_fraction(self.radius)
-        return cre * cre + cim * cim <= r * r
-
 
 def _fraction_sqrt_lower(q: Fraction, bits: int = 128) -> Fraction:
-    """Rational lower bound on sqrt(q) for q >= 0."""
+    """Rational lower bound on sqrt(q) for q >= 0, on a grid of step
+    1 / (denominator(q) 2^bits)."""
     if q < 0:
         raise ValueError("negative")
-    if q == 0:
-        return Fraction(0)
-    scale = 1 << bits
-    n = q.numerator * q.denominator * scale * scale
-    return Fraction(math.isqrt(n), q.denominator * scale)
+    scale = q.denominator << bits
+    return Fraction(math.isqrt(q.numerator * scale * (1 << bits)), scale)
 
 
 def _fraction_sqrt_upper(q: Fraction, bits: int = 128) -> Fraction:
-    if q < 0:
-        raise ValueError("negative")
-    if q == 0:
-        return Fraction(0)
-    scale = 1 << bits
-    n = q.numerator * q.denominator * scale * scale
-    return Fraction(math.isqrt(n) + 1, q.denominator * scale)
+    """Rational upper bound on sqrt(q) for q >= 0: one grid step above the
+    lower bound (0 for q = 0)."""
+    lower = _fraction_sqrt_lower(q, bits)
+    return lower + Fraction(1, q.denominator << bits) if q else lower
 
 
 @dataclass(frozen=True)
@@ -207,7 +208,7 @@ def _fraction_to_float_upper(q: Fraction) -> float:
     return x
 
 
-# -- Aberth-Ehrlich ladder -----------------------------------------------
+# -- Aberth-Ehrlich seeds ------------------------------------------------
 
 
 def _initial_guesses(g: IntPolynomial) -> List[complex]:
@@ -237,7 +238,7 @@ def _companion_seeds(coeffs: Sequence[int]) -> Optional[List[complex]]:
         return None
     try:
         rr = np.roots(cf)
-    except Exception:
+    except np.linalg.LinAlgError:
         return None
     out = [complex(w) for w in rr]
     if len(out) != len(coeffs) - 1:
@@ -247,18 +248,135 @@ def _companion_seeds(coeffs: Sequence[int]) -> Optional[List[complex]]:
     return out
 
 
-def _aberth_float(coeffs: Sequence[int], z: List[complex], sweeps: int) -> List[complex]:
-    """Aberth sweeps in hardware complex arithmetic; returns best-effort
-    positions (may be handed to the mp ladder unconverged)."""
+# -- the certification rung and its two arithmetics ----------------------
+
+
+class _Arithmetic(NamedTuple):
+    """The number type of one certification attempt and the constants that
+    depend on it: `_DOUBLE` is hardware doubles (`complex`/`float`), the
+    53-bit ladder step; `_mp_arithmetic(bits)` is mpmath at `bits` bits
+    (`mpc`/`mpf`), every step above. The rung below (Aberth sweeps, Horner
+    evaluation with an error bound, radius certification, disjointness,
+    realness) is written once over these fields. It is sound in the
+    fail-safe direction: any non-finite value, non-positive derivative
+    bound, disjointness failure or realness mismatch returns None and the
+    ladder escalates. The slack constants are hand-picked margins, not a
+    proved bound."""
+
+    # how an integer becomes a number; a double conversion beyond range
+    # raises OverflowError, which ends the double Aberth sweeps early
+    real: Callable
+    cplx: Callable
+    # precision context entered once per attempt: none for doubles, whose
+    # rounding is fixed; workprec(bits) for mp
+    scope: Callable
+    # Horner error bound horner * (n + 1) * unit * sum |a_i| |z|^i, unit
+    # 2^-53 or 2^-bits: 8 generously covers the complex multiplication
+    # constants and the final absolute-value rounding; doubles use 16 as
+    # they also round while accumulating sum |a_i| |z|^i itself
+    unit: object
+    horner: object
+    # relative inflation of a certified radius and of a merged conjugate
+    # pair radius, for the rounding of the last operations on them:
+    # 2^-30 and 2^-28 against the double unit 2^-53, 2^-40 for both
+    # against an mp unit of 2^-54 or less, where an absolute floor of
+    # 2^(-4 bits) also keeps every radius positive
+    radius_slack: float
+    pair_slack: float
+    radius_floor: object
+    # doubles overflow to inf and nan, which must fail the attempt; mpf
+    # exponents are unbounded, so mp values from finite inputs stay finite
+    finite: Callable
+    # every step starts from double Aberth sweeps, which stop below a 1e-14
+    # relative move (a few dozen double units) and nudge a point off a
+    # zero derivative or a collision; mp polishes with 8 + bits/32 more
+    # sweeps, stopping below 2^(10 - bits), and leaves such a point alone
+    aberth_tol: object
+    polish_sweeps: int
+    nudge: Callable
+    # disk of a linear factor's rational root: the nearest double within
+    # (|z| + 1) 2^-50, or the mp quotient within (|z| + 1) 2^(2 - bits)
+    linear: Callable
+    # doubles hold integers exactly only up to 53 bits: a factor with a
+    # coefficient above 50 bits (leaving 3 bits for its derivative) fails
+    # the double step and escalates; mp has no such gate
+    coeff_bits: Optional[int]
+
+
+# relative margins, in either arithmetic, for the rounding of a center
+# distance: disks count as disjoint only when the distance shrunk by
+# 2^-30 still exceeds the radius sum, and a conjugate pair matches when
+# the distance is within the radius sum grown by 2^-30
+_APART = 1.0 - 2.0**-30
+_NEAR = 1.0 + 2.0**-30
+
+
+def _linear_double(root: Fraction):
+    z = float(root)
+    return [complex(z)], [(abs(z) + 1.0) * 2.0**-50]
+
+
+_DOUBLE = _Arithmetic(
+    real=float,
+    cplx=complex,
+    scope=contextlib.nullcontext,
+    unit=2.0**-53,
+    horner=16.0,
+    radius_slack=1.0 + 2.0**-30,
+    pair_slack=1.0 + 2.0**-28,
+    radius_floor=0.0,
+    finite=cmath.isfinite,
+    aberth_tol=1e-14,
+    polish_sweeps=0,
+    nudge=lambda z: z * (1.0 + 1e-7) + 1e-7,
+    linear=_linear_double,
+    coeff_bits=50,
+)
+
+
+def _mp_arithmetic(bits: int) -> _Arithmetic:
+    unit = mpf(2) ** -bits
+
+    def linear(root: Fraction):
+        z = mpf(root.numerator) / mpf(root.denominator)
+        return [mpc(z)], [abs(z) * (4 * unit) + 4 * unit]
+
+    return _Arithmetic(
+        real=mpf,
+        cplx=mpc,
+        scope=functools.partial(workprec, bits),
+        unit=unit,
+        horner=8,
+        radius_slack=1.0 + 2.0**-40,
+        pair_slack=1.0 + 2.0**-40,
+        radius_floor=unit**4,
+        finite=lambda x: True,
+        aberth_tol=1024 * unit,
+        polish_sweeps=8 + bits // 32,
+        nudge=lambda z: z,
+        linear=linear,
+        coeff_bits=None,
+    )
+
+
+def _arithmetic(bits: int) -> _Arithmetic:
+    """The arithmetic of one ladder step: hardware doubles at 53 bits,
+    mpmath above."""
+    return _DOUBLE if bits <= 53 else _mp_arithmetic(bits)
+
+
+def _aberth(ar: _Arithmetic, coeffs: Sequence[int], z: list, sweeps: int) -> list:
+    """Aberth sweeps on z in place; returns best-effort positions, which
+    may be unconverged (certification decides whether they suffice)."""
     d = len(coeffs) - 1
     try:
-        cf = [float(c) for c in coeffs]
+        cf = [ar.real(c) for c in coeffs]
     except OverflowError:
         return z
     df = [cf[i] * (d - i) for i in range(d)]
-    tol = 1e-14
+    finite, nudge = ar.finite, ar.nudge
     for _ in range(sweeps):
-        maxmove = 0.0
+        maxmove = 0
         for i in range(d):
             zi = z[i]
             p = cf[0]
@@ -270,10 +388,10 @@ def _aberth_float(coeffs: Sequence[int], z: List[complex], sweeps: int) -> List[
             for a in df[1:]:
                 q = q * zi + a
             if q == 0:
-                z[i] = zi * (1.0 + 1e-7) + 1e-7
+                z[i] = nudge(zi)
                 continue
             w = p / q
-            s = 0.0
+            s = 0
             bad = False
             for j in range(d):
                 if j != i:
@@ -281,166 +399,96 @@ def _aberth_float(coeffs: Sequence[int], z: List[complex], sweeps: int) -> List[
                     if dz == 0:
                         bad = True
                         break
-                    s += 1.0 / dz
+                    s += 1 / dz
             if bad:
-                z[i] = zi * (1.0 + 1e-7) + 1e-7
+                z[i] = nudge(zi)
                 continue
-            den = 1.0 - w * s
+            den = 1 - w * s
             if den == 0:
                 continue
             corr = w / den
-            if not (math.isfinite(corr.real) and math.isfinite(corr.imag)):
+            if not finite(corr):
                 continue
             z[i] = zi - corr
-            scale = abs(zi) + 1.0
-            move = abs(corr) / scale
+            move = abs(corr) / (abs(zi) + 1)
             if move > maxmove:
                 maxmove = move
-        if maxmove < tol:
+        if maxmove < ar.aberth_tol:
             break
     return z
 
 
-def _aberth_mp(coeffs: Sequence[int], z: List[mpc], sweeps: int, prec: int) -> List[mpc]:
-    d = len(coeffs) - 1
-    with workprec(prec):
-        cf = [mpf(c) for c in coeffs]
-        df = [cf[i] * (d - i) for i in range(d)]
-        tol = mpf(2) ** (10 - prec)
-        for _ in range(sweeps):
-            maxmove = mpf(0)
-            for i in range(d):
-                zi = z[i]
-                p = cf[0]
-                for a in cf[1:]:
-                    p = p * zi + a
-                if p == 0:
-                    continue
-                q = df[0]
-                for a in df[1:]:
-                    q = q * zi + a
-                if q == 0:
-                    continue
-                w = p / q
-                s = mpc(0)
-                bad = False
-                for j in range(d):
-                    if j != i:
-                        dz = zi - z[j]
-                        if dz == 0:
-                            bad = True
-                            break
-                        s += 1 / dz
-                if bad:
-                    continue
-                den = 1 - w * s
-                if den == 0:
-                    continue
-                corr = w / den
-                z[i] = zi - corr
-                move = abs(corr) / (abs(zi) + 1)
-                if move > maxmove:
-                    maxmove = move
-            if maxmove < tol:
-                break
-    return z
-
-
-def _eval_with_error(coeffs: Sequence[int], z: mpc, prec: int):
-    """Horner value of the polynomial at z plus a rigorous bound on the
-    rounding error, both at precision prec.
-
-    The classical running bound: |computed - exact| <=
-    gamma * sum |a_i| |z|^i with gamma = c*n*u; the constant here (8n)
-    generously covers complex multiplication constants and the final
-    absolute-value rounding."""
+def _eval_with_error(ar: _Arithmetic, coeffs: Sequence[int], z):
+    """Horner value of the polynomial at z plus a bound on its rounding
+    error, the running bound horner * (n + 1) * unit * sum |a_i| |z|^i."""
     n = len(coeffs) - 1
-    with workprec(prec):
-        acc = mpc(coeffs[0])
-        az = abs(z)
-        amax = mpf(abs(coeffs[0]))
-        for c in coeffs[1:]:
-            acc = acc * z + c
-            amax = amax * az + abs(c)
-        err = amax * (8 * (n + 1)) * mpf(2) ** (-prec)
-        return acc, err
-
-
-def _certify_radius(coeffs: Sequence[int], dcoeffs: Sequence[int], z: mpc, d: int, prec: int):
-    """Certified radius d*|g(z)|/|g'(z)| (upper bound), or None when the
-    derivative bound cannot exclude zero at this precision."""
-    with workprec(prec):
-        v, e = _eval_with_error(coeffs, z, prec)
-        vd, ed = _eval_with_error(dcoeffs, z, prec)
-        num = abs(v) + e
-        den = abs(vd) - ed
-        if den <= 0:
-            return None
-        r = (num / den) * d
-        return r * (1 + mpf(2) ** (-40)) + mpf(2) ** (-prec * 4)
-
-
-# -- hardware-float certification rung ------------------------------------
-#
-# A full certification attempt in double precision, mirroring _attempt /
-# _certify_radius / _realness with doubled error constants. Sound in the
-# fail-safe direction: any non-finite value, non-positive derivative
-# bound, disjointness failure, or realness mismatch returns None and the
-# ladder escalates to the mp rungs. Engaged only when the caller asks for
-# precision_bits <= 53 and every coefficient fits a double exactly.
-
-_F64_PREC = 53
-_F64_COEFF_BITS = 50
-
-
-def _eval_with_error_f64(coeffs: Sequence[float], z: complex):
-    n = len(coeffs) - 1
-    acc = complex(coeffs[0])
+    acc = ar.cplx(coeffs[0])
     az = abs(z)
-    amax = abs(coeffs[0])
+    amax = ar.real(abs(coeffs[0]))
     for c in coeffs[1:]:
         acc = acc * z + c
         amax = amax * az + abs(c)
-    # doubled constant relative to the mp twin absorbs the error of
-    # accumulating amax itself in double precision
-    err = amax * (16.0 * (n + 1)) * 2.0 ** -53
-    return acc, err
+    return acc, amax * (ar.horner * (n + 1)) * ar.unit
 
 
-def _certify_radius_f64(coeffs, dcoeffs, z: complex, d: int):
-    v, e = _eval_with_error_f64(coeffs, z)
-    vd, ed = _eval_with_error_f64(dcoeffs, z)
+def _certify_radius(ar: _Arithmetic, coeffs, dcoeffs, z, d: int):
+    """Certified radius d*|g(z)|/|g'(z)| (upper bound), or None when the
+    derivative bound cannot exclude zero in this arithmetic."""
+    v, e = _eval_with_error(ar, coeffs, z)
+    vd, ed = _eval_with_error(ar, dcoeffs, z)
     num = abs(v) + e
     den = abs(vd) - ed
-    if not (math.isfinite(num) and math.isfinite(den)) or den <= 0.0:
+    if not (ar.finite(num) and ar.finite(den)) or den <= 0:
         return None
-    r = (num / den) * d * (1.0 + 2.0 ** -30)
-    if not math.isfinite(r) or r < 0.0:
-        return None
-    return r
+    r = (num / den) * d * ar.radius_slack + ar.radius_floor
+    return r if ar.finite(r) else None
 
 
-def _disjoint_f64(centers: List[complex], radii: List[float]) -> bool:
+def _isolate_factor(ar: _Arithmetic, g: IntPolynomial):
+    """Aberth positions and certified radii for one squarefree factor;
+    returns (centers, radii) or None if certification failed."""
+    d = g.degree
+    if d == 1:
+        return ar.linear(Fraction(-g.coeffs[1], g.coeffs[0]))
+    z = _companion_seeds(g.coeffs)
+    if z is None:
+        z = _aberth(_DOUBLE, g.coeffs, _initial_guesses(g), sweeps=80)
+    else:
+        z = _aberth(_DOUBLE, g.coeffs, z, sweeps=12)
+    if ar.polish_sweeps:
+        z = _aberth(ar, g.coeffs, [ar.cplx(w) for w in z], ar.polish_sweeps)
+    dc = g.derivative().coeffs
+    radii = []
+    for zi in z:
+        r = _certify_radius(ar, g.coeffs, dc, zi, d)
+        if r is None:
+            return None
+        radii.append(r)
+    return z, radii
+
+
+def _disjoint(centers: list, radii: list) -> bool:
     m = len(centers)
     for i in range(m):
         for j in range(i + 1, m):
-            if abs(centers[i] - centers[j]) * (1.0 - 2.0 ** -30) <= radii[i] + radii[j]:
+            if abs(centers[i] - centers[j]) * _APART <= radii[i] + radii[j]:
                 return False
     return True
 
 
-def _realness_f64(centers, radii, realcount):
+def _realness(ar: _Arithmetic, centers, radii, realcount):
+    """Certify which disks hold real roots and symmetrize centers and radii
+    in place; returns the real flags, or None to request more precision."""
     # a disk holding a real root must straddle the axis: |Im c| <= |c - a| <= r
     strad = [i for i in range(len(centers)) if abs(centers[i].imag) <= radii[i]]
     if len(strad) != realcount:
         return None
-    centers = list(centers)
-    radii = list(radii)
     flags = [False] * len(centers)
     for i in strad:
         # projecting the center onto the axis moves it closer to the root
-        centers[i] = complex(centers[i].real, 0.0)
+        centers[i] = ar.cplx(centers[i].real, 0)
         flags[i] = True
+    # conjugate pairing of the off-axis disks
     upper = [i for i in range(len(centers)) if not flags[i] and centers[i].imag > 0]
     lower = [i for i in range(len(centers)) if not flags[i] and centers[i].imag < 0]
     if len(upper) != len(lower):
@@ -451,8 +499,7 @@ def _realness_f64(centers, radii, realcount):
         cand = [
             j
             for j in lower
-            if j not in used
-            and abs(ci - centers[j]) <= (radii[i] + radii[j]) * (1.0 + 2.0 ** -30)
+            if j not in used and abs(ci - centers[j]) <= (radii[i] + radii[j]) * _NEAR
         ]
         if len(cand) != 1:
             return None
@@ -460,123 +507,54 @@ def _realness_f64(centers, radii, realcount):
         used.add(j)
         mid = (centers[i] + centers[j].conjugate()) / 2
         rad = radii[i] if radii[i] > radii[j] else radii[j]
-        rad = (rad + abs(centers[i] - centers[j].conjugate()) / 2) * (1.0 + 2.0 ** -28)
-        if not math.isfinite(rad):
+        rad = (rad + abs(centers[i] - centers[j].conjugate()) / 2) * ar.pair_slack
+        if not ar.finite(rad):
             return None
         centers[i] = mid
         centers[j] = mid.conjugate()
         radii[i] = rad
         radii[j] = rad
-    if len(used) != len(lower):
+    return flags
+
+
+def _attempt(ar: _Arithmetic, parts, v: int) -> Optional[List[RootDisk]]:
+    """One full certification attempt in one arithmetic."""
+    if ar.coeff_bits is not None and any(
+        abs(c).bit_length() > ar.coeff_bits for fac, _, _ in parts for c in fac.coeffs
+    ):
         return None
-    return centers, radii, flags
-
-
-def _isolate_factor_f64(g: IntPolynomial):
-    d = g.degree
-    if d == 1:
-        c = Fraction(-g.coeffs[1], g.coeffs[0])
-        z = float(c)
-        err = (abs(z) + 1.0) * 2.0 ** -50
-        return [complex(z)], [err]
-    cf = [float(c) for c in g.coeffs]
-    z0 = _companion_seeds(g.coeffs)
-    if z0 is None:
-        z0 = _initial_guesses(g)
-        z0 = _aberth_float(cf, z0, sweeps=80)
-    else:
-        z0 = _aberth_float(cf, z0, sweeps=12)
-    dc = [float(c) for c in g.derivative().coeffs]
-    radii = []
-    for zi in z0:
-        r = _certify_radius_f64(cf, dc, zi, d)
-        if r is None:
-            return None
-        radii.append(r)
-    return z0, radii
-
-
-def _attempt_f64(parts, v: int) -> Optional[List[RootDisk]]:
-    all_centers: List[complex] = []
-    all_radii: List[float] = []
+    all_centers: list = []
+    all_radii: list = []
     all_mult: List[int] = []
     all_real: List[bool] = []
+    with ar.scope():
+        for fac, mult, realcount in parts:
+            got = _isolate_factor(ar, fac)
+            if got is None:
+                return None
+            centers, radii = got
+            if not _disjoint(centers, radii):
+                return None
+            is_real = _realness(ar, centers, radii, realcount)
+            if is_real is None:
+                return None
+            all_centers.extend(centers)
+            all_radii.extend(radii)
+            all_mult.extend([mult] * len(centers))
+            all_real.extend(is_real)
 
-    for fac, mult, realcount in parts:
-        if any(abs(c).bit_length() > _F64_COEFF_BITS for c in fac.coeffs):
+        if v > 0:
+            all_centers.append(ar.cplx(0))
+            all_radii.append(ar.real(0))
+            all_mult.append(v)
+            all_real.append(True)
+
+        if not _disjoint(all_centers, all_radii):
             return None
-        got = _isolate_factor_f64(fac)
-        if got is None:
-            return None
-        centers, radii = got
-        if not _disjoint_f64(centers, radii):
-            return None
-        flags = _realness_f64(centers, radii, realcount)
-        if flags is None:
-            return None
-        centers, radii, is_real = flags
-        all_centers.extend(centers)
-        all_radii.extend(radii)
-        all_mult.extend([mult] * len(centers))
-        all_real.extend(is_real)
-
-    if v > 0:
-        all_centers.append(complex(0.0))
-        all_radii.append(0.0)
-        all_mult.append(v)
-        all_real.append(True)
-
-    if not _disjoint_f64(all_centers, all_radii):
-        return None
-    disks = [
-        RootDisk(mpf(c.real), mpf(c.imag), mpf(r), m, br)
-        for c, r, m, br in zip(all_centers, all_radii, all_mult, all_real)
-    ]
-    return disks
-
-
-def _isolate_factor(g: IntPolynomial, prec: int, warm: Optional[List[mpc]] = None):
-    """Aberth positions and certified radii for one squarefree factor at
-    one precision; returns (centers, radii) or None if certification
-    failed at this precision."""
-    d = g.degree
-    if d == 1:
-        with workprec(prec):
-            c = Fraction(-g.coeffs[1], g.coeffs[0])
-            z = mpf(c.numerator) / mpf(c.denominator)
-            err = abs(z) * mpf(2) ** (2 - prec) + mpf(2) ** (2 - prec)
-            return [mpc(z)], [err]
-    if warm is None:
-        z0 = _companion_seeds(g.coeffs)
-        if z0 is None:
-            z0 = _initial_guesses(g)
-            z0 = _aberth_float(list(g.coeffs), z0, sweeps=80)
-        else:
-            z0 = _aberth_float(list(g.coeffs), z0, sweeps=12)
-        with workprec(prec):
-            z = [mpc(w) for w in z0]
-    else:
-        with workprec(prec):
-            z = [mpc(w) for w in warm]
-    z = _aberth_mp(list(g.coeffs), z, sweeps=8 + prec // 32, prec=prec)
-    dc = list(g.derivative().coeffs)
-    radii = []
-    for zi in z:
-        r = _certify_radius(list(g.coeffs), dc, zi, d, prec)
-        if r is None:
-            return None
-        radii.append(r)
-    return z, radii
-
-
-def _disjoint(centers: List[mpc], radii: List[mpf], prec: int) -> bool:
-    with workprec(prec):
-        m = len(centers)
-        for i in range(m):
-            for j in range(i + 1, m):
-                if abs(centers[i] - centers[j]) * (1 - mpf(2) ** (-30)) <= radii[i] + radii[j]:
-                    return False
-    return True
+        return [
+            RootDisk(mpf(c.real), mpf(c.imag), mpf(r), m, br)
+            for c, r, m, br in zip(all_centers, all_radii, all_mult, all_real)
+        ]
 
 
 def isolate_roots(
@@ -595,12 +573,7 @@ def isolate_roots(
         raise ZeroPolynomial("cannot isolate roots of the zero polynomial")
     if f.degree < 1:
         raise DegreeTooSmall("root isolation needs degree >= 1")
-    cs = list(f.coeffs)
-    v = 0
-    while cs and cs[-1] == 0:
-        cs.pop()
-        v += 1
-    g = IntPolynomial(tuple(cs))
+    v, g = _deflate_zero_roots(f)
     maxbits = max(abs(c).bit_length() for c in f.coeffs)
     # callers may start below the default; certification escalates on failure
     prec = max(precision_bits, 53, maxbits + 16)
@@ -620,10 +593,7 @@ def isolate_roots(
         )
 
     while True:
-        if prec <= _F64_PREC:
-            disks = _attempt_f64(parts, v)
-        else:
-            disks = _attempt(parts, v, prec)
+        disks = _attempt(_arithmetic(prec), parts, v)
         if disks is not None:
             tight = radius_target is None or all(
                 mpf_to_fraction(d.radius) <= radius_target for d in disks
@@ -642,90 +612,6 @@ def isolate_roots(
                 partial=partial,
             )
         prec = min(prec * 2, cap)
-
-
-def _attempt(parts, v: int, prec: int) -> Optional[List[RootDisk]]:
-    """One full certification attempt at a fixed precision."""
-    all_centers: List[mpc] = []
-    all_radii: List[mpf] = []
-    all_mult: List[int] = []
-    all_real: List[bool] = []
-
-    for fac, mult, realcount in parts:
-        got = _isolate_factor(fac, prec)
-        if got is None:
-            return None
-        centers, radii = got
-        if not _disjoint(centers, radii, prec):
-            return None
-        flags = _realness(fac, centers, radii, realcount, prec)
-        if flags is None:
-            return None
-        centers, radii, is_real = flags
-        all_centers.extend(centers)
-        all_radii.extend(radii)
-        all_mult.extend([mult] * len(centers))
-        all_real.extend(is_real)
-
-    if v > 0:
-        all_centers.append(mpc(0))
-        all_radii.append(mpf(0))
-        all_mult.append(v)
-        all_real.append(True)
-
-    if not _disjoint(all_centers, all_radii, prec):
-        return None
-    disks = [
-        RootDisk(c.real, c.imag, r, m, br)
-        for c, r, m, br in zip(all_centers, all_radii, all_mult, all_real)
-    ]
-    return disks
-
-
-def _realness(fac, centers, radii, realcount, prec):
-    """Certify which disks hold real roots; symmetrize centers.
-
-    Returns (centers, radii, flags) or None to request more precision.
-    """
-    with workprec(prec):
-        strad = [i for i in range(len(centers)) if abs(centers[i].imag) <= radii[i]]
-        if len(strad) != realcount:
-            return None
-        centers = list(centers)
-        radii = list(radii)
-        flags = [False] * len(centers)
-        for i in strad:
-            centers[i] = mpc(centers[i].real, 0)
-            flags[i] = True
-        # conjugate pairing of the off-axis disks
-        upper = [i for i in range(len(centers)) if not flags[i] and centers[i].imag > 0]
-        lower = [i for i in range(len(centers)) if not flags[i] and centers[i].imag < 0]
-        if len(upper) != len(lower):
-            return None
-        used = set()
-        for i in upper:
-            ci = centers[i].conjugate()
-            cand = [
-                j
-                for j in lower
-                if j not in used
-                and abs(ci - centers[j]) <= (radii[i] + radii[j]) * (1 + mpf(2) ** (-30))
-            ]
-            if len(cand) != 1:
-                return None
-            j = cand[0]
-            used.add(j)
-            mid = (centers[i] + centers[j].conjugate()) / 2
-            rad = radii[i] if radii[i] > radii[j] else radii[j]
-            rad = rad + abs(centers[i] - centers[j].conjugate()) / 2
-            rad = rad * (1 + mpf(2) ** (-40))
-            centers[i] = mid
-            centers[j] = mid.conjugate()
-            radii[i] = rad
-            radii[j] = rad
-        if len(used) != len(lower):
-            return None
-        return centers, radii, flags
 
 
 def refine(rootset: CertifiedRootSet, radius_target: Fraction) -> CertifiedRootSet:
@@ -758,7 +644,7 @@ def modulus_separation_bound(f: IntPolynomial) -> Fraction:
         raise DegreeTooSmall("separation bound needs degree >= 1")
     if n == 1:
         return Fraction(1)  # single root: nothing to separate
-    v, g = _deflate(f)
+    v, g = _deflate_zero_roots(f)
     m = g.degree
     if m == 0:
         return Fraction(1)  # only the root 0
@@ -788,12 +674,3 @@ def modulus_separation_bound(f: IntPolynomial) -> Fraction:
         if b <= 0:
             b = Fraction(1, den + 1)  # crude but positive and valid
     return b
-
-
-def _deflate(f: IntPolynomial) -> Tuple[int, IntPolynomial]:
-    cs = list(f.coeffs)
-    v = 0
-    while cs and cs[-1] == 0:
-        cs.pop()
-        v += 1
-    return v, IntPolynomial(tuple(cs))

@@ -14,19 +14,18 @@ import numpy as np
 import pytest
 import sympy
 
+from rootcensus import classify
 from rootcensus.errors import DegreeCapExceeded, NotIrreducible
 from rootcensus.intpoly import IntPolynomial, discriminant
 from rootcensus.classify import (
     factorize,
     has_multiplicative_relation,
-    is_power_substitution_structured,
     modulus_profile,
     profile_pair_deg2,
     profile_pair_deg3,
     real_count_deg2,
     real_count_deg3,
     root_signature,
-    smallest_factor_degree,
     sn_certificate,
 )
 
@@ -174,13 +173,6 @@ def test_factorize_degree_cap():
     assert factorize(f, degree_cap=9).irreducible
 
 
-def test_smallest_factor_degree():
-    assert smallest_factor_degree(IntPolynomial((1, 0, -2))) is None
-    assert smallest_factor_degree(IntPolynomial((1, 0, -1))) == 1
-    f = IntPolynomial((1, 0, 1)) * IntPolynomial((1, 0, 0, -2))
-    assert smallest_factor_degree(f) == 2
-
-
 # -- S_n certificates --------------------------------------------------------------
 
 
@@ -280,8 +272,12 @@ def test_relation_prefilter_agrees_with_exact():
         ), f.coeffs
 
 
-def test_power_substitution_structure():
-    flag, k = is_power_substitution_structured(IntPolynomial((1, 0, 0, 0, -2)))
-    assert flag and k == 4
-    flag, k = is_power_substitution_structured(IntPolynomial((1, 1, 1)))
-    assert not flag and k == 1
+def test_relation_prefilter_lets_unexpected_errors_through(monkeypatch):
+    # the prefilter may give up only on an exhausted precision ladder; any
+    # other error from root isolation is a bug and must surface
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("injected")
+
+    monkeypatch.setattr(classify, "isolate_roots", broken)
+    with pytest.raises(ZeroDivisionError):
+        has_multiplicative_relation(IntPolynomial((1, 0, 0, 1, 1)))

@@ -94,11 +94,12 @@ def test_repeated_roots_multiplicity():
 
 
 def test_zero_root_exact():
-    # x^3 - x = x (x-1) (x+1); the zero root disk must contain 0 exactly
+    # x^3 - x = x (x-1) (x+1); the zero root gets the exact point disk {0}
     f = IntPolynomial((1, 0, -1, 0))
     rs = isolate_roots(f)
-    zero_disks = [d for d in rs.disks if d.contains_zero()]
+    zero_disks = [d for d in rs.disks if d.radius == 0]
     assert len(zero_disks) == 1
+    assert zero_disks[0].center_re == 0 and zero_disks[0].center_im == 0
     lo, hi = zero_disks[0].modulus_interval()
     assert lo == 0
 
