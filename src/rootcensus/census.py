@@ -3,23 +3,9 @@
 A census enumerates every degree-n integer polynomial in a height box
 (monic: a_1..a_n in [-H, H], (2H+1)^n points; otherwise the full box
 a_0 in [-H, H] minus 0 and a_1..a_n in [-H, H], 2H(2H+1)^n points),
-classifies each one exactly, and maintains integer counters:
-
-- "A" / "A*"   count of polynomials with k roots of maximal modulus
-               (with multiplicity), keyed "1".."n"; A is the monic
-               census, A* the full one;
-- "D*" / "D*d" count by real signature, keyed "r=R,s=S"; D* counts
-               with multiplicity, D*d counts distinct roots (the
-               signature of the squarefree part);
-- "B*" / "B*nz" count by (k_max, k_min) cells keyed "m1,m2" for
-               m1, m2 in {1, 2} (other profiles fall in no cell);
-               B*nz restricts to a_n != 0, where the reciprocal
-               identity B*(2,1) = B*(1,2) holds exactly;
-- "rho" / "rho*" count of reducible polynomials keyed "m=M" by the
-               smallest irreducible factor degree, M <= floor(n/2);
-- "E_upper"    count of polynomials NOT certified S_n (reducible, or
-               irreducible with no certificate below the prime bound);
-               an upper bound for the non-S_n count, never exact.
+classifies each one exactly, and maintains integer counters. The
+counters, their boxes, families, labels and degree limits are declared
+once, in `_COUNTERS` below; the README tabulates what each one counts.
 
 Work is split into units along the leading enumerated coefficient,
 each unit a contiguous chunk of at most ~250k lattice points; unit
@@ -39,13 +25,14 @@ to keep every intermediate inside int64.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import json
 import multiprocessing
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -77,20 +64,168 @@ __all__ = [
     "make_work_units",
     "classify_pipeline",
     "run_census",
-    "merge",
     "fit_growth_exponent",
     "density_report",
-    "checkpoint_save",
     "checkpoint_load",
     "counter_table_csv",
 ]
 
-COUNTER_CHOICES = ("A", "A*", "D*", "B*", "RHO", "RHO*", "E_UPPER")
 UNIT_TARGET = 250_000
 MIN_UNITS = 8
 DEFAULT_BUDGET = 10**9
 VECTOR_HEIGHT_CAP = 5000  # keeps disc3 terms well inside int64
 CHECKPOINT_FORMAT = "rootcensus-census-checkpoint"
+
+
+# -- counters ---------------------------------------------------------------------
+
+
+class _Batch(NamedTuple):
+    """One work unit of the vector engine (n in {2, 3}) as numpy arrays."""
+
+    n: int
+    coeffs: List[np.ndarray]  # a_0..a_n, leading first
+    kmax: np.ndarray
+    kmin: np.ndarray
+    dsc: np.ndarray  # discriminant
+
+
+class _Counter(NamedTuple):
+    """One census counter: the box it needs (monic, full, or either when
+    None); its families, each with its complete labels at degree n keyed
+    by histogram code; the statistics its labeler `cells(f, stats)`
+    reads; an optional vector labeler giving (family, label, count)
+    cells of a _Batch; its degree limit, if any (needing the
+    factorization also limits n to degree_cap); other spellings the CLI
+    accepts; and whether its one cell is written as a bare number."""
+
+    monic: Optional[bool]
+    families: Dict[str, Callable[[int], Dict[int, str]]]
+    needs: Tuple[str, ...]
+    cells: Callable[[IntPolynomial, Dict[str, object]], List[Tuple[str, str]]]
+    vector: Optional[Callable[[_Batch], List[Tuple[str, str, int]]]] = None
+    max_n: Optional[int] = None
+    aliases: Tuple[str, ...] = ()
+    scalar: bool = False
+
+
+def _histogram(family: str, codes: np.ndarray, labels: Dict[int, str]):
+    hist = np.bincount(codes, minlength=max(labels) + 1)
+    return [(family, label, int(hist[code])) for code, label in labels.items()]
+
+
+def _kmax_labels(n: int) -> Dict[int, str]:
+    return {k: str(k) for k in range(1, n + 1)}
+
+
+def _kmax_counter(family: str, monic: bool) -> _Counter:
+    return _Counter(
+        monic=monic,
+        families={family: _kmax_labels},
+        needs=("profile",),
+        cells=lambda f, st: [(family, str(st["profile"].k_max))],
+        vector=lambda b: _histogram(family, b.kmax, _kmax_labels(b.n)),
+    )
+
+
+def _signature_label(r: int, s: int) -> str:
+    return "r=%d,s=%d" % (r, s)
+
+
+def _signature_labels(n: int) -> Dict[int, str]:
+    """Signatures with multiplicity, keyed by the real-root count."""
+    return {r: _signature_label(r, (n - r) // 2) for r in range(n % 2, n + 1, 2)}
+
+
+def _signature_vector(b: _Batch) -> List[Tuple[str, str, int]]:
+    labels = _signature_labels(b.n)
+    rmul = np.where(b.dsc >= 0, b.n, b.n - 2)  # real roots with multiplicity
+    # the distinct-root signature differs only on repeated roots (zero
+    # discriminant), where the exact kernel decides
+    repeated = b.dsc == 0
+    out = _histogram("D*", rmul, labels) + _histogram("D*d", rmul[~repeated], labels)
+    for i in np.nonzero(repeated)[0]:
+        g = squarefree_part(IntPolynomial(tuple(int(arr[i]) for arr in b.coeffs)))
+        sig = root_signature(g)
+        out.append(("D*d", _signature_label(sig.r, sig.s), 1))
+    return out
+
+
+_PAIRS = {i * 4 + j: "%d,%d" % (i, j) for i in (1, 2) for j in (1, 2)}
+
+
+def _pair_cells(f: IntPolynomial, st: Dict[str, object]) -> List[Tuple[str, str]]:
+    prof = st["profile"]
+    if prof.k_max > 2 or prof.k_min > 2:
+        return []
+    label = _PAIRS[prof.k_max * 4 + prof.k_min]
+    return [("B*", label)] + ([("B*nz", label)] if f.coeffs[-1] != 0 else [])
+
+
+def _pair_vector(b: _Batch) -> List[Tuple[str, str, int]]:
+    code = b.kmax * 4 + b.kmin
+    return _histogram("B*", code, _PAIRS) + _histogram("B*nz", code[b.coeffs[-1] != 0], _PAIRS)
+
+
+def _reducible_counter(family: str, monic: bool) -> _Counter:
+    def cells(f, st):
+        fr = st["factorization"]
+        if fr.irreducible:
+            return []
+        return [(family, "m=%d" % min(p.degree for p, _ in fr.factors))]
+
+    return _Counter(
+        monic=monic,
+        families={family: lambda n: {m: "m=%d" % m for m in range(1, n // 2 + 1)}},
+        needs=("factorization",),
+        cells=cells,
+        max_n=6,
+    )
+
+
+# every census counter, in the order the CLI lists them
+_COUNTERS: Dict[str, _Counter] = {
+    # polynomials by k_max, the number of roots of maximal modulus
+    "A": _kmax_counter("A", monic=True),
+    "A*": _kmax_counter("A*", monic=False),
+    # by real signature (r, s) with multiplicity; D*d by distinct roots
+    "D*": _Counter(
+        monic=False,
+        families={"D*": _signature_labels, "D*d": lambda n: {}},
+        needs=("signature",),
+        cells=lambda f, st: [("D*", _signature_label(*st["signature"])),
+                             ("D*d", _signature_label(*st["distinct_signature"]))],
+        vector=_signature_vector,
+    ),
+    # by (k_max, k_min) with both <= 2; B*nz restricts to a_n != 0, where
+    # the reciprocal identity B*(2,1) = B*(1,2) holds exactly
+    "B*": _Counter(
+        monic=False,
+        families={"B*": lambda n: _PAIRS, "B*nz": lambda n: _PAIRS},
+        needs=("profile",),
+        cells=_pair_cells,
+        vector=_pair_vector,
+    ),
+    # reducible polynomials by smallest irreducible factor degree
+    "RHO": _reducible_counter("rho", monic=True),
+    "RHO*": _reducible_counter("rho*", monic=False),
+    # polynomials not certified S_n: an upper bound on the non-S_n count
+    "E_UPPER": _Counter(
+        monic=None,
+        families={"E_upper": lambda n: {0: "count"}},
+        needs=("factorization", "sn"),
+        cells=lambda f, st: [("E_upper", "count")] if st["sn"] == "UNDECIDED" else [],
+        aliases=("E",),
+        scalar=True,
+    ),
+}
+
+_SCALAR_FAMILIES = frozenset(fam for c in _COUNTERS.values() if c.scalar for fam in c.families)
+
+
+def _requested(counters: Sequence[str]) -> List[_Counter]:
+    """The requested counters, each once, in declaration order."""
+    return [c for name, c in _COUNTERS.items() if name in counters]
 
 
 @dataclass(frozen=True)
@@ -123,26 +258,21 @@ class CensusSpec:
             raise BadParameters("unknown engine %r" % (self.engine,))
         if not self.counters:
             raise BadParameters("no counters requested")
-        for c in self.counters:
-            if c not in COUNTER_CHOICES:
-                raise BadParameters(
-                    "unknown counter %r (choices: %s)" % (c, ", ".join(COUNTER_CHOICES))
-                )
-        monic_only = {"A", "RHO"}
-        full_only = {"A*", "D*", "B*", "RHO*"}
-        for c in self.counters:
-            if c in monic_only and not self.monic:
-                raise BadParameters("counter %s needs a monic census" % c)
-            if c in full_only and self.monic:
-                raise BadParameters("counter %s needs the full (non-monic) census" % c)
         if self.symmetry and self.monic:
             raise BadParameters("symmetry reduction applies only to the full box")
-        if ("RHO" in self.counters or "RHO*" in self.counters) and self.n > 6:
-            raise BadParameters("rho counters are limited to n <= 6")
-        if self.n > self.degree_cap and (
-            "RHO" in self.counters or "RHO*" in self.counters or "E_UPPER" in self.counters
-        ):
-            raise BadParameters("factorization-based counters need n <= degree_cap")
+        for name in self.counters:
+            c = _COUNTERS.get(name)
+            if c is None:
+                raise BadParameters(
+                    "unknown counter %r (choices: %s)" % (name, ", ".join(_COUNTERS))
+                )
+            if c.monic is not None and c.monic != self.monic:
+                box = "a monic census" if c.monic else "the full (non-monic) census"
+                raise BadParameters("counter %s needs %s" % (name, box))
+            if c.max_n is not None and self.n > c.max_n:
+                raise BadParameters("counter %s is limited to n <= %d" % (name, c.max_n))
+            if "factorization" in c.needs and self.n > self.degree_cap:
+                raise BadParameters("factorization-based counters need n <= degree_cap")
 
     @property
     def total_points(self) -> int:
@@ -156,7 +286,7 @@ class CensusSpec:
             "n": self.n,
             "height": self.height,
             "monic": self.monic,
-            "counters": sorted(self.counters),
+            "counters": sorted(set(self.counters)),
             "prime_bound": self.prime_bound,
             "degree_cap": self.degree_cap,
             "permissive": self.permissive,
@@ -241,8 +371,8 @@ class CounterTable:
         counters: Dict[str, object] = {}
         for fam in sorted(self.counts):
             cells = self.counts[fam]
-            if fam == "E_upper":
-                counters[fam] = cells.get("count", 0)
+            if fam in _SCALAR_FAMILIES:
+                counters[fam] = sum(cells.values())
             else:
                 counters[fam] = dict(sorted(cells.items()))
         out: Dict[str, object] = {
@@ -262,11 +392,6 @@ def _trim(counts: Dict[str, Dict[str, int]]) -> Dict[str, Dict[str, int]]:
         for f, cells in counts.items()
         if any(v != 0 for v in cells.values())
     }
-
-
-def merge(t1: CounterTable, t2: CounterTable) -> CounterTable:
-    """Cellwise sum of tables from disjoint work units of one spec."""
-    return t1.merge(t2)
 
 
 # -- work partition -----------------------------------------------------------
@@ -309,96 +434,42 @@ def make_work_units(spec: CensusSpec) -> List[WorkUnit]:
 def _empty_cells(spec: CensusSpec) -> Dict[str, Dict[str, int]]:
     """All requested families with their complete label sets at 0, so
     complete tables always carry every expected key."""
-    n = spec.n
-    counts: Dict[str, Dict[str, int]] = {}
-    if "A" in spec.counters or "A*" in spec.counters:
-        fam = "A" if spec.monic else "A*"
-        counts[fam] = {str(k): 0 for k in range(1, n + 1)}
-    if "D*" in spec.counters:
-        counts["D*"] = {
-            "r=%d,s=%d" % (r, (n - r) // 2): 0 for r in range(n % 2, n + 1, 2)
-        }
-        counts["D*d"] = {}
-    if "B*" in spec.counters:
-        counts["B*"] = {"%d,%d" % (i, j): 0 for i in (1, 2) for j in (1, 2)}
-        counts["B*nz"] = {"%d,%d" % (i, j): 0 for i in (1, 2) for j in (1, 2)}
-    if "RHO" in spec.counters:
-        counts["rho"] = {"m=%d" % m: 0 for m in range(1, n // 2 + 1)}
-    if "RHO*" in spec.counters:
-        counts["rho*"] = {"m=%d" % m: 0 for m in range(1, n // 2 + 1)}
-    if "E_UPPER" in spec.counters:
-        counts["E_upper"] = {"count": 0}
-    return counts
+    return {
+        fam: {label: 0 for label in labels(spec.n).values()}
+        for c in _requested(spec.counters)
+        for fam, labels in c.families.items()
+    }
 
 
-def classify_pipeline(f: IntPolynomial, spec: CensusSpec) -> Dict[str, object]:
-    """Per-polynomial record with exactly the statistics the requested
-    counters need, cheapest first. Raises PrecisionCapExceeded on
-    ambiguity unless spec.permissive, in which case the record carries
-    ambiguous=True and no profile fields."""
-    rec: Dict[str, object] = {"ambiguous": False}
-    needs = set(spec.counters)
-    if needs & {"D*"}:
-        sig = root_signature(f)
-        rec["r"], rec["s"] = sig.r, sig.s
-        sigd = root_signature(squarefree_part(f))
-        rec["r_distinct"], rec["s_distinct"] = sigd.r, sigd.s
-    if needs & {"RHO", "RHO*", "E_UPPER"}:
-        fr = factorize(f, degree_cap=spec.degree_cap)
-        rec["irreducible"] = fr.irreducible
-        if not fr.irreducible:
-            rec["smallest_factor_degree"] = min(p.degree for p, _ in fr.factors)
-        else:
-            rec["smallest_factor_degree"] = None
-        if "E_UPPER" in needs:
-            if fr.irreducible and f.degree >= 2:
-                cert = sn_certificate(
-                    f, prime_bound=spec.prime_bound, assume_irreducible=True
-                )
-                rec["sn_verdict"] = cert.verdict
-            elif fr.irreducible:
-                rec["sn_verdict"] = "CERTIFIED_SN"  # S_1 is trivially full
+def classify_pipeline(f: IntPolynomial, spec: CensusSpec) -> Optional[List[Tuple[str, str]]]:
+    """The (family, label) cells of f for the requested counters, each
+    statistic they need computed once, cheapest first. The modulus
+    profile raises PrecisionCapExceeded on ambiguity unless
+    spec.permissive, in which case f is ambiguous and this returns None."""
+    counters = _requested(spec.counters)
+    needs = {s for c in counters for s in c.needs}
+    st: Dict[str, object] = {}
+    if "signature" in needs:
+        sig, sigd = root_signature(f), root_signature(squarefree_part(f))
+        st["signature"], st["distinct_signature"] = (sig.r, sig.s), (sigd.r, sigd.s)
+    if "factorization" in needs:
+        fr = st["factorization"] = factorize(f, degree_cap=spec.degree_cap)
+        if "sn" in needs:
+            if not fr.irreducible:
+                st["sn"] = "UNDECIDED"
+            elif f.degree < 2:
+                st["sn"] = "CERTIFIED_SN"  # S_1 is trivially full
             else:
-                rec["sn_verdict"] = "UNDECIDED"
-    if needs & {"A", "A*", "B*"}:
+                cert = sn_certificate(f, prime_bound=spec.prime_bound, assume_irreducible=True)
+                st["sn"] = cert.verdict
+    if "profile" in needs:
         try:
-            prof = modulus_profile(f)
+            st["profile"] = modulus_profile(f)
         except PrecisionCapExceeded:
             if not spec.permissive:
                 raise
-            rec["ambiguous"] = True
-            return rec
-        rec["k_max"], rec["k_min"] = prof.k_max, prof.k_min
-        rec["dominant"] = prof.dominant
-    return rec
-
-
-def _apply_record(
-    table: CounterTable, rec: Dict[str, object], f: IntPolynomial, spec: CensusSpec
-) -> None:
-    table.totals += 1
-    if rec["ambiguous"]:
-        table.ambiguous += 1
-        return
-    if "k_max" in rec:
-        kmax, kmin = rec["k_max"], rec["k_min"]
-        if "A" in spec.counters or "A*" in spec.counters:
-            table.add("A" if spec.monic else "A*", str(kmax))
-        if "B*" in spec.counters and kmax <= 2 and kmin <= 2:
-            label = "%d,%d" % (kmax, kmin)
-            table.add("B*", label)
-            if f.coeffs[-1] != 0:
-                table.add("B*nz", label)
-    if "r" in rec:
-        table.add("D*", "r=%d,s=%d" % (rec["r"], rec["s"]))
-        table.add("D*d", "r=%d,s=%d" % (rec["r_distinct"], rec["s_distinct"]))
-    if rec.get("smallest_factor_degree") is not None:
-        if spec.monic and "RHO" in spec.counters:
-            table.add("rho", "m=%d" % rec["smallest_factor_degree"])
-        elif not spec.monic and "RHO*" in spec.counters:
-            table.add("rho*", "m=%d" % rec["smallest_factor_degree"])
-    if rec.get("sn_verdict") == "UNDECIDED" and "E_UPPER" in spec.counters:
-        table.add("E_upper", "count")
+            return None
+    return [cell for c in counters for cell in c.cells(f, st)]
 
 
 # -- scalar engine --------------------------------------------------------------
@@ -412,9 +483,13 @@ def _tally_scalar(spec: CensusSpec, leads: Sequence[int]) -> CounterTable:
     for lead in leads:
         for tail in itertools.product(rng, repeat=rest):
             coeffs = (1, lead) + tail if spec.monic else (lead,) + tail
-            f = IntPolynomial(coeffs)
-            rec = classify_pipeline(f, spec)
-            _apply_record(table, rec, f, spec)
+            cells = classify_pipeline(IntPolynomial(coeffs), spec)
+            table.totals += 1
+            if cells is None:
+                table.ambiguous += 1
+                continue
+            for fam, label in cells:
+                table.add(fam, label)
     if spec.symmetry:
         _double(table)
     return table
@@ -437,7 +512,7 @@ def _vec_profile2(a, b, c):
     dd = b * b - 4 * a * c
     single = ((c == 0) & (b != 0)) | ((c != 0) & (b != 0) & (dd > 0))
     k = np.where(single, 1, 2).astype(np.int64)
-    return k, k.copy()
+    return k, k.copy(), dd
 
 
 def _vec_profile3(a0, b0, c0, d0):
@@ -503,52 +578,13 @@ def _tally_vector(spec: CensusSpec, leads: Sequence[int]) -> CounterTable:
         coeff_arrays = [np.ones_like(flats[0])] + flats
     else:
         coeff_arrays = flats
-    count = coeff_arrays[0].size
-    table.totals += count
-    if n == 2:
-        a, b, c = coeff_arrays
-        kmax, kmin = _vec_profile2(a, b, c)
-        dsc = b * b - 4 * a * c
-        rmul = np.where(dsc >= 0, 2, 0)
-        last = c
-    else:
-        a, b, c, d = coeff_arrays
-        kmax, kmin, dsc = _vec_profile3(a, b, c, d)
-        rmul = np.where(dsc >= 0, 3, 1)
-        last = d
-    if "A" in spec.counters or "A*" in spec.counters:
-        fam = "A" if spec.monic else "A*"
-        hist = np.bincount(kmax, minlength=n + 1)
-        for k in range(1, n + 1):
-            if hist[k]:
-                table.add(fam, str(k), int(hist[k]))
-    if "B*" in spec.counters:
-        code = kmax * 4 + kmin
-        hist = np.bincount(code, minlength=16)
-        histnz = np.bincount(code[last != 0], minlength=16)
-        for i in (1, 2):
-            for j in (1, 2):
-                label = "%d,%d" % (i, j)
-                if hist[i * 4 + j]:
-                    table.add("B*", label, int(hist[i * 4 + j]))
-                if histnz[i * 4 + j]:
-                    table.add("B*nz", label, int(histnz[i * 4 + j]))
-    if "D*" in spec.counters:
-        hist = np.bincount(rmul, minlength=n + 1)
-        for r in range(n % 2, n + 1, 2):
-            if hist[r]:
-                table.add("D*", "r=%d,s=%d" % (r, (n - r) // 2), int(hist[r]))
-        # distinct-root convention differs only on repeated roots
-        hist_d = hist.copy()
-        fix = np.nonzero(dsc == 0)[0]
-        for i in fix:
-            coeffs = tuple(int(arr[i]) for arr in coeff_arrays)
-            hist_d[n] -= 1  # zero disc forces all-real for n <= 3
-            sig = root_signature(squarefree_part(IntPolynomial(coeffs)))
-            table.add("D*d", "r=%d,s=%d" % (sig.r, sig.s))
-        for r in range(n % 2, n + 1, 2):
-            if hist_d[r]:
-                table.add("D*d", "r=%d,s=%d" % (r, (n - r) // 2), int(hist_d[r]))
+    table.totals += coeff_arrays[0].size
+    profile = _vec_profile2 if n == 2 else _vec_profile3
+    batch = _Batch(n, coeff_arrays, *profile(*coeff_arrays))
+    for counter in _requested(spec.counters):
+        for fam, label, k in counter.vector(batch):
+            if k:
+                table.add(fam, label, k)
     if spec.symmetry:
         _double(table)
     return table
@@ -558,7 +594,7 @@ def _vector_ok(spec: CensusSpec) -> bool:
     return (
         spec.n in (2, 3)
         and spec.height <= VECTOR_HEIGHT_CAP
-        and not (set(spec.counters) & {"RHO", "RHO*", "E_UPPER"})
+        and all(c.vector is not None for c in _requested(spec.counters))
     )
 
 
@@ -597,32 +633,10 @@ def _record_checksum(unit_id: int, delta: Dict[str, object]) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def checkpoint_save(path: str, state: CheckpointState) -> CheckpointState:
-    """Write a complete checkpoint (header plus one record per unit)."""
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(
-            json.dumps(
-                {"format": CHECKPOINT_FORMAT, "version": 1, "fingerprint": state.fingerprint},
-                sort_keys=True,
-            )
-            + "\n"
-        )
-        for unit_id in sorted(state.deltas):
-            delta = state.deltas[unit_id]
-            fh.write(
-                json.dumps(
-                    {
-                        "unit_id": unit_id,
-                        "counters_delta": delta,
-                        "checksum": _record_checksum(unit_id, delta),
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
-    os.replace(tmp, path)
-    return state
+def _write_line(fh, record: Dict[str, object]) -> None:
+    """Append one checkpoint line (the header or a unit record)."""
+    fh.write(json.dumps(record, sort_keys=True) + "\n")
+    fh.flush()
 
 
 def checkpoint_load(path: str) -> CheckpointState:
@@ -692,71 +706,37 @@ def run_census(spec: CensusSpec, limit_units: Optional[int] = None) -> CounterTa
     done: Dict[int, Dict[str, object]] = {}
     if spec.checkpoint and os.path.exists(spec.checkpoint):
         state = checkpoint_load(spec.checkpoint)
-        if state.fingerprint != _json_roundtrip(spec.fingerprint()):
+        if state.fingerprint != spec.fingerprint():
             raise CheckpointCorrupt(
                 "checkpoint belongs to a different census: %r" % (state.fingerprint,)
             )
         done = state.deltas
         for delta in done.values():
             table = table.merge(CounterTable.from_delta(spec.fingerprint(), delta))
-    pending = [u for u in units if u.unit_id not in done]
+    pending = [(spec, u) for u in units if u.unit_id not in done]
     if limit_units is not None:
         pending = pending[:limit_units]
-    fh = None
-    if spec.checkpoint:
-        fresh = not os.path.exists(spec.checkpoint)
-        fh = open(spec.checkpoint, "a", encoding="utf-8")
-        if fresh:
-            fh.write(
-                json.dumps(
-                    {
-                        "format": CHECKPOINT_FORMAT,
-                        "version": 1,
-                        "fingerprint": spec.fingerprint(),
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
-            fh.flush()
-    try:
+    with contextlib.ExitStack() as stack:
+        fh = None
+        if spec.checkpoint:
+            fresh = not os.path.exists(spec.checkpoint)
+            fh = stack.enter_context(open(spec.checkpoint, "a", encoding="utf-8"))
+            if fresh:
+                header = {"format": CHECKPOINT_FORMAT, "version": 1,
+                          "fingerprint": spec.fingerprint()}
+                _write_line(fh, header)
         if spec.jobs == 1 or len(pending) <= 1:
-            results = map(_unit_worker, ((spec, u) for u in pending))
-            for unit_id, delta in results:
-                table = table.merge(CounterTable.from_delta(spec.fingerprint(), delta))
-                if fh is not None:
-                    _append_record(fh, unit_id, delta)
+            results = map(_unit_worker, pending)
         else:
-            with multiprocessing.Pool(spec.jobs) as pool:
-                for unit_id, delta in pool.imap_unordered(
-                    _unit_worker, [(spec, u) for u in pending]
-                ):
-                    table = table.merge(CounterTable.from_delta(spec.fingerprint(), delta))
-                    if fh is not None:
-                        _append_record(fh, unit_id, delta)
-    finally:
-        if fh is not None:
-            fh.close()
+            pool = stack.enter_context(multiprocessing.Pool(spec.jobs))
+            results = pool.imap_unordered(_unit_worker, pending)
+        for unit_id, delta in results:
+            table = table.merge(CounterTable.from_delta(spec.fingerprint(), delta))
+            if fh is not None:
+                checksum = _record_checksum(unit_id, delta)
+                _write_line(fh, {"unit_id": unit_id, "counters_delta": delta,
+                                 "checksum": checksum})
     return table
-
-
-def _append_record(fh, unit_id: int, delta: Dict[str, object]) -> None:
-    fh.write(
-        json.dumps(
-            {
-                "unit_id": unit_id,
-                "counters_delta": delta,
-                "checksum": _record_checksum(unit_id, delta),
-            },
-            sort_keys=True,
-        )
-        + "\n"
-    )
-    fh.flush()
-
-
-def _json_roundtrip(obj):
-    return json.loads(json.dumps(obj))
 
 
 # -- fits and reports -----------------------------------------------------------------

@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .errors import (
     BadParameters,
@@ -49,6 +49,7 @@ from .errors import (
 from .intpoly import (
     IntPolynomial,
     _deflate_zero_roots,
+    _interpolate,
     disc3,
     discriminant,
     divmod_exact,
@@ -573,11 +574,8 @@ def _kronecker_search(w: IntPolynomial, k: int) -> Optional[IntPolynomial]:
             divlists.append([s * d0 for d0 in ds for s in (1, -1)])
     lead_w = w.coeffs[0]
     for combo in iproduct(*divlists):
-        try:
-            g = _interp_candidate(xs, combo)
-        except _NotIntegral:
-            continue
-        if g.degree != k or lead_w % g.coeffs[0] != 0:
+        g = _interpolate(xs, combo)
+        if g is None or g.degree != k or lead_w % g.coeffs[0] != 0:
             continue
         try:
             divmod_exact(w, g)
@@ -585,34 +583,6 @@ def _kronecker_search(w: IntPolynomial, k: int) -> Optional[IntPolynomial]:
             continue
         return g.monic_positive()
     return None
-
-
-class _NotIntegral(Exception):
-    pass
-
-
-def _interp_candidate(xs: Sequence[int], ys: Sequence[int]) -> IntPolynomial:
-    """Newton interpolation through (xs, ys); raises _NotIntegral when
-    the result is not an integer polynomial."""
-    m = len(xs)
-    coefs = [Fraction(y) for y in ys]
-    for j in range(1, m):
-        for i in range(m - 1, j - 1, -1):
-            coefs[i] = (coefs[i] - coefs[i - 1]) / (xs[i] - xs[i - j])
-    poly = [coefs[m - 1]]
-    for j in range(m - 2, -1, -1):
-        nxt = [Fraction(0)] * (len(poly) + 1)
-        for i, c in enumerate(poly):
-            nxt[i + 1] += c
-            nxt[i] -= c * xs[j]
-        nxt[0] += coefs[j]
-        poly = nxt
-    out = []
-    for c in reversed(poly):
-        if c.denominator != 1:
-            raise _NotIntegral()
-        out.append(int(c))
-    return IntPolynomial(tuple(out))
 
 
 # -- Galois certification ------------------------------------------------------

@@ -36,7 +36,7 @@ from . import __version__
 from .acceptance import exit_code as acceptance_exit_code
 from .acceptance import run_acceptance
 from .census import (
-    COUNTER_CHOICES,
+    _COUNTERS,
     CensusSpec,
     counter_table_csv,
     fit_growth_exponent,
@@ -127,21 +127,27 @@ def _parse_target(text: str) -> TargetSpec:
     return ts
 
 
+def _counter_spellings() -> Dict[str, str]:
+    """Upper-cased CLI spelling -> counter name ("STAR" spells "*")."""
+    out = {name: name for name in _COUNTERS}
+    out.update((alias, name) for name, c in _COUNTERS.items() for alias in c.aliases)
+    return out
+
+
 def _parse_counters(text: str) -> Tuple[str, ...]:
+    spellings = _counter_spellings()
     out = []
     for tok in text.split(","):
         tok = tok.strip()
         if not tok:
             continue
-        name = {"E": "E_UPPER", "e": "E_UPPER"}.get(tok, tok.upper().replace("STAR", "*"))
-        if name not in COUNTER_CHOICES:
-            raise BadParameters(
-                "unknown counter %r (choices: %s, E)" % (tok, ", ".join(COUNTER_CHOICES))
-            )
+        name = spellings.get(tok.upper().replace("STAR", "*"))
+        if name is None:
+            raise BadParameters("unknown counter %r (choices: %s)" % (tok, ", ".join(spellings)))
         out.append(name)
     if not out:
         raise BadParameters("empty --counters")
-    return tuple(out)
+    return tuple(dict.fromkeys(out))
 
 
 def _parse_points(text: str) -> List[Tuple[float, float]]:
@@ -635,7 +641,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--counters",
         default="A*",
-        help="comma list from %s (E is short for E_UPPER)" % (",".join(COUNTER_CHOICES),),
+        help="comma list from %s (%s)" % (
+            ",".join(_COUNTERS),
+            "; ".join("%s is short for %s" % (a, name)
+                      for name, c in _COUNTERS.items() for a in c.aliases),
+        ),
     )
     p.add_argument("--checkpoint", default=None, help="checkpoint file for resumable runs")
     p.add_argument("--prime-bound", type=int, default=200, dest="prime_bound")

@@ -640,36 +640,28 @@ def sturm_real_root_count(
 # -- root-product polynomial ----------------------------------------------
 
 
-def _lagrange_interpolate_int(points: Sequence[Tuple[int, int]]) -> IntPolynomial:
-    """Exact interpolation through integer points; asserts an integer result.
+def _interpolate(xs: Sequence[int], ys: Sequence[int]) -> Optional[IntPolynomial]:
+    """The polynomial of degree < len(xs) through the integer points
+    (xs[i], ys[i]) if its coefficients are integers, else None.
 
-    Newton's divided differences over Fractions, then expansion.
+    Newton's divided differences in integers: an integer polynomial has
+    integer divided differences at integer nodes, so the first nonzero
+    remainder proves the interpolant is not integral.
     """
-    xs = [Fraction(x) for x, _ in points]
-    coefs = [Fraction(y) for _, y in points]
-    m = len(points)
+    m = len(xs)
+    coefs = list(ys)
     for j in range(1, m):
         for i in range(m - 1, j - 1, -1):
-            coefs[i] = (coefs[i] - coefs[i - 1]) / (xs[i] - xs[i - j])
-    # expand: p(x) = c0 + c1 (x-x0) + c2 (x-x0)(x-x1) + ...
-    poly = [Fraction(0)] * m  # ascending
-    poly[0] = coefs[m - 1]
-    deg = 0
+            coefs[i], rem = divmod(coefs[i] - coefs[i - 1], xs[i] - xs[i - j])
+            if rem:
+                return None
+    # expand c0 + c1 (x-x0) + c2 (x-x0)(x-x1) + ..., highest degree first
+    poly = [coefs[m - 1]]
     for j in range(m - 2, -1, -1):
         # poly <- poly * (x - xs[j]) + coefs[j]
-        new = [Fraction(0)] * (deg + 2)
-        for i in range(deg + 1):
-            new[i + 1] += poly[i]
-            new[i] -= poly[i] * xs[j]
-        new[0] += coefs[j]
-        poly = new + [Fraction(0)] * (m - len(new))
-        deg += 1
-    out = []
-    for c in reversed(poly[: deg + 1]):
-        if c.denominator != 1:
-            raise AssertionError("interpolation produced a non-integer coefficient")
-        out.append(int(c))
-    return IntPolynomial(tuple(out))
+        shifted = [0] + [c * xs[j] for c in poly]
+        poly = [a - b for a, b in zip(poly + [coefs[j]], shifted)]
+    return IntPolynomial(tuple(poly))
 
 
 def poly_sqrt_exact(f: IntPolynomial) -> IntPolynomial:
@@ -731,18 +723,20 @@ def pair_product_full(g: IntPolynomial) -> IntPolynomial:
         a0, a1 = b
         return IntPolynomial((a0 * a0, -(a1 * a1)))
     npts = m * m + 1
-    pts = []
+    xs, ys = [], []
     t = 0
-    while len(pts) < npts:
+    while len(xs) < npts:
         for x in ((t,) if t == 0 else (t, -t)):
-            if len(pts) >= npts:
+            if len(xs) >= npts:
                 break
             # G_x(y) = sum_i b_i x^(m-i) y^i ; leading y-coeff is b_m != 0
             gy = tuple(b[m - j] * x**j for j in range(m + 1))
-            r = resultant(g, IntPolynomial(gy))
-            pts.append((x, r))
+            xs.append(x)
+            ys.append(resultant(g, IntPolynomial(gy)))
         t += 1
-    t_full = _lagrange_interpolate_int(pts)
+    t_full = _interpolate(xs, ys)
+    if t_full is None:
+        raise AssertionError("interpolation produced a non-integer coefficient")
     if t_full.degree != m * m:
         raise AssertionError("pair-product resultant has wrong degree")
     return t_full

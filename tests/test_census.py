@@ -19,12 +19,10 @@ from rootcensus.census import (
     CensusSpec,
     CounterTable,
     checkpoint_load,
-    checkpoint_save,
     counter_table_csv,
     density_report,
     fit_growth_exponent,
     make_work_units,
-    merge,
     run_census,
 )
 from rootcensus.errors import (
@@ -130,18 +128,31 @@ def test_bstar_labels_bounded():
 # -- engine and parallel equivalence ---------------------------------------------
 
 
-def test_engines_agree_quadratic():
-    base = dict(n=2, height=6, counters=("A*", "B*"))
+# every counter with a vector labeler, on its box; D* also covers the
+# distinct-root D*d fallback on the zero-discriminant rows
+VECTOR_COUNTERS = pytest.mark.parametrize(
+    "counter,monic",
+    [("A", True), ("A*", False), ("B*", False), ("D*", False)],
+    ids=["A", "Astar", "Bstar", "Dstar"],
+)
+
+
+@VECTOR_COUNTERS
+def test_engines_agree_quadratic(counter, monic):
+    base = dict(n=2, height=6, monic=monic, counters=(counter,))
     ts = run_census(CensusSpec(engine="scalar", **base))
     tv = run_census(CensusSpec(engine="vector", **base))
     assert ts == tv
 
 
-def test_engines_agree_cubic():
-    base = dict(n=3, height=3, counters=("A*",))
+@VECTOR_COUNTERS
+def test_engines_agree_cubic(counter, monic):
+    base = dict(n=3, height=3, monic=monic, counters=(counter,))
     ts = run_census(CensusSpec(engine="scalar", **base))
     tv = run_census(CensusSpec(engine="vector", **base))
     assert ts == tv
+    if counter == "D*":
+        assert ts.family("D*d") != ts.family("D*")  # repeated roots were met
 
 
 def test_symmetry_reduction_equal():
@@ -187,6 +198,38 @@ def test_spec_validation_errors():
         run_census(CensusSpec(n=2, height=1, monic=True, counters=("A",), symmetry=True))
 
 
+def test_duplicate_counter_names_are_one_census(tmp_path):
+    once = dict(n=2, height=3, counters=("A*",))
+    twice = dict(n=2, height=3, counters=("A*", "A*"))
+    clean = run_census(CensusSpec(**once))
+    assert run_census(CensusSpec(**twice)) == clean
+    path = str(tmp_path / "census.ckpt")
+    run_census(CensusSpec(checkpoint=path, **twice), limit_units=2)
+    assert run_census(CensusSpec(checkpoint=path, **once)) == clean
+
+
+def test_permissive_counts_precision_cap_as_ambiguous(monkeypatch):
+    from rootcensus import census
+    from rootcensus.errors import PrecisionCapExceeded
+
+    profile = census.modulus_profile
+    victim = IntPolynomial((1, 1, 1))
+
+    def capped(f, *args, **kwargs):
+        if f == victim:
+            raise PrecisionCapExceeded("forced cap")
+        return profile(f, *args, **kwargs)
+
+    monkeypatch.setattr(census, "modulus_profile", capped)
+    base = dict(n=2, height=1, counters=("A*", "B*", "D*"), engine="scalar")
+    t = run_census(CensusSpec(permissive=True, **base))
+    assert t.ambiguous == 1
+    # the ambiguous polynomial lands in no family, D* included
+    assert t.family_total("D*") == t.family_total("A*") == t.totals - 1
+    with pytest.raises(PrecisionCapExceeded):
+        run_census(CensusSpec(**base))
+
+
 def test_budget_exceeded():
     from rootcensus.errors import BudgetExceeded
 
@@ -198,7 +241,7 @@ def test_merge_spec_mismatch():
     t1 = run_census(CensusSpec(n=2, height=1, counters=("A*",)))
     t2 = run_census(CensusSpec(n=2, height=2, counters=("A*",)))
     with pytest.raises(SpecMismatch):
-        merge(t1, t2)
+        t1.merge(t2)
 
 
 # -- checkpoints ----------------------------------------------------------------------
@@ -256,15 +299,6 @@ def test_checkpoint_spec_mismatch_rejected(tmp_path):
     run_census(CensusSpec(n=2, height=3, counters=("A*",), checkpoint=path), limit_units=2)
     with pytest.raises(CheckpointCorrupt):
         run_census(CensusSpec(n=2, height=4, counters=("A*",), checkpoint=path))
-
-
-def test_checkpoint_save_load_round_trip(tmp_path):
-    path = str(tmp_path / "census.ckpt")
-    spec = CensusSpec(n=2, height=2, counters=("A*",), checkpoint=path)
-    run_census(spec)
-    state = checkpoint_load(path)
-    checkpoint_save(path, state)
-    assert checkpoint_load(path).deltas == state.deltas
 
 
 # -- fits and reports -------------------------------------------------------------------

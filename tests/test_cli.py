@@ -120,12 +120,35 @@ def test_census_monic_known(capsys):
     assert blob["totals"] == 9
 
 
-def test_census_counter_alias_E(capsys):
-    blob = _run_json(
-        capsys,
-        ["census", "--n", "2", "--height", "1", "--monic", "--counters", "A,E"],
-    )
-    assert "E_upper" in blob["counters"]
+@pytest.mark.parametrize(
+    "spelling,monic,family",
+    [
+        ("E", True, "E_upper"),
+        ("e", True, "E_upper"),
+        ("E_upper", False, "E_upper"),
+        ("a", True, "A"),
+        ("a*", False, "A*"),
+        ("Astar", False, "A*"),
+        ("dstar", False, "D*"),
+        ("b*", False, "B*"),
+        ("rho", True, "rho"),
+        ("rho*", False, "rho*"),
+        ("RHOstar", False, "rho*"),
+    ],
+    ids=["E", "e", "E_upper", "a", "a-asterisk", "Astar", "dstar", "b-asterisk", "rho",
+         "rho-asterisk", "RHOstar"],
+)
+def test_census_counter_alias_E(capsys, spelling, monic, family):
+    argv = ["census", "--n", "2", "--height", "1", "--counters", spelling]
+    blob = _run_json(capsys, argv + (["--monic"] if monic else []))
+    assert family in blob["counters"]
+    assert len(blob["config"]["counters"]) == 1
+
+
+def test_census_duplicate_counters_recorded_once(capsys):
+    blob = _run_json(capsys, ["census", "--n", "2", "--height", "1", "--counters", "A*,a*,Astar"])
+    assert blob["config"]["counters"] == ["A*"]
+    assert blob["spec"]["counters"] == ["A*"]
 
 
 def test_census_csv(capsys):
