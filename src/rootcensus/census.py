@@ -47,6 +47,7 @@ from .errors import (
     SpecMismatch,
 )
 from .classify import (
+    _distinct_signature,
     factorize,
     modulus_profile,
     profile_pair_deg3,
@@ -450,7 +451,7 @@ def classify_pipeline(f: IntPolynomial, spec: CensusSpec) -> Optional[List[Tuple
     needs = {s for c in counters for s in c.needs}
     st: Dict[str, object] = {}
     if "signature" in needs:
-        sig, sigd = root_signature(f), root_signature(squarefree_part(f))
+        sig, sigd = root_signature(f), _distinct_signature(f)
         st["signature"], st["distinct_signature"] = (sig.r, sig.s), (sigd.r, sigd.s)
     if "factorization" in needs:
         fr = st["factorization"] = factorize(f, degree_cap=spec.degree_cap)

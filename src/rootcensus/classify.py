@@ -24,11 +24,15 @@ path never touches floating point). Degree >= 4 escalates:
 2. f(X) = g(X^m) with m >= 2 reduces to g: each root y of g lifts to
    m roots of equal modulus |y|^(1/m), so both counts multiply by m
    (this covers all polynomials invariant under X -> -X);
-3. otherwise certified root disks give exact rational enclosures of
-   squared moduli; disjoint enclosures order the groups, and any
+3. otherwise certified root disks, isolated from a 53-bit start (the
+   hardware-double step; the ladder escalates only where it fails),
+   give enclosures of squared moduli in exact integers: one real root or
+   one exactly mirrored conjugate pair forms a unit, whose dyadic centre
+   and radius bound |root|^2 with a single integer square root.
+   Disjoint enclosures order the groups (NUMERIC_CERTIFIED), and any
    overlap is forced to a decision by refining all enclosure widths
    below a quarter of the rational separation bound on squared moduli,
-   after which overlap certifies exact equality.
+   after which overlap certifies exact equality (EXACT).
 """
 
 from __future__ import annotations
@@ -56,14 +60,13 @@ from .intpoly import (
     power_substitution,
     root_product_poly,
     squarefree_decomposition,
-    sturm_real_root_count,
     subresultant_gcd,
 )
 from .modp import factor_degree_pattern, primes_up_to
 from .roots import (
     CertifiedRootSet,
     RootDisk,
-    _fraction_sqrt_lower,
+    _analysis,
     _fraction_sqrt_upper,
     fujiwara_bound,
     isolate_roots,
@@ -276,7 +279,8 @@ def _profile_certified(f: IntPolynomial) -> ModulusProfile:
         # the group order and multiplying both counts by m
         sub = modulus_profile(h)
         return ModulusProfile(m * sub.k_max, m * sub.k_min, False, sub.decision)
-    rs = isolate_roots(f)
+    # the double step first: the ladder escalates only where it fails
+    rs = isolate_roots(f, precision_bits=53)
     units = _modulus_units(rs)
     counts = _count_disjoint(units)
     if counts is not None:
@@ -312,21 +316,25 @@ class _Unit:
 
 
 def _disk_mod2(d: RootDisk) -> Tuple[Fraction, Fraction]:
-    """Exact rational enclosure of |root|^2 for a root inside the disk."""
-    cre = mpf_to_fraction(d.center_re)
-    cim = mpf_to_fraction(d.center_im)
-    r = mpf_to_fraction(d.radius)
-    c2 = cre * cre + cim * cim
-    if r == 0:
-        return (c2, c2)
-    cl = _fraction_sqrt_lower(c2)
-    cu = _fraction_sqrt_upper(c2)
-    # (|c| +- r)^2, clamped at 0 when the disk may contain 0
-    lo = Fraction(0) if cl < r else c2 - 2 * cu * r + r * r
-    if lo < 0:
-        lo = Fraction(0)
-    hi = c2 + 2 * cu * r + r * r
-    return (lo, hi)
+    """Exact rational enclosure of |root|^2 for a root inside the disk.
+
+    Centre (x, y) and radius r are dyadic: with one common exponent e they
+    are (a, b, k) * 2^e for integers a, b, k. With c2 = a^2 + b^2 and
+    cu = ceil(sqrt(c2)) >= |c| 2^-e, the bounds (c2 -+ 2 cu k + k^2) 4^e
+    enclose (|c| -+ r)^2, and so |root|^2, in exact integers; the lower
+    one is 0 when the disk may contain 0."""
+    parts = [x._mpf_ for x in (d.center_re, d.center_im, d.radius)]
+    e = min((exp for _, man, exp, _ in parts if man), default=0)
+    a, b, k = ((-man if sign else man) << (exp - e) if man else 0 for sign, man, exp, _ in parts)
+    c2 = a * a + b * b
+    cu = math.isqrt(c2)
+    if cu * cu < c2:
+        cu += 1
+    lo = 0 if c2 <= k * k else max(0, c2 - 2 * cu * k + k * k)
+    hi = c2 + 2 * cu * k + k * k
+    if e >= 0:
+        return (Fraction(lo << 2 * e), Fraction(hi << 2 * e))
+    return (Fraction(lo, 1 << -2 * e), Fraction(hi, 1 << -2 * e))
 
 
 def _modulus_units(rs: CertifiedRootSet) -> List[_Unit]:
@@ -346,7 +354,8 @@ def _modulus_units(rs: CertifiedRootSet) -> List[_Unit]:
                     j not in seen
                     and not e.is_real
                     and e.center_re == d.center_re
-                    and e.center_im == -d.center_im
+                    # exact for any precision: -x would round to mp.prec
+                    and e.center_im + d.center_im == 0
                     and e.radius == d.radius
                 ):
                     seen.add(j)
@@ -412,9 +421,18 @@ def root_signature(f: IntPolynomial) -> RootSignature:
     if n == 3:
         r = real_count_deg3(*cs)
         return RootSignature(r, (3 - r) // 2)
-    r = 0
-    for fac, mult in squarefree_decomposition(f).factors:
-        r += mult * sturm_real_root_count(fac)
+    a = _analysis(f)
+    r = a.zeros + sum(mult * real for _, mult, real in a.factors)
+    return RootSignature(r, (n - r) // 2)
+
+
+def _distinct_signature(f: IntPolynomial) -> RootSignature:
+    """root_signature of the squarefree part of f (degree >= 1), read from
+    the analysis of f itself."""
+    a = _analysis(f)
+    zero = 1 if a.zeros else 0
+    r = zero + sum(real for _, _, real in a.factors)
+    n = zero + sum(fac.degree for fac, _, _ in a.factors)
     return RootSignature(r, (n - r) // 2)
 
 
@@ -649,8 +667,8 @@ def _relation_detail(f: IntPolynomial, prefilter: bool = True) -> Tuple[bool, st
     n = f.degree
     if n < 4:
         raise DegreeTooSmall("multiplicative relations need degree >= 4")
-    dec = squarefree_decomposition(f)
-    if any(m >= 2 for _, m in dec.factors):
+    a = _analysis(f)
+    if a.zeros >= 2 or any(m >= 2 for _, m, _ in a.factors):
         return True, "squareful"
     if f.coeffs[-1] == 0:
         # one zero root (f squarefree here): its n-1 >= 3 pair products

@@ -24,6 +24,7 @@ Coefficient strings are leading-first everywhere: "1,0,-2" is X^2 - 2.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import os
@@ -334,18 +335,7 @@ def _cmd_census(args: argparse.Namespace) -> int:
     if args.n is None or args.height is None:
         raise BadParameters("census needs --n and --height")
     counters = _parse_counters(args.counters)
-    cfg = _config(
-        args,
-        n=args.n,
-        height=args.height,
-        monic=args.monic,
-        counters=list(counters),
-        checkpoint=args.checkpoint,
-        prime_bound=args.prime_bound,
-        permissive=args.permissive,
-        symmetry=args.symmetry,
-        engine=args.engine,
-    )
+    cfg = _config(args)
     spec = CensusSpec(
         n=args.n,
         height=args.height,
@@ -359,6 +349,11 @@ def _cmd_census(args: argparse.Namespace) -> int:
         symmetry=args.symmetry,
         engine=args.engine,
     )
+    # echo every spec field but the budget; jobs and degree_cap are
+    # already there as the global flags they came from
+    for field in dataclasses.fields(spec):
+        if field.name != "budget" and field.name not in cfg:
+            cfg[field.name] = getattr(spec, field.name)
     t0 = time.perf_counter()
     table = run_census(spec)
     rt = round(time.perf_counter() - t0, 3)

@@ -15,9 +15,10 @@ prod_{i<j} (X - alpha_i alpha_j) built from resultants by interpolation.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .errors import (
     BadParameters,
@@ -72,12 +73,20 @@ class IntPolynomial:
     """
 
     coeffs: Tuple[int, ...]
+    # roots._analysis stores the polynomial's squarefree factors and real
+    # counts on the instance as `_analysis`, outside the dataclass fields
+    # that equality and hashing read
 
     def __post_init__(self):
-        cs = _trim([int(c) for c in self.coeffs])
-        for c in cs:
-            if not isinstance(c, int):
-                raise BadParameters("coefficients must be integers: %r" % (c,))
+        cs = self.coeffs
+        # the fast path: every internal construction passes a tuple of ints
+        if type(cs) is not tuple or not all(type(c) is int for c in cs):
+            try:
+                cs = tuple(operator.index(c) for c in cs)
+            except TypeError:
+                raise BadParameters("coefficients must be integers: %r" % (cs,)) from None
+        if cs and cs[0] == 0:
+            cs = _trim(cs)
         object.__setattr__(self, "coeffs", cs)
 
     # -- basic queries ------------------------------------------------
@@ -280,42 +289,39 @@ def divmod_exact(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
 def pseudo_divmod(f: IntPolynomial, g: IntPolynomial) -> Tuple[IntPolynomial, IntPolynomial]:
     """Pseudo-division: lc(g)^(deg f - deg g + 1) * f = q*g + r.
 
-    Requires deg f >= deg g >= 0.
+    Requires deg f >= deg g >= 0. Each nonzero leading term t of the
+    running remainder is cancelled by lc(g) * r - t X^k g; each skipped
+    (zero) step becomes one more factor lc(g) at the end.
     """
     if g.is_zero:
         raise ZeroPolynomial("pseudo-division by the zero polynomial")
-    df, dg = f.degree, g.degree
-    if df < dg:
+    r = list(f.coeffs)
+    gc = g.coeffs
+    steps = len(r) - len(gc) + 1
+    if steps < 1:
         raise BadParameters("pseudo_divmod needs deg f >= deg g")
-    fa = list(reversed(f.coeffs))  # ascending inside the loop
-    ga = list(reversed(g.coeffs))
-    lcg = ga[-1]
-    q = [0] * (df - dg + 1)
-    r = fa[:]
-    n = df - dg + 1
-
-    def _deg(a):
-        for i in range(len(a) - 1, -1, -1):
-            if a[i]:
-                return i
-        return -1
-
-    while True:
-        dr = _deg(r)
-        if dr < dg:
-            break
-        lcr = r[dr]
-        j = dr - dg
-        n -= 1
-        q = [c * lcg for c in q]
-        q[j] += lcr
-        r = [c * lcg for c in r]
-        for i, gc in enumerate(ga):
-            r[i + j] -= lcr * gc
-    scale = lcg**n
-    rq = IntPolynomial(tuple(reversed([c * scale for c in q])))
-    rr = IntPolynomial(tuple(reversed([c * scale for c in r])))
-    return rq, rr
+    lcg = gc[0]
+    q = [0] * steps
+    skipped = 0
+    for i in range(steps):
+        t = r[i]
+        if not t:
+            skipped += 1
+            continue
+        if lcg != 1:
+            for k in range(i):
+                q[k] *= lcg
+            for k in range(i + 1, len(r)):
+                r[k] *= lcg
+        q[i] = t
+        for j in range(1, len(gc)):
+            r[i + j] -= t * gc[j]
+    rest = r[steps:]
+    if skipped and lcg != 1:
+        scale = lcg**skipped
+        q = [c * scale for c in q]
+        rest = [c * scale for c in rest]
+    return IntPolynomial(tuple(q)), IntPolynomial(tuple(rest))
 
 
 def _prem(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
@@ -587,8 +593,22 @@ def sturm_chain(f: IntPolynomial) -> SturmChain:
 
     Remainders are computed fraction-free; every rescaling factor is kept
     positive so the sign variations match the classical chain.
+
+    The chain of a squarefree f is its own gcd computation: it ends in a
+    nonzero constant exactly when gcd(f, f') = 1. So it is built from f
+    first and rebuilt from squarefree_part(f) only when it stops early,
+    at a repeated factor.
     """
-    p0 = squarefree_part(f)
+    if not f.is_zero:
+        chain = _sturm_sequence(f.monic_positive())
+        if chain.polys[-1].degree < 1:
+            return chain
+    return _sturm_sequence(squarefree_part(f))
+
+
+def _sturm_sequence(p0: IntPolynomial) -> SturmChain:
+    """The chain of p0 (primitive, positive leading coefficient); for p0
+    with a repeated factor it stops at a multiple of gcd(p0, p0')."""
     if p0.degree < 1:
         return SturmChain((p0,)) if not p0.is_zero else SturmChain(())
     chain = [p0, p0.derivative().primitive_part()]
@@ -596,7 +616,7 @@ def sturm_chain(f: IntPolynomial) -> SturmChain:
         a, b = chain[-2], chain[-1]
         r = _prem(a, b)
         if r.is_zero:
-            break  # cannot happen for a squarefree p0, kept for safety
+            break  # b is a multiple of gcd(p0, p0'), of positive degree
         # prem multiplies by lc(b)^(delta+1); flip back when that factor
         # is negative so only positive scalings touch the chain
         delta = a.degree - b.degree

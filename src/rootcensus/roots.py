@@ -6,9 +6,11 @@ certified is_real flag, such that every root of f lies in exactly one
 disk.
 
 Roots at zero are split off exactly and get a disk of radius zero, and
-Yun decomposition hands the rest over as squarefree factors. Each factor
-goes through one certification rung, written once and run in the
-arithmetic of its ladder step (see _Arithmetic):
+Yun decomposition hands the rest over as squarefree factors with their
+Sturm real counts; this analysis (_analysis) is computed once per
+polynomial and stored on it, so refine and the signatures in classify
+reuse it. Each factor goes through one certification rung, written once
+and run in the arithmetic of its ladder step (see _Arithmetic):
 
 - candidate centers come from Aberth-Ehrlich simultaneous iteration in
   hardware doubles, seeded by companion-matrix eigenvalues when the
@@ -150,6 +152,36 @@ class CertifiedRootSet:
 
     def max_radius(self):
         return max((d.radius for d in self.disks), default=mpf(0))
+
+
+# -- the exact analysis every certified question starts from -------------
+
+
+class _Analysis(NamedTuple):
+    """f = X^zeros * g with g(0) != 0, and the squarefree decomposition of
+    g as (factor, multiplicity, number of distinct real roots) triples."""
+
+    zeros: int
+    factors: Tuple[Tuple[IntPolynomial, int, int], ...]
+
+
+def _analysis(f: IntPolynomial) -> _Analysis:
+    """The analysis of f, computed on first use and stored on f itself, so
+    isolate_roots, refine and the signatures in classify decompose a
+    polynomial once however many of them ask. It holds only factors and
+    integers."""
+    got = f.__dict__.get("_analysis")
+    if got is None:
+        v, g = _deflate_zero_roots(f)
+        factors = ()
+        if g.degree >= 1:
+            factors = tuple(
+                (fac, mult, sturm_real_root_count(fac))
+                for fac, mult in squarefree_decomposition(g).factors
+            )
+        got = _Analysis(v, factors)
+        object.__setattr__(f, "_analysis", got)
+    return got
 
 
 # -- Fujiwara bound ------------------------------------------------------
@@ -573,24 +605,15 @@ def isolate_roots(
         raise ZeroPolynomial("cannot isolate roots of the zero polynomial")
     if f.degree < 1:
         raise DegreeTooSmall("root isolation needs degree >= 1")
-    v, g = _deflate_zero_roots(f)
     maxbits = max(abs(c).bit_length() for c in f.coeffs)
     # callers may start below the default; certification escalates on failure
     prec = max(precision_bits, 53, maxbits + 16)
     cap = max(precision_cap, prec)
-
-    parts: List[Tuple[IntPolynomial, int, int]] = []  # factor, mult, sturm real count
-    if g.degree >= 1:
-        for fac, mult in squarefree_decomposition(g).factors:
-            parts.append((fac, mult, sturm_real_root_count(fac)))
+    v, parts = _analysis(f)
 
     def _sorted(disks):
-        return tuple(
-            sorted(
-                disks,
-                key=lambda d: (mpf_to_fraction(d.center_re), mpf_to_fraction(d.center_im)),
-            )
-        )
+        # mpf comparisons are exact, whatever the working precision
+        return tuple(sorted(disks, key=lambda d: (d.center_re, d.center_im)))
 
     while True:
         disks = _attempt(_arithmetic(prec), parts, v)

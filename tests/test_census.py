@@ -230,6 +230,33 @@ def test_permissive_counts_precision_cap_as_ambiguous(monkeypatch):
         run_census(CensusSpec(**base))
 
 
+def test_pipeline_analyses_each_polynomial_once(monkeypatch):
+    from rootcensus import census, classify, intpoly, roots
+
+    calls = {"squarefree_decomposition": 0, "subresultant_gcd": 0, "sturm_chain": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in calls:
+        fn = getattr(intpoly, name)
+        for mod in (intpoly, roots, classify, census):
+            if getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, counted(name, fn))
+    # X^4 - X - 1: squarefree and irreducible, so one factor; its four
+    # moduli are distinct, so the profile needs no tie decision
+    f = IntPolynomial((1, 0, 0, -1, -1))
+    spec = CensusSpec(n=4, height=1, counters=("A*", "B*", "D*"))
+    cells = census.classify_pipeline(f, spec)
+    assert ("A*", "1") in cells and ("D*d", "r=2,s=1") in cells
+    # Yun's algorithm on f takes one gcd; the factor gets one Sturm
+    # chain and is not decomposed again
+    assert calls == {"squarefree_decomposition": 1, "subresultant_gcd": 1, "sturm_chain": 1}
+
+
 def test_budget_exceeded():
     from rootcensus.errors import BudgetExceeded
 

@@ -9,10 +9,12 @@ multiplicative-relation decider with an all-pairs numeric scan.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import sympy
+from mpmath import mpf
 
 from rootcensus import classify
 from rootcensus.errors import DegreeCapExceeded, NotIrreducible
@@ -28,6 +30,7 @@ from rootcensus.classify import (
     root_signature,
     sn_certificate,
 )
+from rootcensus.roots import RootDisk, isolate_roots
 
 _X = sympy.symbols("x")
 
@@ -86,11 +89,45 @@ def test_profile_matches_brute_seeded():
     assert checked > 60
 
 
-def test_profile_exact_tie_path():
-    # x^4 + 1 needs the exact tie logic: all moduli equal
+def test_profile_exact_tie_path(monkeypatch):
+    # x^4 + 1 = g(X^4): every modulus equal by power substitution
     p = modulus_profile(IntPolynomial((1, 0, 0, 0, 1)))
     assert (p.k_max, p.k_min) == (4, 4)
     assert not p.dominant
+    # (X^2+1)(X^2+X+1): two conjugate pairs on the unit circle, whose
+    # enclosures overlap until the separation bound decides the tie
+    calls = []
+    bound = classify.modulus_separation_bound
+    monkeypatch.setattr(
+        classify, "modulus_separation_bound", lambda f: calls.append(f) or bound(f)
+    )
+    p = modulus_profile(IntPolynomial((1, 1, 2, 1, 1)))
+    assert (p.k_max, p.k_min, p.decision) == (4, 4, "EXACT")
+    assert len(calls) == 1
+
+
+def test_conjugate_pair_from_mp_rung_is_one_unit():
+    # two real roots and one conjugate pair: three moduli, whatever rung
+    # produced the disks (the default start is the 128-bit one)
+    f = IntPolynomial((1, -2, -2, -2, -1))
+    rs = isolate_roots(f)
+    assert rs.precision_bits > 53
+    assert len(classify._modulus_units(rs)) == 3
+    assert modulus_profile(f).decision == "NUMERIC_CERTIFIED"
+
+
+def test_disk_mod2_is_exact_on_dyadic_disks():
+    # centre 3/4 + i, radius 1/4: |c| = 5/4, enclosure (1, 3/2)^2
+    disk = RootDisk(mpf(0.75), mpf(1), mpf(0.25), 1, False)
+    assert classify._disk_mod2(disk) == (1, Fraction(9, 4))
+    # centre 1 + i, radius 1/2: |c| = sqrt 2 is bounded above by 3/2, so
+    # (sqrt 2 -+ 1/2)^2 = 9/4 -+ sqrt 2 lies inside (3/4, 15/4)
+    disk = RootDisk(mpf(1), mpf(1), mpf(0.5), 1, False)
+    assert classify._disk_mod2(disk) == (Fraction(3, 4), Fraction(15, 4))
+    # a disk around 0 may hold the root 0
+    disk = RootDisk(mpf(0.125), mpf(-0.125), mpf(0.25), 1, False)
+    assert classify._disk_mod2(disk)[0] == 0
+    assert classify._disk_mod2(RootDisk(mpf(-2), mpf(0), mpf(0), 2, True)) == (4, 4)
 
 
 def test_low_degree_kernels_match_general_path():
@@ -99,12 +136,12 @@ def test_low_degree_kernels_match_general_path():
         a = rng.randint(1, 9)
         b, c, d = (rng.randint(-9, 9) for _ in range(3))
         f2 = IntPolynomial((a, b, c))
-        p2 = modulus_profile(f2)
+        p2 = modulus_profile(f2, method="certified")
         assert profile_pair_deg2(a, b, c) == (p2.k_max, p2.k_min)
         s2 = root_signature(f2)
         assert real_count_deg2(a, b, c) == s2.r
         f3 = IntPolynomial((a, b, c, d))
-        p3 = modulus_profile(f3)
+        p3 = modulus_profile(f3, method="certified")
         assert profile_pair_deg3(a, b, c, d) == (p3.k_max, p3.k_min), (a, b, c, d)
         s3 = root_signature(f3)
         assert real_count_deg3(a, b, c, d) == s3.r

@@ -10,6 +10,7 @@ numpy root multisets.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from rootcensus.intpoly import (
     root_product_poly,
     squarefree_decomposition,
     squarefree_part,
+    sturm_chain,
     sturm_real_root_count,
     subresultant_gcd,
 )
@@ -68,6 +70,21 @@ def _same_multiset(a, b, tol=1e-6) -> bool:
 
 
 # -- parsing ---------------------------------------------------------------
+
+
+def test_constructor_rejects_non_integral_coefficients():
+    for bad in ((1.5, 2), (1, Fraction(7, 2)), ("3",), (np.float64(2.0), 1)):
+        with pytest.raises(BadParameters):
+            IntPolynomial(bad)
+
+
+def test_constructor_gives_plain_ints():
+    for cs in ((np.int64(3), True, 0), [3, 1, 0]):
+        f = IntPolynomial(cs)
+        assert f.coeffs == (3, 1, 0)
+        assert all(type(c) is int for c in f.coeffs)
+    assert IntPolynomial((0, 0, 2, -1)).coeffs == (2, -1)
+    assert IntPolynomial((False, 0)).coeffs == ()
 
 
 def test_parse_round_trip():
@@ -185,6 +202,18 @@ def test_squarefree_part_of_squarefree_is_self():
 
 
 # -- Sturm ---------------------------------------------------------------------
+
+
+def test_sturm_chain_of_squareful_is_chain_of_squarefree_part():
+    # (X - 1)^2 (X + 2)^3 (X^2 + 1): the chain built from f itself stops
+    # at the gcd, and the one of the squarefree part is returned instead
+    lin, lin2, quad = IntPolynomial((1, -1)), IntPolynomial((1, 2)), IntPolynomial((1, 0, 1))
+    f = -3 * lin * lin * lin2 * lin2 * lin2 * quad
+    assert sturm_chain(f) == sturm_chain(squarefree_part(f))
+    assert sturm_real_root_count(f) == 2
+    # squarefree input: the chain starts at the primitive, positive part
+    g = -6 * lin * quad
+    assert sturm_chain(g).polys[0] == lin * quad
 
 
 def test_sturm_count_matches_sympy_seeded():

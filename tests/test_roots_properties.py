@@ -11,8 +11,10 @@ roots as its multiplicity, against 50-digit roots from sympy's
 factorization and mpmath polyroots; disks are
 pairwise disjoint in exact rational arithmetic; multiplicities sum to the
 degree; the real disks number the distinct real roots (Sturm). The two
-starts must agree root for root. The example budget is set by the
-hypothesis profile in conftest.py.
+starts must agree root for root. The exact enclosure of |root|^2 that
+modulus profiles read from each disk must hold the squared modulus of
+its 50-digit root. The example budget is set by the hypothesis profile
+in conftest.py.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
+from rootcensus.classify import _disk_mod2
 from rootcensus.intpoly import IntPolynomial, sturm_real_root_count
 from rootcensus.roots import CertifiedRootSet, isolate_roots, mpf_to_fraction
 
@@ -122,6 +125,27 @@ def _check_starts_agree(f: IntPolynomial) -> None:
         ]
         assert len(hits) == 1, f.coeffs
         assert (hits[0].multiplicity, hits[0].is_real) == (d.multiplicity, d.is_real)
+
+
+@given(st.one_of(mignotte, cyclotomic_products, clustered, big_coefficients))
+def test_squared_modulus_enclosures(f):
+    """The exact enclosure of |root|^2 that modulus profiles compare holds
+    the squared modulus of every 50-digit root in the disk."""
+    roots = _oracle_roots(f)
+    for bits in (53, 212):
+        rs = isolate_roots(f, precision_bits=bits)
+        with mpmath.workdps(2 * _DIGITS):
+            for z in roots:
+                disk = next(
+                    d
+                    for d in rs.disks
+                    if abs(z - mpmath.mpc(d.center_re, d.center_im))
+                    <= d.radius + _SLACK * max(1, abs(z))
+                )
+                lo, hi = _disk_mod2(disk)
+                m2, slack = abs(z) ** 2, 3 * _SLACK * max(1, abs(z)) ** 2
+                assert lo.numerator <= (m2 + slack) * lo.denominator, (f.coeffs, z)
+                assert (m2 - slack) * hi.denominator <= hi.numerator, (f.coeffs, z)
 
 
 @given(mignotte)
