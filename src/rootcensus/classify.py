@@ -541,9 +541,14 @@ def _factor_squarefree(w: IntPolynomial) -> List[IntPolynomial]:
     return [w]
 
 
-def _sieve_factor_degrees(w: IntPolynomial, primes_to_try: int = 8) -> Set[int]:
+def _sieve_factor_degrees(w: IntPolynomial, primes_to_try: int = 32) -> Set[int]:
     """Degrees a factor of w could have: the intersection over good
-    primes of the subset sums of the mod-p factor degree pattern."""
+    primes of the subset sums of the mod-p factor degree pattern.
+
+    A pattern costs about 0.1 ms at degree 8, a Kronecker search on
+    20-bit coefficients up to seconds. About 2.5% of irreducible dense
+    polynomials of degree 4-8 need 9-19 good primes before no degree is
+    left, so the sieve stops only at an empty set or after 32 of them."""
     d = w.degree
     possible: Optional[Set[int]] = None
     used = 0

@@ -210,6 +210,26 @@ def test_factorize_degree_cap():
     assert factorize(f, degree_cap=9).irreducible
 
 
+@pytest.mark.parametrize("cs", [
+    (-41226, 1027051, -105397, 1014547, -441560),
+    (-755496, -477502, -175425, 328698, -994083, -95792),
+    (-752528, -102578, 61789, -964437, -744580, 55792, 586440),
+    (-864652, 836022, 509988, -155066, -126267, -592826, -280004, -641997, -841058),
+])
+def test_sieve_proves_dense_irreducibles_without_kronecker(monkeypatch, cs):
+    """Irreducible polynomials with 20-bit coefficients whose first eight
+    good primes leave a factor degree open; a Kronecker search on them
+    takes 0.6-4 s, the sieve's further primes a few milliseconds."""
+
+    def no_search(w, k):
+        raise AssertionError("Kronecker search for a degree-%d factor" % k)
+
+    monkeypatch.setattr(classify, "_kronecker_search", no_search)
+    f = IntPolynomial(cs)
+    assert factorize(f).irreducible
+    assert _sympy_factors(f) == [(f.degree, 1)]
+
+
 # -- S_n certificates --------------------------------------------------------------
 
 
