@@ -15,7 +15,9 @@ Answers, with certificates, the questions driving the censuses:
   good primes generate S_n);
 - has_multiplicative_relation: whether alpha_i alpha_j = alpha_k alpha_l
   for two different root pairs, decided exactly through a repeated root
-  of the pairwise root-product polynomial.
+  of the pairwise root-product polynomial; a prefilter first tries to
+  prove all pair products distinct from root disks isolated at a 53-bit
+  start, with product enclosures compared in exact integers.
 
 Degrees 1-3 are decided by exact integer sign tests (the census hot
 path never touches floating point). Degree >= 4 escalates:
@@ -40,7 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .errors import (
     BadParameters,
@@ -67,11 +69,13 @@ from .roots import (
     CertifiedRootSet,
     RootDisk,
     _analysis,
-    _fraction_sqrt_upper,
+    _ceil_sqrt,
+    _deflated,
+    _dyadic,
+    _dyadic_disks,
     fujiwara_bound,
     isolate_roots,
     modulus_separation_bound,
-    mpf_to_fraction,
     refine,
 )
 
@@ -264,7 +268,7 @@ def modulus_profile(f: IntPolynomial, method: str = "auto") -> ModulusProfile:
 
 def _profile_certified(f: IntPolynomial) -> ModulusProfile:
     n = f.degree
-    v, u = _deflate_zero_roots(f)
+    v, u = _deflated(f)
     if u.degree == 0:
         # a_0 X^n: all roots are 0
         return ModulusProfile(n, n, n == 1, "EXACT")
@@ -303,38 +307,27 @@ def _profile_certified(f: IntPolynomial) -> ModulusProfile:
     return ModulusProfile(kmax, kmin, kmax == 1, "EXACT")
 
 
-class _Unit:
+class _Unit(NamedTuple):
     """Disks certified to share one modulus (a real root or a conjugate
     pair), with an exact rational enclosure of the squared modulus."""
 
-    __slots__ = ("lo2", "hi2", "mult")
-
-    def __init__(self, lo2: Fraction, hi2: Fraction, mult: int):
-        self.lo2 = lo2
-        self.hi2 = hi2
-        self.mult = mult
+    lo2: Fraction
+    hi2: Fraction
+    mult: int
 
 
 def _disk_mod2(d: RootDisk) -> Tuple[Fraction, Fraction]:
     """Exact rational enclosure of |root|^2 for a root inside the disk.
 
-    Centre (x, y) and radius r are dyadic: with one common exponent e they
-    are (a, b, k) * 2^e for integers a, b, k. With c2 = a^2 + b^2 and
-    cu = ceil(sqrt(c2)) >= |c| 2^-e, the bounds (c2 -+ 2 cu k + k^2) 4^e
-    enclose (|c| -+ r)^2, and so |root|^2, in exact integers; the lower
-    one is 0 when the disk may contain 0."""
-    parts = [x._mpf_ for x in (d.center_re, d.center_im, d.radius)]
-    e = min((exp for _, man, exp, _ in parts if man), default=0)
-    a, b, k = ((-man if sign else man) << (exp - e) if man else 0 for sign, man, exp, _ in parts)
+    Centre and radius are (a + bi, k) 2^e in integers (_dyadic_disks).
+    With c2 = a^2 + b^2 and cu = ceil(sqrt(c2)) >= |c| 2^-e, the bounds
+    (c2 -+ 2 cu k + k^2) 4^e enclose (|c| -+ r)^2, and so |root|^2, in
+    exact integers; the lower one is 0 when the disk may contain 0."""
+    ((a, b, k),), e = _dyadic_disks((d,))
     c2 = a * a + b * b
-    cu = math.isqrt(c2)
-    if cu * cu < c2:
-        cu += 1
+    cu = _ceil_sqrt(c2)
     lo = 0 if c2 <= k * k else max(0, c2 - 2 * cu * k + k * k)
-    hi = c2 + 2 * cu * k + k * k
-    if e >= 0:
-        return (Fraction(lo << 2 * e), Fraction(hi << 2 * e))
-    return (Fraction(lo, 1 << -2 * e), Fraction(hi, 1 << -2 * e))
+    return (_dyadic(lo, 2 * e), _dyadic(c2 + 2 * cu * k + k * k, 2 * e))
 
 
 def _modulus_units(rs: CertifiedRootSet) -> List[_Unit]:
@@ -661,9 +654,10 @@ def has_multiplicative_relation(f: IntPolynomial, prefilter: bool = True) -> boo
     Squareful f reports True (a repeated root already collides pair
     products), as does any zero root (all its pair products are 0).
     The exact decider is discriminant(root_product_poly(f)) == 0; with
-    prefilter=True a certified numeric separation of all pairwise
-    products proves the negative cheaply, and only collisions fall
-    through to exact arithmetic.
+    prefilter=True disjoint product enclosures, from root disks isolated
+    at a 53-bit start and compared in exact integers, prove the negative
+    cheaply, and only what they cannot separate falls through to exact
+    arithmetic.
     """
     return _relation_detail(f, prefilter=prefilter)[0]
 
@@ -689,47 +683,40 @@ def _relation_detail(f: IntPolynomial, prefilter: bool = True) -> Tuple[bool, st
 
 def _products_separated(g: IntPolynomial) -> bool:
     """Certified proof that all pairwise root products of g (squarefree,
-    no zero roots) are distinct, via exact rational disjointness of
-    product enclosures: D(c1, r1) * D(c2, r2) lies inside
-    D(c1 c2, |c1| r2 + |c2| r1 + r1 r2). False only means "not shown"."""
+    no zero roots) are distinct: disjoint product enclosures of its disks
+    from a 53-bit start, or else refined once below 10^-25. False only
+    means "not shown"."""
     try:
-        rs = isolate_roots(g)
+        rs = isolate_roots(g, precision_bits=53)
+        if _products_disjoint(rs.disks):
+            return True
+        rs = refine(rs, Fraction(1, 10**25))
     except PrecisionCapExceeded:
         return False
-    for attempt in range(2):
-        cs: List[Tuple[Fraction, Fraction, Fraction]] = []
-        for d in rs.disks:
-            re = mpf_to_fraction(d.center_re)
-            im = mpf_to_fraction(d.center_im)
-            r = mpf_to_fraction(d.radius)
-            cs.append((re, im, r))
-        prods: List[Tuple[Fraction, Fraction, Fraction]] = []
-        m = len(cs)
-        for i in range(m):
-            for j in range(i + 1, m):
-                are, aim, ar = cs[i]
-                bre, bim, br = cs[j]
-                pre = are * bre - aim * bim
-                pim = are * bim + aim * bre
-                amod = _fraction_sqrt_upper(are * are + aim * aim)
-                bmod = _fraction_sqrt_upper(bre * bre + bim * bim)
-                prods.append((pre, pim, amod * br + bmod * ar + ar * br))
-        ok = True
-        for i in range(len(prods)):
-            for j in range(i + 1, len(prods)):
-                dre = prods[i][0] - prods[j][0]
-                dim = prods[i][1] - prods[j][1]
-                rr = prods[i][2] + prods[j][2]
-                if dre * dre + dim * dim <= rr * rr:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return True
-        if attempt == 0:
-            try:
-                rs = refine(rs, Fraction(1, 10**25))
-            except PrecisionCapExceeded:
+    return _products_disjoint(rs.disks)
+
+
+def _product_disks(disks: Sequence[RootDisk]) -> List[Tuple[int, int, int]]:
+    """Integer enclosures (x + yi, R) 4^e of z1 z2 for every pair of
+    disks. With the disks as (a + bi, k) 2^e (_dyadic_disks) and
+    cu = ceil(sqrt(a^2 + b^2)) >= |c| 2^-e, the centre is
+    (a1 a2 - b1 b2, a1 b2 + b1 a2) and the radius cu1 k2 + cu2 k1 + k1 k2,
+    since |z1 z2 - c1 c2| <= |c1| r2 + |c2| r1 + r1 r2."""
+    cs = [(a, b, k, _ceil_sqrt(a * a + b * b)) for a, b, k in _dyadic_disks(disks)[0]]
+    return [
+        (a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, cu1 * k2 + cu2 * k1 + k1 * k2)
+        for i, (a1, b1, k1, cu1) in enumerate(cs)
+        for a2, b2, k2, cu2 in cs[i + 1 :]
+    ]
+
+
+def _products_disjoint(disks: Sequence[RootDisk]) -> bool:
+    """Whether the product enclosures of all disk pairs are pairwise
+    disjoint: squared centre distance above the squared radius sum."""
+    prods = _product_disks(disks)
+    for i, (x1, y1, r1) in enumerate(prods):
+        for x2, y2, r2 in prods[i + 1 :]:
+            dx, dy, rr = x1 - x2, y1 - y2, r1 + r2
+            if dx * dx + dy * dy <= rr * rr:
                 return False
-    return False
+    return True

@@ -35,7 +35,6 @@ __all__ = [
     "parse_coeff_string",
     "coeff_string",
     "divmod_exact",
-    "pseudo_divmod",
     "subresultant_gcd",
     "resultant",
     "discriminant",
@@ -286,8 +285,8 @@ def divmod_exact(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
     return IntPolynomial(tuple(q))
 
 
-def pseudo_divmod(f: IntPolynomial, g: IntPolynomial) -> Tuple[IntPolynomial, IntPolynomial]:
-    """Pseudo-division: lc(g)^(deg f - deg g + 1) * f = q*g + r.
+def _prem(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
+    """Pseudo-remainder r of lc(g)^(deg f - deg g + 1) * f = q*g + r.
 
     Requires deg f >= deg g >= 0. Each nonzero leading term t of the
     running remainder is cancelled by lc(g) * r - t X^k g; each skipped
@@ -299,9 +298,8 @@ def pseudo_divmod(f: IntPolynomial, g: IntPolynomial) -> Tuple[IntPolynomial, In
     gc = g.coeffs
     steps = len(r) - len(gc) + 1
     if steps < 1:
-        raise BadParameters("pseudo_divmod needs deg f >= deg g")
+        raise BadParameters("pseudo-division needs deg f >= deg g")
     lcg = gc[0]
-    q = [0] * steps
     skipped = 0
     for i in range(steps):
         t = r[i]
@@ -309,23 +307,15 @@ def pseudo_divmod(f: IntPolynomial, g: IntPolynomial) -> Tuple[IntPolynomial, In
             skipped += 1
             continue
         if lcg != 1:
-            for k in range(i):
-                q[k] *= lcg
             for k in range(i + 1, len(r)):
                 r[k] *= lcg
-        q[i] = t
         for j in range(1, len(gc)):
             r[i + j] -= t * gc[j]
     rest = r[steps:]
     if skipped and lcg != 1:
         scale = lcg**skipped
-        q = [c * scale for c in q]
         rest = [c * scale for c in rest]
-    return IntPolynomial(tuple(q)), IntPolynomial(tuple(rest))
-
-
-def _prem(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
-    return pseudo_divmod(f, g)[1]
+    return IntPolynomial(tuple(rest))
 
 
 # -- gcd / resultant ----------------------------------------------------

@@ -80,15 +80,8 @@ _DEFAULT_CAP = 4096
 
 def mpf_to_fraction(x) -> Fraction:
     """Exact Fraction value of an mpf (mpfs are dyadic rationals)."""
-    if x == 0:
-        return Fraction(0)
     sign, man, exp, _ = x._mpf_
-    v = Fraction(man, 1)
-    if exp >= 0:
-        v = v * (1 << exp)
-    else:
-        v = v / (1 << -exp)
-    return -v if sign else v
+    return _dyadic(-man if sign else man, exp)
 
 
 @dataclass(frozen=True)
@@ -104,18 +97,36 @@ class RootDisk:
     is_real: bool
 
     def modulus_interval(self) -> Tuple[Fraction, Fraction]:
-        """Exact rational bounds on |root|: [max(0,|c|-r), |c|+r]."""
-        cre = mpf_to_fraction(self.center_re)
-        cim = mpf_to_fraction(self.center_im)
-        r = mpf_to_fraction(self.radius)
-        m2 = cre * cre + cim * cim
-        # |c| in [lo, hi] with lo = isqrt-floor, hi = lo + ulp-ish bound
-        lo = _fraction_sqrt_lower(m2)
-        hi = _fraction_sqrt_upper(m2)
-        low = lo - r
-        if low < 0:
-            low = Fraction(0)
-        return (low, hi + r)
+        """Exact rational bounds on |root|: with centre (a + bi) 2^e and
+        radius k 2^e (_dyadic_disks) and c2 = a^2 + b^2, the integers
+        (max(0, floor(sqrt c2) - k), ceil(sqrt c2) + k) 2^e enclose |c| -+ r."""
+        ((a, b, k),), e = _dyadic_disks((self,))
+        c2 = a * a + b * b
+        lo = math.isqrt(c2)
+        hi = lo if lo * lo == c2 else lo + 1
+        return (_dyadic(max(0, lo - k), e), _dyadic(hi + k, e))
+
+
+def _dyadic_disks(disks: Sequence[RootDisk]) -> Tuple[List[Tuple[int, int, int]], int]:
+    """The disks' centres and radii as exact integers at one common dyadic
+    exponent e (mpfs are dyadic rationals): a triple (a, b, k) stands for
+    centre (a + bi) 2^e and radius k 2^e. e is the least exponent of any
+    nonzero value, 0 when all are zero."""
+    parts = [x._mpf_ for d in disks for x in (d.center_re, d.center_im, d.radius)]
+    e = min((exp for _, man, exp, _ in parts if man), default=0)
+    ints = [(-man if sign else man) << (exp - e) if man else 0 for sign, man, exp, _ in parts]
+    return [tuple(ints[i : i + 3]) for i in range(0, len(ints), 3)], e
+
+
+def _dyadic(n: int, e: int) -> Fraction:
+    """The Fraction n 2^e."""
+    return Fraction(n << e) if e >= 0 else Fraction(n, 1 << -e)
+
+
+def _ceil_sqrt(n: int) -> int:
+    """ceil(sqrt(n)) for an integer n >= 0."""
+    r = math.isqrt(n)
+    return r if r * r == n else r + 1
 
 
 def _fraction_sqrt_lower(q: Fraction, bits: int = 128) -> Fraction:
@@ -182,6 +193,16 @@ def _analysis(f: IntPolynomial) -> _Analysis:
         got = _Analysis(v, factors)
         object.__setattr__(f, "_analysis", got)
     return got
+
+
+def _deflated(f: IntPolynomial) -> Tuple[int, IntPolynomial]:
+    """(v, u) with f = X^v u and u(0) != 0; u gets f's stored analysis, if
+    any, with zeros=0, which is exactly its own."""
+    v, u = _deflate_zero_roots(f)
+    got = f.__dict__.get("_analysis")
+    if got is not None and v:
+        object.__setattr__(u, "_analysis", got._replace(zeros=0))
+    return v, u
 
 
 # -- Fujiwara bound ------------------------------------------------------

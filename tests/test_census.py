@@ -230,10 +230,12 @@ def test_permissive_counts_precision_cap_as_ambiguous(monkeypatch):
         run_census(CensusSpec(**base))
 
 
-def test_pipeline_analyses_each_polynomial_once(monkeypatch):
+def _count_calls(monkeypatch, names):
+    """Counts of calls to the named intpoly functions, through every
+    module's binding of them."""
     from rootcensus import census, classify, intpoly, roots
 
-    calls = {"squarefree_decomposition": 0, "subresultant_gcd": 0, "sturm_chain": 0}
+    calls = dict.fromkeys(names, 0)
 
     def counted(name, fn):
         def wrapper(*args):
@@ -246,6 +248,13 @@ def test_pipeline_analyses_each_polynomial_once(monkeypatch):
         for mod in (intpoly, roots, classify, census):
             if getattr(mod, name, None) is fn:
                 monkeypatch.setattr(mod, name, counted(name, fn))
+    return calls
+
+
+def test_pipeline_analyses_each_polynomial_once(monkeypatch):
+    from rootcensus import census
+
+    calls = _count_calls(monkeypatch, ("squarefree_decomposition", "subresultant_gcd", "sturm_chain"))
     # X^4 - X - 1: squarefree and irreducible, so one factor; its four
     # moduli are distinct, so the profile needs no tie decision
     f = IntPolynomial((1, 0, 0, -1, -1))
@@ -255,6 +264,18 @@ def test_pipeline_analyses_each_polynomial_once(monkeypatch):
     # Yun's algorithm on f takes one gcd; the factor gets one Sturm
     # chain and is not decomposed again
     assert calls == {"squarefree_decomposition": 1, "subresultant_gcd": 1, "sturm_chain": 1}
+
+
+def test_pipeline_reuses_the_analysis_of_a_deflated_polynomial(monkeypatch):
+    from rootcensus import census
+
+    calls = _count_calls(monkeypatch, ("squarefree_decomposition",))
+    # X (X^4 - X - 1): the signature analyses f, and the profile of the
+    # zero-deflated X^4 - X - 1 reads the same factors
+    f = IntPolynomial((1, 0, 0, -1, -1, 0))
+    cells = census.classify_pipeline(f, CensusSpec(n=5, height=1, counters=("A*", "D*")))
+    assert ("A*", "1") in cells and ("D*d", "r=3,s=1") in cells
+    assert calls == {"squarefree_decomposition": 1}
 
 
 def test_budget_exceeded():

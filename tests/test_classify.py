@@ -319,14 +319,46 @@ def test_relation_matches_brute_seeded():
 
 def test_relation_prefilter_agrees_with_exact():
     rng = random.Random(99)
-    for _ in range(25):
-        cs = [rng.randint(-5, 5) for _ in range(5)]
-        if cs[0] == 0:
-            cs[0] = 1
-        f = IntPolynomial(tuple(cs))
-        assert has_multiplicative_relation(f, prefilter=True) == has_multiplicative_relation(
-            f, prefilter=False
-        ), f.coeffs
+    for n in range(4, 9):
+        for _ in range(25):
+            cs = [rng.randint(-5, 5) for _ in range(n + 1)]
+            if cs[0] == 0:
+                cs[0] = 1
+            f = IntPolynomial(tuple(cs))
+            assert has_multiplicative_relation(f, prefilter=True) == has_multiplicative_relation(
+                f, prefilter=False
+            ), f.coeffs
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        # sqrt2 sqrt3 = (-sqrt2)(-sqrt3)
+        IntPolynomial((1, 0, -2)) * IntPolynomial((1, 0, -3)),
+        # X^4 + 1: zeta zeta^7 = zeta^3 zeta^5 = 1 for zeta = e^(i pi/4)
+        IntPolynomial((1, 0, 0, 0, 1)),
+        # Phi_3 Phi_5: omega omega^2 = zeta zeta^4 = 1
+        IntPolynomial((1, 1, 1)) * IntPolynomial((1, 1, 1, 1, 1)),
+    ],
+)
+def test_relation_prefilter_cannot_separate_colliding_products(f):
+    assert not classify._products_separated(f)
+    assert has_multiplicative_relation(f)
+
+
+def test_relation_prefilter_separates_after_refinement():
+    # 4096 alpha = 1 + O(4096^-4) = 2 * (1/2) for the root alpha of
+    # X^4 - 4096X + 1 near 1/4096: the 53-bit product enclosures of this
+    # near-collision overlap, those of disks refined below 10^-25 do not
+    f = (
+        IntPolynomial((1, -4096))
+        * IntPolynomial((1, -2))
+        * IntPolynomial((2, -1))
+        * IntPolynomial((1, 0, 0, -4096, 1))
+    )
+    assert not classify._products_disjoint(isolate_roots(f, precision_bits=53).disks)
+    assert classify._products_separated(f)
+    assert not has_multiplicative_relation(f, prefilter=False)
 
 
 def test_relation_prefilter_lets_unexpected_errors_through(monkeypatch):

@@ -19,6 +19,7 @@ import sympy
 from rootcensus.errors import BadParameters, ZeroPolynomial
 from rootcensus.intpoly import (
     IntPolynomial,
+    _prem,
     coeff_string,
     disc2,
     disc3,
@@ -160,6 +161,25 @@ def test_low_degree_disc_formulas():
         b, c, d = (rng.randint(-9, 9) for _ in range(3))
         assert disc2(a, b, c) == b * b - 4 * a * c
         assert disc3(a, b, c, d) == discriminant(IntPolynomial((a, b, c, d)))
+
+
+def test_prem_matches_sympy_seeded():
+    # sparse pairs: when f and g both lack their second coefficient, the
+    # running remainder's leading term vanishes after the first step, a
+    # skipped step that scales by lc(g) at the end
+    rng = random.Random(505)
+
+    def sparse(n: int, lead: int) -> IntPolynomial:
+        return IntPolynomial((lead,) + tuple(rng.choice((0, rng.randint(-9, 9))) for _ in range(n)))
+
+    skipped = nonunit = 0
+    for _ in range(300):
+        g = sparse(rng.randint(1, 4), rng.choice((-1, 1)) * rng.randint(1, 4))
+        f = sparse(g.degree + rng.randint(0, 4), rng.randint(1, 9))
+        assert _sym(_prem(f, g)) == sympy.prem(_sym(f), _sym(g)), (f.coeffs, g.coeffs)
+        nonunit += abs(g.coeffs[0]) != 1
+        skipped += f.degree > g.degree and f.coeffs[1] == g.coeffs[1] == 0
+    assert skipped >= 20 and nonunit >= 100
 
 
 # -- gcd and squarefree structure ---------------------------------------------

@@ -15,11 +15,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from mpmath import mpf
 
 from rootcensus.errors import DegreeTooSmall, ZeroPolynomial
 from rootcensus.intpoly import IntPolynomial
 from rootcensus.roots import (
     CertifiedRootSet,
+    RootDisk,
     fujiwara_bound,
     isolate_roots,
     modulus_separation_bound,
@@ -102,6 +104,20 @@ def test_zero_root_exact():
     assert zero_disks[0].center_re == 0 and zero_disks[0].center_im == 0
     lo, hi = zero_disks[0].modulus_interval()
     assert lo == 0
+
+
+def test_modulus_interval_is_exact_on_dyadic_disks():
+    # centre 3/4 + i, radius 1/4: |c| = 5/4, so exactly [1, 3/2]
+    disk = RootDisk(mpf(0.75), mpf(1), mpf(0.25), 1, False)
+    assert disk.modulus_interval() == (1, Fraction(3, 2))
+    # centre 1 + i, radius 1/2: on the half-integer grid of the disk,
+    # sqrt 2 lies in [1, 3/2], so |c| -+ 1/2 lies in [1/2, 2]
+    disk = RootDisk(mpf(1), mpf(1), mpf(0.5), 1, False)
+    assert disk.modulus_interval() == (Fraction(1, 2), 2)
+    # a disk around 0 may hold the root 0
+    disk = RootDisk(mpf(0.125), mpf(-0.125), mpf(0.25), 1, False)
+    assert disk.modulus_interval() == (0, Fraction(1, 2))
+    assert RootDisk(mpf(-2), mpf(0), mpf(0), 2, True).modulus_interval() == (2, 2)
 
 
 def test_rational_root_enclosed():

@@ -13,20 +13,41 @@ pairwise disjoint in exact rational arithmetic; multiplicities sum to the
 degree; the real disks number the distinct real roots (Sturm). The two
 starts must agree root for root. The exact enclosure of |root|^2 that
 modulus profiles read from each disk must hold the squared modulus of
-its 50-digit root. The example budget is set by the hypothesis profile
-in conftest.py.
+its 50-digit root.
+
+The multiplicative-relation prefilter is checked on the same families
+plus dense 20-bit polynomials of degree 4-8: whenever it certifies the
+pair products apart, the exact root-product polynomial has no repeated
+root. Its product enclosures must hold the products of points on the
+boundaries of random dyadic disks. The example budget is set by the
+hypothesis profile in conftest.py.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import mpmath
 import sympy
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from rootcensus.classify import _disk_mod2
-from rootcensus.intpoly import IntPolynomial, sturm_real_root_count
-from rootcensus.roots import CertifiedRootSet, isolate_roots, mpf_to_fraction
+from rootcensus.classify import _disk_mod2, _product_disks, _products_separated
+from rootcensus.intpoly import (
+    IntPolynomial,
+    _deflate_zero_roots,
+    discriminant,
+    root_product_poly,
+    squarefree_part,
+    sturm_real_root_count,
+)
+from rootcensus.roots import (
+    CertifiedRootSet,
+    RootDisk,
+    _dyadic_disks,
+    isolate_roots,
+    mpf_to_fraction,
+)
 
 _X = sympy.symbols("x")
 _DIGITS = 50
@@ -59,6 +80,12 @@ clustered = st.builds(
 )
 big_coefficients = (
     st.lists(st.integers(-(2**60), 2**60), min_size=3, max_size=7)
+    .filter(lambda cs: cs[0] != 0)
+    .map(lambda cs: IntPolynomial(tuple(cs)))
+)
+dense_20_bit = (
+    st.integers(4, 8)
+    .flatmap(lambda n: st.lists(st.integers(-(2**20), 2**20), min_size=n + 1, max_size=n + 1))
     .filter(lambda cs: cs[0] != 0)
     .map(lambda cs: IntPolynomial(tuple(cs)))
 )
@@ -166,3 +193,51 @@ def test_clustered_roots(f):
 @given(big_coefficients)
 def test_coefficients_up_to_2_60(f):
     _check_starts_agree(f)
+
+
+@given(st.one_of(mignotte, cyclotomic_products, clustered, big_coefficients, dense_20_bit))
+def test_relation_prefilter_is_sound(f):
+    """Separated product enclosures certify that the pairwise root
+    products of the squarefree, zero-free part g of f are distinct."""
+    g = squarefree_part(_deflate_zero_roots(f)[1])
+    assume(g.degree >= 2)
+    if _products_separated(g):
+        assert discriminant(root_product_poly(g)) != 0, g.coeffs
+
+
+# rational points of the unit circle
+_DIRECTIONS = [(1, 0), (0, 1), (-1, 0), (0, -1), (Fraction(3, 5), Fraction(4, 5)),
+               (Fraction(-12, 13), Fraction(5, 13)), (Fraction(8, 17), Fraction(-15, 17))]
+dyadic_disks = st.lists(
+    st.tuples(st.integers(-40, 40), st.integers(-40, 40), st.integers(0, 8), st.integers(-4, 4)),
+    min_size=2,
+    max_size=4,
+)
+
+
+# (a, b, k, e) is the disk of centre (a + bi) 2^e and radius k 2^e.
+# Real centres 3 and 2, radius 1: the product 4 * 3 = 12 of the outermost
+# points lies on the enclosure's boundary, |12 - 6| = 3*1 + 2*1 + 1*1.
+@example([(3, 0, 1, 0), (2, 0, 1, 0)])
+# Centre 1 + i, radius 0, times 3 from the disk of centre 2 and radius 1:
+# |(1 + i) 3 - (1 + i) 2| = sqrt 2, within ceil(sqrt 2) * 1 = 2.
+@example([(1, 1, 0, 0), (2, 0, 1, 0)])
+@given(dyadic_disks)
+def test_product_disks_hold_products_of_boundary_points(raw):
+    disks = [
+        RootDisk(mpmath.ldexp(a, e), mpmath.ldexp(b, e), mpmath.ldexp(k, e), 1, False)
+        for a, b, k, e in raw
+    ]
+    prods = _product_disks(disks)
+    scale = Fraction(4) ** _dyadic_disks(disks)[1]
+    points = [
+        [((x + k * u) * Fraction(2) ** e, (y + k * v) * Fraction(2) ** e) for u, v in _DIRECTIONS]
+        for x, y, k, e in raw
+    ]
+    pairs = [(i, j) for i in range(len(raw)) for j in range(i + 1, len(raw))]
+    for (i, j), (px, py, pr) in zip(pairs, prods):
+        for x1, y1 in points[i]:
+            for x2, y2 in points[j]:
+                dx = x1 * x2 - y1 * y2 - px * scale
+                dy = x1 * y2 + y1 * x2 - py * scale
+                assert dx * dx + dy * dy <= (pr * scale) ** 2, (raw, i, j)
