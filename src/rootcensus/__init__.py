@@ -35,7 +35,6 @@ from .roots import (
     RootDisk,
     fujiwara_bound,
     isolate_roots,
-    modulus_separation_bound,
     refine,
 )
 from .classify import (
@@ -93,7 +92,6 @@ __all__ = [
     "RootDisk",
     "fujiwara_bound",
     "isolate_roots",
-    "modulus_separation_bound",
     "refine",
     "FactorizationResult",
     "ModulusProfile",

@@ -31,10 +31,12 @@ path never touches floating point). Degree >= 4 escalates:
    give enclosures of squared moduli in exact integers: one real root or
    one exactly mirrored conjugate pair forms a unit, whose dyadic centre
    and radius bound |root|^2 with a single integer square root.
-   Disjoint enclosures order the groups (NUMERIC_CERTIFIED), and any
-   overlap is forced to a decision by refining all enclosure widths
-   below a quarter of the rational separation bound on squared moduli,
-   after which overlap certifies exact equality (EXACT).
+   Sorted by lower end, overlapping enclosures chain into runs. When
+   every run is one unit the runs order the groups (NUMERIC_CERTIFIED).
+   Otherwise every squared modulus is a positive real root of the
+   pair-product polynomial T, and an extreme run whose union holds
+   exactly one distinct root of T, by a Sturm count, is one modulus
+   group; the disks are refined until both extreme runs pass (EXACT).
 """
 
 from __future__ import annotations
@@ -56,12 +58,16 @@ from .intpoly import (
     IntPolynomial,
     _deflate_zero_roots,
     _interpolate,
+    _scaled_value,
     disc3,
     discriminant,
     divmod_exact,
+    pair_product_full,
     power_substitution,
     root_product_poly,
     squarefree_decomposition,
+    squarefree_part,
+    sturm_chain,
     subresultant_gcd,
 )
 from .modp import factor_degree_pattern, primes_up_to
@@ -73,9 +79,8 @@ from .roots import (
     _deflated,
     _dyadic,
     _dyadic_disks,
-    fujiwara_bound,
     isolate_roots,
-    modulus_separation_bound,
+    mpf_to_fraction,
     refine,
 )
 
@@ -285,26 +290,23 @@ def _profile_certified(f: IntPolynomial) -> ModulusProfile:
         return ModulusProfile(m * sub.k_max, m * sub.k_min, False, sub.decision)
     # the double step first: the ladder escalates only where it fails
     rs = isolate_roots(f, precision_bits=53)
-    units = _modulus_units(rs)
-    counts = _count_disjoint(units)
-    if counts is not None:
-        kmax, kmin = counts
-        return ModulusProfile(kmax, kmin, kmax == 1, "NUMERIC_CERTIFIED")
-    # overlapping enclosures: refine widths below sep/4, after which
-    # overlap certifies exact equality of moduli
-    sep = modulus_separation_bound(f)
-    bigm = Fraction(fujiwara_bound(f)) + 1
-    target = sep / (32 * bigm)
-    if target > Fraction(1, 16):
-        target = Fraction(1, 16)
-    while True:
-        rs = refine(rs, target)
-        units = _modulus_units(rs)
-        if all(unit.hi2 - unit.lo2 < sep / 4 for unit in units):
-            break
-        target = target / 4
-    kmax, kmin = _count_with_ties(units)
-    return ModulusProfile(kmax, kmin, kmax == 1, "EXACT")
+    runs = _runs(_modulus_units(rs))
+    decision = "NUMERIC_CERTIFIED"
+    if any(run.size > 1 for run in runs):
+        # every squared modulus is a positive real root of T =
+        # pair_product_full(f), so an extreme run whose union holds one
+        # distinct root of T is one modulus group; refining splits the
+        # rest, as distinct roots of T are separated
+        decision = "EXACT"
+        chain = sturm_chain(squarefree_part(pair_product_full(f)))
+        while any(
+            run.size > 1 and chain.roots_in(run.lo2, run.hi2) != 1
+            for run in (runs[0], runs[-1])
+        ):
+            rs = refine(rs, mpf_to_fraction(rs.max_radius()) / 2**20)
+            runs = _runs(_modulus_units(rs))
+    kmax, kmin = runs[-1].mult, runs[0].mult
+    return ModulusProfile(kmax, kmin, kmax == 1, decision)
 
 
 class _Unit(NamedTuple):
@@ -359,40 +361,27 @@ def _modulus_units(rs: CertifiedRootSet) -> List[_Unit]:
     return units
 
 
-def _count_disjoint(units: List[_Unit]) -> Optional[Tuple[int, int]]:
-    """(k_max, k_min) when all units are pairwise disjoint, else None."""
-    order = sorted(units, key=lambda u: (u.lo2, u.hi2))
-    for a, b in zip(order, order[1:]):
-        if b.lo2 <= a.hi2:
-            return None
-    return (order[-1].mult, order[0].mult)
+class _Run(NamedTuple):
+    """A maximal run of units with chained overlapping enclosures: the
+    union [lo2, hi2], the summed multiplicity and the number of units."""
+
+    lo2: Fraction
+    hi2: Fraction
+    mult: int
+    size: int
 
 
-def _count_with_ties(units: List[_Unit]) -> Tuple[int, int]:
-    """(k_max, k_min) when overlap certifies equality (post-refinement):
-    connected overlap components are exact modulus groups."""
-    m = len(units)
-    parent = list(range(m))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(m):
-        for j in range(i + 1, m):
-            u, w = units[i], units[j]
-            if not (u.hi2 < w.lo2 or w.hi2 < u.lo2):
-                parent[find(i)] = find(j)
-    groups: Dict[int, List[_Unit]] = {}
-    for i in range(m):
-        groups.setdefault(find(i), []).append(units[i])
-    rows = sorted(
-        ((min(u.lo2 for u in g), sum(u.mult for u in g)) for g in groups.values()),
-        key=lambda t: t[0],
-    )
-    return (rows[-1][1], rows[0][1])
+def _runs(units: List[_Unit]) -> List[_Run]:
+    """The units chained into runs in lo2 order, lowest run first; two
+    units overlap somewhere exactly when two lo2-neighbours do."""
+    runs: List[_Run] = []
+    for w in sorted(units, key=lambda w: w.lo2):
+        if runs and w.lo2 <= runs[-1].hi2:
+            r = runs[-1]
+            runs[-1] = _Run(r.lo2, max(r.hi2, w.hi2), r.mult + w.mult, r.size + 1)
+        else:
+            runs.append(_Run(w.lo2, w.hi2, w.mult, 1))
+    return runs
 
 
 # -- signature ----------------------------------------------------------------
@@ -504,14 +493,7 @@ def _find_rational_root(p: IntPolynomial) -> Optional[Tuple[int, int]]:
     for den in _divisors(p.coeffs[0]):
         for num_abs in _divisors(p.coeffs[-1]):
             for num in (num_abs, -num_abs):
-                if math.gcd(num, den) != 1:
-                    continue
-                acc = 0
-                dpow = 1
-                for c in p.coeffs:
-                    acc = acc * num + c * dpow
-                    dpow *= den
-                if acc == 0:
+                if math.gcd(num, den) == 1 and _scaled_value(p, num, den) == 0:
                     return (num, den)
     return None
 
@@ -684,13 +666,11 @@ def _relation_detail(f: IntPolynomial, prefilter: bool = True) -> Tuple[bool, st
 def _products_separated(g: IntPolynomial) -> bool:
     """Certified proof that all pairwise root products of g (squarefree,
     no zero roots) are distinct: disjoint product enclosures of its disks
-    from a 53-bit start, or else refined once below 10^-25. False only
-    means "not shown"."""
+    from a 53-bit start. False only means "not shown"; what overlaps
+    there is almost always an exact collision, which refining cannot
+    separate and the exact discriminant decides."""
     try:
         rs = isolate_roots(g, precision_bits=53)
-        if _products_disjoint(rs.disks):
-            return True
-        rs = refine(rs, Fraction(1, 10**25))
     except PrecisionCapExceeded:
         return False
     return _products_disjoint(rs.disks)

@@ -26,10 +26,6 @@ class DegreeCapExceeded(RootCensusError):
     """Polynomial degree above the configured cap for this operation."""
 
 
-class EndpointIsRoot(RootCensusError):
-    """A Sturm count was requested on an interval whose endpoint is a root."""
-
-
 class PrecisionCapExceeded(RootCensusError):
     """Certification failed to converge below the precision cap.
 

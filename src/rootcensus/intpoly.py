@@ -23,7 +23,6 @@ from typing import Optional, Sequence, Tuple
 from .errors import (
     BadParameters,
     DegreeTooSmall,
-    EndpointIsRoot,
     ZeroConstantTerm,
     ZeroPolynomial,
 )
@@ -113,10 +112,6 @@ class IntPolynomial:
     def height(self) -> int:
         """Max absolute coefficient (0 for the zero polynomial)."""
         return max((abs(c) for c in self.coeffs), default=0)
-
-    @property
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[0] == 1
 
     def __bool__(self) -> bool:
         return not self.is_zero
@@ -554,14 +549,18 @@ class SturmChain:
 
     polys: Tuple[IntPolynomial, ...]
 
-    def variations_at(self, x: Fraction) -> int:
-        signs = []
-        for p in self.polys:
-            v = p.eval_at(x)
-            if v > 0:
-                signs.append(1)
-            elif v < 0:
-                signs.append(-1)
+    def roots_in(self, lo: Fraction, hi: Fraction) -> int:
+        """Number of distinct real roots in the closed interval [lo, hi].
+
+        V(lo) - V(hi) counts the roots in (lo, hi], as the chain loses one
+        sign variation exactly at each root; a root at lo is added."""
+        at_lo = _scaled_value(self.polys[0], lo.numerator, lo.denominator) == 0
+        return self._variations(lo) - self._variations(hi) + at_lo
+
+    def _variations(self, x: Fraction) -> int:
+        # the scale b^deg(p) of x = a/b is positive: signs are those of p(x)
+        vals = [_scaled_value(p, x.numerator, x.denominator) for p in self.polys]
+        signs = [v > 0 for v in vals if v]
         return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
     def variations_at_minus_inf(self) -> int:
@@ -616,35 +615,24 @@ def _sturm_sequence(p0: IntPolynomial) -> SturmChain:
     return SturmChain(tuple(chain))
 
 
-def sturm_real_root_count(
-    f: IntPolynomial,
-    interval: Tuple[Optional[Fraction], Optional[Fraction]] = (None, None),
-) -> int:
-    """Number of distinct real roots of f in the interval.
+def _scaled_value(p: IntPolynomial, a: int, b: int) -> int:
+    """b^deg(p) p(a/b) in integers: sum c_i a^(deg(p)-i) b^i."""
+    acc = 0
+    bpow = 1
+    for c in p.coeffs:
+        acc = acc * a + c * bpow
+        bpow *= b
+    return acc
 
-    Endpoints are Fractions (or ints), None meaning -oo / +oo. An endpoint
-    that is itself a root raises EndpointIsRoot.
-    """
+
+def sturm_real_root_count(f: IntPolynomial) -> int:
+    """Number of distinct real roots of f."""
     if f.is_zero:
         raise ZeroPolynomial("root count of the zero polynomial")
     if f.degree == 0:
         return 0
-    lo, hi = interval
-    if lo is not None and hi is not None and Fraction(lo) >= Fraction(hi):
-        raise BadParameters("empty interval for root count")
     chain = sturm_chain(f)
-    p0 = chain.polys[0]
-    if lo is not None:
-        lo = Fraction(lo)
-        if p0.eval_at(lo) == 0:
-            raise EndpointIsRoot("lower endpoint %s is a root" % lo)
-    if hi is not None:
-        hi = Fraction(hi)
-        if p0.eval_at(hi) == 0:
-            raise EndpointIsRoot("upper endpoint %s is a root" % hi)
-    va = chain.variations_at(lo) if lo is not None else chain.variations_at_minus_inf()
-    vb = chain.variations_at(hi) if hi is not None else chain.variations_at_plus_inf()
-    return va - vb
+    return chain.variations_at_minus_inf() - chain.variations_at_plus_inf()
 
 
 # -- root-product polynomial ----------------------------------------------

@@ -57,10 +57,7 @@ from .errors import (
 from .intpoly import (
     IntPolynomial,
     _deflate_zero_roots,
-    discriminant,
-    pair_product_full,
     squarefree_decomposition,
-    squarefree_part,
     sturm_real_root_count,
 )
 
@@ -70,7 +67,6 @@ __all__ = [
     "fujiwara_bound",
     "isolate_roots",
     "refine",
-    "modulus_separation_bound",
     "mpf_to_fraction",
 ]
 
@@ -667,54 +663,3 @@ def refine(rootset: CertifiedRootSet, radius_target: Fraction) -> CertifiedRootS
         precision_cap=max(_DEFAULT_CAP, rootset.precision_bits * 8),
         radius_target=Fraction(radius_target),
     )
-
-
-# -- exact separation of squared moduli ----------------------------------
-
-
-def modulus_separation_bound(f: IntPolynomial) -> Fraction:
-    """Positive rational B such that any two DISTINCT squared root moduli
-    of f differ by more than B.
-
-    The squared moduli |alpha_i|^2 = alpha_i * conj(alpha_i) are roots of
-    T(x) = Res_y(f(y), y^n f(x/y)) (conjugates of roots are roots, so
-    every product of two roots, ordered pairs included, is a root of T).
-    Mahler's root-separation bound applied to the squarefree part of T
-    gives the answer:  sep(P) > sqrt(3 |disc P|) * d^{-(d+2)/2} *
-    ||P||_2^{-(d-1)} for squarefree P of degree d >= 2.
-    """
-    n = f.degree
-    if n < 1:
-        raise DegreeTooSmall("separation bound needs degree >= 1")
-    if n == 1:
-        return Fraction(1)  # single root: nothing to separate
-    v, g = _deflate_zero_roots(f)
-    m = g.degree
-    if m == 0:
-        return Fraction(1)  # only the root 0
-    t_full = pair_product_full(g)
-    if v > 0:
-        t_full = t_full.shift_degree(1)  # include the squared modulus 0
-    p = squarefree_part(t_full)
-    d = p.degree
-    if d < 2:
-        return Fraction(1)
-    disc = abs(discriminant(p))
-    if disc == 0:
-        raise AssertionError("squarefree part with zero discriminant")
-    l22 = sum(c * c for c in p.coeffs)
-    # B = sqrt(3*disc) / (d^((d+2)/2) * l2^(d-1)); compute a rational lower
-    # bound via integer square roots: B^2 = 3*disc / (d^(d+2) * l22^(d-1))
-    num = 3 * disc
-    den = d ** (d + 2) * l22 ** (d - 1)
-    shift = 1 << 200
-    val = math.isqrt((num * shift * shift) // den)
-    b = Fraction(val, shift)
-    if b <= 0:
-        # exact value is positive; push below it with a finer grid
-        shift = 1 << (den.bit_length() + 8)
-        val = math.isqrt((num * shift * shift) // den)
-        b = Fraction(val, shift)
-        if b <= 0:
-            b = Fraction(1, den + 1)  # crude but positive and valid
-    return b

@@ -1,19 +1,24 @@
 """Classification layers against brute-force numeric and sympy oracles.
 
 Modulus profiles are compared with direct numpy root-modulus counting
-on random polynomials whose moduli are well separated; signatures with
-sympy real-root counts; factorization with sympy's factor_list; the
-multiplicative-relation decider with an all-pairs numeric scan.
+on random polynomials whose moduli are well separated, and with exact
+rational moduli on products of quadratics and linear factors full of
+ties; signatures with sympy real-root counts; factorization with
+sympy's factor_list; the multiplicative-relation decider with an
+all-pairs numeric scan.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import List
 
 import numpy as np
 import pytest
 import sympy
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 from mpmath import mpf
 
 from rootcensus import classify
@@ -89,21 +94,80 @@ def test_profile_matches_brute_seeded():
     assert checked > 60
 
 
+def _spy(monkeypatch, name):
+    """Record the calls of classify's binding of name."""
+    calls = []
+    fn = getattr(classify, name)
+    monkeypatch.setattr(classify, name, lambda *args: calls.append(args) or fn(*args))
+    return calls
+
+
 def test_profile_exact_tie_path(monkeypatch):
     # x^4 + 1 = g(X^4): every modulus equal by power substitution
     p = modulus_profile(IntPolynomial((1, 0, 0, 0, 1)))
     assert (p.k_max, p.k_min) == (4, 4)
     assert not p.dominant
-    # (X^2+1)(X^2+X+1): two conjugate pairs on the unit circle, whose
-    # enclosures overlap until the separation bound decides the tie
-    calls = []
-    bound = classify.modulus_separation_bound
-    monkeypatch.setattr(
-        classify, "modulus_separation_bound", lambda f: calls.append(f) or bound(f)
-    )
+    # (X^2+1)(X^2+X+1): two conjugate pairs on the unit circle form one
+    # run of overlapping enclosures, which holds a single distinct root
+    # of the pair-product polynomial at the first count
+    chains = _spy(monkeypatch, "sturm_chain")
+    refines = _spy(monkeypatch, "refine")
     p = modulus_profile(IntPolynomial((1, 1, 2, 1, 1)))
     assert (p.k_max, p.k_min, p.decision) == (4, 4, "EXACT")
-    assert len(calls) == 1
+    assert (len(chains), len(refines)) == (1, 0)
+
+
+@pytest.mark.parametrize(
+    "coeffs, counts",
+    [
+        # X^5 - 2^40 X + 1: four roots near 2^10 i^k whose squared moduli
+        # differ in about the 50th bit, and one near 2^-40; the real root
+        # near -2^10 is strictly the largest
+        ((1, 0, 0, 0, -(2**40), 1), (1, 1)),
+        # X^4 - 2^40 X + 1: a real root and a conjugate pair near modulus
+        # 2^(40/3), the pair slightly larger, form one run that holds two
+        # distinct roots of the pair-product polynomial
+        ((1, 0, 0, -(2**40), 1), (2, 1)),
+    ],
+)
+def test_profile_near_tie_is_refined_apart(monkeypatch, coeffs, counts):
+    # the 53-bit enclosures of the largest moduli overlap; only refined
+    # enclosures tell them apart
+    refines = _spy(monkeypatch, "refine")
+    p = modulus_profile(IntPolynomial(coeffs))
+    assert ((p.k_max, p.k_min), p.decision) == (counts, "EXACT")
+    assert len(refines) >= 1
+
+
+# squared modulus c/a of aX^2 + bX + c with b^2 < 4ac (a conjugate pair)
+_PAIR = st.tuples(st.integers(1, 3), st.integers(-4, 4), st.integers(1, 6)).filter(
+    lambda q: q[1] * q[1] < 4 * q[0] * q[2]
+)
+
+
+@given(
+    st.lists(_PAIR, max_size=3),
+    st.lists(st.integers(-3, 3), max_size=3),
+)
+@example([(1, 0, 1), (1, 1, 1)], [])  # (X^2+1)(X^2+X+1)
+@example([(1, 1, 1), (1, -1, 1)], [1, -1])  # six roots on the unit circle
+@example([(2, 1, 2), (1, 0, 4)], [2, -2])  # two moduli, each twice
+def test_profile_of_products_with_exact_moduli(pairs, roots):
+    """Products of conjugate-pair quadratics and integer linear factors,
+    with many equal moduli: the certified profile counts the roots of
+    the largest and smallest exact squared modulus."""
+    assume(2 <= 2 * len(pairs) + len(roots) <= 7)
+    f = IntPolynomial((1,))
+    mod2: List[Fraction] = []
+    for a, b, c in pairs:
+        f = f * IntPolynomial((a, b, c))
+        mod2 += [Fraction(c, a)] * 2
+    for r in roots:
+        f = f * IntPolynomial((1, -r))
+        mod2.append(Fraction(r * r))
+    p = modulus_profile(f, method="certified")
+    assert (p.k_max, p.k_min) == (mod2.count(max(mod2)), mod2.count(min(mod2))), f.coeffs
+    assert p.dominant == (p.k_max == 1)
 
 
 def test_conjugate_pair_from_mp_rung_is_one_unit():
@@ -346,10 +410,10 @@ def test_relation_prefilter_cannot_separate_colliding_products(f):
     assert has_multiplicative_relation(f)
 
 
-def test_relation_prefilter_separates_after_refinement():
+def test_relation_verdict_on_a_near_collision():
     # 4096 alpha = 1 + O(4096^-4) = 2 * (1/2) for the root alpha of
     # X^4 - 4096X + 1 near 1/4096: the 53-bit product enclosures of this
-    # near-collision overlap, those of disks refined below 10^-25 do not
+    # near-collision overlap, so the exact discriminant decides
     f = (
         IntPolynomial((1, -4096))
         * IntPolynomial((1, -2))
@@ -357,7 +421,8 @@ def test_relation_prefilter_separates_after_refinement():
         * IntPolynomial((1, 0, 0, -4096, 1))
     )
     assert not classify._products_disjoint(isolate_roots(f, precision_bits=53).disks)
-    assert classify._products_separated(f)
+    assert not classify._products_separated(f)
+    assert not has_multiplicative_relation(f)
     assert not has_multiplicative_relation(f, prefilter=False)
 
 

@@ -157,7 +157,7 @@ def test_monic_variant():
         except HTooSmall:
             continue
     assert members
-    assert all(f.is_monic for f in members)
+    assert all(f.coeffs[0] == 1 for f in members)
 
 
 # -- the monic non-dominant family ----------------------------------------------------
@@ -167,7 +167,7 @@ def test_theorem31_count_and_ranges():
     mem = list(theorem31_family(2, 100, Fraction(1, 2)))
     assert len(mem) == 380
     for f in mem:
-        assert f.is_monic
+        assert f.coeffs[0] == 1
         assert -5 <= f.coeffs[1] <= -1
         assert 25 <= f.coeffs[2] <= 100
 

@@ -247,6 +247,30 @@ def test_sturm_count_matches_sympy_seeded():
         assert sturm_real_root_count(f) == want, f.coeffs
 
 
+def test_sturm_closed_interval_count_matches_sympy_seeded():
+    # f has the rational roots p/q, so endpoints drawn from them are
+    # roots, and a closed count must include them
+    rng = random.Random(808)
+    checked_root_ends = 0
+    for _ in range(60):
+        rats = [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+        f = _rand_poly(rng, max_deg=3, height=6)
+        for r in rats:
+            f = f * IntPolynomial((r.denominator, -r.numerator))
+        chain = sturm_chain(f)
+        sym = _sym(squarefree_part(f))
+        ends = rats + [Fraction(rng.randint(-40, 40), rng.randint(1, 8)) for _ in range(3)]
+        for lo in ends:
+            for hi in ends:
+                if lo > hi:
+                    continue
+                want = sym.count_roots(sympy.Rational(lo.numerator, lo.denominator),
+                                       sympy.Rational(hi.numerator, hi.denominator))
+                assert chain.roots_in(lo, hi) == want, (f.coeffs, lo, hi)
+                checked_root_ends += lo in rats
+    assert checked_root_ends > 100
+
+
 # -- root-level transforms -------------------------------------------------------
 
 

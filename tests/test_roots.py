@@ -24,7 +24,6 @@ from rootcensus.roots import (
     RootDisk,
     fujiwara_bound,
     isolate_roots,
-    modulus_separation_bound,
     mpf_to_fraction,
     refine,
     isolate_roots as _isolate,
@@ -164,13 +163,6 @@ def test_fujiwara_dominates_all_roots_seeded():
         fb = fujiwara_bound(f)
         rr = np.roots([float(c) for c in f.coeffs])
         assert all(abs(z) <= fb * (1 + 1e-9) for z in rr), f.coeffs
-
-
-def test_modulus_separation_bound_positive():
-    # distinct moduli 1 and 2: bound must be positive and below the gap
-    f = IntPolynomial((1, -3, 2))  # roots 1, 2
-    sep = modulus_separation_bound(f)
-    assert 0 < sep <= 1
 
 
 def test_zero_polynomial_rejected():

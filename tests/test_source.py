@@ -1,0 +1,46 @@
+"""Static checks on the package source.
+
+Every name a module imports must be used in that module or re-exported
+through its ``__all__``: an import left behind by a deleted caller is
+dead code that still costs an import and misleads the reader.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import rootcensus
+
+_MODULES = sorted(Path(rootcensus.__file__).parent.glob("*.py"))
+
+
+def _unused_imports(tree: ast.Module) -> list:
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= set(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert _unused_imports(tree) == [], path.name
+
+
+def test_unused_import_is_found():
+    tree = ast.parse("import os\nfrom typing import List, Optional\n__all__ = ['Optional']\nx: List = []\n")
+    assert _unused_imports(tree) == [(1, "os")]
