@@ -10,6 +10,7 @@ all-pairs numeric scan.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from typing import List
@@ -24,6 +25,7 @@ from mpmath import mpf
 from rootcensus import classify
 from rootcensus.errors import DegreeCapExceeded, NotIrreducible
 from rootcensus.intpoly import IntPolynomial, discriminant
+from rootcensus.modp import factor_degree_pattern, primes_up_to
 from rootcensus.classify import (
     factorize,
     has_multiplicative_relation,
@@ -248,6 +250,39 @@ def test_factorize_matches_sympy_seeded():
         assert got == _sympy_factors(f), f.coeffs
 
 
+def _sympy_rational_roots(f: IntPolynomial):
+    _, facs = sympy.Poly(list(f.coeffs), _X).factor_list()
+    return {Fraction(-int(g.coeffs()[1]), int(g.coeffs()[0])) for g, _ in facs if g.degree() == 1}
+
+
+def test_rational_root_matches_sympy_seeded():
+    """Leading and constant coefficients with many divisors (720, 5040,
+    2^4 3^2 5 7 11): the candidate num/den runs over all their divisor
+    pairs."""
+    rng = random.Random(5150)
+    rich = (720, 5040, 2 ** 4 * 3 ** 2 * 5 * 7 * 11)
+    found = 0
+    for _ in range(60):
+        f = IntPolynomial((1,))
+        for _ in range(rng.randint(0, 2)):
+            num = rng.choice(rich) // rng.randint(1, 12)
+            den = rng.choice(rich) // rng.randint(1, 12)
+            f = f * IntPolynomial((den, rng.choice((-1, 1)) * num))
+        rest = [rng.randint(-50, 50) for _ in range(rng.randint(1, 4))]
+        f = f * IntPolynomial((rng.choice(rich),) + tuple(rest) + (rng.choice(rich),))
+        f = f.monic_positive()
+        roots = _sympy_rational_roots(f)
+        got = classify._find_rational_root(f)
+        if got is None:
+            assert not roots, f.coeffs
+        else:
+            num, den = got
+            assert den > 0 and math.gcd(num, den) == 1
+            assert Fraction(num, den) in roots, f.coeffs
+            found += 1
+    assert 10 < found < 60
+
+
 def test_factorize_constructed_product():
     f = IntPolynomial((1, 0, -2)) * IntPolynomial((1, 0, -2)) * IntPolynomial((1, 1, 1))
     fr = factorize(f)
@@ -325,13 +360,81 @@ def test_sn_certificate_requires_irreducible():
 
 
 def test_sn_witness_patterns_are_honest():
-    # every reported witness must reproduce under direct reduction
-    from rootcensus.modp import factor_degree_pattern
+    # every reported witness must reproduce under direct reduction, and
+    # be the first prime with its pattern
+    polys = [IntPolynomial((1,) + (0,) * (n - 2) + (-1, -1)) for n in (3, 5, 7)]  # X^n - X - 1
+    for f in polys + [IntPolynomial((1, 2, 0, 0, -3, 7))]:
+        c = sn_certificate(f)
+        assert c.witnesses
+        for p, pat in c.witnesses:
+            assert factor_degree_pattern(f, p) == pat
+            assert all(factor_degree_pattern(f, q) != pat for q in primes_up_to(p - 1))
 
-    f = IntPolynomial((1, 2, 0, 0, -3, 7))
-    c = sn_certificate(f)
-    for p, pat in c.witnesses:
-        assert factor_degree_pattern(f, p) == pat
+
+def _sn_reference(f: IntPolynomial, prime_bound: int) -> classify.SnCertificate:
+    """The scan without the root-count gate: the factor degree pattern
+    of every prime up to the bound, in order."""
+    n = f.degree
+    targets = {
+        (n,): None,
+        tuple(sorted((1, n - 1))): None,
+        tuple(sorted([1] * (n - 2) + [2])): None,
+    }
+    witnesses = []
+    for p in primes_up_to(prime_bound):
+        pat = factor_degree_pattern(f, p)
+        if pat in targets and targets[pat] is None:
+            targets[pat] = p
+            witnesses.append((p, pat))
+            if all(v is not None for v in targets.values()):
+                break
+    verdict = "CERTIFIED_SN" if all(v is not None for v in targets.values()) else "UNDECIDED"
+    return classify.SnCertificate(verdict, tuple(witnesses), prime_bound)
+
+
+def _gate_corpus(rng: random.Random, count: int, max_deg: int) -> List[IntPolynomial]:
+    out = []
+    while len(out) < count:
+        n = rng.randint(3, max_deg)
+        h = rng.choice((3, 40, 1 << 20, 1 << 70))
+        cs = [rng.randint(-h, h) for _ in range(n + 1)]
+        if rng.random() < 0.25:
+            cs[0] = 2 * 3 * 5 * 7
+        if cs[0] != 0 and cs[-1] != 0:
+            out.append(IntPolynomial(tuple(cs)))
+    return out
+
+
+@pytest.mark.parametrize("bound, count, max_deg", [(200, 40, 10), (2000, 16, 7)])
+def test_sn_gate_matches_ungated_scan(bound, count, max_deg):
+    """The root-count gate skips only primes that cannot show a missing
+    pattern: same verdict, witnesses in the same order, same bound."""
+    certified = 0
+    for f in _gate_corpus(random.Random(bound), count, max_deg):
+        c = sn_certificate(f, prime_bound=bound, assume_irreducible=True)
+        assert c == _sn_reference(f, bound), f.coeffs
+        certified += c.verdict == "CERTIFIED_SN"
+    assert 0 < certified < count
+
+
+def test_sn_gate_matches_ungated_scan_on_edge_cases():
+    # no prime below 257 has good reduction: the gate on every count
+    # ends before the first witness
+    smooth = math.prod(primes_up_to(255))
+    cases = [
+        (IntPolynomial((1, 0, -1, -1)), 200),  # n = 3: {1, n-1} is the transposition
+        (IntPolynomial((1, 0, -3, 1)), 600),  # cyclic cubic: never {1, 2}
+        (IntPolynomial((2 * 3 * 5 * 7, 0, 0, 1, 1)), 2000),
+        (IntPolynomial((2 * 3 * 5 * 7, 5, -1, 0, 3, 1)), 200),
+        (IntPolynomial((1, 0, 0, 0, 1)), 600),  # above the cutoff, never certified
+        (IntPolynomial((1, 0, 0, smooth, smooth)), 2000),
+        (IntPolynomial((1, 0, 0, 0, 0, 2 * smooth, smooth)), 2000),
+    ]
+    assert 600 > classify._ROOT_COUNT_CUTOFF
+    for f, bound in cases:
+        c = sn_certificate(f, prime_bound=bound, assume_irreducible=True)
+        assert c == _sn_reference(f, bound), f.coeffs
+    assert sn_certificate(cases[-1][0], 2000, assume_irreducible=True).witnesses[0][0] == 257
 
 
 # -- multiplicative relations --------------------------------------------------------

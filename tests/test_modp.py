@@ -1,18 +1,22 @@
-"""Mod-p degree patterns against sympy factor lists.
+"""Mod-p degree patterns against sympy factor lists, root counts
+against a per-prime brute force.
 
 A usable prime (not dividing the leading coefficient, reduction
 squarefree) must reproduce the sorted multiset of irreducible factor
-degrees of f mod p; unusable primes must be reported as None.
+degrees of f mod p; unusable primes must be reported as None. At a
+usable prime the root count is the number of linear factors.
 """
 
 from __future__ import annotations
 
 import random
 
+import pytest
 import sympy
 
+from rootcensus import modp
 from rootcensus.intpoly import IntPolynomial, discriminant
-from rootcensus.modp import factor_degree_pattern, primes_up_to
+from rootcensus.modp import factor_degree_pattern, primes_up_to, root_counts
 
 _X = sympy.symbols("x")
 
@@ -96,3 +100,54 @@ def test_patterns_match_sympy_seeded():
             assert pat == _sympy_pattern(f, p), (f.coeffs, p)
             checked += 1
     assert checked > 1000
+
+
+def _brute_root_count(f: IntPolynomial, p: int) -> int:
+    return sum(1 for x in range(p) if f.eval_at(x) % p == 0)
+
+
+def test_root_counts_match_brute_force():
+    rng = random.Random(4242)
+    primes = primes_up_to(400)
+    assert len(primes) * primes[-1] > modp._GRID_BLOCK  # more than one block
+    polys = [
+        # 70-bit and negative coefficients: reduced mod p before numpy
+        IntPolynomial(tuple(rng.choice((-1, 1)) * rng.getrandbits(70) for _ in range(n + 1)))
+        for n in (1, 3, 5, 8)
+    ]
+    polys += [
+        IntPolynomial((2 * 3 * 5 * 7 * (1 << 66), -(3 << 64) - 1, 0, 5)),  # p | lc for p <= 7
+        IntPolynomial((1, 2, -3, -4, 4)),  # (X^2 + X - 2)^2: never squarefree
+        IntPolynomial((1, 0, -5)),  # squarefree except mod 2 and 5
+        IntPolynomial((6, 0, 6)),  # vanishes mod 2 and 3: every x is a root
+    ]
+    for f in polys:
+        assert list(root_counts(f, primes)) == [_brute_root_count(f, p) for p in primes], f
+    assert factor_degree_pattern(polys[-2], 5) is None and polys[-2].coeffs[0] % 5
+    # moduli in any order, one wider than a whole block
+    wide = [16411, 3, 5, 2]
+    assert wide[0] > modp._GRID_BLOCK
+    f = polys[2]
+    assert list(root_counts(f, wide)) == [_brute_root_count(f, p) for p in wide]
+
+
+def test_root_counts_are_the_linear_factors_at_good_primes():
+    rng = random.Random(77)
+    primes = primes_up_to(120)
+    for _ in range(40):
+        n = rng.randint(2, 9)
+        tail = tuple(rng.randint(-(1 << 40), 1 << 40) for _ in range(n))
+        f = IntPolynomial((rng.randint(1, 1 << 40),) + tail)
+        for p, count in zip(primes, root_counts(f, primes)):
+            pat = factor_degree_pattern(f, p)
+            if pat is not None:
+                assert count == pat.count(1), (f.coeffs, p)
+
+
+def test_root_counts_modulus_range():
+    f = IntPolynomial((1, 0, 1))
+    for bad in ([1], [7, 1 << 31]):
+        with pytest.raises(ValueError):
+            list(root_counts(f, bad))
+    assert list(root_counts(f, [])) == []
+    assert list(root_counts(IntPolynomial(()), [2, 3])) == [2, 3]
