@@ -60,13 +60,7 @@ from .generators import (
     perturbation_bounds,
 )
 from .intpoly import IntPolynomial, discriminant
-from .roots import (
-    _fraction_sqrt_upper,
-    fujiwara_bound,
-    isolate_roots,
-    mpf_to_fraction,
-    refine,
-)
+from .roots import fujiwara_bound, isolate_roots, refine
 
 __all__ = [
     "CriterionResult",
@@ -474,13 +468,13 @@ def _roots_in_disks(f: IntPolynomial, pts, gamma: Fraction) -> bool:
         assigned = [0] * len(pts)
         ok = True
         for d in rs.disks:
-            cre = mpf_to_fraction(d.center_re)
-            cim = mpf_to_fraction(d.center_im)
-            rr = mpf_to_fraction(d.radius)
+            # the disk lies inside the gamma-disk of a point b exactly when
+            # |c - b| + r < gamma
+            rr = d.radius
             hit = None
             for k, (bre, bim) in enumerate(pts):
-                dist_hi = _fraction_sqrt_upper((cre - bre) ** 2 + (cim - bim) ** 2) + rr
-                if dist_hi < gamma:
+                d2 = (d.center_re - bre) ** 2 + (d.center_im - bim) ** 2
+                if rr < gamma and d2 < (gamma - rr) ** 2:
                     hit = k
                     break
             if hit is None:
@@ -489,7 +483,7 @@ def _roots_in_disks(f: IntPolynomial, pts, gamma: Fraction) -> bool:
             assigned[hit] += d.multiplicity
         if ok:
             return assigned == [1] * len(pts)
-        rs = refine(rs, mpf_to_fraction(rs.max_radius()) / 16)
+        rs = refine(rs, rs.max_radius() / 16)
     return False
 
 

@@ -79,10 +79,10 @@ from .roots import (
     _analysis,
     _ceil_sqrt,
     _deflated,
+    _disjoint,
     _dyadic,
     _dyadic_disks,
     isolate_roots,
-    mpf_to_fraction,
     refine,
 )
 
@@ -310,7 +310,7 @@ def _profile_certified(f: IntPolynomial) -> ModulusProfile:
             run.size > 1 and chain.roots_in(run.lo2, run.hi2) != 1
             for run in (runs[0], runs[-1])
         ):
-            rs = refine(rs, mpf_to_fraction(rs.max_radius()) / 2**20)
+            rs = refine(rs, rs.max_radius() / 2**20)
             runs = _runs(_modulus_units(rs))
     kmax, kmin = runs[-1].mult, runs[0].mult
     return ModulusProfile(kmax, kmin, kmax == 1, decision)
@@ -356,8 +356,7 @@ def _modulus_units(rs: CertifiedRootSet) -> List[_Unit]:
                     j not in seen
                     and not e.is_real
                     and e.center_re == d.center_re
-                    # exact for any precision: -x would round to mp.prec
-                    and e.center_im + d.center_im == 0
+                    and e.center_im == -d.center_im
                     and e.radius == d.radius
                 ):
                     seen.add(j)
@@ -712,11 +711,5 @@ def _product_disks(disks: Sequence[RootDisk]) -> List[Tuple[int, int, int]]:
 
 def _products_disjoint(disks: Sequence[RootDisk]) -> bool:
     """Whether the product enclosures of all disk pairs are pairwise
-    disjoint: squared centre distance above the squared radius sum."""
-    prods = _product_disks(disks)
-    for i, (x1, y1, r1) in enumerate(prods):
-        for x2, y2, r2 in prods[i + 1 :]:
-            dx, dy, rr = x1 - x2, y1 - y2, r1 + r2
-            if dx * dx + dy * dy <= rr * rr:
-                return False
-    return True
+    disjoint."""
+    return _disjoint(_product_disks(disks))

@@ -60,7 +60,6 @@ from .roots import (
     _fraction_sqrt_lower,
     _fraction_sqrt_upper,
     isolate_roots,
-    mpf_to_fraction,
     refine,
 )
 
@@ -206,15 +205,7 @@ def _resolve_gamma(roots, gamma, refiner) -> Tuple[Fraction, list]:
 
 
 def _disk_tuples(rs: CertifiedRootSet):
-    return [
-        (
-            mpf_to_fraction(d.center_re),
-            mpf_to_fraction(d.center_im),
-            mpf_to_fraction(d.radius),
-            d.multiplicity,
-        )
-        for d in rs.disks
-    ]
+    return [(d.center_re, d.center_im, d.radius, d.multiplicity) for d in rs.disks]
 
 
 def perturbation_bounds(f: IntPolynomial, gamma=None) -> PerturbationBounds:
@@ -227,7 +218,7 @@ def perturbation_bounds(f: IntPolynomial, gamma=None) -> PerturbationBounds:
     state = {"rs": isolate_roots(f)}
 
     def refiner(_roots):
-        rmax = mpf_to_fraction(state["rs"].max_radius())
+        rmax = state["rs"].max_radius()
         if rmax == 0:
             raise GammaTooLarge(
                 "gamma sits at the root-gap boundary; cannot certify strictly"

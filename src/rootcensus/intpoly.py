@@ -694,13 +694,13 @@ def poly_sqrt_exact(f: IntPolynomial) -> IntPolynomial:
 
 
 def _deflate_zero_roots(f: IntPolynomial) -> Tuple[int, IntPolynomial]:
-    """Split f = g * X^v with g(0) != 0; returns (v, g)."""
-    cs = list(f.coeffs)
+    """Split f = g * X^v with g(0) != 0; returns (v, g), g being f itself
+    when v = 0."""
+    cs = f.coeffs
     v = 0
-    while cs and cs[-1] == 0:
-        cs.pop()
+    while v < len(cs) and cs[-1 - v] == 0:
         v += 1
-    return v, IntPolynomial(tuple(cs))
+    return v, IntPolynomial(cs[: len(cs) - v]) if v else f
 
 
 def pair_product_full(g: IntPolynomial) -> IntPolynomial:

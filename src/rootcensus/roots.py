@@ -3,31 +3,35 @@
 The contract: isolate_roots(f) returns pairwise disjoint closed disks,
 one per distinct root, each carrying the multiplicity of its root and a
 certified is_real flag, such that every root of f lies in exactly one
-disk.
+disk. Centres and radii are exact dyadic Fractions.
 
 Roots at zero are split off exactly and get a disk of radius zero, and
 Yun decomposition hands the rest over as squarefree factors with their
 Sturm real counts; this analysis (_analysis) is computed once per
 polynomial and stored on it, so refine and the signatures in classify
-reuse it. Each factor goes through one certification rung, written once
-and run in the arithmetic of its ladder step (see _Arithmetic):
+reuse it. Each factor goes through one certification rung: the
+arithmetic of its ladder step (see _Arithmetic) only proposes centres,
+and one exact integer routine certifies them:
 
 - candidate centers come from Aberth-Ehrlich simultaneous iteration in
   hardware doubles, seeded by companion-matrix eigenvalues when the
   coefficients fit a double and otherwise by a Fujiwara-radius circle
   with deterministic coefficient-seeded angular jitter; an mpmath step
   polishes them with further sweeps at its own precision;
-- each disk radius is deg(g) * |g(z)| / |g'(z)| for the squarefree
-  factor g, evaluated with a running bound on the rounding error, which
-  by the classical argument (g'/g = sum 1/(z - root)) guarantees at
-  least one root of g in the disk; pairwise disjointness then pins
-  exactly one root per disk;
+- each centre z is read exactly as (a + bi) 2^-k, and the disk radius
+  bounds deg(g) * |g(z)| / |g'(z)| from above for the squarefree factor
+  g, from Gaussian-integer Horner values and one upward isqrt
+  (_certify); by the classical argument (g'/g = sum 1/(z - root)) the
+  disk holds at least one root of g, and pairwise disjointness, decided
+  by exact squared distances, then pins exactly one root per disk;
 - realness is decided by comparing the number of disks straddling the
   real axis with the exact Sturm count of the factor; straddling disks
   are then centered on the axis and the rest are matched into exact
   conjugate pairs.
 
-A failed attempt escalates along a ladder that starts at
+No result depends on the global mpmath precision: a centre is whatever
+dyadic rational the proposal produced, and a bad one can only fail a
+check. A failed attempt escalates along a ladder that starts at
 max(precision_bits, 53, coefficient bits + 16) and doubles up to
 precision_cap (4096 bits by default). A start at 53 bits runs the
 hardware-double step, then mpmath at 106, 212, ... bits; the default
@@ -67,28 +71,21 @@ __all__ = [
     "fujiwara_bound",
     "isolate_roots",
     "refine",
-    "mpf_to_fraction",
 ]
 
 _DEFAULT_PRECISION = 128
 _DEFAULT_CAP = 4096
 
 
-def mpf_to_fraction(x) -> Fraction:
-    """Exact Fraction value of an mpf (mpfs are dyadic rationals)."""
-    sign, man, exp, _ = x._mpf_
-    return _dyadic(-man if sign else man, exp)
-
-
 @dataclass(frozen=True)
 class RootDisk:
     """Closed disk certified to contain exactly one distinct root of the
     polynomial, with that root's multiplicity. Center coordinates and
-    radius are mpf values at the set's working precision."""
+    radius are exact dyadic Fractions (denominators powers of two)."""
 
-    center_re: object
-    center_im: object
-    radius: object
+    center_re: Fraction
+    center_im: Fraction
+    radius: Fraction
     multiplicity: int
     is_real: bool
 
@@ -105,13 +102,12 @@ class RootDisk:
 
 def _dyadic_disks(disks: Sequence[RootDisk]) -> Tuple[List[Tuple[int, int, int]], int]:
     """The disks' centres and radii as exact integers at one common dyadic
-    exponent e (mpfs are dyadic rationals): a triple (a, b, k) stands for
-    centre (a + bi) 2^e and radius k 2^e. e is the least exponent of any
-    nonzero value, 0 when all are zero."""
-    parts = [x._mpf_ for d in disks for x in (d.center_re, d.center_im, d.radius)]
-    e = min((exp for _, man, exp, _ in parts if man), default=0)
-    ints = [(-man if sign else man) << (exp - e) if man else 0 for sign, man, exp, _ in parts]
-    return [tuple(ints[i : i + 3]) for i in range(0, len(ints), 3)], e
+    exponent e: a triple (a, b, k) stands for centre (a + bi) 2^e and
+    radius k 2^e, where 2^-e is the largest denominator of any value."""
+    vals = [x for d in disks for x in (d.center_re, d.center_im, d.radius)]
+    k = max(x.denominator for x in vals).bit_length() - 1
+    ints = [x.numerator << (k + 1 - x.denominator.bit_length()) for x in vals]
+    return [tuple(ints[i : i + 3]) for i in range(0, len(ints), 3)], -k
 
 
 def _dyadic(n: int, e: int) -> Fraction:
@@ -157,8 +153,8 @@ class CertifiedRootSet:
     def total_multiplicity(self) -> int:
         return sum(d.multiplicity for d in self.disks)
 
-    def max_radius(self):
-        return max((d.radius for d in self.disks), default=mpf(0))
+    def max_radius(self) -> Fraction:
+        return max((d.radius for d in self.disks), default=Fraction(0))
 
 
 # -- the exact analysis every certified question starts from -------------
@@ -297,43 +293,26 @@ def _companion_seeds(coeffs: Sequence[int]) -> Optional[List[complex]]:
     return out
 
 
-# -- the certification rung and its two arithmetics ----------------------
+# -- the certification rung: proposals in one arithmetic, exact disks -----
 
 
 class _Arithmetic(NamedTuple):
-    """The number type of one certification attempt and the constants that
-    depend on it: `_DOUBLE` is hardware doubles (`complex`/`float`), the
-    53-bit ladder step; `_mp_arithmetic(bits)` is mpmath at `bits` bits
-    (`mpc`/`mpf`), every step above. The rung below (Aberth sweeps, Horner
-    evaluation with an error bound, radius certification, disjointness,
-    realness) is written once over these fields. It is sound in the
-    fail-safe direction: any non-finite value, non-positive derivative
-    bound, disjointness failure or realness mismatch returns None and the
-    ladder escalates. The slack constants are hand-picked margins, not a
-    proved bound."""
+    """The number type in which one ladder step proposes root centres:
+    `_DOUBLE` is hardware doubles (`complex`/`float`), the 53-bit ladder
+    step; `_mp_arithmetic(bits)` is mpmath at `bits` bits (`mpc`/`mpf`),
+    every step above. Only the Aberth sweeps and the rounding of a linear
+    factor's root run in it; certification (_certify) reads each centre
+    as the dyadic rational it is and works in exact integers, so a bad
+    centre can only fail a check and the ladder escalates."""
 
     # how an integer becomes a number; a double conversion beyond range
     # raises OverflowError, which ends the double Aberth sweeps early
     real: Callable
     cplx: Callable
-    # precision context entered once per attempt: none for doubles, whose
-    # rounding is fixed; workprec(bits) for mp
+    # precision context of the proposal: none for doubles, whose rounding
+    # is fixed; workprec(bits) for mp
     scope: Callable
-    # Horner error bound horner * (n + 1) * unit * sum |a_i| |z|^i, unit
-    # 2^-53 or 2^-bits: 8 generously covers the complex multiplication
-    # constants and the final absolute-value rounding; doubles use 16 as
-    # they also round while accumulating sum |a_i| |z|^i itself
-    unit: object
-    horner: object
-    # relative inflation of a certified radius and of a merged conjugate
-    # pair radius, for the rounding of the last operations on them:
-    # 2^-30 and 2^-28 against the double unit 2^-53, 2^-40 for both
-    # against an mp unit of 2^-54 or less, where an absolute floor of
-    # 2^(-4 bits) also keeps every radius positive
-    radius_slack: float
-    pair_slack: float
-    radius_floor: object
-    # doubles overflow to inf and nan, which must fail the attempt; mpf
+    # doubles overflow to inf and nan, which fail the attempt; mpf
     # exponents are unbounded, so mp values from finite inputs stay finite
     finite: Callable
     # every step starts from double Aberth sweeps, which stop below a 1e-14
@@ -343,68 +322,28 @@ class _Arithmetic(NamedTuple):
     aberth_tol: object
     polish_sweeps: int
     nudge: Callable
-    # disk of a linear factor's rational root: the nearest double within
-    # (|z| + 1) 2^-50, or the mp quotient within (|z| + 1) 2^(2 - bits)
-    linear: Callable
-    # doubles hold integers exactly only up to 53 bits: a factor with a
-    # coefficient above 50 bits (leaving 3 bits for its derivative) fails
-    # the double step and escalates; mp has no such gate
-    coeff_bits: Optional[int]
-
-
-# relative margins, in either arithmetic, for the rounding of a center
-# distance: disks count as disjoint only when the distance shrunk by
-# 2^-30 still exceeds the radius sum, and a conjugate pair matches when
-# the distance is within the radius sum grown by 2^-30
-_APART = 1.0 - 2.0**-30
-_NEAR = 1.0 + 2.0**-30
-
-
-def _linear_double(root: Fraction):
-    z = float(root)
-    return [complex(z)], [(abs(z) + 1.0) * 2.0**-50]
 
 
 _DOUBLE = _Arithmetic(
     real=float,
     cplx=complex,
     scope=contextlib.nullcontext,
-    unit=2.0**-53,
-    horner=16.0,
-    radius_slack=1.0 + 2.0**-30,
-    pair_slack=1.0 + 2.0**-28,
-    radius_floor=0.0,
     finite=cmath.isfinite,
     aberth_tol=1e-14,
     polish_sweeps=0,
     nudge=lambda z: z * (1.0 + 1e-7) + 1e-7,
-    linear=_linear_double,
-    coeff_bits=50,
 )
 
 
 def _mp_arithmetic(bits: int) -> _Arithmetic:
-    unit = mpf(2) ** -bits
-
-    def linear(root: Fraction):
-        z = mpf(root.numerator) / mpf(root.denominator)
-        return [mpc(z)], [abs(z) * (4 * unit) + 4 * unit]
-
     return _Arithmetic(
         real=mpf,
         cplx=mpc,
         scope=functools.partial(workprec, bits),
-        unit=unit,
-        horner=8,
-        radius_slack=1.0 + 2.0**-40,
-        pair_slack=1.0 + 2.0**-40,
-        radius_floor=unit**4,
         finite=lambda x: True,
-        aberth_tol=1024 * unit,
+        aberth_tol=mpf(2) ** (10 - bits),
         polish_sweeps=8 + bits // 32,
         nudge=lambda z: z,
-        linear=linear,
-        coeff_bits=None,
     )
 
 
@@ -467,143 +406,148 @@ def _aberth(ar: _Arithmetic, coeffs: Sequence[int], z: list, sweeps: int) -> lis
     return z
 
 
-def _eval_with_error(ar: _Arithmetic, coeffs: Sequence[int], z):
-    """Horner value of the polynomial at z plus a bound on its rounding
-    error, the running bound horner * (n + 1) * unit * sum |a_i| |z|^i."""
+def _dyadic_centre(z) -> Tuple[int, int, int]:
+    """A finite complex double or mpc z exactly as integers (a, b, k) with
+    z = (a + bi) 2^-k and k >= 0: doubles and mpfs are dyadic rationals."""
+    parts = []
+    for x in (z.real, z.imag):
+        if type(x) is float:
+            n, den = x.as_integer_ratio()
+            parts.append((n, den.bit_length() - 1))
+        else:
+            sign, man, exp, _ = x._mpf_
+            man = -man if sign else man
+            parts.append((man << exp, 0) if exp >= 0 else (man, -exp))
+    (a, ka), (b, kb) = parts
+    k = max(ka, kb)
+    return a << (k - ka), b << (k - kb), k
+
+
+def _certify(coeffs: Sequence[int], z) -> Optional[Tuple[int, int, int, int]]:
+    """The disk (a, b, r, k) of centre (a + bi) 2^-k and radius r 2^-k
+    around the proposed centre z of g (these coefficients, degree n),
+    certified in exact integers to hold a root of g; None when g'(z) = 0.
+
+    With z = (a + bi) 2^-k (_dyadic_centre), Horner in Gaussian integers
+    gives G = 2^(kn) g(z) and D = 2^(k(n-1)) g'(z), so the inclusion
+    radius n |g(z)| / |g'(z)| is n |G| / |D| 2^-k, and
+    r = ceil(sqrt(ceil(n^2 |G|^2 / |D|^2))) bounds it from above. Since
+    g'/g = sum 1/(z - root), some root of g lies within it."""
+    a, b, k = _dyadic_centre(z)
     n = len(coeffs) - 1
-    acc = ar.cplx(coeffs[0])
-    az = abs(z)
-    amax = ar.real(abs(coeffs[0]))
-    for c in coeffs[1:]:
-        acc = acc * z + c
-        amax = amax * az + abs(c)
-    return acc, amax * (ar.horner * (n + 1)) * ar.unit
-
-
-def _certify_radius(ar: _Arithmetic, coeffs, dcoeffs, z, d: int):
-    """Certified radius d*|g(z)|/|g'(z)| (upper bound), or None when the
-    derivative bound cannot exclude zero in this arithmetic."""
-    v, e = _eval_with_error(ar, coeffs, z)
-    vd, ed = _eval_with_error(ar, dcoeffs, z)
-    num = abs(v) + e
-    den = abs(vd) - ed
-    if not (ar.finite(num) and ar.finite(den)) or den <= 0:
+    gr, gi, dr, di = coeffs[0], 0, 0, 0
+    for j, c in enumerate(coeffs[1:], 1):
+        dr, di = dr * a - di * b + gr, dr * b + di * a + gi
+        gr, gi = gr * a - gi * b + (c << (k * j)), gr * b + gi * a
+    d2 = dr * dr + di * di
+    if d2 == 0:
         return None
-    r = (num / den) * d * ar.radius_slack + ar.radius_floor
-    return r if ar.finite(r) else None
+    return a, b, _ceil_sqrt(-(-n * n * (gr * gr + gi * gi) // d2)), k
 
 
 def _isolate_factor(ar: _Arithmetic, g: IntPolynomial):
-    """Aberth positions and certified radii for one squarefree factor;
-    returns (centers, radii) or None if certification failed."""
-    d = g.degree
-    if d == 1:
-        return ar.linear(Fraction(-g.coeffs[1], g.coeffs[0]))
-    z = _companion_seeds(g.coeffs)
-    if z is None:
-        z = _aberth(_DOUBLE, g.coeffs, _initial_guesses(g), sweeps=80)
-    else:
-        z = _aberth(_DOUBLE, g.coeffs, z, sweeps=12)
-    if ar.polish_sweeps:
-        z = _aberth(ar, g.coeffs, [ar.cplx(w) for w in z], ar.polish_sweeps)
-    dc = g.derivative().coeffs
-    radii = []
+    """Certified disks (a, b, r, k) (_certify) around the centres that ar
+    proposes for one squarefree factor, or None if one fails."""
+    with ar.scope():
+        if g.degree == 1:
+            z = [ar.cplx(ar.real(-g.coeffs[1]) / ar.real(g.coeffs[0]))]
+        else:
+            z = _companion_seeds(g.coeffs)
+            if z is None:
+                z = _aberth(_DOUBLE, g.coeffs, _initial_guesses(g), sweeps=80)
+            else:
+                z = _aberth(_DOUBLE, g.coeffs, z, sweeps=12)
+            if ar.polish_sweeps:
+                z = _aberth(ar, g.coeffs, [ar.cplx(w) for w in z], ar.polish_sweeps)
+    disks = []
     for zi in z:
-        r = _certify_radius(ar, g.coeffs, dc, zi, d)
-        if r is None:
+        disk = _certify(g.coeffs, zi) if ar.finite(zi) else None
+        if disk is None:
             return None
-        radii.append(r)
-    return z, radii
+        disks.append(disk)
+    return disks
 
 
-def _disjoint(centers: list, radii: list) -> bool:
-    m = len(centers)
-    for i in range(m):
-        for j in range(i + 1, m):
-            if abs(centers[i] - centers[j]) * _APART <= radii[i] + radii[j]:
+def _common(disks: Sequence[Tuple[int, int, int, int]]) -> Tuple[List[List[int]], int]:
+    """Disks (a, b, r, k) as [a, b, r] at the largest k of any."""
+    k = max(d[3] for d in disks)
+    return [[a << (k - j), b << (k - j), r << (k - j)] for a, b, r, j in disks], k
+
+
+def _disjoint(disks: Sequence[Sequence[int]]) -> bool:
+    """Whether the disks [a, b, r] at one scale are pairwise disjoint:
+    squared centre distance above the squared radius sum."""
+    for i, (a, b, r) in enumerate(disks):
+        for c, d, s in disks[i + 1 :]:
+            if (a - c) ** 2 + (b - d) ** 2 <= (r + s) ** 2:
                 return False
     return True
 
 
-def _realness(ar: _Arithmetic, centers, radii, realcount):
-    """Certify which disks hold real roots and symmetrize centers and radii
-    in place; returns the real flags, or None to request more precision."""
-    # a disk holding a real root must straddle the axis: |Im c| <= |c - a| <= r
-    strad = [i for i in range(len(centers)) if abs(centers[i].imag) <= radii[i]]
-    if len(strad) != realcount:
+def _realness(disks: List[List[int]], realcount: int) -> Optional[List[bool]]:
+    """Certify which of a factor's disjoint disks [a, b, r] (one scale)
+    hold real roots and symmetrize them in place; returns the real flags,
+    or None to request more precision."""
+    # a disk holding a real root must straddle the axis: |b| <= |c - root| <= r
+    flags = [abs(b) <= r for _, b, r in disks]
+    if sum(flags) != realcount:
         return None
-    flags = [False] * len(centers)
-    for i in strad:
-        # projecting the center onto the axis moves it closer to the root
-        centers[i] = ar.cplx(centers[i].real, 0)
-        flags[i] = True
-    # conjugate pairing of the off-axis disks
-    upper = [i for i in range(len(centers)) if not flags[i] and centers[i].imag > 0]
-    lower = [i for i in range(len(centers)) if not flags[i] and centers[i].imag < 0]
+    upper, lower = [], []
+    for i, disk in enumerate(disks):
+        if flags[i]:
+            # projecting the centre onto the axis moves it closer to the root
+            disk[1] = 0
+        else:
+            (upper if disk[1] > 0 else lower).append(i)
     if len(upper) != len(lower):
         return None
-    used = set()
     for i in upper:
-        ci = centers[i].conjugate()
+        a, b, r = disks[i]
+        # the lower disks meeting the mirror image of disk i
         cand = [
             j
             for j in lower
-            if j not in used and abs(ci - centers[j]) <= (radii[i] + radii[j]) * _NEAR
+            if (a - disks[j][0]) ** 2 + (b + disks[j][1]) ** 2 <= (r + disks[j][2]) ** 2
         ]
         if len(cand) != 1:
             return None
         j = cand[0]
-        used.add(j)
-        mid = (centers[i] + centers[j].conjugate()) / 2
-        rad = radii[i] if radii[i] > radii[j] else radii[j]
-        rad = (rad + abs(centers[i] - centers[j].conjugate()) / 2) * ar.pair_slack
-        if not ar.finite(rad):
-            return None
-        centers[i] = mid
-        centers[j] = mid.conjugate()
-        radii[i] = rad
-        radii[j] = rad
+        lower.remove(j)
+        # disk j holds the conjugate of disk i's root, so either disk and
+        # its mirror image enclose the pair: keep the smaller one
+        if disks[j][2] < r:
+            a, b, r = disks[j][0], -disks[j][1], disks[j][2]
+        disks[i], disks[j] = [a, b, r], [a, -b, r]
     return flags
 
 
 def _attempt(ar: _Arithmetic, parts, v: int) -> Optional[List[RootDisk]]:
-    """One full certification attempt in one arithmetic."""
-    if ar.coeff_bits is not None and any(
-        abs(c).bit_length() > ar.coeff_bits for fac, _, _ in parts for c in fac.coeffs
-    ):
-        return None
-    all_centers: list = []
-    all_radii: list = []
-    all_mult: List[int] = []
-    all_real: List[bool] = []
-    with ar.scope():
-        for fac, mult, realcount in parts:
-            got = _isolate_factor(ar, fac)
-            if got is None:
-                return None
-            centers, radii = got
-            if not _disjoint(centers, radii):
-                return None
-            is_real = _realness(ar, centers, radii, realcount)
-            if is_real is None:
-                return None
-            all_centers.extend(centers)
-            all_radii.extend(radii)
-            all_mult.extend([mult] * len(centers))
-            all_real.extend(is_real)
-
-        if v > 0:
-            all_centers.append(ar.cplx(0))
-            all_radii.append(ar.real(0))
-            all_mult.append(v)
-            all_real.append(True)
-
-        if not _disjoint(all_centers, all_radii):
+    """One full certification attempt from the centres ar proposes."""
+    found: List[Tuple[int, int, int, int]] = []
+    mults: List[int] = []
+    reals: List[bool] = []
+    for fac, mult, realcount in parts:
+        got = _isolate_factor(ar, fac)
+        if got is None:
             return None
-        return [
-            RootDisk(mpf(c.real), mpf(c.imag), mpf(r), m, br)
-            for c, r, m, br in zip(all_centers, all_radii, all_mult, all_real)
-        ]
+        disks, k = _common(got)
+        is_real = _realness(disks, realcount) if _disjoint(disks) else None
+        if is_real is None:
+            return None
+        found += [(a, b, r, k) for a, b, r in disks]
+        mults += [mult] * len(disks)
+        reals += is_real
+    if v > 0:
+        found.append((0, 0, 0, 0))
+        mults.append(v)
+        reals.append(True)
+    disks, k = _common(found)
+    if not _disjoint(disks):
+        return None
+    return [
+        RootDisk(_dyadic(a, -k), _dyadic(b, -k), _dyadic(r, -k), m, br)
+        for (a, b, r), m, br in zip(disks, mults, reals)
+    ]
 
 
 def isolate_roots(
@@ -629,15 +573,12 @@ def isolate_roots(
     v, parts = _analysis(f)
 
     def _sorted(disks):
-        # mpf comparisons are exact, whatever the working precision
         return tuple(sorted(disks, key=lambda d: (d.center_re, d.center_im)))
 
     while True:
         disks = _attempt(_arithmetic(prec), parts, v)
         if disks is not None:
-            tight = radius_target is None or all(
-                mpf_to_fraction(d.radius) <= radius_target for d in disks
-            )
+            tight = radius_target is None or all(d.radius <= radius_target for d in disks)
             if tight:
                 return CertifiedRootSet(f, _sorted(disks), prec, "CERTIFIED")
         if prec >= cap:

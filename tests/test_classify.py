@@ -20,7 +20,6 @@ import pytest
 import sympy
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
-from mpmath import mpf
 
 from rootcensus import classify
 from rootcensus.errors import DegreeCapExceeded, NotIrreducible
@@ -126,10 +125,11 @@ def test_profile_exact_tie_path(monkeypatch):
         # differ in about the 50th bit, and one near 2^-40; the real root
         # near -2^10 is strictly the largest
         ((1, 0, 0, 0, -(2**40), 1), (1, 1)),
-        # X^4 - 2^40 X + 1: a real root and a conjugate pair near modulus
-        # 2^(40/3), the pair slightly larger, form one run that holds two
-        # distinct roots of the pair-product polynomial
-        ((1, 0, 0, -(2**40), 1), (2, 1)),
+        # X^4 - 2^48 X + 1: a real root and a conjugate pair near modulus
+        # 2^16, the pair slightly larger, form one run that holds two
+        # distinct roots of the pair-product polynomial (with 2^40 the
+        # first disks already tell them apart)
+        ((1, 0, 0, -(2**48), 1), (2, 1)),
     ],
 )
 def test_profile_near_tie_is_refined_apart(monkeypatch, coeffs, counts):
@@ -184,16 +184,16 @@ def test_conjugate_pair_from_mp_rung_is_one_unit():
 
 def test_disk_mod2_is_exact_on_dyadic_disks():
     # centre 3/4 + i, radius 1/4: |c| = 5/4, enclosure (1, 3/2)^2
-    disk = RootDisk(mpf(0.75), mpf(1), mpf(0.25), 1, False)
+    disk = RootDisk(Fraction(3, 4), Fraction(1), Fraction(1, 4), 1, False)
     assert classify._disk_mod2(disk) == (1, Fraction(9, 4))
     # centre 1 + i, radius 1/2: |c| = sqrt 2 is bounded above by 3/2, so
     # (sqrt 2 -+ 1/2)^2 = 9/4 -+ sqrt 2 lies inside (3/4, 15/4)
-    disk = RootDisk(mpf(1), mpf(1), mpf(0.5), 1, False)
+    disk = RootDisk(Fraction(1), Fraction(1), Fraction(1, 2), 1, False)
     assert classify._disk_mod2(disk) == (Fraction(3, 4), Fraction(15, 4))
     # a disk around 0 may hold the root 0
-    disk = RootDisk(mpf(0.125), mpf(-0.125), mpf(0.25), 1, False)
+    disk = RootDisk(Fraction(1, 8), Fraction(-1, 8), Fraction(1, 4), 1, False)
     assert classify._disk_mod2(disk)[0] == 0
-    assert classify._disk_mod2(RootDisk(mpf(-2), mpf(0), mpf(0), 2, True)) == (4, 4)
+    assert classify._disk_mod2(RootDisk(Fraction(-2), Fraction(0), Fraction(0), 2, True)) == (4, 4)
 
 
 def test_low_degree_kernels_match_general_path():

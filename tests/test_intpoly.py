@@ -19,6 +19,7 @@ import sympy
 from rootcensus.errors import BadParameters, ZeroPolynomial
 from rootcensus.intpoly import (
     IntPolynomial,
+    _deflate_zero_roots,
     _prem,
     coeff_string,
     disc2,
@@ -324,3 +325,11 @@ def test_root_product_poly_quartic():
     )
     got = _roots_multiset(root_product_poly(f))
     assert _same_multiset(want, got, tol=1e-5)
+
+
+def test_deflate_zero_roots():
+    f = IntPolynomial((3, 0, -1, 0, 0))
+    assert _deflate_zero_roots(f) == (2, IntPolynomial((3, 0, -1)))
+    # without a zero root f itself comes back, not a copy of it
+    g = IntPolynomial((3, 0, -1))
+    assert _deflate_zero_roots(g)[1] is g

@@ -13,10 +13,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
-from mpmath import mpf
-
+from rootcensus.classify import modulus_profile
 from rootcensus.errors import DegreeTooSmall, ZeroPolynomial
 from rootcensus.intpoly import IntPolynomial
 from rootcensus.roots import (
@@ -24,7 +24,6 @@ from rootcensus.roots import (
     RootDisk,
     fujiwara_bound,
     isolate_roots,
-    mpf_to_fraction,
     refine,
     isolate_roots as _isolate,
 )
@@ -98,34 +97,33 @@ def test_zero_root_exact():
     # x^3 - x = x (x-1) (x+1); the zero root gets the exact point disk {0}
     f = IntPolynomial((1, 0, -1, 0))
     rs = isolate_roots(f)
-    zero_disks = [d for d in rs.disks if d.radius == 0]
+    # the roots +-1 are dyadic, so their disks have radius 0 as well
+    zero_disks = [d for d in rs.disks if d.center_re == 0 and d.center_im == 0]
     assert len(zero_disks) == 1
-    assert zero_disks[0].center_re == 0 and zero_disks[0].center_im == 0
+    assert zero_disks[0].radius == 0
     lo, hi = zero_disks[0].modulus_interval()
     assert lo == 0
 
 
 def test_modulus_interval_is_exact_on_dyadic_disks():
     # centre 3/4 + i, radius 1/4: |c| = 5/4, so exactly [1, 3/2]
-    disk = RootDisk(mpf(0.75), mpf(1), mpf(0.25), 1, False)
+    disk = RootDisk(Fraction(3, 4), Fraction(1), Fraction(1, 4), 1, False)
     assert disk.modulus_interval() == (1, Fraction(3, 2))
     # centre 1 + i, radius 1/2: on the half-integer grid of the disk,
     # sqrt 2 lies in [1, 3/2], so |c| -+ 1/2 lies in [1/2, 2]
-    disk = RootDisk(mpf(1), mpf(1), mpf(0.5), 1, False)
+    disk = RootDisk(Fraction(1), Fraction(1), Fraction(1, 2), 1, False)
     assert disk.modulus_interval() == (Fraction(1, 2), 2)
     # a disk around 0 may hold the root 0
-    disk = RootDisk(mpf(0.125), mpf(-0.125), mpf(0.25), 1, False)
+    disk = RootDisk(Fraction(1, 8), Fraction(-1, 8), Fraction(1, 4), 1, False)
     assert disk.modulus_interval() == (0, Fraction(1, 2))
-    assert RootDisk(mpf(-2), mpf(0), mpf(0), 2, True).modulus_interval() == (2, 2)
+    assert RootDisk(Fraction(-2), Fraction(0), Fraction(0), 2, True).modulus_interval() == (2, 2)
 
 
 def test_rational_root_enclosed():
     # 3x - 7 has the single root 7/3
     rs = isolate_roots(IntPolynomial((3, -7)))
     d = rs.disks[0]
-    c = mpf_to_fraction(d.center_re)
-    r = mpf_to_fraction(d.radius)
-    assert abs(c - Fraction(7, 3)) <= r
+    assert abs(d.center_re - Fraction(7, 3)) <= d.radius
     assert d.is_real and d.multiplicity == 1
 
 
@@ -145,7 +143,7 @@ def test_refine_shrinks_radii():
     target = Fraction(1, 1 << 60)
     fine = refine(rs, target)
     assert fine.status == "CERTIFIED"
-    assert all(mpf_to_fraction(d.radius) <= target for d in fine.disks)
+    assert all(d.radius <= target for d in fine.disks)
     # refinement must keep disks nested in the coarse ones (same roots)
     for d in fine.disks:
         c = complex(float(d.center_re), float(d.center_im))
@@ -203,8 +201,72 @@ def test_f64_rung_agrees_with_mp_seeded():
 
 
 def test_huge_coefficients_escalate_cleanly():
-    # far beyond the 50-bit hardware guard: must still certify
+    # far beyond what a double holds exactly: must still certify
     f = IntPolynomial((10**40, 0, -(10**41), 1))
     rs = isolate_roots(f, precision_bits=53)
     assert rs.status == "CERTIFIED"
     assert rs.total_multiplicity == 3
+
+
+def _holds_roots(f: IntPolynomial, rs: CertifiedRootSet) -> bool:
+    """Whether every 60-digit root of f lies in a disk of rs."""
+    with mpmath.workdps(60):
+        def mp(x: Fraction):
+            return mpmath.mpf(x.numerator) / x.denominator
+
+        return all(
+            any(
+                abs(z - mpmath.mpc(mp(d.center_re), mp(d.center_im))) <= mp(d.radius) + 1e-50
+                for d in rs.disks
+            )
+            for z in mpmath.polyroots(list(f.coeffs), maxsteps=200, extraprec=200)
+        )
+
+
+@pytest.mark.parametrize("bits", [53, 128])
+def test_disks_do_not_depend_on_global_precision(bits):
+    # (X - 2)(X - 1)(X^2 + X + 1): three roots of modulus 1. Disks built
+    # from the global mpmath precision missed the roots -1/2 +- i sqrt(3)/2
+    # under workprec(10) and the profile came out (1, 1)
+    f = IntPolynomial((1, -2, 0, -1, 2))
+    want = isolate_roots(f, precision_bits=bits)
+    with mpmath.workprec(10):
+        got = isolate_roots(f, precision_bits=bits)
+        prof = modulus_profile(f)
+    assert got.disks == want.disks
+    assert _holds_roots(f, got)
+    assert (prof.k_max, prof.k_min) == (1, 3)
+
+
+@pytest.mark.parametrize("bits", [53, 128, 212])
+def test_disks_are_exact_dyadic_fractions(bits):
+    rng = random.Random(46)
+    for _ in range(40):
+        f = _rand_poly(rng, max_deg=7)
+        rs = isolate_roots(f, precision_bits=bits)
+        for d in rs.disks:
+            for x in (d.center_re, d.center_im, d.radius):
+                assert type(x) is Fraction, (f.coeffs, d)
+                assert x.denominator & (x.denominator - 1) == 0, (f.coeffs, d)
+
+
+@pytest.mark.parametrize("bits", [53, 128])
+@pytest.mark.parametrize("q", [(1, 0, 1), (1, 0, 2, 0, 1)])
+def test_rational_root_disks(bits, q):
+    # (aX - b) q with q = X^2 + 1 or (X^2 + 1)^2; with the square the
+    # simple root b/a is a squarefree factor of its own, whose centre is
+    # the rounded quotient b/a. The dyadic root 1/2 is its own centre and
+    # gets radius 0
+    q = IntPolynomial(q)
+    f = IntPolynomial((2, -1)) * q
+    rs = isolate_roots(f, precision_bits=bits)
+    real = [d for d in rs.disks if d.is_real]
+    assert [(d.center_re, d.center_im, d.radius) for d in real] == [(Fraction(1, 2), 0, 0)]
+    assert _holds_roots(f, rs)
+    # 1/3 is no dyadic rational: its disk is about as wide as the rounding
+    f = IntPolynomial((3, -1)) * q
+    rs = isolate_roots(f, precision_bits=bits)
+    (d,) = [d for d in rs.disks if d.is_real]
+    assert 0 < d.radius <= Fraction(1, 1 << (bits - 2))
+    assert abs(d.center_re - Fraction(1, 3)) <= d.radius
+    assert _holds_roots(f, rs)

@@ -2,9 +2,11 @@
 
 Families: Mignotte-like X^n - 2(aX - 1)^2 (two real roots closer than
 a^(-(n+2)/2)), products of cyclotomic polynomials (roots on the unit
-circle, repeated factors), clustered roots (X - k)^m +- 1, and dense
-polynomials with coefficients up to 2^60 (past the 50-bit gate of the
-double step).
+circle, repeated factors), clustered roots (X - k)^m +- 1, a simple
+rational root next to a double quadratic factor (aX - b)(X^2 + c)^2
+(the root b/a is a squarefree factor of its own, and its disk is only
+as wide as the rounding of b/a), and dense polynomials with
+coefficients up to 2^60.
 
 For a 53-bit and a 212-bit start each: every disk holds exactly as many
 roots as its multiplicity, against 50-digit roots from sympy's
@@ -46,7 +48,6 @@ from rootcensus.roots import (
     RootDisk,
     _dyadic_disks,
     isolate_roots,
-    mpf_to_fraction,
 )
 
 _X = sympy.symbols("x")
@@ -71,12 +72,19 @@ def _clustered(k: int, m: int, sign: int) -> IntPolynomial:
     return _poly((_X - k) ** m + sign)
 
 
+def _rational_root(a: int, b: int, c: int) -> IntPolynomial:
+    return _poly((a * _X - b) * (_X**2 + c) ** 2)
+
+
 mignotte = st.builds(_mignotte, st.integers(3, 8), st.integers(2, 40))
 cyclotomic_products = st.builds(
     _cyclotomic_product, st.lists(st.integers(1, 12), min_size=1, max_size=3)
 )
 clustered = st.builds(
     _clustered, st.integers(-4, 4), st.integers(2, 7), st.sampled_from((1, -1))
+)
+rational_root = st.builds(
+    _rational_root, st.integers(1, 15), st.integers(-15, 15), st.integers(-3, 3)
 )
 big_coefficients = (
     st.lists(st.integers(-(2**60), 2**60), min_size=3, max_size=7)
@@ -89,6 +97,17 @@ dense_20_bit = (
     .filter(lambda cs: cs[0] != 0)
     .map(lambda cs: IntPolynomial(tuple(cs)))
 )
+
+
+def _mp(x: Fraction):
+    """A disk's dyadic Fraction as an mpf at the working precision."""
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
+def _near(z, d: RootDisk) -> bool:
+    """Whether the 50-digit root z lies in the disk, up to its own error."""
+    c = mpmath.mpc(_mp(d.center_re), _mp(d.center_im))
+    return abs(z - c) <= _mp(d.radius) + _SLACK * max(1, abs(z))
 
 
 def _oracle_roots(f: IntPolynomial):
@@ -111,10 +130,7 @@ def _oracle_roots(f: IntPolynomial):
 def _check_certified(f: IntPolynomial, rs: CertifiedRootSet) -> None:
     assert rs.status == "CERTIFIED"
     assert rs.total_multiplicity == f.degree
-    disks = [
-        (mpf_to_fraction(d.center_re), mpf_to_fraction(d.center_im), mpf_to_fraction(d.radius))
-        for d in rs.disks
-    ]
+    disks = [(d.center_re, d.center_im, d.radius) for d in rs.disks]
     for i in range(len(disks)):
         for j in range(i + 1, len(disks)):
             (ar, ai, ra), (br, bi, rb) = disks[i], disks[j]
@@ -123,12 +139,7 @@ def _check_certified(f: IntPolynomial, rs: CertifiedRootSet) -> None:
     with mpmath.workdps(_DIGITS + 10):
         held = [0] * len(rs.disks)
         for z in _oracle_roots(f):
-            hits = [
-                k
-                for k, d in enumerate(rs.disks)
-                if abs(z - mpmath.mpc(d.center_re, d.center_im))
-                <= d.radius + _SLACK * max(1, abs(z))
-            ]
+            hits = [k for k, d in enumerate(rs.disks) if _near(z, d)]
             assert len(hits) == 1, (f.coeffs, z)
             held[hits[0]] += 1
         assert held == [d.multiplicity for d in rs.disks], f.coeffs
@@ -141,20 +152,17 @@ def _check_starts_agree(f: IntPolynomial) -> None:
     _check_certified(f, slow)
     assert len(fast.disks) == len(slow.disks)
     for d in fast.disks:
-        c = (mpf_to_fraction(d.center_re), mpf_to_fraction(d.center_im))
-        r = mpf_to_fraction(d.radius)
         hits = [
             e
             for e in slow.disks
-            if (c[0] - mpf_to_fraction(e.center_re)) ** 2
-            + (c[1] - mpf_to_fraction(e.center_im)) ** 2
-            <= (r + mpf_to_fraction(e.radius)) ** 2
+            if (d.center_re - e.center_re) ** 2 + (d.center_im - e.center_im) ** 2
+            <= (d.radius + e.radius) ** 2
         ]
         assert len(hits) == 1, f.coeffs
         assert (hits[0].multiplicity, hits[0].is_real) == (d.multiplicity, d.is_real)
 
 
-@given(st.one_of(mignotte, cyclotomic_products, clustered, big_coefficients))
+@given(st.one_of(mignotte, cyclotomic_products, clustered, rational_root, big_coefficients))
 def test_squared_modulus_enclosures(f):
     """The exact enclosure of |root|^2 that modulus profiles compare holds
     the squared modulus of every 50-digit root in the disk."""
@@ -163,12 +171,7 @@ def test_squared_modulus_enclosures(f):
         rs = isolate_roots(f, precision_bits=bits)
         with mpmath.workdps(2 * _DIGITS):
             for z in roots:
-                disk = next(
-                    d
-                    for d in rs.disks
-                    if abs(z - mpmath.mpc(d.center_re, d.center_im))
-                    <= d.radius + _SLACK * max(1, abs(z))
-                )
+                disk = next(d for d in rs.disks if _near(z, d))
                 lo, hi = _disk_mod2(disk)
                 m2, slack = abs(z) ** 2, 3 * _SLACK * max(1, abs(z)) ** 2
                 assert lo.numerator <= (m2 + slack) * lo.denominator, (f.coeffs, z)
@@ -190,12 +193,20 @@ def test_clustered_roots(f):
     _check_starts_agree(f)
 
 
+@example(_rational_root(3, 1, 1))
+@given(rational_root)
+def test_rational_root_next_to_a_double_factor(f):
+    _check_starts_agree(f)
+
+
 @given(big_coefficients)
 def test_coefficients_up_to_2_60(f):
     _check_starts_agree(f)
 
 
-@given(st.one_of(mignotte, cyclotomic_products, clustered, big_coefficients, dense_20_bit))
+@given(
+    st.one_of(mignotte, cyclotomic_products, clustered, rational_root, big_coefficients, dense_20_bit)
+)
 def test_relation_prefilter_is_sound(f):
     """Separated product enclosures certify that the pairwise root
     products of the squarefree, zero-free part g of f are distinct."""
@@ -225,7 +236,7 @@ dyadic_disks = st.lists(
 @given(dyadic_disks)
 def test_product_disks_hold_products_of_boundary_points(raw):
     disks = [
-        RootDisk(mpmath.ldexp(a, e), mpmath.ldexp(b, e), mpmath.ldexp(k, e), 1, False)
+        RootDisk(a * Fraction(2) ** e, b * Fraction(2) ** e, k * Fraction(2) ** e, 1, False)
         for a, b, k, e in raw
     ]
     prods = _product_disks(disks)

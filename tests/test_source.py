@@ -3,6 +3,10 @@
 Every name a module imports must be used in that module or re-exported
 through its ``__all__``: an import left behind by a deleted caller is
 dead code that still costs an import and misleads the reader.
+
+Only ``roots`` imports mpmath: it hands out exact dyadic Fractions, so no
+other module holds a value whose arithmetic depends on the global
+mpmath precision.
 """
 
 from __future__ import annotations
@@ -15,6 +19,16 @@ import pytest
 import rootcensus
 
 _MODULES = sorted(Path(rootcensus.__file__).parent.glob("*.py"))
+
+
+def _imported_modules(tree: ast.Module) -> set:
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out |= {alias.name.partition(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            out.add(node.module.partition(".")[0])
+    return out
 
 
 def _unused_imports(tree: ast.Module) -> list:
@@ -44,3 +58,16 @@ def test_no_unused_imports(path):
 def test_unused_import_is_found():
     tree = ast.parse("import os\nfrom typing import List, Optional\n__all__ = ['Optional']\nx: List = []\n")
     assert _unused_imports(tree) == [(1, "os")]
+
+
+def test_only_roots_imports_mpmath():
+    users = []
+    for path in _MODULES:
+        if "mpmath" in _imported_modules(ast.parse(path.read_text(encoding="utf-8"))):
+            users.append(path.name)
+    assert users == ["roots.py"]
+
+
+def test_imported_modules_are_found():
+    tree = ast.parse("import mpmath.libmp\nfrom mpmath import mpf\nfrom . import roots\nimport os as o")
+    assert _imported_modules(tree) == {"mpmath", "os"}
