@@ -22,7 +22,6 @@ from .intpoly import (
     graeffe_transform,
     parse_coeff_string,
     power_substitution,
-    reciprocal,
     resultant,
     root_product_poly,
     squarefree_decomposition,
@@ -81,7 +80,6 @@ __all__ = [
     "graeffe_transform",
     "parse_coeff_string",
     "power_substitution",
-    "reciprocal",
     "resultant",
     "root_product_poly",
     "squarefree_decomposition",

@@ -372,7 +372,7 @@ def _c7_intervals(f: IntPolynomial, rs) -> Tuple[bool, bool]:
     A Mahler-side failure first shows up as undecided; it only counts as
     a violation if refinement cannot clear it, and either way the gate
     (zero violations, zero undecided) turns red."""
-    fb = Fraction(fujiwara_bound(f))
+    fb = fujiwara_bound(f)
     n = f.degree
     H = f.height
     m_lo = Fraction(abs(f.coeffs[0]))
@@ -405,7 +405,7 @@ def _c7_chunk(args: Tuple[int, int]) -> Dict[str, object]:
         H = f.height
         if n == 1:
             # exact closed forms: root -a_1/a_0, M(f) = max(|a_0|, |a_1|)
-            fb = Fraction(fujiwara_bound(f))
+            fb = fujiwara_bound(f)
             a0, a1 = abs(f.coeffs[0]), abs(f.coeffs[1])
             m = Fraction(max(a0, a1))
             if Fraction(a1, a0) > fb or not (H <= 2 * m and m * m <= 2 * H * H):

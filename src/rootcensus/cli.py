@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import decimal
 import itertools
 import json
 import os
@@ -207,6 +208,19 @@ def _need_poly(args: argparse.Namespace) -> IntPolynomial:
 # -- roots ---------------------------------------------------------------
 
 
+def _number(x: Fraction):
+    """A disk value for output: a float, or beyond the double range (above
+    it, or nonzero below it) a Decimal of 17 significant digits, which
+    JSON output writes as a string."""
+    try:
+        v = float(x)
+        if v or not x:
+            return v
+    except OverflowError:
+        pass
+    return decimal.Context(prec=17).divide(x.numerator, x.denominator)
+
+
 def _cmd_roots(args: argparse.Namespace) -> int:
     f = _need_poly(args)
     cfg = _config(
@@ -224,9 +238,9 @@ def _cmd_roots(args: argparse.Namespace) -> int:
     )
     disks = [
         {
-            "center_re": float(d.center_re),
-            "center_im": float(d.center_im),
-            "radius": float(d.radius),
+            "center_re": _number(d.center_re),
+            "center_im": _number(d.center_im),
+            "radius": _number(d.radius),
             "multiplicity": d.multiplicity,
             "is_real": d.is_real,
         }
@@ -236,8 +250,7 @@ def _cmd_roots(args: argparse.Namespace) -> int:
         lines = ["status %s at %d bits" % (rs.status, rs.precision_bits)]
         for d in disks:
             lines.append(
-                "  %.17g %+.17gi  r=%.3g  mult=%d%s"
-                % (
+                "  {:.17g} {:+.17g}i  r={:.3g}  mult={}{}".format(
                     d["center_re"],
                     d["center_im"],
                     d["radius"],

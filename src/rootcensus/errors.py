@@ -15,7 +15,7 @@ class ZeroPolynomial(RootCensusError):
 
 
 class ZeroConstantTerm(RootCensusError):
-    """Operation needs a nonzero constant term (e.g. reciprocal)."""
+    """Operation needs a nonzero constant term (e.g. pair_product_full)."""
 
 
 class DegreeTooSmall(RootCensusError):

@@ -54,7 +54,7 @@ from .errors import (
     PrecisionCapExceeded,
     TargetNotSeparated,
 )
-from .intpoly import IntPolynomial, coeff_string
+from .intpoly import IntPolynomial, _int_nthroot, coeff_string
 from .roots import (
     CertifiedRootSet,
     _fraction_sqrt_lower,
@@ -266,19 +266,6 @@ def _target_poly(points: Sequence[Tuple[Fraction, Fraction]]) -> List[Fraction]:
                 out[a + b] += ca * cb
         coeffs = out
     return coeffs
-
-
-def _int_nthroot(x: int, n: int) -> int:
-    if x < 0:
-        raise ValueError("negative")
-    if x == 0:
-        return 0
-    r = 1 << (x.bit_length() // n + 1)
-    while True:
-        nr = ((n - 1) * r + x // r ** (n - 1)) // n
-        if nr >= r:
-            return r
-        r = nr
 
 
 def _nth_root_lower(x: int, n: int, bits: int = 64) -> Fraction:

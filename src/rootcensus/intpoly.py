@@ -7,8 +7,8 @@ and reports degree -1.
 
 Everything here is exact integer (or Fraction) arithmetic: subresultant
 resultants, primitive-PRS gcd, Yun squarefree decomposition, Sturm
-chains, the Graeffe root-squaring transform, reciprocal and
-power-substitution structure, and the pairwise root-product polynomial
+chains, the Graeffe root-squaring transform, power-substitution
+structure, and the pairwise root-product polynomial
 prod_{i<j} (X - alpha_i alpha_j) built from resultants by interpolation.
 """
 
@@ -42,7 +42,6 @@ __all__ = [
     "squarefree_decomposition",
     "squarefree_part",
     "graeffe_transform",
-    "reciprocal",
     "power_substitution",
     "sturm_chain",
     "sturm_real_root_count",
@@ -59,12 +58,27 @@ def _trim(coeffs: Sequence[int]) -> Tuple[int, ...]:
     return tuple(coeffs[i:])
 
 
+def _int_nthroot(x: int, n: int) -> int:
+    """floor(x^(1/n)) for integers x >= 0 and n >= 1, by Newton's method
+    from above."""
+    if x < 0:
+        raise ValueError("negative")
+    if x == 0:
+        return 0
+    r = 1 << (x.bit_length() // n + 1)
+    while True:
+        nr = ((n - 1) * r + x // r ** (n - 1)) // n
+        if nr >= r:
+            return r
+        r = nr
+
+
 @dataclass(frozen=True)
 class IntPolynomial:
     """Dense integer polynomial, leading coefficient first.
 
     >>> f = IntPolynomial((1, 0, -2))
-    >>> f.degree, f(2)
+    >>> f.degree, f.eval_at(2)
     (2, 2)
     >>> IntPolynomial((0, 0)).is_zero
     True
@@ -99,16 +113,6 @@ class IntPolynomial:
         return not self.coeffs
 
     @property
-    def leading(self) -> int:
-        if self.is_zero:
-            raise ZeroPolynomial("zero polynomial has no leading coefficient")
-        return self.coeffs[0]
-
-    @property
-    def constant(self) -> int:
-        return self.coeffs[-1] if self.coeffs else 0
-
-    @property
     def height(self) -> int:
         """Max absolute coefficient (0 for the zero polynomial)."""
         return max((abs(c) for c in self.coeffs), default=0)
@@ -118,12 +122,9 @@ class IntPolynomial:
 
     # -- evaluation ---------------------------------------------------
 
-    def __call__(self, x):
-        return self.eval_at(x)
-
     def eval_at(self, x):
         """Horner evaluation; works for any ring element (int, Fraction,
-        float, complex, mpf/mpc, interval types)."""
+        float, complex, interval types)."""
         if self.is_zero:
             return 0 * x
         acc = self.coeffs[0] + 0 * x
@@ -509,15 +510,6 @@ def graeffe_transform(f: IntPolynomial) -> IntPolynomial:
     if n % 2:
         F = -F
     return F
-
-
-def reciprocal(f: IntPolynomial) -> IntPolynomial:
-    """X^n f(1/X); roots map to their inverses. Needs f(0) != 0."""
-    if f.is_zero:
-        raise ZeroPolynomial("reciprocal of the zero polynomial")
-    if f.coeffs[-1] == 0:
-        raise ZeroConstantTerm("reciprocal needs a nonzero constant term")
-    return IntPolynomial(tuple(reversed(f.coeffs)))
 
 
 def power_substitution(f: IntPolynomial) -> Tuple[int, IntPolynomial]:

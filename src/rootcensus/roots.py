@@ -9,15 +9,19 @@ Roots at zero are split off exactly and get a disk of radius zero, and
 Yun decomposition hands the rest over as squarefree factors with their
 Sturm real counts; this analysis (_analysis) is computed once per
 polynomial and stored on it, so refine and the signatures in classify
-reuse it. Each factor goes through one certification rung: the
-arithmetic of its ladder step (see _Arithmetic) only proposes centres,
-and one exact integer routine certifies them:
+reuse it. Each factor goes through one certification rung: centres are
+proposed at the bits of its ladder step, and one exact integer routine
+certifies them:
 
-- candidate centers come from Aberth-Ehrlich simultaneous iteration in
-  hardware doubles, seeded by companion-matrix eigenvalues when the
-  coefficients fit a double and otherwise by a Fujiwara-radius circle
-  with deterministic coefficient-seeded angular jitter; an mpmath step
-  polishes them with further sweeps at its own precision;
+- a linear factor's centre is its root -c1/c0 rounded to the step's
+  bits; for higher degrees, Aberth-Ehrlich simultaneous iteration in
+  hardware doubles, seeded by companion-matrix eigenvalues, proposes the
+  centres of the 53-bit step;
+- above 53 bits, Aberth sweeps in exact Gaussian-integer fixed point
+  polish those centres on one dyadic grid per factor, fine enough for
+  its smallest root, and each centre is rounded to the step's bits; when
+  the coefficients do not fit a double there are no companion seeds, and
+  the sweeps start from Newton-polygon circles at every step (_polish);
 - each centre z is read exactly as (a + bi) 2^-k, and the disk radius
   bounds deg(g) * |g(z)| / |g'(z)| from above for the squarefree factor
   g, from Gaussian-integer Horner values and one upward isqrt
@@ -29,29 +33,24 @@ and one exact integer routine certifies them:
   are then centered on the axis and the rest are matched into exact
   conjugate pairs.
 
-No result depends on the global mpmath precision: a centre is whatever
-dyadic rational the proposal produced, and a bad one can only fail a
-check. A failed attempt escalates along a ladder that starts at
-max(precision_bits, 53, coefficient bits + 16) and doubles up to
-precision_cap (4096 bits by default). A start at 53 bits runs the
-hardware-double step, then mpmath at 106, 212, ... bits; the default
-start runs mpmath at 128, 256, ... bits. Past the cap isolate_roots
-raises PrecisionCapExceeded.
+Proposals round, in doubles or on a dyadic grid, but certification does
+not: a bad centre can only fail a check. A failed attempt escalates
+along a ladder that starts at max(precision_bits, 53, coefficient
+bits + 16) and doubles up to precision_cap (4096 bits by default). A
+start at 53 bits runs the hardware-double step, then fixed point at
+106, 212, ... bits; the default start runs fixed point at 128, 256, ...
+bits. Past the cap isolate_roots raises PrecisionCapExceeded.
 """
 
 from __future__ import annotations
 
 import cmath
-import contextlib
-import functools
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-from mpmath import mpc, mpf, workprec
 
 from .errors import (
     DegreeTooSmall,
@@ -61,6 +60,7 @@ from .errors import (
 from .intpoly import (
     IntPolynomial,
     _deflate_zero_roots,
+    _int_nthroot,
     squarefree_decomposition,
     sturm_real_root_count,
 )
@@ -199,87 +199,41 @@ def _deflated(f: IntPolynomial) -> Tuple[int, IntPolynomial]:
 
 # -- Fujiwara bound ------------------------------------------------------
 
+# the grid 2^-s on which fujiwara_bound rounds each term up
+_FUJIWARA_BITS = 64
 
-def fujiwara_bound(f: IntPolynomial) -> float:
+
+def fujiwara_bound(f: IntPolynomial) -> Fraction:
     """Upper bound on all root moduli:
     2 * max(|a1/a0|, |a2/a0|^(1/2), ..., |a_{n-1}/a0|^(1/(n-1)),
             |a_n/(2 a0)|^(1/n)).
-    Rounded upward; the returned float is verified exactly to dominate
-    every term."""
+    Each term ratio^(1/k) is rounded up to the grid 2^-s, s =
+    _FUJIWARA_BITS: the least integer r with r^k >= ceil(ratio 2^(sk))
+    gives the term r 2^-s, so the returned dyadic Fraction dominates
+    twice every term and lies within 2^(1-s) of twice the largest."""
     n = f.degree
     if n < 1:
         raise DegreeTooSmall("fujiwara bound needs degree >= 1")
     a0 = abs(f.coeffs[0])
-    best = 0.0
-    terms: List[Tuple[Fraction, int]] = []
+    s = _FUJIWARA_BITS
+    best = 0
     for k in range(1, n + 1):
-        ak = abs(f.coeffs[k])
-        if ak == 0:
-            continue
-        ratio = Fraction(ak, 2 * a0) if k == n else Fraction(ak, a0)
-        terms.append((ratio, k))
-        u = _float_upper_root(ratio, k)
-        if u > best:
-            best = u
-    bound = 2.0 * best
-    # exact final verification: (bound/2)^k >= ratio for every term
-    while True:
-        half = Fraction(bound) / 2 if bound > 0 else Fraction(0)
-        if all(half**k >= ratio for ratio, k in terms):
-            return bound
-        bound = bound * (1.0 + 1e-12) + 5e-324
+        den = 2 * a0 if k == n else a0
+        x = -((-abs(f.coeffs[k]) << (s * k)) // den)
+        r = _int_nthroot(x, k)
+        best = max(best, r if r**k >= x else r + 1)
+    return Fraction(best, 1 << (s - 1))
 
 
-def _float_upper_root(ratio: Fraction, k: int) -> float:
-    """Float upper bound on ratio^(1/k)."""
-    x = _fraction_to_float_upper(ratio)
-    if x == 0.0:
-        return 0.0
-    u = x ** (1.0 / k)
-    while Fraction(u) ** k < ratio:
-        u = math.nextafter(u * (1.0 + 1e-15), math.inf)
-    return u
-
-
-def _fraction_to_float_upper(q: Fraction) -> float:
-    try:
-        x = float(q)
-    except OverflowError:
-        return math.inf
-    if x == math.inf:
-        return x
-    while Fraction(x) < q:
-        x = math.nextafter(x, math.inf)
-    return x
-
-
-# -- Aberth-Ehrlich seeds ------------------------------------------------
-
-
-def _initial_guesses(g: IntPolynomial) -> List[complex]:
-    """Equally spaced points on the Fujiwara circle with deterministic
-    coefficient-seeded angular jitter."""
-    d = g.degree
-    rad = fujiwara_bound(g) * (1.0 + 1.0 / (4 * d + 4))
-    if rad == 0.0 or not math.isfinite(rad):
-        rad = 1.0 if rad == 0.0 else 1e150
-    rng = random.Random("rootcensus:" + ",".join(str(c) for c in g.coeffs))
-    base = rng.uniform(0.0, 2.0 * math.pi / d)
-    out = []
-    for j in range(d):
-        ang = base + 2.0 * math.pi * j / d + rng.uniform(-0.25, 0.25) * (2.0 * math.pi / d)
-        out.append(complex(rad * math.cos(ang), rad * math.sin(ang)))
-    return out
+# -- proposals: double Aberth, then exact fixed-point polishing ----------
 
 
 def _companion_seeds(coeffs: Sequence[int]) -> Optional[List[complex]]:
     """Hardware eigenvalue seeds for Aberth, or None when the coefficients
-    do not fit a double (the Fujiwara-circle ladder takes over)."""
+    do not fit a double (Newton-polygon seeds take over)."""
     try:
         cf = [float(c) for c in coeffs]
     except OverflowError:
-        return None
-    if not all(math.isfinite(c) for c in cf):
         return None
     try:
         rr = np.roots(cf)
@@ -293,76 +247,43 @@ def _companion_seeds(coeffs: Sequence[int]) -> Optional[List[complex]]:
     return out
 
 
-# -- the certification rung: proposals in one arithmetic, exact disks -----
+def _newton_seeds(coeffs: Sequence[int]) -> List[Tuple[complex, int]]:
+    """Starting points (w, e), standing for w 2^e, from the Newton polygon
+    (Bini, Numer. Algorithms 13, 1996): each edge of the upper convex hull
+    of the points (i, bit length of the coefficient of X^i) from i0 to i1
+    puts i1 - i0 points on the dyadic circle of radius 2^e, e the edge's
+    slope rounded, which approximates |a_i0 / a_i1|^(1/(i1 - i0)). The
+    points of the h-th edge (h = 0, 1, ...) start at the angle 0.7 (h + 1),
+    so no two circles of one radius share a point."""
+    hull: List[Tuple[int, int]] = []
+    for i, c in enumerate(reversed(coeffs)):
+        if c == 0:
+            continue
+        p = (i, abs(c).bit_length())
+        while len(hull) >= 2:
+            (i0, l0), (i1, l1) = hull[-2], hull[-1]
+            if (i1 - i0) * (p[1] - l0) < (p[0] - i0) * (l1 - l0):
+                break
+            hull.pop()
+        hull.append(p)
+    seeds = []
+    for h, ((i0, l0), (i1, l1)) in enumerate(zip(hull, hull[1:])):
+        m = i1 - i0
+        e = round((l0 - l1) / m)
+        for j in range(m):
+            t = 2 * math.pi * j / m + 0.7 * (h + 1)
+            seeds.append((complex(math.cos(t), math.sin(t)), e))
+    return seeds
 
 
-class _Arithmetic(NamedTuple):
-    """The number type in which one ladder step proposes root centres:
-    `_DOUBLE` is hardware doubles (`complex`/`float`), the 53-bit ladder
-    step; `_mp_arithmetic(bits)` is mpmath at `bits` bits (`mpc`/`mpf`),
-    every step above. Only the Aberth sweeps and the rounding of a linear
-    factor's root run in it; certification (_certify) reads each centre
-    as the dyadic rational it is and works in exact integers, so a bad
-    centre can only fail a check and the ladder escalates."""
-
-    # how an integer becomes a number; a double conversion beyond range
-    # raises OverflowError, which ends the double Aberth sweeps early
-    real: Callable
-    cplx: Callable
-    # precision context of the proposal: none for doubles, whose rounding
-    # is fixed; workprec(bits) for mp
-    scope: Callable
-    # doubles overflow to inf and nan, which fail the attempt; mpf
-    # exponents are unbounded, so mp values from finite inputs stay finite
-    finite: Callable
-    # every step starts from double Aberth sweeps, which stop below a 1e-14
-    # relative move (a few dozen double units) and nudge a point off a
-    # zero derivative or a collision; mp polishes with 8 + bits/32 more
-    # sweeps, stopping below 2^(10 - bits), and leaves such a point alone
-    aberth_tol: object
-    polish_sweeps: int
-    nudge: Callable
-
-
-_DOUBLE = _Arithmetic(
-    real=float,
-    cplx=complex,
-    scope=contextlib.nullcontext,
-    finite=cmath.isfinite,
-    aberth_tol=1e-14,
-    polish_sweeps=0,
-    nudge=lambda z: z * (1.0 + 1e-7) + 1e-7,
-)
-
-
-def _mp_arithmetic(bits: int) -> _Arithmetic:
-    return _Arithmetic(
-        real=mpf,
-        cplx=mpc,
-        scope=functools.partial(workprec, bits),
-        finite=lambda x: True,
-        aberth_tol=mpf(2) ** (10 - bits),
-        polish_sweeps=8 + bits // 32,
-        nudge=lambda z: z,
-    )
-
-
-def _arithmetic(bits: int) -> _Arithmetic:
-    """The arithmetic of one ladder step: hardware doubles at 53 bits,
-    mpmath above."""
-    return _DOUBLE if bits <= 53 else _mp_arithmetic(bits)
-
-
-def _aberth(ar: _Arithmetic, coeffs: Sequence[int], z: list, sweeps: int) -> list:
-    """Aberth sweeps on z in place; returns best-effort positions, which
-    may be unconverged (certification decides whether they suffice)."""
+def _aberth(coeffs: Sequence[int], z: List[complex], sweeps: int) -> List[complex]:
+    """Aberth sweeps in hardware doubles on z in place; returns best-effort
+    positions, which may be unconverged (certification decides whether
+    they suffice). Sweeps stop below a 1e-14 relative move, and a point on
+    a zero derivative or a collision is nudged off it."""
     d = len(coeffs) - 1
-    try:
-        cf = [ar.real(c) for c in coeffs]
-    except OverflowError:
-        return z
+    cf = [float(c) for c in coeffs]
     df = [cf[i] * (d - i) for i in range(d)]
-    finite, nudge = ar.finite, ar.nudge
     for _ in range(sweeps):
         maxmove = 0
         for i in range(d):
@@ -376,7 +297,7 @@ def _aberth(ar: _Arithmetic, coeffs: Sequence[int], z: list, sweeps: int) -> lis
             for a in df[1:]:
                 q = q * zi + a
             if q == 0:
-                z[i] = nudge(zi)
+                z[i] = zi * (1.0 + 1e-7) + 1e-7
                 continue
             w = p / q
             s = 0
@@ -389,83 +310,162 @@ def _aberth(ar: _Arithmetic, coeffs: Sequence[int], z: list, sweeps: int) -> lis
                         break
                     s += 1 / dz
             if bad:
-                z[i] = nudge(zi)
+                z[i] = zi * (1.0 + 1e-7) + 1e-7
                 continue
             den = 1 - w * s
             if den == 0:
                 continue
             corr = w / den
-            if not finite(corr):
+            if not cmath.isfinite(corr):
                 continue
             z[i] = zi - corr
             move = abs(corr) / (abs(zi) + 1)
             if move > maxmove:
                 maxmove = move
-        if maxmove < ar.aberth_tol:
+        if maxmove < 1e-14:
             break
     return z
 
 
-def _dyadic_centre(z) -> Tuple[int, int, int]:
-    """A finite complex double or mpc z exactly as integers (a, b, k) with
-    z = (a + bi) 2^-k and k >= 0: doubles and mpfs are dyadic rationals."""
-    parts = []
-    for x in (z.real, z.imag):
-        if type(x) is float:
-            n, den = x.as_integer_ratio()
-            parts.append((n, den.bit_length() - 1))
-        else:
-            sign, man, exp, _ = x._mpf_
-            man = -man if sign else man
-            parts.append((man << exp, 0) if exp >= 0 else (man, -exp))
-    (a, ka), (b, kb) = parts
-    k = max(ka, kb)
-    return a << (k - ka), b << (k - kb), k
-
-
-def _certify(coeffs: Sequence[int], z) -> Optional[Tuple[int, int, int, int]]:
-    """The disk (a, b, r, k) of centre (a + bi) 2^-k and radius r 2^-k
-    around the proposed centre z of g (these coefficients, degree n),
-    certified in exact integers to hold a root of g; None when g'(z) = 0.
-
-    With z = (a + bi) 2^-k (_dyadic_centre), Horner in Gaussian integers
-    gives G = 2^(kn) g(z) and D = 2^(k(n-1)) g'(z), so the inclusion
-    radius n |g(z)| / |g'(z)| is n |G| / |D| 2^-k, and
-    r = ceil(sqrt(ceil(n^2 |G|^2 / |D|^2))) bounds it from above. Since
-    g'/g = sum 1/(z - root), some root of g lies within it."""
-    a, b, k = _dyadic_centre(z)
-    n = len(coeffs) - 1
+def _horner(coeffs: Sequence[int], a: int, b: int, k: int) -> Tuple[int, int, int, int]:
+    """Gaussian-integer Horner values at z = (a + bi) 2^-k of g (these
+    coefficients, degree n): (Re G, Im G, Re D, Im D) with G = 2^(kn) g(z)
+    and D = 2^(k(n-1)) g'(z)."""
     gr, gi, dr, di = coeffs[0], 0, 0, 0
     for j, c in enumerate(coeffs[1:], 1):
         dr, di = dr * a - di * b + gr, dr * b + di * a + gi
         gr, gi = gr * a - gi * b + (c << (k * j)), gr * b + gi * a
+    return gr, gi, dr, di
+
+
+def _div_round(x: int, q: int) -> int:
+    """x / q rounded to the nearest integer, for q > 0."""
+    return (2 * x + q) // (2 * q)
+
+
+def _polish(
+    coeffs: Sequence[int], seeds: Sequence[Tuple[complex, int]], bits: int
+) -> Tuple[List[List[int]], int]:
+    """Aberth sweeps in exact Gaussian-integer fixed point from the seeds
+    (w, e), standing for w 2^e; returns the centres [a, b], standing for
+    (a + bi) 2^-k, and k.
+
+    The grid is one per factor, `bits` + 8 bits below the modulus of the
+    smallest seed; the 8 guard bits absorb the error of that estimate. With Z_i = (a_i + b_i i) and the Horner values G
+    and D at Z_i 2^-k (_horner), the Aberth correction
+    (g/g') / (1 - (g/g') sum_{j != i} 1/(z_i - z_j)) is, in units of 2^-k,
+    G S_d / (D S_d - G S_n), where S_n / S_d = sum_{j != i} 1/(Z_i - Z_j)
+    is kept exact. Sweeps round it to the grid and stop once no centre
+    moves by more than one unit, or after 8 + bits/32 sweeps; a centre
+    that is a root, or meets another centre, is left where it is."""
+    top = min(
+        (max(math.frexp(x)[1] for x in (w.real, w.imag) if x) + e for w, e in seeds if w),
+        default=0,
+    )
+    k = max(0, bits + 8 - top)
+    Z = []
+    for w, e in seeds:
+        t = e + k
+        parts = (w.real.as_integer_ratio(), w.imag.as_integer_ratio())
+        Z.append([_div_round(n << max(0, t), d << max(0, -t)) for n, d in parts])
+    for _ in range(8 + bits // 32):
+        moved = 0
+        for i, (a, b) in enumerate(Z):
+            gr, gi, dr, di = _horner(coeffs, a, b, k)
+            if gr == gi == 0:
+                continue
+            # fold 1/x_j, x_j = Z_i - Z_j, into S_n / S_d: N/S + 1/x = (N x + S) / (S x)
+            nr, ni, sr, si = 0, 0, 1, 0
+            for j, (c, d) in enumerate(Z):
+                if j != i:
+                    xr, xi = a - c, b - d
+                    nr, ni = nr * xr - ni * xi + sr, nr * xi + ni * xr + si
+                    sr, si = sr * xr - si * xi, sr * xi + si * xr
+            ur, ui = gr * sr - gi * si, gr * si + gi * sr
+            vr = dr * sr - di * si - gr * nr + gi * ni
+            vi = dr * si + di * sr - gr * ni - gi * nr
+            q = vr * vr + vi * vi
+            if q == 0:
+                continue
+            cr = _div_round(ur * vr + ui * vi, q)
+            ci = _div_round(ui * vr - ur * vi, q)
+            Z[i] = [a - cr, b - ci]
+            moved = max(moved, abs(cr), abs(ci))
+        if moved <= 1:
+            break
+    return Z, k
+
+
+def _rounded(p: int, q: int, bits: int) -> Tuple[int, int]:
+    """p/q (q > 0) rounded to `bits` significant bits, to nearest with ties
+    to even, as (m, s) with m 2^-s the rounded value and m odd or 0."""
+    if p == 0:
+        return 0, 0
+    s = bits - abs(p).bit_length() + q.bit_length()
+    while True:
+        num, den = (abs(p) << s, q) if s >= 0 else (abs(p), q << -s)
+        m, r = divmod(num, den)
+        if m < 1 << bits:
+            break
+        s -= 1
+    if 2 * r > den or (2 * r == den and m & 1):
+        m += 1
+    tz = (m & -m).bit_length() - 1
+    return (m if p > 0 else -m) >> tz, s - tz
+
+
+def _centre(re: Tuple[int, int], im: Tuple[int, int], bits: int) -> Tuple[int, int, int]:
+    """The centre whose parts are the fractions re = (p, q) and im, each
+    rounded to `bits` significant bits (_rounded), as integers (a, b, k)
+    with centre (a + bi) 2^-k and k >= 0."""
+    (a, ka), (b, kb) = _rounded(*re, bits), _rounded(*im, bits)
+    k = max(ka, kb, 0)
+    return a << (k - ka), b << (k - kb), k
+
+
+def _certify(coeffs: Sequence[int], a: int, b: int, k: int) -> Optional[Tuple[int, int, int, int]]:
+    """The disk (a, b, r, k) of centre (a + bi) 2^-k and radius r 2^-k,
+    certified in exact integers to hold a root of g (these coefficients,
+    degree n); None when g'(z) = 0.
+
+    With G and D the Horner values at the centre (_horner), the inclusion
+    radius n |g(z)| / |g'(z)| is n |G| / |D| 2^-k, and
+    r = ceil(sqrt(ceil(n^2 |G|^2 / |D|^2))) bounds it from above. Since
+    g'/g = sum 1/(z - root), some root of g lies within it."""
+    n = len(coeffs) - 1
+    gr, gi, dr, di = _horner(coeffs, a, b, k)
     d2 = dr * dr + di * di
     if d2 == 0:
         return None
     return a, b, _ceil_sqrt(-(-n * n * (gr * gr + gi * gi) // d2)), k
 
 
-def _isolate_factor(ar: _Arithmetic, g: IntPolynomial):
-    """Certified disks (a, b, r, k) (_certify) around the centres that ar
-    proposes for one squarefree factor, or None if one fails."""
-    with ar.scope():
-        if g.degree == 1:
-            z = [ar.cplx(ar.real(-g.coeffs[1]) / ar.real(g.coeffs[0]))]
+def _isolate_factor(g: IntPolynomial, bits: int):
+    """Certified disks (a, b, r, k) (_certify) around the centres proposed
+    at `bits` bits for one squarefree factor, or None if one fails.
+
+    A linear factor's centre is its root rounded to `bits` bits. Otherwise
+    double Aberth sweeps from companion seeds propose the centres of the
+    53-bit step; above it, or without companion seeds (from Newton-polygon
+    seeds), exact fixed-point sweeps polish them and each centre is
+    rounded to `bits` bits."""
+    cs = g.coeffs
+    if g.degree == 1:
+        c0, c1 = cs
+        centres = [_centre((-c1 if c0 > 0 else c1, abs(c0)), (0, 1), bits)]
+    else:
+        z = _companion_seeds(cs)
+        if z is not None:
+            z = _aberth(cs, z, sweeps=12)
+            if not all(map(cmath.isfinite, z)):
+                z = None
+        if z is not None and bits <= 53:
+            centres = [_centre(w.real.as_integer_ratio(), w.imag.as_integer_ratio(), bits) for w in z]
         else:
-            z = _companion_seeds(g.coeffs)
-            if z is None:
-                z = _aberth(_DOUBLE, g.coeffs, _initial_guesses(g), sweeps=80)
-            else:
-                z = _aberth(_DOUBLE, g.coeffs, z, sweeps=12)
-            if ar.polish_sweeps:
-                z = _aberth(ar, g.coeffs, [ar.cplx(w) for w in z], ar.polish_sweeps)
-    disks = []
-    for zi in z:
-        disk = _certify(g.coeffs, zi) if ar.finite(zi) else None
-        if disk is None:
-            return None
-        disks.append(disk)
-    return disks
+            Z, k = _polish(cs, [(w, 0) for w in z] if z is not None else _newton_seeds(cs), bits)
+            centres = [_centre((a, 1 << k), (b, 1 << k), bits) for a, b in Z]
+    disks = [_certify(cs, *c) for c in centres]
+    return None if None in disks else disks
 
 
 def _common(disks: Sequence[Tuple[int, int, int, int]]) -> Tuple[List[List[int]], int]:
@@ -521,13 +521,13 @@ def _realness(disks: List[List[int]], realcount: int) -> Optional[List[bool]]:
     return flags
 
 
-def _attempt(ar: _Arithmetic, parts, v: int) -> Optional[List[RootDisk]]:
-    """One full certification attempt from the centres ar proposes."""
+def _attempt(parts, v: int, bits: int) -> Optional[List[RootDisk]]:
+    """One full certification attempt from centres proposed at `bits` bits."""
     found: List[Tuple[int, int, int, int]] = []
     mults: List[int] = []
     reals: List[bool] = []
     for fac, mult, realcount in parts:
-        got = _isolate_factor(ar, fac)
+        got = _isolate_factor(fac, bits)
         if got is None:
             return None
         disks, k = _common(got)
@@ -576,7 +576,7 @@ def isolate_roots(
         return tuple(sorted(disks, key=lambda d: (d.center_re, d.center_im)))
 
     while True:
-        disks = _attempt(_arithmetic(prec), parts, v)
+        disks = _attempt(parts, v, prec)
         if disks is not None:
             tight = radius_target is None or all(d.radius <= radius_target for d in disks)
             if tight:

@@ -130,6 +130,9 @@ def test_profile_exact_tie_path(monkeypatch):
         # distinct roots of the pair-product polynomial (with 2^40 the
         # first disks already tell them apart)
         ((1, 0, 0, -(2**48), 1), (2, 1)),
+        # X^5 - 2^48 X + 1: the first case from a 65-bit start, where
+        # the squared moduli differ in about the 61st bit
+        ((1, 0, 0, 0, -(2**48), 1), (1, 1)),
     ],
 )
 def test_profile_near_tie_is_refined_apart(monkeypatch, coeffs, counts):

@@ -69,6 +69,16 @@ def test_roots_output_shape(capsys):
     assert abs(res[0] + 2**0.5) < 1e-9 and abs(res[1] - 2**0.5) < 1e-9
 
 
+def test_roots_beyond_the_double_range(capsys):
+    # X^2 + 10^400 X + 1: roots near -10^400 and -10^-400, whose disk
+    # values a double cannot hold, print as 17-digit decimal strings
+    blob = _run_json(capsys, ["roots", "--poly", "1,%d,1" % 10**400])
+    assert blob["status"] == "CERTIFIED"
+    disks = sorted(blob["roots"], key=lambda d: float(d["center_re"]))
+    assert [d["center_re"] for d in disks] == ["-1.0000000000000000E+400", "-1.0000000000000000E-400"]
+    assert all(d["is_real"] and d["multiplicity"] == 1 for d in disks)
+
+
 def test_roots_csv_format_rejected(capsys):
     code, _, err = _run(capsys, ["roots", "--poly", "1,0,-2", "--format", "csv"])
     assert code == 1

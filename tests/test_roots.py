@@ -3,9 +3,10 @@
 Every certified disk must contain the matching numpy root (up to the
 numpy error itself), multiplicities must sum to the degree, real flags
 must agree with the Sturm count, and rational roots must be enclosed
-exactly. The hardware-precision rung (precision_bits <= 53, small
-coefficients) must agree with the multiprecision path on the same
-polynomials.
+exactly. The hardware-double step (precision_bits <= 53, small
+coefficients) must agree with the exact fixed-point step on the same
+polynomials. The Fujiwara bound is checked against its exact closed
+form, also beyond the double range.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from rootcensus.intpoly import IntPolynomial
 from rootcensus.roots import (
     CertifiedRootSet,
     RootDisk,
+    _FUJIWARA_BITS,
     fujiwara_bound,
     isolate_roots,
     refine,
@@ -163,6 +165,36 @@ def test_fujiwara_dominates_all_roots_seeded():
         assert all(abs(z) <= fb * (1 + 1e-9) for z in rr), f.coeffs
 
 
+def test_fujiwara_bound_against_its_closed_form_seeded():
+    # every term ratio^(1/k) is at most half the bound, and half the bound
+    # lies within 2^-s of the largest term: (bound/2 - 2^-s)^k < ratio for
+    # some k
+    rng = random.Random(47)
+    step = Fraction(1, 1 << _FUJIWARA_BITS)
+    for _ in range(80):
+        f = _rand_poly(rng, height=10 ** rng.randint(1, 40))
+        fb = fujiwara_bound(f)
+        assert type(fb) is Fraction and fb.denominator & (fb.denominator - 1) == 0
+        n, a0 = f.degree, abs(f.coeffs[0])
+        terms = [
+            (Fraction(abs(f.coeffs[k]), 2 * a0 if k == n else a0), k)
+            for k in range(1, n + 1)
+            if f.coeffs[k]
+        ]
+        half = fb / 2
+        assert all(half**k >= ratio for ratio, k in terms), f.coeffs
+        if terms:
+            assert any((half - step) ** k < ratio for ratio, k in terms), f.coeffs
+        else:
+            assert fb == 0
+
+
+def test_fujiwara_bound_beyond_the_double_range():
+    # |a1/a0| = 10^400 overflows a double; the bound is twice that term
+    fb = fujiwara_bound(IntPolynomial((1, 10**400, 1)))
+    assert 2 * 10**400 <= fb <= 2 * 10**400 + Fraction(2, 1 << _FUJIWARA_BITS)
+
+
 def test_zero_polynomial_rejected():
     with pytest.raises(ZeroPolynomial):
         isolate_roots(IntPolynomial((0,)))
@@ -173,9 +205,9 @@ def test_degree_zero_rejected():
         isolate_roots(IntPolynomial((5,)))
 
 
-def test_f64_rung_agrees_with_mp_seeded():
-    # precision 53 with small coefficients uses the hardware rung; the
-    # certified disks must match a 212-bit run root for root
+def test_double_step_agrees_with_fixed_point_step_seeded():
+    # precision 53 with small coefficients uses the hardware-double step;
+    # the certified disks must match a 212-bit fixed-point run root for root
     rng = random.Random(45)
     for _ in range(150):
         f = _rand_poly(rng, max_deg=6, height=10**6)

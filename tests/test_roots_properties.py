@@ -5,8 +5,10 @@ a^(-(n+2)/2)), products of cyclotomic polynomials (roots on the unit
 circle, repeated factors), clustered roots (X - k)^m +- 1, a simple
 rational root next to a double quadratic factor (aX - b)(X^2 + c)^2
 (the root b/a is a squarefree factor of its own, and its disk is only
-as wide as the rounding of b/a), and dense polynomials with
-coefficients up to 2^60.
+as wide as the rounding of b/a), dense polynomials with
+coefficients up to 2^60, and polynomials of degree 2-5 with
+coefficients of 2^1000 to 2^1200, mostly beyond the double range, where
+Newton-polygon seeds start the fixed-point sweeps.
 
 For a 53-bit and a 212-bit start each: every disk holds exactly as many
 roots as its multiplicity, against 50-digit roots from sympy's
@@ -31,7 +33,7 @@ from fractions import Fraction
 
 import mpmath
 import sympy
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rootcensus.classify import _disk_mod2, _product_disks, _products_separated
@@ -91,6 +93,15 @@ big_coefficients = (
     .filter(lambda cs: cs[0] != 0)
     .map(lambda cs: IntPolynomial(tuple(cs)))
 )
+beyond_doubles = st.integers(2, 5).flatmap(
+    lambda n: st.lists(
+        st.tuples(st.sampled_from((1, -1)), st.integers(2**1000, 2**1200)).map(
+            lambda t: t[0] * t[1]
+        ),
+        min_size=n + 1,
+        max_size=n + 1,
+    )
+).map(lambda cs: IntPolynomial(tuple(cs)))
 dense_20_bit = (
     st.integers(4, 8)
     .flatmap(lambda n: st.lists(st.integers(-(2**20), 2**20), min_size=n + 1, max_size=n + 1))
@@ -104,30 +115,47 @@ def _mp(x: Fraction):
     return mpmath.mpf(x.numerator) / x.denominator
 
 
-def _near(z, d: RootDisk) -> bool:
-    """Whether the 50-digit root z lies in the disk, up to its own error."""
+def _near(z, slack, d: RootDisk) -> bool:
+    """Whether the 50-digit root z lies in the disk, up to its error slack."""
     c = mpmath.mpc(_mp(d.center_re), _mp(d.center_im))
-    return abs(z - c) <= _mp(d.radius) + _SLACK * max(1, abs(z))
+    return abs(z - c) <= _mp(d.radius) + slack
 
 
 def _oracle_roots(f: IntPolynomial):
-    """Roots of f with multiplicity, at 50 digits: sympy's exact
-    factorization, then mpmath polyroots (the solver behind sympy nroots)
-    on each irreducible factor, so no repeated root reaches the iteration.
-    Extra precision and steps let it converge on roots of very different
-    sizes."""
+    """Roots z of f with multiplicity, at 50 digits, each with the slack of
+    its error: sympy's exact factorization, then mpmath polyroots (the
+    solver behind sympy nroots) on each irreducible factor, so no
+    repeated root reaches the iteration. Extra precision and steps let it
+    converge on roots of very different sizes.
+
+    The error of polyroots is absolute, so its slack is _SLACK max(1, |z|).
+    A factor with coefficients wider than 64 bits can have roots far
+    below 1, which that slack does not tell apart; its roots below modulus
+    1 are taken as the inverses 1/w of the roots w beyond modulus 1 of the
+    reversed factor, with the relative slack _SLACK |z|."""
     _, factors = sympy.factor_list(sympy.Poly(list(f.coeffs), _X))
     out = []
     with mpmath.workdps(_DIGITS):
         for fac, mult in factors:
             cs = [int(c) for c in fac.all_coeffs()]
             bits = max(abs(c).bit_length() for c in cs)
-            for z in mpmath.polyroots(cs, maxsteps=1000, extraprec=4 * bits + 100):
-                out += [mpmath.mpc(z)] * mult
+
+            def roots(cs):
+                return [
+                    mpmath.mpc(z)
+                    for z in mpmath.polyroots(cs, maxsteps=1000, extraprec=4 * bits + 100)
+                ]
+
+            got = [(z, _SLACK * max(1, abs(z))) for z in roots(cs)]
+            if bits > 64:
+                got = [(z, s) for z, s in got if abs(z) >= 1]
+                got += [(1 / w, _SLACK / abs(w)) for w in roots(cs[::-1]) if abs(w) > 1]
+                assert len(got) == len(cs) - 1, f.coeffs
+            out += got * mult
     return out
 
 
-def _check_certified(f: IntPolynomial, rs: CertifiedRootSet) -> None:
+def _check_certified(f: IntPolynomial, rs: CertifiedRootSet, roots) -> None:
     assert rs.status == "CERTIFIED"
     assert rs.total_multiplicity == f.degree
     disks = [(d.center_re, d.center_im, d.radius) for d in rs.disks]
@@ -138,8 +166,8 @@ def _check_certified(f: IntPolynomial, rs: CertifiedRootSet) -> None:
     assert sum(d.is_real for d in rs.disks) == sturm_real_root_count(f), f.coeffs
     with mpmath.workdps(_DIGITS + 10):
         held = [0] * len(rs.disks)
-        for z in _oracle_roots(f):
-            hits = [k for k, d in enumerate(rs.disks) if _near(z, d)]
+        for z, slack in roots:
+            hits = [k for k, d in enumerate(rs.disks) if _near(z, slack, d)]
             assert len(hits) == 1, (f.coeffs, z)
             held[hits[0]] += 1
         assert held == [d.multiplicity for d in rs.disks], f.coeffs
@@ -148,8 +176,9 @@ def _check_certified(f: IntPolynomial, rs: CertifiedRootSet) -> None:
 def _check_starts_agree(f: IntPolynomial) -> None:
     fast = isolate_roots(f, precision_bits=53)
     slow = isolate_roots(f, precision_bits=212)
-    _check_certified(f, fast)
-    _check_certified(f, slow)
+    roots = _oracle_roots(f)
+    _check_certified(f, fast, roots)
+    _check_certified(f, slow, roots)
     assert len(fast.disks) == len(slow.disks)
     for d in fast.disks:
         hits = [
@@ -170,8 +199,8 @@ def test_squared_modulus_enclosures(f):
     for bits in (53, 212):
         rs = isolate_roots(f, precision_bits=bits)
         with mpmath.workdps(2 * _DIGITS):
-            for z in roots:
-                disk = next(d for d in rs.disks if _near(z, d))
+            for z, tol in roots:
+                disk = next(d for d in rs.disks if _near(z, tol, d))
                 lo, hi = _disk_mod2(disk)
                 m2, slack = abs(z) ** 2, 3 * _SLACK * max(1, abs(z)) ** 2
                 assert lo.numerator <= (m2 + slack) * lo.denominator, (f.coeffs, z)
@@ -201,6 +230,17 @@ def test_rational_root_next_to_a_double_factor(f):
 
 @given(big_coefficients)
 def test_coefficients_up_to_2_60(f):
+    _check_starts_agree(f)
+
+
+# X^2 + 10^400 X + 1 and X^4 + 2^1100 X^3 + 3X^2 + X + 1: the roots near
+# -10^400 and -2^1100 lie beyond the double range, the others far inside
+# the unit circle
+@example(IntPolynomial((1, 10**400, 1)))
+@example(IntPolynomial((1, 2**1100, 3, 1, 1)))
+@settings(max_examples=6)
+@given(beyond_doubles)
+def test_coefficients_beyond_the_double_range(f):
     _check_starts_agree(f)
 
 

@@ -4,9 +4,9 @@ Every name a module imports must be used in that module or re-exported
 through its ``__all__``: an import left behind by a deleted caller is
 dead code that still costs an import and misleads the reader.
 
-Only ``roots`` imports mpmath: it hands out exact dyadic Fractions, so no
-other module holds a value whose arithmetic depends on the global
-mpmath precision.
+No module imports mpmath: root centres are proposed in hardware doubles
+and in exact integers, and every value handed out is an exact integer or
+dyadic Fraction, so nothing depends on a global working precision.
 """
 
 from __future__ import annotations
@@ -60,12 +60,12 @@ def test_unused_import_is_found():
     assert _unused_imports(tree) == [(1, "os")]
 
 
-def test_only_roots_imports_mpmath():
+def test_no_module_imports_mpmath():
     users = []
     for path in _MODULES:
         if "mpmath" in _imported_modules(ast.parse(path.read_text(encoding="utf-8"))):
             users.append(path.name)
-    assert users == ["roots.py"]
+    assert users == []
 
 
 def test_imported_modules_are_found():
