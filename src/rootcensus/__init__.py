@@ -19,7 +19,6 @@ from .intpoly import (
     SturmChain,
     coeff_string,
     discriminant,
-    graeffe_transform,
     parse_coeff_string,
     power_substitution,
     resultant,
@@ -77,7 +76,6 @@ __all__ = [
     "SturmChain",
     "coeff_string",
     "discriminant",
-    "graeffe_transform",
     "parse_coeff_string",
     "power_substitution",
     "resultant",

@@ -303,7 +303,10 @@ def _profile_certified(f: IntPolynomial) -> ModulusProfile:
         # every squared modulus is a positive real root of T =
         # pair_product_full(f), so an extreme run whose union holds one
         # distinct root of T is one modulus group; refining splits the
-        # rest, as distinct roots of T are separated
+        # rest, as distinct roots of T are separated. For deg f >= 2, T is
+        # a square (each alpha_j alpha_k with j != k comes twice) times the
+        # Graeffe polynomial, whose roots are the alpha_j^2, so the chain
+        # starts at its squarefree part
         decision = "EXACT"
         chain = sturm_chain(squarefree_part(pair_product_full(f)))
         while any(

@@ -7,9 +7,9 @@ and reports degree -1.
 
 Everything here is exact integer (or Fraction) arithmetic: subresultant
 resultants, primitive-PRS gcd, Yun squarefree decomposition, Sturm
-chains, the Graeffe root-squaring transform, power-substitution
-structure, and the pairwise root-product polynomial
-prod_{i<j} (X - alpha_i alpha_j) built from resultants by interpolation.
+chains, power-substitution structure, and the polynomials of the
+pairwise root products alpha_i alpha_j (ordered pairs, or i < j), built
+from power sums of the roots.
 """
 
 from __future__ import annotations
@@ -41,13 +41,11 @@ __all__ = [
     "disc3",
     "squarefree_decomposition",
     "squarefree_part",
-    "graeffe_transform",
     "power_substitution",
     "sturm_chain",
     "sturm_real_root_count",
     "pair_product_full",
     "root_product_poly",
-    "poly_sqrt_exact",
 ]
 
 
@@ -495,23 +493,6 @@ def squarefree_part(f: IntPolynomial) -> IntPolynomial:
 # -- structural transforms ------------------------------------------------
 
 
-def graeffe_transform(f: IntPolynomial) -> IntPolynomial:
-    """G with G(X^2) = (-1)^deg(f) f(X) f(-X): roots of G are the squared
-    roots of f, leading coefficient a0^2, degree preserved."""
-    n = f.degree
-    if n < 0:
-        raise ZeroPolynomial("graeffe transform of the zero polynomial")
-    asc = list(reversed(f.coeffs))
-    even = asc[0::2]
-    odd = asc[1::2]
-    E = IntPolynomial(tuple(reversed(even)))
-    O = IntPolynomial(tuple(reversed(odd)))
-    F = E * E - (O * O).shift_degree(1)
-    if n % 2:
-        F = -F
-    return F
-
-
 def power_substitution(f: IntPolynomial) -> Tuple[int, IntPolynomial]:
     """Largest m with f(X) = g(X^m); returns (m, g). m = 1 means no
     structure. Needs degree >= 1."""
@@ -627,7 +608,7 @@ def sturm_real_root_count(f: IntPolynomial) -> int:
     return chain.variations_at_minus_inf() - chain.variations_at_plus_inf()
 
 
-# -- root-product polynomial ----------------------------------------------
+# -- interpolation and pair products -----------------------------------------
 
 
 def _interpolate(xs: Sequence[int], ys: Sequence[int]) -> Optional[IntPolynomial]:
@@ -654,37 +635,6 @@ def _interpolate(xs: Sequence[int], ys: Sequence[int]) -> Optional[IntPolynomial
     return IntPolynomial(tuple(poly))
 
 
-def poly_sqrt_exact(f: IntPolynomial) -> IntPolynomial:
-    """Exact integer polynomial square root; raises if f is not a perfect
-    square. The result has a positive leading coefficient."""
-    if f.is_zero:
-        return f
-    d = f.degree
-    if d % 2:
-        raise BadParameters("odd degree has no polynomial square root")
-    q = f.coeffs
-    if q[0] < 0:
-        raise BadParameters("negative leading coefficient is not a square")
-    s0 = math.isqrt(q[0])
-    if s0 * s0 != q[0]:
-        raise BadParameters("leading coefficient is not a perfect square")
-    k = d // 2
-    s = [s0]
-    for j in range(1, k + 1):
-        acc = q[j]
-        for i in range(1, j):
-            acc -= s[i] * s[j - i]
-        num = acc
-        den = 2 * s0
-        if num % den:
-            raise BadParameters("polynomial is not a perfect square")
-        s.append(num // den)
-    cand = IntPolynomial(tuple(s))
-    if cand * cand != f:
-        raise BadParameters("polynomial is not a perfect square")
-    return cand
-
-
 def _deflate_zero_roots(f: IntPolynomial) -> Tuple[int, IntPolynomial]:
     """Split f = g * X^v with g(0) != 0; returns (v, g), g being f itself
     when v = 0."""
@@ -695,64 +645,68 @@ def _deflate_zero_roots(f: IntPolynomial) -> Tuple[int, IntPolynomial]:
     return v, IntPolynomial(cs[: len(cs) - v]) if v else f
 
 
+def _pair_products(g: IntPolynomial, distinct: bool) -> IntPolynomial:
+    """|a0|^e prod (X - alpha_j alpha_k) over the ordered pairs (j, k) of
+    roots of g, diagonal included, with e = 2m; or over the pairs j < k
+    when distinct, with e = m - 1. Here m = deg g >= 1.
+
+    The composed product of Bostan, Flajolet, Salvy and Schost ("Fast
+    computation of special resultants", J. Symbolic Comput. 41, 2006).
+    The beta = a0 alpha are the roots of the monic integer polynomial
+    y^m + sum_i a_i a0^(i-1) y^(m-i), so Newton's identities give their
+    power sums p_k in integers. The products beta_j beta_k have the power
+    sums p_k^2 over ordered pairs and (p_k^2 - p_2k) / 2 over pairs j < k;
+    the inverse recurrence, dividing exactly by k, turns them into the
+    coefficients u_i of the monic polynomial of those products. Its roots
+    are a0^2 alpha_j alpha_k, so X -> a0^2 X scales u_i by |a0|^(e - 2i).
+    """
+    a0, m = g.coeffs[0], g.degree
+    c = [a * a0**i for i, a in enumerate(g.coeffs[1:])]
+    p = [m]
+    for k in range(1, m * m + 1):
+        s = sum(c[i - 1] * p[k - i] for i in range(1, min(k, m + 1)))
+        p.append(-(s + k * c[k - 1]) if k <= m else -s)
+    if distinct:
+        npairs, e = m * (m - 1) // 2, m - 1
+        q = [(p[k] ** 2 - p[2 * k]) // 2 for k in range(npairs + 1)]
+    else:
+        npairs, e = m * m, 2 * m
+        q = [pk * pk for pk in p]
+    u = [1]
+    for k in range(1, npairs + 1):
+        u.append(-sum(u[k - i] * q[i] for i in range(1, k + 1)) // k)
+    a = abs(a0)
+    return IntPolynomial(tuple(
+        ui * a ** (e - 2 * i) if 2 * i <= e else ui // a ** (2 * i - e)
+        for i, ui in enumerate(u)
+    ))
+
+
 def pair_product_full(g: IntPolynomial) -> IntPolynomial:
     """T(x) = a0^(2m) prod_{j,k} (x - alpha_j alpha_k) over ORDERED pairs
-    (diagonal included) of roots of g; needs g(0) != 0 and deg g >= 1.
-
-    T is the resultant Res_y(g(y), y^m g(x/y)) viewed as a polynomial in
-    x, computed by evaluating at m^2 + 1 integer points and
-    interpolating exactly.
+    (diagonal included) of the m roots of g; needs g(0) != 0 and
+    deg g >= 1. T is the resultant Res_y(g(y), y^m g(x/y)); it is built
+    from power sums by _pair_products.
     """
-    m = g.degree
-    if m < 1:
+    if g.degree < 1:
         raise DegreeTooSmall("pair products need degree >= 1")
-    b = g.coeffs
-    if b[-1] == 0:
+    if g.coeffs[-1] == 0:
         raise ZeroConstantTerm("pair_product_full needs a nonzero constant term")
-    if m == 1:
-        a0, a1 = b
-        return IntPolynomial((a0 * a0, -(a1 * a1)))
-    npts = m * m + 1
-    xs, ys = [], []
-    t = 0
-    while len(xs) < npts:
-        for x in ((t,) if t == 0 else (t, -t)):
-            if len(xs) >= npts:
-                break
-            # G_x(y) = sum_i b_i x^(m-i) y^i ; leading y-coeff is b_m != 0
-            gy = tuple(b[m - j] * x**j for j in range(m + 1))
-            xs.append(x)
-            ys.append(resultant(g, IntPolynomial(gy)))
-        t += 1
-    t_full = _interpolate(xs, ys)
-    if t_full is None:
-        raise AssertionError("interpolation produced a non-integer coefficient")
-    if t_full.degree != m * m:
-        raise AssertionError("pair-product resultant has wrong degree")
-    return t_full
+    return _pair_products(g, distinct=False)
 
 
 def root_product_poly(f: IntPolynomial) -> IntPolynomial:
-    """Integer polynomial proportional to prod_{i<j} (X - alpha_i alpha_j)
-    over all unordered pairs of roots of f (with multiplicity), degree
-    n(n-1)/2. The proportionality constant is a0^(m-1) where m is the
-    degree after deflating zero roots; it never affects zero tests.
+    """|a0|^(m-1) prod_{i<j} (X - alpha_i alpha_j) over all unordered pairs
+    of roots of f (with multiplicity): an integer polynomial of degree
+    n(n-1)/2 with a positive leading coefficient, where m is the degree
+    after deflating zero roots. The constant never affects zero tests.
 
-    Method: pair_product_full covers all ordered pairs; dividing by the
-    Graeffe transform removes the diagonal and leaves an exact square
-    whose integer square root is the answer. Zero roots contribute a
-    plain monomial factor.
+    The pairs of nonzero roots come from power sums by _pair_products;
+    zero roots contribute a plain monomial factor.
     """
-    n = f.degree
-    if n < 2:
+    if f.degree < 2:
         raise DegreeTooSmall("root products need degree >= 2")
     v, g = _deflate_zero_roots(f)
     m = g.degree
-    zero_pairs = v * m + v * (v - 1) // 2
-    if m < 2:
-        return IntPolynomial((1,)).shift_degree(zero_pairs)
-    t_full = pair_product_full(g)
-    gr = graeffe_transform(g)
-    q = divmod_exact(t_full, gr)
-    s = poly_sqrt_exact(q)
-    return s.shift_degree(zero_pairs)
+    rp = _pair_products(g, distinct=True) if m else IntPolynomial((1,))
+    return rp.shift_degree(v * m + v * (v - 1) // 2)

@@ -2,9 +2,9 @@
 
 Resultants, discriminants and squarefree structure are checked against
 sympy (argument order kept degree-descending, since the subresultant
-convention fixes res(f, g) = (-1)^{deg f deg g} res(g, f)); root-level
-transforms (Graeffe, pairwise products) are checked against
-numpy root multisets.
+convention fixes res(f, g) = (-1)^{deg f deg g} res(g, f)); the pair- and
+root-product polynomials are checked coefficient for coefficient against
+sympy resultants, and against numpy root multisets.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from rootcensus.intpoly import (
     disc2,
     disc3,
     discriminant,
-    graeffe_transform,
     pair_product_full,
     parse_coeff_string,
     power_substitution,
@@ -38,7 +37,7 @@ from rootcensus.intpoly import (
     subresultant_gcd,
 )
 
-_X = sympy.symbols("x")
+_X, _Y = sympy.symbols("x y")
 
 
 def _sym(f: IntPolynomial):
@@ -274,16 +273,6 @@ def test_sturm_closed_interval_count_matches_sympy_seeded():
 # -- root-level transforms -------------------------------------------------------
 
 
-def test_graeffe_squares_roots_seeded():
-    rng = random.Random(707)
-    for _ in range(40):
-        f = _rand_poly(rng, max_deg=4)
-        g = graeffe_transform(f)
-        want = np.sort_complex(_roots_multiset(f) ** 2)
-        got = _roots_multiset(g)
-        assert _same_multiset(np.sort_complex(want), got, tol=1e-5), f.coeffs
-
-
 def test_power_substitution_detects_structure():
     # x^6 - 2 = g(x^3) with g = y^2 - 2 after the largest substitution y = x^k
     f = IntPolynomial((1, 0, 0, 0, 0, 0, -2))
@@ -317,6 +306,57 @@ def test_root_product_poly_quartic():
     )
     got = _roots_multiset(root_product_poly(f))
     assert _same_multiset(want, got, tol=1e-5)
+
+
+def _oracle_pair_products(cs):
+    """(T, G) from sympy resultants in y: T = Res(g(y), y^m g(x/y)), whose
+    roots are the ordered pair products, and G = Res(g(y), x - y^2), whose
+    roots are the squared roots of g = sum cs[i] y^(m-i)."""
+    m = len(cs) - 1
+    g = sympy.Poly(sum(c * _Y ** (m - i) for i, c in enumerate(cs)), _Y, _X)
+    h = sympy.Poly(sum(c * _X ** (m - i) * _Y**i for i, c in enumerate(cs)), _Y, _X)
+    t = sympy.Poly(g.resultant(h), _X)
+    return t, sympy.Poly(g.resultant(sympy.Poly(_X - _Y**2, _Y, _X)), _X)
+
+
+def test_pair_and_root_products_match_resultants_seeded():
+    # T = pair_product_full(g) is the resultant itself; over ordered pairs
+    # every off-diagonal product appears twice and the diagonal holds the
+    # squared roots, so T = +-G R^2 with R = root_product_poly(g), whose
+    # leading coefficient must be |a0|^(m-1)
+    rng = random.Random(1212)
+    corpus = [(3, 5), (2**20, -3), (-(2**20), 7, 1), (-47, 721869, -252289), (-5, 2, 0, 7)]
+    for n in range(1, 9):
+        for sign in ((1, -1) if n <= 6 else (rng.choice((1, -1)),)):
+            lead = sign * rng.randint(1, 2**20)
+            corpus.append((lead,) + tuple(rng.randint(-(2**60), 2**60) for _ in range(n)))
+    structured = [
+        _X**4 + 1,
+        (_X**2 - 2) * (_X**2 - 3),
+        sympy.cyclotomic_poly(3, _X) * sympy.cyclotomic_poly(5, _X),
+        (_X - 3) ** 7 + 1,
+        -((_X + 2) ** 4) - 1,
+        (_X - 2) ** 6 - 1,
+        _X**5 - 2 * (7 * _X - 1) ** 2,
+        -(_X**8) + 2 * (40 * _X - 1) ** 2,
+    ]
+    corpus += [tuple(int(c) for c in sympy.Poly(e, _X).all_coeffs()) for e in structured]
+    for cs in corpus:
+        g = IntPolynomial(cs)
+        t, big_g = _oracle_pair_products(cs)
+        assert pair_product_full(g).coeffs == tuple(int(c) for c in t.all_coeffs()), cs
+        m = g.degree
+        # zero roots add the monomial factor X^(vm + v(v-1)/2)
+        for v in range(max(0, 2 - m), 3):
+            rp = root_product_poly(g * IntPolynomial((1,) + (0,) * v))
+            zero_pairs = v * m + v * (v - 1) // 2
+            assert rp.degree == (m + v) * (m + v - 1) // 2, (cs, v)
+            assert not any(rp.coeffs[rp.degree + 1 - zero_pairs :]), (cs, v)
+            r = sympy.Poly(list(rp.coeffs[: rp.degree + 1 - zero_pairs]), _X)
+            assert r.LC() == abs(cs[0]) ** (m - 1), (cs, v)
+            assert t in (big_g * r**2, -big_g * r**2), (cs, v)
+    assert root_product_poly(IntPolynomial((-47, 721869, -252289))).coeffs == (47, -252289)
+    assert root_product_poly(IntPolynomial((-5, 0, 0))).coeffs == (1, 0)
 
 
 def test_deflate_zero_roots():
