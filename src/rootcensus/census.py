@@ -54,7 +54,7 @@ from .classify import (
     root_signature,
     sn_certificate,
 )
-from .intpoly import IntPolynomial, squarefree_part
+from .intpoly import IntPolynomial
 
 __all__ = [
     "CensusSpec",
@@ -146,8 +146,7 @@ def _signature_vector(b: _Batch) -> List[Tuple[str, str, int]]:
     repeated = b.dsc == 0
     out = _histogram("D*", rmul, labels) + _histogram("D*d", rmul[~repeated], labels)
     for i in np.nonzero(repeated)[0]:
-        g = squarefree_part(IntPolynomial(tuple(int(arr[i]) for arr in b.coeffs)))
-        sig = root_signature(g)
+        sig = _distinct_signature(IntPolynomial(tuple(int(arr[i]) for arr in b.coeffs)))
         out.append(("D*d", _signature_label(sig.r, sig.s), 1))
     return out
 
@@ -458,8 +457,6 @@ def classify_pipeline(f: IntPolynomial, spec: CensusSpec) -> Optional[List[Tuple
         if "sn" in needs:
             if not fr.irreducible:
                 st["sn"] = "UNDECIDED"
-            elif f.degree < 2:
-                st["sn"] = "CERTIFIED_SN"  # S_1 is trivially full
             else:
                 cert = sn_certificate(f, prime_bound=spec.prime_bound, assume_irreducible=True)
                 st["sn"] = cert.verdict

@@ -30,13 +30,15 @@ path never touches floating point). Degree >= 4 escalates:
 3. otherwise certified root disks, isolated from a 53-bit start (the
    hardware-double step; the ladder escalates only where it fails),
    give enclosures of squared moduli in exact integers: one real root or
-   one exactly mirrored conjugate pair forms a unit, whose dyadic centre
-   and radius bound |root|^2 with a single integer square root.
+   one conjugate pair (its disks are exact mirror images) forms a unit,
+   whose dyadic centre and radius bound |root|^2 with a single integer
+   square root.
    Sorted by lower end, overlapping enclosures chain into runs. When
    every run is one unit the runs order the groups (NUMERIC_CERTIFIED).
    Otherwise every squared modulus is a positive real root of the
-   pair-product polynomial T, and an extreme run whose union holds
-   exactly one distinct root of T, by a Sturm count, is one modulus
+   pair-product polynomial S, whose n(n+1)/2 roots are the products
+   alpha_j alpha_k with j <= k, and an extreme run whose union holds
+   exactly one distinct root of S, by a Sturm count, is one modulus
    group; the disks are refined until both extreme runs pass (EXACT).
 """
 
@@ -60,11 +62,11 @@ from .intpoly import (
     IntPolynomial,
     _deflate_zero_roots,
     _interpolate,
+    _pair_products,
     _scaled_value,
     disc3,
     discriminant,
     divmod_exact,
-    pair_product_full,
     power_substitution,
     root_product_poly,
     squarefree_decomposition,
@@ -300,15 +302,12 @@ def _profile_certified(f: IntPolynomial) -> ModulusProfile:
     runs = _runs(_modulus_units(rs))
     decision = "NUMERIC_CERTIFIED"
     if any(run.size > 1 for run in runs):
-        # every squared modulus is a positive real root of T =
-        # pair_product_full(f), so an extreme run whose union holds one
-        # distinct root of T is one modulus group; refining splits the
-        # rest, as distinct roots of T are separated. For deg f >= 2, T is
-        # a square (each alpha_j alpha_k with j != k comes twice) times the
-        # Graeffe polynomial, whose roots are the alpha_j^2, so the chain
-        # starts at its squarefree part
+        # every squared modulus is a positive real root of S =
+        # _pair_products(f, distinct=False), so an extreme run whose union
+        # holds one distinct root of S is one modulus group; refining
+        # splits the rest, as distinct roots of S are separated
         decision = "EXACT"
-        chain = sturm_chain(squarefree_part(pair_product_full(f)))
+        chain = sturm_chain(squarefree_part(_pair_products(f, distinct=False)))
         while any(
             run.size > 1 and chain.roots_in(run.lo2, run.hi2) != 1
             for run in (runs[0], runs[-1])
@@ -343,31 +342,14 @@ def _disk_mod2(d: RootDisk) -> Tuple[Fraction, Fraction]:
 
 
 def _modulus_units(rs: CertifiedRootSet) -> List[_Unit]:
-    """Group disks into modulus units; conjugate pairs (exactly mirrored
-    after symmetrization) merge into one unit."""
-    units: List[_Unit] = []
-    seen: Set[int] = set()
-    disks = rs.disks
-    for i, d in enumerate(disks):
-        if i in seen:
-            continue
-        mult = d.multiplicity
-        if not d.is_real:
-            for j in range(i + 1, len(disks)):
-                e = disks[j]
-                if (
-                    j not in seen
-                    and not e.is_real
-                    and e.center_re == d.center_re
-                    and e.center_im == -d.center_im
-                    and e.radius == d.radius
-                ):
-                    seen.add(j)
-                    mult += e.multiplicity
-                    break
-        lo2, hi2 = _disk_mod2(d)
-        units.append(_Unit(lo2, hi2, mult))
-    return units
+    """One unit per real disk, and one per conjugate pair, read from its
+    upper disk: isolate_roots makes the disks of a pair exact mirror
+    images with one multiplicity."""
+    return [
+        _Unit(*_disk_mod2(d), d.multiplicity * (1 if d.is_real else 2))
+        for d in rs.disks
+        if d.is_real or d.center_im > 0
+    ]
 
 
 class _Run(NamedTuple):
@@ -465,25 +447,17 @@ def factorize(f: IntPolynomial, degree_cap: int = DEFAULT_DEGREE_CAP) -> Factori
     v, p = _deflate_zero_roots(p)
     if v:
         found[(1, 0)] = v
-    while p.degree >= 1:
-        root = _find_rational_root(p)
-        if root is None:
-            break
-        num, den = root
-        lin = IntPolynomial((den, -num))
-        while True:
-            try:
-                p = divmod_exact(p, lin)
-            except BadParameters:
-                break
-            found[lin.coeffs] = found.get(lin.coeffs, 0) + 1
-            if p.degree == 0:
-                break
-        p = p.monic_positive()
-    if p.degree >= 1:
-        for fac, mult in squarefree_decomposition(p).factors:
-            for piece in _factor_squarefree(fac):
-                found[piece.coeffs] = found.get(piece.coeffs, 0) + mult
+    for fac, mult in squarefree_decomposition(p).factors:
+        pieces = []
+        root = _find_rational_root(fac)
+        while root is not None:
+            pieces.append(IntPolynomial((root[1], -root[0])))
+            fac = divmod_exact(fac, pieces[-1])
+            root = _find_rational_root(fac)
+        if fac.degree >= 1:
+            pieces += _factor_squarefree(fac)
+        for piece in pieces:
+            found[piece.coeffs] = found.get(piece.coeffs, 0) + mult
     factors = tuple(
         sorted(
             ((IntPolynomial(k), m) for k, m in found.items()),
@@ -497,8 +471,6 @@ def factorize(f: IntPolynomial, degree_cap: int = DEFAULT_DEGREE_CAP) -> Factori
 def _find_rational_root(p: IntPolynomial) -> Optional[Tuple[int, int]]:
     """Some rational root num/den of p (primitive, constant term != 0),
     or None; den | leading and num | constant with gcd(num, den) = 1."""
-    if p.coeffs[-1] == 0:
-        return (0, 1)
     nums = _divisors(p.coeffs[-1])
     for den in _divisors(p.coeffs[0]):
         for num_abs in nums:
@@ -603,13 +575,15 @@ def sn_certificate(
     prime_bound: int = DEFAULT_PRIME_BOUND,
     assume_irreducible: bool = False,
 ) -> SnCertificate:
-    """One-sided S_n certificate for an irreducible f of degree n >= 2.
+    """One-sided S_n certificate for an irreducible f of degree n >= 1.
 
     Scans primes p <= prime_bound with good reduction (p does not
     divide lc(f) disc(f)) for factor degree patterns equal to the cycle
     types {n}, {1, n-1} and {2, 1, ..., 1}; all three present certify
     the Galois group is S_n. UNDECIDED never implies a smaller group,
     and for some inputs (X^4+1) no certificate exists at any bound.
+    For n <= 2 the group of an irreducible f is S_n itself, certified
+    with no witnesses.
 
     At a good prime the number of distinct roots mod p is the number of
     1s in the pattern, so a prime can show a missing cycle type only if
@@ -621,11 +595,11 @@ def sn_certificate(
     pattern, so the certificate does not depend on the gate.
     """
     n = f.degree
-    if n < 2:
-        raise DegreeTooSmall("S_n certification needs degree >= 2")
+    if n < 1:
+        raise DegreeTooSmall("S_n certification needs degree >= 1")
     if not assume_irreducible and not factorize(f).irreducible:
         raise NotIrreducible("polynomial is not irreducible: %s" % (f,))
-    if n == 2:
+    if n <= 2:
         return SnCertificate("CERTIFIED_SN", (), prime_bound)
     # for n = 3 the (n-1)-cycle and the transposition are one pattern
     missing = {(n,), tuple(sorted((1, n - 1))), tuple(sorted([1] * (n - 2) + [2]))}

@@ -319,13 +319,10 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         ]
         out["irreducible"] = fr.irreducible
     if wants["sn"]:
-        if fr.irreducible and f.degree >= 2:
+        if fr.irreducible:
             cert = sn_certificate(f, prime_bound=args.prime_bound, assume_irreducible=True)
             out["sn_verdict"] = cert.verdict
             out["sn_witnesses"] = [[p, list(pat)] for p, pat in cert.witnesses]
-        elif f.degree == 1:
-            out["sn_verdict"] = "CERTIFIED_SN"
-            out["sn_witnesses"] = []
         else:
             out["sn_verdict"] = "UNDECIDED"
             out["sn_witnesses"] = []

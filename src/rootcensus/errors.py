@@ -14,10 +14,6 @@ class ZeroPolynomial(RootCensusError):
     """The zero polynomial was passed where a nonzero one is required."""
 
 
-class ZeroConstantTerm(RootCensusError):
-    """Operation needs a nonzero constant term (e.g. pair_product_full)."""
-
-
 class DegreeTooSmall(RootCensusError):
     """Polynomial degree below the operation's minimum."""
 

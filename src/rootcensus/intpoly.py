@@ -8,7 +8,7 @@ and reports degree -1.
 Everything here is exact integer (or Fraction) arithmetic: subresultant
 resultants, primitive-PRS gcd, Yun squarefree decomposition, Sturm
 chains, power-substitution structure, and the polynomials of the
-pairwise root products alpha_i alpha_j (ordered pairs, or i < j), built
+pairwise root products alpha_i alpha_j (pairs i <= j, or i < j), built
 from power sums of the roots.
 """
 
@@ -23,7 +23,6 @@ from typing import Optional, Sequence, Tuple
 from .errors import (
     BadParameters,
     DegreeTooSmall,
-    ZeroConstantTerm,
     ZeroPolynomial,
 )
 
@@ -44,7 +43,6 @@ __all__ = [
     "power_substitution",
     "sturm_chain",
     "sturm_real_root_count",
-    "pair_product_full",
     "root_product_poly",
 ]
 
@@ -646,32 +644,33 @@ def _deflate_zero_roots(f: IntPolynomial) -> Tuple[int, IntPolynomial]:
 
 
 def _pair_products(g: IntPolynomial, distinct: bool) -> IntPolynomial:
-    """|a0|^e prod (X - alpha_j alpha_k) over the ordered pairs (j, k) of
-    roots of g, diagonal included, with e = 2m; or over the pairs j < k
-    when distinct, with e = m - 1. Here m = deg g >= 1.
+    """|a0|^e prod (X - alpha_j alpha_k) over the pairs j <= k of roots of
+    g, diagonal included, with e = m + 1; or over the pairs j < k when
+    distinct, with e = m - 1. Here m = deg g >= 1.
 
     The composed product of Bostan, Flajolet, Salvy and Schost ("Fast
     computation of special resultants", J. Symbolic Comput. 41, 2006).
     The beta = a0 alpha are the roots of the monic integer polynomial
     y^m + sum_i a_i a0^(i-1) y^(m-i), so Newton's identities give their
     power sums p_k in integers. The products beta_j beta_k have the power
-    sums p_k^2 over ordered pairs and (p_k^2 - p_2k) / 2 over pairs j < k;
-    the inverse recurrence, dividing exactly by k, turns them into the
-    coefficients u_i of the monic polynomial of those products. Its roots
-    are a0^2 alpha_j alpha_k, so X -> a0^2 X scales u_i by |a0|^(e - 2i).
+    sums (p_k^2 + p_2k) / 2 over pairs j <= k and (p_k^2 - p_2k) / 2 over
+    pairs j < k; the inverse recurrence, dividing exactly by k, turns them
+    into the coefficients u_i of the monic polynomial of those products.
+    Its roots are a0^2 alpha_j alpha_k, so X -> a0^2 X scales u_i by
+    |a0|^(e - 2i). Over j <= k this is the Graeffe polynomial
+    a0^2 prod (X - alpha_j^2) times root_product_poly(g).
     """
     a0, m = g.coeffs[0], g.degree
+    if distinct:
+        npairs, e, sign = m * (m - 1) // 2, m - 1, -1
+    else:
+        npairs, e, sign = m * (m + 1) // 2, m + 1, 1
     c = [a * a0**i for i, a in enumerate(g.coeffs[1:])]
     p = [m]
-    for k in range(1, m * m + 1):
+    for k in range(1, 2 * npairs + 1):
         s = sum(c[i - 1] * p[k - i] for i in range(1, min(k, m + 1)))
         p.append(-(s + k * c[k - 1]) if k <= m else -s)
-    if distinct:
-        npairs, e = m * (m - 1) // 2, m - 1
-        q = [(p[k] ** 2 - p[2 * k]) // 2 for k in range(npairs + 1)]
-    else:
-        npairs, e = m * m, 2 * m
-        q = [pk * pk for pk in p]
+    q = [(p[k] ** 2 + sign * p[2 * k]) // 2 for k in range(npairs + 1)]
     u = [1]
     for k in range(1, npairs + 1):
         u.append(-sum(u[k - i] * q[i] for i in range(1, k + 1)) // k)
@@ -680,19 +679,6 @@ def _pair_products(g: IntPolynomial, distinct: bool) -> IntPolynomial:
         ui * a ** (e - 2 * i) if 2 * i <= e else ui // a ** (2 * i - e)
         for i, ui in enumerate(u)
     ))
-
-
-def pair_product_full(g: IntPolynomial) -> IntPolynomial:
-    """T(x) = a0^(2m) prod_{j,k} (x - alpha_j alpha_k) over ORDERED pairs
-    (diagonal included) of the m roots of g; needs g(0) != 0 and
-    deg g >= 1. T is the resultant Res_y(g(y), y^m g(x/y)); it is built
-    from power sums by _pair_products.
-    """
-    if g.degree < 1:
-        raise DegreeTooSmall("pair products need degree >= 1")
-    if g.coeffs[-1] == 0:
-        raise ZeroConstantTerm("pair_product_full needs a nonzero constant term")
-    return _pair_products(g, distinct=False)
 
 
 def root_product_poly(f: IntPolynomial) -> IntPolynomial:

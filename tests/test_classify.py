@@ -286,6 +286,30 @@ def test_rational_root_matches_sympy_seeded():
     assert 10 < found < 60
 
 
+def test_factorize_repeated_rational_and_zero_roots_match_sympy():
+    """Rational roots of several multiplicities, in one squarefree factor
+    of the Yun decomposition or spread over several, with and without
+    zero roots, next to irreducible factors."""
+    lin = [(1, -1), (2, 3), (3, -1), (1, 2), (5, 7)]
+    irr = [(1, 0, 1), (1, 0, -2), (1, 1, 0, 3)]
+    rng = random.Random(4040)
+    for _ in range(40):
+        f = IntPolynomial((rng.choice((-3, -1, 1, 2)),))
+        for cs in rng.sample(lin, rng.randint(1, 3)) + rng.sample(irr, rng.randint(0, 1)):
+            for _ in range(rng.randint(1, 3)):
+                f = f * IntPolynomial(cs)
+        f = f * IntPolynomial((1,) + (0,) * rng.randint(0, 2))
+        if f.degree > 8:
+            continue
+        fr = factorize(f)
+        _, facs = sympy.Poly(list(f.coeffs), _X).factor_list()
+        want = sorted(
+            (tuple(int(c) for c in g.all_coeffs()), m) for g, m in facs if g.degree() > 0
+        )
+        assert sorted((p.coeffs, m) for p, m in fr.factors) == want, f.coeffs
+        assert fr.reconstruct() == f
+
+
 def test_factorize_constructed_product():
     f = IntPolynomial((1, 0, -2)) * IntPolynomial((1, 0, -2)) * IntPolynomial((1, 1, 1))
     fr = factorize(f)
@@ -354,6 +378,8 @@ def test_sn_certificate_undecided_on_small_group():
 
 def test_sn_certificate_quadratic_trivial():
     c = sn_certificate(IntPolynomial((1, 0, -2)))
+    assert c.verdict == "CERTIFIED_SN" and c.witnesses == ()
+    c = sn_certificate(IntPolynomial((2, 2)))
     assert c.verdict == "CERTIFIED_SN" and c.witnesses == ()
 
 

@@ -117,6 +117,8 @@ def test_classify_sn_verdicts(capsys):
     assert blob["sn_witnesses"]
     blob = _run_json(capsys, ["classify", "--poly", "1,0,-1", "--sn"])
     assert blob["sn_verdict"] == "UNDECIDED"  # reducible: no certificate
+    blob = _run_json(capsys, ["classify", "--poly", "2,2", "--sn"])
+    assert (blob["sn_verdict"], blob["sn_witnesses"]) == ("CERTIFIED_SN", [])  # S_1
 
 
 # -- census ------------------------------------------------------------------------------

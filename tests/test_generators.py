@@ -272,3 +272,11 @@ def test_sn_filtered_family_reports():
     assert rep["sampled"] == 30
     assert rep["kept"] == len(kept) > 0
     assert rep["kept"] + rep["discarded_reducible"] + rep["discarded_undecided"] == 30
+
+
+def test_sn_filtered_family_keeps_every_linear_member():
+    # a one-point target gives linear members, each irreducible with the
+    # full group S_1
+    kept, rep = sn_filtered_family(TargetSpec(((Fraction(1, 2), Fraction(0)),)), 20, budget=5)
+    assert rep["sampled"] == rep["kept"] == len(kept) == 5
+    assert all(f.degree == 1 for f in kept)

@@ -20,12 +20,12 @@ from rootcensus.errors import BadParameters, ZeroPolynomial
 from rootcensus.intpoly import (
     IntPolynomial,
     _deflate_zero_roots,
+    _pair_products,
     _prem,
     coeff_string,
     disc2,
     disc3,
     discriminant,
-    pair_product_full,
     parse_coeff_string,
     power_substitution,
     resultant,
@@ -283,7 +283,7 @@ def test_power_substitution_detects_structure():
 
 
 def test_pair_product_roots_seeded():
-    # ordered pairs, diagonal included: m^2 roots alpha_j * alpha_k
+    # pairs j <= k, diagonal included: m(m+1)/2 roots alpha_j * alpha_k
     rng = random.Random(808)
     for _ in range(10):
         f = _rand_poly(rng, max_deg=4, height=3)
@@ -292,9 +292,9 @@ def test_pair_product_roots_seeded():
             continue
         rr = _roots_multiset(f)
         want = np.sort_complex(
-            [rr[i] * rr[j] for i in range(len(rr)) for j in range(len(rr))]
+            [rr[i] * rr[j] for i in range(len(rr)) for j in range(i, len(rr))]
         )
-        got = _roots_multiset(pair_product_full(f))
+        got = _roots_multiset(_pair_products(f, distinct=False))
         assert _same_multiset(want, got, tol=1e-4), f.coeffs
 
 
@@ -310,8 +310,9 @@ def test_root_product_poly_quartic():
 
 def _oracle_pair_products(cs):
     """(T, G) from sympy resultants in y: T = Res(g(y), y^m g(x/y)), whose
-    roots are the ordered pair products, and G = Res(g(y), x - y^2), whose
-    roots are the squared roots of g = sum cs[i] y^(m-i)."""
+    roots are the products over ordered pairs of roots, and
+    G = Res(g(y), x - y^2), whose roots are the squared roots of
+    g = sum cs[i] y^(m-i)."""
     m = len(cs) - 1
     g = sympy.Poly(sum(c * _Y ** (m - i) for i, c in enumerate(cs)), _Y, _X)
     h = sympy.Poly(sum(c * _X ** (m - i) * _Y**i for i, c in enumerate(cs)), _Y, _X)
@@ -320,10 +321,11 @@ def _oracle_pair_products(cs):
 
 
 def test_pair_and_root_products_match_resultants_seeded():
-    # T = pair_product_full(g) is the resultant itself; over ordered pairs
-    # every off-diagonal product appears twice and the diagonal holds the
-    # squared roots, so T = +-G R^2 with R = root_product_poly(g), whose
-    # leading coefficient must be |a0|^(m-1)
+    # over the ordered pairs of the resultant T every off-diagonal product
+    # appears twice and the diagonal holds the squared roots, so
+    # T = +-G R^2 with R = root_product_poly(g), whose leading coefficient
+    # must be |a0|^(m-1); the pairs j <= k give S = G R, leading
+    # coefficient |a0|^(m+1)
     rng = random.Random(1212)
     corpus = [(3, 5), (2**20, -3), (-(2**20), 7, 1), (-47, 721869, -252289), (-5, 2, 0, 7)]
     for n in range(1, 9):
@@ -344,8 +346,11 @@ def test_pair_and_root_products_match_resultants_seeded():
     for cs in corpus:
         g = IntPolynomial(cs)
         t, big_g = _oracle_pair_products(cs)
-        assert pair_product_full(g).coeffs == tuple(int(c) for c in t.all_coeffs()), cs
         m = g.degree
+        s = _pair_products(g, distinct=False)
+        r0 = sympy.Poly(list(_pair_products(g, distinct=True).coeffs), _X)
+        assert sympy.Poly(list(s.coeffs), _X) == big_g * r0, cs
+        assert s.coeffs[0] == abs(cs[0]) ** (m + 1), cs
         # zero roots add the monomial factor X^(vm + v(v-1)/2)
         for v in range(max(0, 2 - m), 3):
             rp = root_product_poly(g * IntPolynomial((1,) + (0,) * v))

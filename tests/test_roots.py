@@ -139,6 +139,26 @@ def test_cyclotomic_conjugate_disks():
         assert lo <= 1 <= hi
 
 
+def test_conjugate_disks_are_exact_mirrors_seeded():
+    # every non-real disk has its mirror image in the set, with the same
+    # radius and multiplicity, at every step of the ladder
+    rng = random.Random(45)
+    polys = [_rand_poly(rng) for _ in range(30)]
+    q1, q2, q3 = IntPolynomial((1, 1, 1)), IntPolynomial((2, -1, 3)), IntPolynomial((1, 0, 1))
+    polys += [
+        q1 * q1 * IntPolynomial((1, 0, 2)),
+        q2 * q2 * q2 * IntPolynomial((1, -1, 0)),
+        IntPolynomial((1, 0, 0, 0, 1)) * q3 * q3,
+    ]
+    for f in polys:
+        rs = isolate_roots(f, precision_bits=53)
+        for sets in (rs, isolate_roots(f), refine(rs, rs.max_radius() / 2**20)):
+            keys = {(d.center_re, d.center_im, d.radius, d.multiplicity) for d in sets.disks}
+            for d in sets.disks:
+                if not d.is_real:
+                    assert (d.center_re, -d.center_im, d.radius, d.multiplicity) in keys, f.coeffs
+
+
 def test_refine_shrinks_radii():
     f = IntPolynomial((1, -3, 1, 5, -2))
     rs = isolate_roots(f)

@@ -4,6 +4,10 @@ Every name a module imports must be used in that module or re-exported
 through its ``__all__``: an import left behind by a deleted caller is
 dead code that still costs an import and misleads the reader.
 
+Every module-level private function or class is referenced somewhere
+in the package, by name, attribute or import: a helper whose callers
+are gone is dead code, even when a test still calls it.
+
 No module imports mpmath: root centres are proposed in hardware doubles
 and in exact integers, and every value handed out is an exact integer or
 dyadic Fraction, so nothing depends on a global working precision.
@@ -71,3 +75,48 @@ def test_no_module_imports_mpmath():
 def test_imported_modules_are_found():
     tree = ast.parse("import mpmath.libmp\nfrom mpmath import mpf\nfrom . import roots\nimport os as o")
     assert _imported_modules(tree) == {"mpmath", "os"}
+
+
+def _private_definitions(tree: ast.Module) -> list:
+    return [
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    ]
+
+
+def _references(tree: ast.Module) -> set:
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out |= {alias.name for alias in node.names}
+    return out
+
+
+def _unreferenced(trees: dict) -> list:
+    used = set().union(*(_references(tree) for tree in trees.values()))
+    return sorted(
+        (name, helper)
+        for name, tree in trees.items()
+        for helper in _private_definitions(tree)
+        if helper not in used
+    )
+
+
+def test_every_private_helper_is_referenced():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in _MODULES}
+    assert _unreferenced(trees) == []
+
+
+def test_unreferenced_helper_is_found():
+    trees = {
+        "a.py": ast.parse("def _used():\n    pass\n\nclass _Dead:\n    pass\n"),
+        "b.py": ast.parse("from a import _used\n"),
+    }
+    assert _unreferenced(trees) == [("a.py", "_Dead")]
