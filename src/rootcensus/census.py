@@ -473,8 +473,7 @@ def classify_pipeline(f: IntPolynomial, spec: CensusSpec) -> Optional[List[Tuple
 # -- scalar engine --------------------------------------------------------------
 
 
-def _tally_scalar(spec: CensusSpec, leads: Sequence[int]) -> CounterTable:
-    table = CounterTable(spec.fingerprint(), _empty_cells(spec))
+def _tally_scalar(spec: CensusSpec, leads: Sequence[int], table: CounterTable) -> None:
     hh = spec.height
     rest = spec.n - 1 if spec.monic else spec.n
     rng = range(-hh, hh + 1)
@@ -488,19 +487,6 @@ def _tally_scalar(spec: CensusSpec, leads: Sequence[int]) -> CounterTable:
                 continue
             for fam, label in cells:
                 table.add(fam, label)
-    if spec.symmetry:
-        _double(table)
-    return table
-
-
-def _double(table: CounterTable) -> None:
-    # -f has the same roots: every statistic matches, so the a_0 < 0
-    # half-box is an exact mirror of the enumerated a_0 > 0 half
-    table.totals *= 2
-    table.ambiguous *= 2
-    for cells in table.counts.values():
-        for label in cells:
-            cells[label] *= 2
 
 
 # -- vector engine ----------------------------------------------------------------
@@ -564,8 +550,7 @@ def _vec_profile3(a0, b0, c0, d0):
     return kmax, kmin, dsc
 
 
-def _tally_vector(spec: CensusSpec, leads: Sequence[int]) -> CounterTable:
-    table = CounterTable(spec.fingerprint(), _empty_cells(spec))
+def _tally_vector(spec: CensusSpec, leads: Sequence[int], table: CounterTable) -> None:
     hh, n = spec.height, spec.n
     rng = np.arange(-hh, hh + 1, dtype=np.int64)
     leads_arr = np.asarray(leads, dtype=np.int64)
@@ -583,9 +568,6 @@ def _tally_vector(spec: CensusSpec, leads: Sequence[int]) -> CounterTable:
         for fam, label, k in counter.vector(batch):
             if k:
                 table.add(fam, label, k)
-    if spec.symmetry:
-        _double(table)
-    return table
 
 
 def _vector_ok(spec: CensusSpec) -> bool:
@@ -596,21 +578,23 @@ def _vector_ok(spec: CensusSpec) -> bool:
     )
 
 
-def _tally_unit(spec: CensusSpec, unit: WorkUnit) -> CounterTable:
+def _unit_worker(payload: Tuple[CensusSpec, WorkUnit]):
+    """The unit id and the counter delta of one unit, tallied by the
+    spec's engine."""
+    spec, unit = payload
     engine = spec.engine
     if engine == "auto":
         engine = "vector" if _vector_ok(spec) else "scalar"
     elif engine == "vector" and not _vector_ok(spec):
         raise BadParameters("vector engine unavailable for this spec")
-    if engine == "vector":
-        return _tally_vector(spec, unit.leads)
-    return _tally_scalar(spec, unit.leads)
-
-
-def _unit_worker(payload: Tuple[CensusSpec, WorkUnit]):
-    spec, unit = payload
-    delta = _tally_unit(spec, unit)
-    return unit.unit_id, delta.delta_dict()
+    table = CounterTable(spec.fingerprint(), _empty_cells(spec))
+    tally = _tally_vector if engine == "vector" else _tally_scalar
+    tally(spec, unit.leads, table)
+    if spec.symmetry:
+        # -f has the same roots: every statistic matches, so the a_0 < 0
+        # half-box is an exact mirror of the enumerated a_0 > 0 half
+        table = table.merge(table)
+    return unit.unit_id, table.delta_dict()
 
 
 # -- checkpoints -----------------------------------------------------------------

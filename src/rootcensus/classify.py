@@ -6,7 +6,7 @@ Answers, with certificates, the questions driving the censuses:
   maximal and minimal modulus, and whether the maximal one is dominant
   (unique);
 - root_signature: the number of real roots r and conjugate pairs s,
-  r + 2s = n, by exact Sturm counts;
+  r + 2s = n, by exact real-root counts of the squarefree factors;
 - factorize: certified factorization into
   irreducibles over the integers (rational roots, degree-pattern sieve
   mod p, Kronecker interpolation search);
@@ -60,6 +60,7 @@ from .errors import (
 )
 from .intpoly import (
     IntPolynomial,
+    SquarefreeDecomposition,
     _deflate_zero_roots,
     _interpolate,
     _pair_products,
@@ -78,6 +79,7 @@ from .modp import factor_degree_pattern, primes_up_to, root_counts
 from .roots import (
     CertifiedRootSet,
     RootDisk,
+    _DEFAULT_CAP,
     _analysis,
     _ceil_sqrt,
     _deflated,
@@ -100,8 +102,6 @@ __all__ = [
     "has_multiplicative_relation",
     "profile_pair_deg2",
     "profile_pair_deg3",
-    "real_count_deg2",
-    "real_count_deg3",
 ]
 
 DEFAULT_DEGREE_CAP = 8
@@ -146,11 +146,7 @@ class FactorizationResult:
     irreducible: bool
 
     def reconstruct(self) -> IntPolynomial:
-        out = IntPolynomial((self.content,))
-        for p, m in self.factors:
-            for _ in range(m):
-                out = out * p
-        return out
+        return SquarefreeDecomposition(self.content, self.factors).reconstruct()
 
 
 @dataclass(frozen=True)
@@ -240,14 +236,6 @@ def profile_pair_deg3(a: int, b: int, c: int, d: int) -> Tuple[int, int]:
     return (1, 2)
 
 
-def real_count_deg2(a: int, b: int, c: int) -> int:
-    return 2 if b * b - 4 * a * c >= 0 else 0
-
-
-def real_count_deg3(a: int, b: int, c: int, d: int) -> int:
-    return 3 if disc3(a, b, c, d) >= 0 else 1
-
-
 # -- modulus profile ----------------------------------------------------------
 
 
@@ -308,11 +296,19 @@ def _profile_certified(f: IntPolynomial) -> ModulusProfile:
         # splits the rest, as distinct roots of S are separated
         decision = "EXACT"
         chain = sturm_chain(squarefree_part(_pair_products(f, distinct=False)))
+        # correct input stays far below this bound (X^5 - 2^40 X + 1
+        # needs one refine, to 228 bits); point disks cannot refine
+        cap = max(_DEFAULT_CAP, 8 * rs.precision_bits)
         while any(
             run.size > 1 and chain.roots_in(run.lo2, run.hi2) != 1
             for run in (runs[0], runs[-1])
         ):
-            rs = refine(rs, rs.max_radius() / 2**20)
+            radius = rs.max_radius()
+            if radius == 0 or rs.precision_bits > cap:
+                raise PrecisionCapExceeded(
+                    "modulus tie undecided at %d bits for %s" % (rs.precision_bits, f.coeffs)
+                )
+            rs = refine(rs, radius / 2**20)
             runs = _runs(_modulus_units(rs))
     kmax, kmin = runs[-1].mult, runs[0].mult
     return ModulusProfile(kmax, kmin, kmax == 1, decision)
@@ -385,15 +381,6 @@ def root_signature(f: IntPolynomial) -> RootSignature:
     n = f.degree
     if n < 1:
         raise DegreeTooSmall("signature needs degree >= 1")
-    cs = f.coeffs
-    if n == 1:
-        return RootSignature(1, 0)
-    if n == 2:
-        r = real_count_deg2(*cs)
-        return RootSignature(r, (2 - r) // 2)
-    if n == 3:
-        r = real_count_deg3(*cs)
-        return RootSignature(r, (3 - r) // 2)
     a = _analysis(f)
     r = a.zeros + sum(mult * real for _, mult, real in a.factors)
     return RootSignature(r, (n - r) // 2)
@@ -637,26 +624,16 @@ def has_multiplicative_relation(f: IntPolynomial, prefilter: bool = True) -> boo
     cheaply, and only what they cannot separate falls through to exact
     arithmetic.
     """
-    return _relation_detail(f, prefilter=prefilter)[0]
-
-
-def _relation_detail(f: IntPolynomial, prefilter: bool = True) -> Tuple[bool, str]:
-    n = f.degree
-    if n < 4:
+    if f.degree < 4:
         raise DegreeTooSmall("multiplicative relations need degree >= 4")
     a = _analysis(f)
-    if a.zeros >= 2 or any(m >= 2 for _, m, _ in a.factors):
-        return True, "squareful"
-    if f.coeffs[-1] == 0:
-        # one zero root (f squarefree here): its n-1 >= 3 pair products
-        # all vanish, a repeated root of the product polynomial
-        return True, "zero-products"
+    # a repeated root collides pair products, and so does a zero root:
+    # its n-1 >= 3 pair products all vanish
+    if a.zeros or any(m >= 2 for _, m, _ in a.factors):
+        return True
     if prefilter and _products_separated(f):
-        return False, "separated"
-    rp = root_product_poly(f)
-    if discriminant(rp) == 0:
-        return True, "product-collision"
-    return False, "product-separation-exact"
+        return False
+    return discriminant(root_product_poly(f)) == 0
 
 
 def _products_separated(g: IntPolynomial) -> bool:

@@ -7,16 +7,23 @@
   rootcensus fit       --points "H:count,..."    log-log growth exponents
   rootcensus verify    --suite quick|full        the packaged acceptance suite
 
-Exit codes: 0 success, 1 domain errors (machine-readable {"error", "message"}
-JSON on standard error), 2 usage errors (argparse prints the grammar).
+Exit codes: 0 success (verify: its suite_exit), 1 domain errors
+(machine-readable {"error", "message"} JSON on standard error), 2 usage
+errors (argparse prints the grammar).
 
 Global flags --jobs, --precision-cap, --degree-cap, --seed, --format, --out
 can also be set through environment variables with the ROOTCENSUS_ prefix
 (ROOTCENSUS_JOBS, ROOTCENSUS_PRECISION_CAP, ROOTCENSUS_DEGREE_CAP,
 ROOTCENSUS_SEED, ROOTCENSUS_FORMAT, ROOTCENSUS_OUT); an explicit flag beats
-the environment, which beats the built-in default. Every JSON output embeds
-the resolved configuration and the artifact version, so identical configs
-produce byte-identical output apart from the runtime_seconds field.
+the environment, which beats the built-in default. Every subcommand takes
+them all, but --precision-cap is read only by roots, --seed only by
+generate, --jobs by census and verify, and --degree-cap by classify,
+census and generate --validate.
+
+Every JSON output embeds the resolved configuration and the artifact
+version, so identical configs produce byte-identical output apart from
+the runtime_seconds field. --format csv exists only for census; the
+other subcommands refuse it before they compute anything.
 
 Coefficient strings are leading-first everywhere: "1,0,-2" is X^2 - 2.
 """
@@ -65,6 +72,9 @@ from .roots import isolate_roots
 __all__ = ["dispatch", "main", "build_parser"]
 
 _ENV_PREFIX = "ROOTCENSUS_"
+
+# a subcommand's result for _emit: resolved configuration, JSON object, text
+_Output = Tuple[Dict[str, object], Dict[str, object], str]
 
 _GLOBAL_DEFAULTS = {
     "jobs": 1,
@@ -168,24 +178,18 @@ def _parse_points(text: str) -> List[Tuple[float, float]]:
     return pts
 
 
-def _emit(cfg: Dict[str, object], payload: str) -> None:
-    out = cfg["out"]
-    if out == "-":
-        sys.stdout.write(payload)
-        if not payload.endswith("\n"):
-            sys.stdout.write("\n")
+def _emit(cfg: Dict[str, object], obj: Dict[str, object], text: str) -> None:
+    """Write one subcommand's output and a final newline to stdout or
+    --out: for json the object with the resolved configuration and the
+    version added, otherwise the text payload."""
+    if cfg["format"] == "json":
+        obj = dict(obj, config=cfg, version=__version__)
+        text = json.dumps(obj, sort_keys=True, indent=2, default=str)
+    if cfg["out"] == "-":
+        sys.stdout.write(text + "\n")
     else:
-        with open(str(out), "w", encoding="utf-8") as fh:
-            fh.write(payload)
-            if not payload.endswith("\n"):
-                fh.write("\n")
-
-
-def _emit_json(cfg: Dict[str, object], obj: Dict[str, object]) -> None:
-    obj = dict(obj)
-    obj["config"] = cfg
-    obj["version"] = __version__
-    _emit(cfg, json.dumps(obj, sort_keys=True, indent=2, default=str))
+        with open(str(cfg["out"]), "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
 
 
 def _config(args: argparse.Namespace, **extra) -> Dict[str, object]:
@@ -194,6 +198,8 @@ def _config(args: argparse.Namespace, **extra) -> Dict[str, object]:
         cfg[flag] = _resolve_global(args, flag)
     if cfg["format"] not in ("json", "csv", "text"):
         raise BadParameters("unknown format %r (choices: json, csv, text)" % (cfg["format"],))
+    if cfg["format"] == "csv" and args.subcommand != "census":
+        raise BadParameters("%s output has no csv form; use json or text" % (args.subcommand,))
     for k, v in extra.items():
         cfg[k] = v
     return cfg
@@ -221,7 +227,7 @@ def _number(x: Fraction):
     return decimal.Context(prec=17).divide(x.numerator, x.denominator)
 
 
-def _cmd_roots(args: argparse.Namespace) -> int:
+def _cmd_roots(args: argparse.Namespace) -> _Output:
     f = _need_poly(args)
     cfg = _config(
         args,
@@ -246,37 +252,25 @@ def _cmd_roots(args: argparse.Namespace) -> int:
         }
         for d in rs.disks
     ]
-    if cfg["format"] == "text":
-        lines = ["status %s at %d bits" % (rs.status, rs.precision_bits)]
-        for d in disks:
-            lines.append(
-                "  {:.17g} {:+.17g}i  r={:.3g}  mult={}{}".format(
-                    d["center_re"],
-                    d["center_im"],
-                    d["radius"],
-                    d["multiplicity"],
-                    " real" if d["is_real"] else "",
-                )
+    lines = ["status %s at %d bits" % (rs.status, rs.precision_bits)]
+    for d in disks:
+        lines.append(
+            "  {:.17g} {:+.17g}i  r={:.3g}  mult={}{}".format(
+                d["center_re"],
+                d["center_im"],
+                d["radius"],
+                d["multiplicity"],
+                " real" if d["is_real"] else "",
             )
-        _emit(cfg, "\n".join(lines))
-        return 0
-    if cfg["format"] == "csv":
-        raise BadParameters("roots output has no csv form; use json or text")
-    _emit_json(
-        cfg,
-        {
-            "roots": disks,
-            "status": rs.status,
-            "precision_bits": rs.precision_bits,
-        },
-    )
-    return 0
+        )
+    obj = {"roots": disks, "status": rs.status, "precision_bits": rs.precision_bits}
+    return cfg, obj, "\n".join(lines)
 
 
 # -- classify ------------------------------------------------------------
 
 
-def _cmd_classify(args: argparse.Namespace) -> int:
+def _cmd_classify(args: argparse.Namespace) -> _Output:
     f = _need_poly(args)
     wants = {
         "profile": args.profile,
@@ -293,8 +287,6 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         requested=sorted(k for k, v in wants.items() if v),
         prime_bound=args.prime_bound,
     )
-    if cfg["format"] == "csv":
-        raise BadParameters("classify output has no csv form; use json or text")
     out: Dict[str, object] = {}
     if wants["profile"]:
         p = modulus_profile(f)
@@ -331,17 +323,13 @@ def _cmd_classify(args: argparse.Namespace) -> int:
             out["multiplicative_relation"] = has_multiplicative_relation(f)
         else:
             out["multiplicative_relation"] = None
-    if cfg["format"] == "text":
-        _emit(cfg, "\n".join("%s: %s" % (k, out[k]) for k in sorted(out)))
-        return 0
-    _emit_json(cfg, out)
-    return 0
+    return cfg, out, "\n".join("%s: %s" % (k, out[k]) for k in sorted(out))
 
 
 # -- census ----------------------------------------------------------------
 
 
-def _cmd_census(args: argparse.Namespace) -> int:
+def _cmd_census(args: argparse.Namespace) -> _Output:
     if args.n is None or args.height is None:
         raise BadParameters("census needs --n and --height")
     counters = _parse_counters(args.counters)
@@ -368,24 +356,20 @@ def _cmd_census(args: argparse.Namespace) -> int:
     table = run_census(spec)
     rt = round(time.perf_counter() - t0, 3)
     if cfg["format"] == "csv":
-        _emit(cfg, "\n".join(counter_table_csv(table)))
-        return 0
-    if cfg["format"] == "text":
+        lines = counter_table_csv(table)
+    else:
         lines = ["totals %d  ambiguous %d  (%.3fs)" % (table.totals, table.ambiguous, rt)]
         for fam in sorted(table.counts):
             cells = table.family(fam)
             body = "  ".join("%s=%d" % (k, cells[k]) for k in sorted(cells))
             lines.append("%-8s %s" % (fam, body))
-        _emit(cfg, "\n".join(lines))
-        return 0
-    _emit_json(cfg, table.to_json(runtime_seconds=rt))
-    return 0
+    return cfg, table.to_json(runtime_seconds=rt), "\n".join(lines)
 
 
 # -- generate ----------------------------------------------------------------
 
 
-def _predicate(expr: str) -> Callable[[IntPolynomial], bool]:
+def _predicate(expr: str, degree_cap: int) -> Callable[[IntPolynomial], bool]:
     """Tiny membership DSL for --validate:
 
     k_max=K, k_min=K, dominant, b*=M1,M2, r=R, irreducible
@@ -394,7 +378,7 @@ def _predicate(expr: str) -> Callable[[IntPolynomial], bool]:
     if expr == "dominant":
         return lambda f: modulus_profile(f).dominant
     if expr == "irreducible":
-        return lambda f: factorize(f).irreducible
+        return lambda f: factorize(f, degree_cap=degree_cap).irreducible
     if expr.startswith("k_max="):
         k = int(expr[6:])
         return lambda f: modulus_profile(f).k_max == k
@@ -419,7 +403,7 @@ def _predicate(expr: str) -> Callable[[IntPolynomial], bool]:
     )
 
 
-def _cmd_generate(args: argparse.Namespace) -> int:
+def _cmd_generate(args: argparse.Namespace) -> _Output:
     if args.height is None:
         raise BadParameters("generate needs --height")
     cfg = _config(
@@ -455,7 +439,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             raise BadParameters("theorem31 needs --n")
         delta = _parse_fraction(args.delta, "--delta") if args.delta else Fraction(1, 2)
         stream = itertools.islice(theorem31_family(args.n, args.height, delta), count)
-    elif args.family in ("a3star3", "x3plus8"):
+    else:  # a3star3 or x3plus8
         name = {"a3star3": "A3_STAR_3", "x3plus8": "X3PLUS8"}[args.family]
         n = args.n if args.n is not None else (3 if args.family == "a3star3" else 4)
         params = None
@@ -465,35 +449,26 @@ def _cmd_generate(args: argparse.Namespace) -> int:
                 raise BadParameters("--params needs four rationals 'd1,d2,l1,l2'")
             params = tuple(_parse_fraction(t.strip(), "--params entry") for t in toks)
         stream = itertools.islice(showcase_families(name, n, args.height, params=params), count)
-    else:
-        raise BadParameters("unknown family %r" % (args.family,))
 
     members = [coeff_string(f) for f in stream]
     report = None
     if args.validate:
-        pred = _predicate(args.validate)
+        pred = _predicate(args.validate, int(cfg["degree_cap"]))
         report = validate_family(
             (parse_coeff_string(s) for s in members), pred, sample=max(1, len(members))
         )
-    if cfg["format"] == "text":
-        payload = "\n".join(members)
-        if report is not None:
-            payload += "\n" + json.dumps(report, sort_keys=True, default=str)
-        _emit(cfg, payload)
-        return 0
-    if cfg["format"] == "csv":
-        raise BadParameters("generate output has no csv form; use json or text")
+    text = "\n".join(members)
     obj: Dict[str, object] = {"members": members, "count": len(members)}
     if report is not None:
+        text += "\n" + json.dumps(report, sort_keys=True, default=str)
         obj["validation"] = report
-    _emit_json(cfg, obj)
-    return 0
+    return cfg, obj, text
 
 
 # -- fit ---------------------------------------------------------------------
 
 
-def _cmd_fit(args: argparse.Namespace) -> int:
+def _cmd_fit(args: argparse.Namespace) -> _Output:
     pts: List[Tuple[float, float]] = []
     if args.points:
         pts.extend(_parse_points(args.points))
@@ -521,31 +496,21 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         label=args.label,
     )
     fit = fit_growth_exponent(pts)
-    if cfg["format"] == "csv":
-        raise BadParameters("fit output has no csv form; use json or text")
-    if cfg["format"] == "text":
-        _emit(
-            cfg,
-            "slope %.6f  intercept %.6f  residual %.3g  (%d points)"
-            % (fit.slope, fit.intercept, fit.residual, len(pts)),
-        )
-        return 0
-    _emit_json(
-        cfg,
-        {
-            "slope": fit.slope,
-            "intercept": fit.intercept,
-            "residual": fit.residual,
-            "points": [[h, c] for h, c in sorted(pts)],
-        },
-    )
-    return 0
+    obj = {
+        "slope": fit.slope,
+        "intercept": fit.intercept,
+        "residual": fit.residual,
+        "points": [[h, c] for h, c in sorted(pts)],
+    }
+    text = "slope %.6f  intercept %.6f  residual %.3g  (%d points)" % (
+        fit.slope, fit.intercept, fit.residual, len(pts))
+    return cfg, obj, text
 
 
 # -- verify --------------------------------------------------------------------
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> _Output:
     criteria = None
     if args.criteria:
         try:
@@ -553,34 +518,23 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         except ValueError:
             raise BadParameters("--criteria must be a comma list of integers")
     cfg = _config(args, suite=args.suite, criteria=criteria)
-    if cfg["format"] == "csv":
-        raise BadParameters("verify output has no csv form; use json or text")
     results = run_acceptance(args.suite, criteria=criteria, jobs=int(cfg["jobs"]))
     code = acceptance_exit_code(results)
-    if cfg["format"] == "text":
-        lines = []
-        for r in results:
-            lines.append(
-                "%-6s %2d %-44s %7.1fs" % (r.status, r.cid, r.name, r.runtime_seconds)
-            )
-            if r.status != "PASS":
-                lines.append("       expected: %s" % r.expected)
-                lines.append("       measured: %s" % json.dumps(r.measured, sort_keys=True, default=str))
-            if r.notes:
-                lines.append("       note: %s" % r.notes)
+    lines = []
+    for r in results:
         lines.append(
-            "result: %s (%d criteria)" % ("FAIL" if code else "PASS", len(results))
+            "%-6s %2d %-44s %7.1fs" % (r.status, r.cid, r.name, r.runtime_seconds)
         )
-        _emit(cfg, "\n".join(lines))
-        return code
-    _emit_json(
-        cfg,
-        {
-            "results": [r.to_json() for r in results],
-            "suite_exit": code,
-        },
+        if r.status != "PASS":
+            lines.append("       expected: %s" % r.expected)
+            lines.append("       measured: %s" % json.dumps(r.measured, sort_keys=True, default=str))
+        if r.notes:
+            lines.append("       note: %s" % r.notes)
+    lines.append(
+        "result: %s (%d criteria)" % ("FAIL" if code else "PASS", len(results))
     )
-    return code
+    obj = {"results": [r.to_json() for r in results], "suite_exit": code}
+    return cfg, obj, "\n".join(lines)
 
 
 # -- parser / dispatch ----------------------------------------------------------
@@ -703,7 +657,9 @@ def dispatch(argv: Sequence[str]) -> int:
         code = e.code
         return int(code) if isinstance(code, int) else 0 if code is None else 2
     try:
-        return int(args.run(args))
+        cfg, obj, text = args.run(args)
+        _emit(cfg, obj, text)
+        return int(obj.get("suite_exit", 0))
     except RootCensusError as e:
         sys.stderr.write(
             json.dumps(

@@ -7,11 +7,12 @@ disk. Centres and radii are exact dyadic Fractions.
 
 Roots at zero are split off exactly and get a disk of radius zero, and
 Yun decomposition hands the rest over as squarefree factors with their
-Sturm real counts; this analysis (_analysis) is computed once per
-polynomial and stored on it, so refine and the signatures in classify
-reuse it. Each factor goes through one certification rung: centres are
-proposed at the bits of its ladder step, and one exact integer routine
-certifies them:
+real root counts (by the sign of the discriminant up to degree 3, by
+Sturm above); this analysis (_analysis) is computed once per polynomial
+and stored on it, so refine and the signatures in classify reuse it.
+Each factor goes through one certification rung: centres are proposed
+at the bits of its ladder step, and one exact integer routine certifies
+them:
 
 - a linear factor's centre is its root -c1/c0 rounded to the step's
   bits; for higher degrees, Aberth-Ehrlich simultaneous iteration in
@@ -61,6 +62,7 @@ from .intpoly import (
     IntPolynomial,
     _deflate_zero_roots,
     _int_nthroot,
+    discriminant,
     squarefree_decomposition,
     sturm_real_root_count,
 )
@@ -179,12 +181,21 @@ def _analysis(f: IntPolynomial) -> _Analysis:
         factors = ()
         if g.degree >= 1:
             factors = tuple(
-                (fac, mult, sturm_real_root_count(fac))
+                (fac, mult, _real_count(fac))
                 for fac, mult in squarefree_decomposition(g).factors
             )
         got = _Analysis(v, factors)
         object.__setattr__(f, "_analysis", got)
     return got
+
+
+def _real_count(fac: IntPolynomial) -> int:
+    """Distinct real roots of a squarefree factor. Up to degree 3 it has
+    at most one conjugate pair, so its nonzero discriminant, of sign
+    (-1)^pairs, decides; above, a Sturm count."""
+    if fac.degree <= 3:
+        return fac.degree if discriminant(fac) > 0 else fac.degree - 2
+    return sturm_real_root_count(fac)
 
 
 def _deflated(f: IntPolynomial) -> Tuple[int, IntPolynomial]:

@@ -22,7 +22,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from rootcensus import classify
-from rootcensus.errors import DegreeCapExceeded, NotIrreducible
+from rootcensus.errors import DegreeCapExceeded, NotIrreducible, PrecisionCapExceeded
 from rootcensus.intpoly import IntPolynomial, discriminant
 from rootcensus.modp import factor_degree_pattern, primes_up_to
 from rootcensus.classify import (
@@ -31,8 +31,6 @@ from rootcensus.classify import (
     modulus_profile,
     profile_pair_deg2,
     profile_pair_deg3,
-    real_count_deg2,
-    real_count_deg3,
     root_signature,
     sn_certificate,
 )
@@ -175,6 +173,31 @@ def test_profile_of_products_with_exact_moduli(pairs, roots):
     assert p.dominant == (p.k_max == 1)
 
 
+@pytest.mark.parametrize(
+    "coeffs",
+    [(1, -2, -1, 2), (1, -3, -2, 6)],
+    ids=["point-disks", "precision-bound"],
+)
+def test_tie_loop_is_bounded(monkeypatch, coeffs):
+    # with a defective S whose Sturm count never reaches 1 the tie path
+    # gives up with PrecisionCapExceeded instead of refining forever: at
+    # once on the exact disks of the roots 1, -1, 2, and past the bits
+    # bound on the disks of +-sqrt(2), 3, which always shrink
+    monkeypatch.setattr(classify, "_pair_products", lambda f, distinct: IntPolynomial((1, 0, 1)))
+    refine = classify.refine
+    calls = []
+
+    def counted(rs, radius_target):
+        calls.append(rs.precision_bits)
+        if len(calls) > 50:
+            raise RuntimeError("tie loop still refining after 50 calls")
+        return refine(rs, radius_target)
+
+    monkeypatch.setattr(classify, "refine", counted)
+    with pytest.raises(PrecisionCapExceeded):
+        modulus_profile(IntPolynomial(coeffs), method="certified")
+
+
 def test_conjugate_pair_from_mp_rung_is_one_unit():
     # two real roots and one conjugate pair: three moduli, whatever rung
     # produced the disks (the default start is the 128-bit one)
@@ -207,13 +230,11 @@ def test_low_degree_kernels_match_general_path():
         f2 = IntPolynomial((a, b, c))
         p2 = modulus_profile(f2, method="certified")
         assert profile_pair_deg2(a, b, c) == (p2.k_max, p2.k_min)
-        s2 = root_signature(f2)
-        assert real_count_deg2(a, b, c) == s2.r
+        assert root_signature(f2).r == len(sympy.Poly([a, b, c], _X).real_roots())
         f3 = IntPolynomial((a, b, c, d))
         p3 = modulus_profile(f3, method="certified")
         assert profile_pair_deg3(a, b, c, d) == (p3.k_max, p3.k_min), (a, b, c, d)
-        s3 = root_signature(f3)
-        assert real_count_deg3(a, b, c, d) == s3.r
+        assert root_signature(f3).r == len(sympy.Poly([a, b, c, d], _X).real_roots()), (a, b, c, d)
 
 
 # -- signatures ------------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 Covers the documented exit-code contract (0 success, 1 domain error
 with JSON on stderr, 2 usage error), environment-variable overrides
-and their precedence below explicit flags, format selection, and the
-byte-identical-output guarantee for repeated identical configs.
+and their precedence below explicit flags, format selection, the one
+output path every subcommand shares (csv only for census, --out bytes
+equal to stdout bytes, one final newline), and the byte-identical-output
+guarantee for repeated identical configs.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -77,12 +80,6 @@ def test_roots_beyond_the_double_range(capsys):
     disks = sorted(blob["roots"], key=lambda d: float(d["center_re"]))
     assert [d["center_re"] for d in disks] == ["-1.0000000000000000E+400", "-1.0000000000000000E-400"]
     assert all(d["is_real"] and d["multiplicity"] == 1 for d in disks)
-
-
-def test_roots_csv_format_rejected(capsys):
-    code, _, err = _run(capsys, ["roots", "--poly", "1,0,-2", "--format", "csv"])
-    assert code == 1
-    assert json.loads(err)["error"] == "BadParameters"
 
 
 # -- classify --------------------------------------------------------------------------
@@ -280,6 +277,18 @@ def test_generate_validate_predicates(capsys):
     assert json.loads(err)["error"] == "BadParameters"
 
 
+def test_generate_validate_irreducible_reads_degree_cap(capsys):
+    # degree 9 is above the default cap of 8; the first member is
+    # irreducible and the second is not
+    blob = _run_json(
+        capsys,
+        ["generate", "--family", "theorem31", "--n", "9", "--height", "4",
+         "--count", "2", "--validate", "irreducible", "--degree-cap", "10"],
+    )
+    assert blob["config"]["degree_cap"] == 10
+    assert blob["validation"]["pass_fraction"] == 0.5
+
+
 def test_generate_near_target_needs_target(capsys):
     code, _, err = _run(
         capsys, ["generate", "--family", "near-target", "--height", "40"]
@@ -338,6 +347,60 @@ def test_verify_text_format(capsys):
     )
     assert code == 0
     assert "PASS" in out
+
+
+# -- one output path -----------------------------------------------------------------------------------
+
+_INVOCATIONS = {
+    "roots": ["roots", "--poly", "1,0,-2"],
+    "classify": ["classify", "--poly", "1,0,-5,0,4"],
+    "census": ["census", "--n", "2", "--height", "1", "--monic", "--counters", "A"],
+    "generate": ["generate", "--family", "theorem31", "--n", "2", "--height", "30",
+                 "--count", "4", "--validate", "r=2"],
+    "fit": ["fit", "--points", "10:100,20:400,40:1600"],
+    "verify": ["verify", "--suite", "quick", "--criteria", "1"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+@pytest.mark.parametrize("subcommand", list(_INVOCATIONS))
+def test_one_output_path(capsys, monkeypatch, tmp_path, subcommand, fmt):
+    # runtimes read 0, so two runs of one invocation agree byte for byte
+    monkeypatch.setattr(time, "perf_counter", lambda: 0.0)
+    argv = _INVOCATIONS[subcommand] + ["--format", fmt]
+    code, out, err = _run(capsys, argv)
+    if fmt == "csv" and subcommand != "census":
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {
+            "error": "BadParameters",
+            "message": "%s output has no csv form; use json or text" % subcommand,
+        }
+        return
+    assert (code, err) == (0, "")
+    assert out.endswith("\n") and not out.endswith("\n\n")
+    path = tmp_path / "out"
+    assert _run(capsys, argv + ["--out", str(path)]) == (0, "", "")
+    if fmt == "json":  # the echoed configuration names the output
+        out = out.replace('"out": "-"', '"out": %s' % json.dumps(str(path)))
+    assert path.read_bytes() == out.encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["roots", "--poly", "7"],  # degree 0
+        ["classify", "--poly", "7"],
+        ["generate", "--family", "theorem31", "--height", "4", "--count", "1000000"],  # no --n
+        ["fit", "--points", "10:100"],  # too few points
+        ["verify", "--criteria", "99"],  # no such criterion
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_format_is_refused_first(capsys, argv):
+    # an invocation wrong in two ways reports the csv refusal, before any work
+    code, out, err = _run(capsys, argv + ["--format", "csv"])
+    assert (code, out) == (1, "")
+    assert json.loads(err)["message"] == "%s output has no csv form; use json or text" % argv[0]
 
 
 # -- console script ------------------------------------------------------------------------------------

@@ -8,6 +8,10 @@ Every module-level private function or class is referenced somewhere
 in the package, by name, attribute or import: a helper whose callers
 are gone is dead code, even when a test still calls it.
 
+No two package functions of two or more statements share a body,
+docstrings aside: a twin is one idea implemented twice, and one of the
+two should call the other.
+
 No module imports mpmath: root centres are proposed in hardware doubles
 and in exact integers, and every value handed out is an exact integer or
 dyadic Fraction, so nothing depends on a global working precision.
@@ -120,3 +124,34 @@ def test_unreferenced_helper_is_found():
         "b.py": ast.parse("from a import _used\n"),
     }
     assert _unreferenced(trees) == [("a.py", "_Dead")]
+
+
+def _shared_bodies(trees: dict) -> list:
+    """Groups of (module, function) whose bodies, docstring stripped, have
+    two or more statements and the same AST dump."""
+    groups: dict = {}
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            body = node.body[1:] if ast.get_docstring(node) is not None else node.body
+            if len(body) >= 2:
+                key = "\n".join(ast.dump(stmt) for stmt in body)
+                groups.setdefault(key, []).append((name, node.name))
+    return sorted(group for group in groups.values() if len(group) > 1)
+
+
+def test_no_two_functions_share_a_body():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in _MODULES}
+    assert _shared_bodies(trees) == []
+
+
+def test_shared_body_is_found():
+    trees = {
+        "a.py": ast.parse("def f(x):\n    y = x + 1\n    return y\n"),
+        "b.py": ast.parse(
+            "class C:\n    def g(self, x):\n        \"\"\"Doc.\"\"\"\n        y = x + 1\n        return y\n"
+            "def h(x):\n    return x + 1\n\ndef k(x):\n    return x + 1\n"
+        ),
+    }
+    assert _shared_bodies(trees) == [[("a.py", "f"), ("b.py", "g")]]
