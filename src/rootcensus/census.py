@@ -231,8 +231,8 @@ def _requested(counters: Sequence[str]) -> List[_Counter]:
 @dataclass(frozen=True)
 class CensusSpec:
     """Full description of one census; the counter table is a pure
-    function of everything here except jobs, checkpoint, budget and
-    engine (which only affect how the work is done)."""
+    function of everything here except jobs, checkpoint and engine
+    (which only affect how the work is done)."""
 
     n: int
     height: int
@@ -244,7 +244,6 @@ class CensusSpec:
     degree_cap: int = 8
     permissive: bool = False
     symmetry: bool = False
-    budget: int = DEFAULT_BUDGET
     engine: str = "auto"
 
     def validate(self) -> None:
@@ -273,6 +272,8 @@ class CensusSpec:
                 raise BadParameters("counter %s is limited to n <= %d" % (name, c.max_n))
             if "factorization" in c.needs and self.n > self.degree_cap:
                 raise BadParameters("factorization-based counters need n <= degree_cap")
+        if self.engine == "vector" and not _vector_ok(self):
+            raise BadParameters("vector engine unavailable for this spec")
 
     @property
     def total_points(self) -> int:
@@ -582,13 +583,9 @@ def _unit_worker(payload: Tuple[CensusSpec, WorkUnit]):
     """The unit id and the counter delta of one unit, tallied by the
     spec's engine."""
     spec, unit = payload
-    engine = spec.engine
-    if engine == "auto":
-        engine = "vector" if _vector_ok(spec) else "scalar"
-    elif engine == "vector" and not _vector_ok(spec):
-        raise BadParameters("vector engine unavailable for this spec")
+    vector = spec.engine == "vector" or (spec.engine == "auto" and _vector_ok(spec))
     table = CounterTable(spec.fingerprint(), _empty_cells(spec))
-    tally = _tally_vector if engine == "vector" else _tally_scalar
+    tally = _tally_vector if vector else _tally_scalar
     tally(spec, unit.leads, table)
     if spec.symmetry:
         # -f has the same roots: every statistic matches, so the a_0 < 0
@@ -678,10 +675,10 @@ def run_census(spec: CensusSpec, limit_units: Optional[int] = None) -> CounterTa
     contract (totals then cover only the completed units).
     """
     spec.validate()
-    if spec.total_points > spec.budget:
+    if spec.total_points > DEFAULT_BUDGET:
         raise BudgetExceeded(
             "census needs %d lattice points, budget is %d"
-            % (spec.total_points, spec.budget)
+            % (spec.total_points, DEFAULT_BUDGET)
         )
     units = make_work_units(spec)
     table = CounterTable(spec.fingerprint(), _empty_cells(spec))

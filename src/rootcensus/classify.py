@@ -111,6 +111,8 @@ DEFAULT_PRIME_BOUND = 200
 # (measured on X^4+1: never certified and with the cheapest patterns,
 # it gains least from each skipped prime)
 _ROOT_COUNT_CUTOFF = 256
+# good primes the factor-degree sieve tries at most (_sieve_factor_degrees)
+_SIEVE_PRIMES = 32
 
 
 @dataclass(frozen=True)
@@ -244,15 +246,14 @@ def modulus_profile(f: IntPolynomial, method: str = "auto") -> ModulusProfile:
 
     method "auto" routes degree <= 3 to exact integer kernels and
     higher degrees to the certified path; "certified" forces the
-    certified path at any degree (used to cross-validate the kernels);
-    "exact" requires degree <= 3.
+    certified path at any degree (used to cross-validate the kernels).
     """
     if f.is_zero:
         raise ZeroPolynomial("modulus profile of the zero polynomial")
     n = f.degree
     if n < 1:
         raise DegreeTooSmall("modulus profile needs degree >= 1")
-    if method not in ("auto", "exact", "certified"):
+    if method not in ("auto", "certified"):
         raise BadParameters("unknown method %r" % (method,))
     if method != "certified" and n <= 3:
         cs = f.coeffs
@@ -263,8 +264,6 @@ def modulus_profile(f: IntPolynomial, method: str = "auto") -> ModulusProfile:
         else:
             kk = profile_pair_deg3(*cs)
         return ModulusProfile(kk[0], kk[1], kk[0] == 1, "EXACT")
-    if method == "exact":
-        raise BadParameters("exact method available only for degree <= 3")
     return _profile_certified(f)
 
 
@@ -485,7 +484,7 @@ def _factor_squarefree(w: IntPolynomial) -> List[IntPolynomial]:
     return [w]
 
 
-def _sieve_factor_degrees(w: IntPolynomial, primes_to_try: int = 32) -> Set[int]:
+def _sieve_factor_degrees(w: IntPolynomial) -> Set[int]:
     """Degrees a factor of w could have: the intersection over good
     primes of the subset sums of the mod-p factor degree pattern.
 
@@ -499,7 +498,7 @@ def _sieve_factor_degrees(w: IntPolynomial, primes_to_try: int = 32) -> Set[int]
     possible: Optional[Set[int]] = None
     used = 0
     for pr in primes_up_to(500):
-        if used >= primes_to_try:
+        if used >= _SIEVE_PRIMES:
             break
         pat = factor_degree_pattern(w, pr)
         if pat is None:

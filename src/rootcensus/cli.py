@@ -16,9 +16,10 @@ can also be set through environment variables with the ROOTCENSUS_ prefix
 (ROOTCENSUS_JOBS, ROOTCENSUS_PRECISION_CAP, ROOTCENSUS_DEGREE_CAP,
 ROOTCENSUS_SEED, ROOTCENSUS_FORMAT, ROOTCENSUS_OUT); an explicit flag beats
 the environment, which beats the built-in default. Every subcommand takes
-them all, but --precision-cap is read only by roots, --seed only by
-generate, --jobs by census and verify, and --degree-cap by classify,
-census and generate --validate.
+--format and --out; the others only where they are read: --precision-cap
+by roots, --seed by generate, --jobs by census and verify, and
+--degree-cap by classify, census and generate (for --validate). Elsewhere
+such a flag is a usage error and its environment variable is ignored.
 
 Every JSON output embeds the resolved configuration and the artifact
 version, so identical configs produce byte-identical output apart from
@@ -76,13 +77,15 @@ _ENV_PREFIX = "ROOTCENSUS_"
 # a subcommand's result for _emit: resolved configuration, JSON object, text
 _Output = Tuple[Dict[str, object], Dict[str, object], str]
 
-_GLOBAL_DEFAULTS = {
-    "jobs": 1,
-    "precision_cap": 4096,
-    "degree_cap": 8,
-    "seed": 0,
-    "format": "json",
-    "out": "-",
+# global flag -> (default, help); _add_global_flags registers each one
+# only on the subcommands that read it
+_GLOBAL_FLAGS = {
+    "jobs": (1, "worker processes"),
+    "precision_cap": (4096, "certification precision cap in bits"),
+    "degree_cap": (8, "factor search degree cap"),
+    "seed": (0, "sampling seed"),
+    "format": ("json", "output format"),
+    "out": ("-", "output path, '-' for stdout"),
 }
 
 
@@ -95,9 +98,9 @@ def _resolve_global(args: argparse.Namespace, flag: str):
     val = getattr(args, flag)
     if val is not None:
         return val
+    default = _GLOBAL_FLAGS[flag][0]
     env = os.environ.get(_env_name(flag))
     if env is not None and env != "":
-        default = _GLOBAL_DEFAULTS[flag]
         if isinstance(default, int):
             try:
                 return int(env)
@@ -106,7 +109,7 @@ def _resolve_global(args: argparse.Namespace, flag: str):
                     "environment %s=%r is not an integer" % (_env_name(flag), env)
                 )
         return env
-    return _GLOBAL_DEFAULTS[flag]
+    return default
 
 
 def _parse_fraction(text: str, what: str) -> Fraction:
@@ -193,9 +196,11 @@ def _emit(cfg: Dict[str, object], obj: Dict[str, object], text: str) -> None:
 
 
 def _config(args: argparse.Namespace, **extra) -> Dict[str, object]:
+    """The subcommand, its resolved global flags and `extra`."""
     cfg: Dict[str, object] = {"subcommand": args.subcommand}
-    for flag in _GLOBAL_DEFAULTS:
-        cfg[flag] = _resolve_global(args, flag)
+    for flag in _GLOBAL_FLAGS:
+        if hasattr(args, flag):
+            cfg[flag] = _resolve_global(args, flag)
     if cfg["format"] not in ("json", "csv", "text"):
         raise BadParameters("unknown format %r (choices: json, csv, text)" % (cfg["format"],))
     if cfg["format"] == "csv" and args.subcommand != "census":
@@ -347,11 +352,7 @@ def _cmd_census(args: argparse.Namespace) -> _Output:
         symmetry=args.symmetry,
         engine=args.engine,
     )
-    # echo every spec field but the budget; jobs and degree_cap are
-    # already there as the global flags they came from
-    for field in dataclasses.fields(spec):
-        if field.name != "budget" and field.name not in cfg:
-            cfg[field.name] = getattr(spec, field.name)
+    cfg.update(dataclasses.asdict(spec))
     t0 = time.perf_counter()
     table = run_census(spec)
     rt = round(time.perf_counter() - t0, 3)
@@ -540,30 +541,18 @@ def _cmd_verify(args: argparse.Namespace) -> _Output:
 # -- parser / dispatch ----------------------------------------------------------
 
 
-def _add_global_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--jobs", type=int, default=None, help="worker processes (env ROOTCENSUS_JOBS)")
-    p.add_argument(
-        "--precision-cap",
-        type=int,
-        default=None,
-        dest="precision_cap",
-        help="certification precision cap in bits (env ROOTCENSUS_PRECISION_CAP)",
-    )
-    p.add_argument(
-        "--degree-cap",
-        type=int,
-        default=None,
-        dest="degree_cap",
-        help="factor search degree cap (env ROOTCENSUS_DEGREE_CAP)",
-    )
-    p.add_argument("--seed", type=int, default=None, help="sampling seed (env ROOTCENSUS_SEED)")
-    p.add_argument(
-        "--format",
-        default=None,
-        choices=("json", "csv", "text"),
-        help="output format (env ROOTCENSUS_FORMAT)",
-    )
-    p.add_argument("--out", default=None, help="output path, '-' for stdout (env ROOTCENSUS_OUT)")
+def _add_global_flags(p: argparse.ArgumentParser, *flags: str) -> None:
+    """Register the given global flags, then --format and --out."""
+    for flag in flags + ("format", "out"):
+        default, text = _GLOBAL_FLAGS[flag]
+        p.add_argument(
+            "--" + flag.replace("_", "-"),
+            dest=flag,
+            type=type(default),
+            default=None,
+            choices=("json", "csv", "text") if flag == "format" else None,
+            help="%s (env %s)" % (text, _env_name(flag)),
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -578,7 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poly", required=True, help='coefficients "a_0,...,a_n", leading first')
     p.add_argument("--precision", type=int, default=128, help="starting precision in bits")
     p.add_argument("--radius", default=None, help="refine disks to this rational radius")
-    _add_global_flags(p)
+    _add_global_flags(p, "precision_cap")
     p.set_defaults(run=_cmd_roots)
 
     p = sub.add_parser("classify", help="modulus profile, signature, factorization, S_n, relations")
@@ -590,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sn", action="store_true", help="one-sided S_n certificate")
     p.add_argument("--relation", action="store_true", help="multiplicative relation detector")
     p.add_argument("--prime-bound", type=int, default=200, dest="prime_bound")
-    _add_global_flags(p)
+    _add_global_flags(p, "degree_cap")
     p.set_defaults(run=_cmd_classify)
 
     p = sub.add_parser("census", help="exhaustive counter tables over a coefficient box")
@@ -611,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--permissive", action="store_true", help="count precision-cap hits as ambiguous")
     p.add_argument("--symmetry", action="store_true", help="use the sign symmetry reduction")
     p.add_argument("--engine", default="auto", choices=("auto", "scalar", "vector"))
-    _add_global_flags(p)
+    _add_global_flags(p, "jobs", "degree_cap")
     p.set_defaults(run=_cmd_census)
 
     p = sub.add_parser("generate", help="stream explicit positive-density families")
@@ -628,7 +617,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=1000, help="member budget")
     p.add_argument("--enumerate", action="store_true", help="lexicographic instead of sampled")
     p.add_argument("--validate", default=None, help="membership predicate, e.g. 'b*=2,2'")
-    _add_global_flags(p)
+    _add_global_flags(p, "degree_cap", "seed")
     p.set_defaults(run=_cmd_generate)
 
     p = sub.add_parser("fit", help="log-log growth exponent from points or census tables")
@@ -642,7 +631,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the packaged acceptance suite")
     p.add_argument("--suite", default="quick", choices=("quick", "full"))
     p.add_argument("--criteria", default=None, help="comma list of criterion ids (default all)")
-    _add_global_flags(p)
+    _add_global_flags(p, "jobs")
     p.set_defaults(run=_cmd_verify)
 
     return ap

@@ -79,7 +79,7 @@ class NonpositiveCount(RootCensusError):
 
 
 class BudgetExceeded(RootCensusError):
-    """Requested census exceeds the configured work budget."""
+    """Requested census exceeds the work budget (census.DEFAULT_BUDGET points)."""
 
 
 class CheckpointCorrupt(RootCensusError):

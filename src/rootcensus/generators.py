@@ -55,13 +55,7 @@ from .errors import (
     TargetNotSeparated,
 )
 from .intpoly import IntPolynomial, _int_nthroot, coeff_string
-from .roots import (
-    CertifiedRootSet,
-    _fraction_sqrt_lower,
-    _fraction_sqrt_upper,
-    isolate_roots,
-    refine,
-)
+from .roots import CertifiedRootSet, isolate_roots, refine
 
 __all__ = [
     "PerturbationBounds",
@@ -121,23 +115,23 @@ class TargetSpec:
 # internal root records: (re, im, rad, mult) with Fraction entries
 
 
+def _sqrt_bounds(q: Fraction) -> Tuple[Fraction, Fraction]:
+    """Bounds lo <= sqrt(q) <= hi for a rational q >= 0 on the grid of
+    step 1 / (denominator(q) 2^_SQRT_BITS), hi one step above lo (both 0
+    for q = 0). The grid follows q, as target points need not be dyadic."""
+    scale = q.denominator << _SQRT_BITS
+    lo = Fraction(math.isqrt(q.numerator * scale << _SQRT_BITS), scale)
+    return lo, lo + Fraction(1, scale) if q else lo
+
+
 def _gap_bounds(a, b) -> Tuple[Fraction, Fraction]:
-    d2 = (a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2
-    lo = _fraction_sqrt_lower(d2, _SQRT_BITS) - a[2] - b[2]
-    hi = _fraction_sqrt_upper(d2, _SQRT_BITS) + a[2] + b[2]
-    return lo, hi
+    lo, hi = _sqrt_bounds((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2)
+    return lo - a[2] - b[2], hi + a[2] + b[2]
 
 
 def _min_gap_bounds(roots) -> Tuple[Fraction, Fraction]:
-    lo = hi = None
-    for i in range(len(roots)):
-        for j in range(i + 1, len(roots)):
-            glo, ghi = _gap_bounds(roots[i], roots[j])
-            if lo is None or glo < lo:
-                lo = glo
-            if hi is None or ghi < hi:
-                hi = ghi
-    return lo, hi
+    gaps = [_gap_bounds(a, b) for a, b in itertools.combinations(roots, 2)]
+    return min(lo for lo, _ in gaps), min(hi for _, hi in gaps)
 
 
 def _bounds_from_roots(roots, n: int, lead_abs: Fraction, gam: Fraction) -> PerturbationBounds:
@@ -145,7 +139,7 @@ def _bounds_from_roots(roots, n: int, lead_abs: Fraction, gam: Fraction) -> Pert
     any positive value when there is a single distinct root)."""
     big_m = Fraction(0)
     for re, im, rad, _ in roots:
-        mod_hi = _fraction_sqrt_upper(re * re + im * im, _SQRT_BITS) + rad
+        mod_hi = _sqrt_bounds(re * re + im * im)[1] + rad
         base = gam + mod_hi
         total = Fraction(0)
         power = Fraction(1)
@@ -167,41 +161,27 @@ def _bounds_from_roots(roots, n: int, lead_abs: Fraction, gam: Fraction) -> Pert
     return PerturbationBounds(gam, big_m, delta, delta / big_m)
 
 
-def _resolve_gamma(roots, gamma, refiner) -> Tuple[Fraction, list]:
-    """Certify gamma < (1/2) * min root gap (strictly), refining the
-    root enclosures through `refiner` while the comparison is unsettled;
-    refusal is conservative: a gamma that cannot be certified strictly
-    below the boundary is rejected."""
-    if len(roots) == 1:
-        gam = Fraction(1) if gamma is None else Fraction(gamma)
-        if gam <= 0:
-            raise BadParameters("gamma must be positive")
-        return gam, roots
+_AT_BOUNDARY = "gamma sits at the root-gap boundary; cannot certify strictly"
+
+
+def _resolve_gamma(roots, gamma) -> Optional[Fraction]:
+    """gamma (by default a quarter of the certified minimal root gap, 1
+    for a single distinct root) once it is certified strictly below half
+    the minimal root gap, None while the enclosures leave that unsettled;
+    GammaTooLarge when it is certainly not below."""
     gam = None if gamma is None else Fraction(gamma)
     if gam is not None and gam <= 0:
         raise BadParameters("gamma must be positive")
-    # a handful of rounds with a steep shrink suffices: a gamma still
-    # undecided inside a 2^-100-relative window is refused, which is
-    # the valid direction
-    for _ in range(6):
-        lo, hi = _min_gap_bounds(roots)
-        if gam is None:
-            if lo > 0:
-                return lo / 4, roots
-        else:
-            if 2 * gam < lo:
-                return gam, roots
-            if 2 * gam >= hi:
-                raise GammaTooLarge(
-                    "gamma %s is not below half the minimal root gap" % gam
-                )
-        if refiner is None:
-            break
-        try:
-            roots = refiner(roots)
-        except PrecisionCapExceeded:
-            break
-    raise GammaTooLarge("gamma sits at the root-gap boundary; cannot certify strictly")
+    if len(roots) == 1:
+        return Fraction(1) if gam is None else gam
+    lo, hi = _min_gap_bounds(roots)
+    if gam is None:
+        return lo / 4 if lo > 0 else None
+    if 2 * gam < lo:
+        return gam
+    if 2 * gam >= hi:
+        raise GammaTooLarge("gamma %s is not below half the minimal root gap" % gam)
+    return None
 
 
 def _disk_tuples(rs: CertifiedRootSet):
@@ -212,27 +192,35 @@ def perturbation_bounds(f: IntPolynomial, gamma=None) -> PerturbationBounds:
     """Exact (gamma, M, delta, eps) for an integer polynomial from its
     certified root enclosures; gamma defaults to a quarter of the
     certified minimal root gap (an arbitrary 1 for a single distinct
-    root, where no gap constrains it)."""
+    root, where no gap constrains it).
+
+    While gamma is unsettled the enclosures are refined between at most
+    six checks; a handful of rounds with a steep shrink suffices: a gamma
+    still undecided inside a 2^-100-relative window is refused, which is
+    the valid direction."""
     if f.degree < 1:
         raise DegreeTooSmall("perturbation bounds need degree >= 1")
-    state = {"rs": isolate_roots(f)}
+    rs = isolate_roots(f)
+    for attempt in range(6):
+        roots = _disk_tuples(rs)
+        gam = _resolve_gamma(roots, gamma)
+        if gam is not None:
+            return _bounds_from_roots(roots, f.degree, abs(Fraction(f.coeffs[0])), gam)
+        rmax = rs.max_radius()
+        if rmax == 0 or attempt == 5:
+            break
+        try:
+            rs = refine(rs, rmax / 2**20)
+        except PrecisionCapExceeded:
+            break
+    raise GammaTooLarge(_AT_BOUNDARY)
 
-    def refiner(_roots):
-        rmax = state["rs"].max_radius()
-        if rmax == 0:
-            raise GammaTooLarge(
-                "gamma sits at the root-gap boundary; cannot certify strictly"
-            )
-        state["rs"] = refine(state["rs"], rmax / 2**20)
-        return _disk_tuples(state["rs"])
 
-    gam, roots = _resolve_gamma(_disk_tuples(state["rs"]), gamma, refiner)
-    return _bounds_from_roots(roots, f.degree, abs(Fraction(f.coeffs[0])), gam)
-
-
-def _target_bounds(target: TargetSpec, gamma=None) -> PerturbationBounds:
+def _target_bounds(target: TargetSpec) -> PerturbationBounds:
     roots = [(re, im, Fraction(0), 1) for re, im in target.points]
-    gam, roots = _resolve_gamma(roots, gamma, None)
+    gam = _resolve_gamma(roots, None)
+    if gam is None:
+        raise GammaTooLarge(_AT_BOUNDARY)
     return _bounds_from_roots(roots, target.n, Fraction(1), gam)
 
 

@@ -77,6 +77,7 @@ __all__ = [
 
 _DEFAULT_PRECISION = 128
 _DEFAULT_CAP = 4096
+_ABERTH_SWEEPS = 12  # double Aberth sweeps proposing the 53-bit centres
 
 
 @dataclass(frozen=True)
@@ -121,22 +122,6 @@ def _ceil_sqrt(n: int) -> int:
     """ceil(sqrt(n)) for an integer n >= 0."""
     r = math.isqrt(n)
     return r if r * r == n else r + 1
-
-
-def _fraction_sqrt_lower(q: Fraction, bits: int = 128) -> Fraction:
-    """Rational lower bound on sqrt(q) for q >= 0, on a grid of step
-    1 / (denominator(q) 2^bits)."""
-    if q < 0:
-        raise ValueError("negative")
-    scale = q.denominator << bits
-    return Fraction(math.isqrt(q.numerator * scale * (1 << bits)), scale)
-
-
-def _fraction_sqrt_upper(q: Fraction, bits: int = 128) -> Fraction:
-    """Rational upper bound on sqrt(q) for q >= 0: one grid step above the
-    lower bound (0 for q = 0)."""
-    lower = _fraction_sqrt_lower(q, bits)
-    return lower + Fraction(1, q.denominator << bits) if q else lower
 
 
 @dataclass(frozen=True)
@@ -287,7 +272,7 @@ def _newton_seeds(coeffs: Sequence[int]) -> List[Tuple[complex, int]]:
     return seeds
 
 
-def _aberth(coeffs: Sequence[int], z: List[complex], sweeps: int) -> List[complex]:
+def _aberth(coeffs: Sequence[int], z: List[complex]) -> List[complex]:
     """Aberth sweeps in hardware doubles on z in place; returns best-effort
     positions, which may be unconverged (certification decides whether
     they suffice). Sweeps stop below a 1e-14 relative move, and a point on
@@ -295,7 +280,7 @@ def _aberth(coeffs: Sequence[int], z: List[complex], sweeps: int) -> List[comple
     d = len(coeffs) - 1
     cf = [float(c) for c in coeffs]
     df = [cf[i] * (d - i) for i in range(d)]
-    for _ in range(sweeps):
+    for _ in range(_ABERTH_SWEEPS):
         maxmove = 0
         for i in range(d):
             zi = z[i]
@@ -467,7 +452,7 @@ def _isolate_factor(g: IntPolynomial, bits: int):
     else:
         z = _companion_seeds(cs)
         if z is not None:
-            z = _aberth(cs, z, sweeps=12)
+            z = _aberth(cs, z)
             if not all(map(cmath.isfinite, z)):
                 z = None
         if z is not None and bits <= 53:

@@ -20,6 +20,7 @@ from fractions import Fraction
 
 import pytest
 
+from rootcensus import acceptance
 from rootcensus.acceptance import (
     CRITERION_IDS,
     NEGATIVE_CONTROL_ENV,
@@ -65,6 +66,30 @@ def test_exit_code_policy():
     assert exit_code([mk("PASS"), mk("DEFECT")]) == 0
     assert exit_code([mk("PASS"), mk("FAIL")]) == 1
     assert exit_code([mk("DEFECT"), mk("FAIL")]) == 1
+
+
+@pytest.mark.parametrize(
+    "ok,notes,budget,status",
+    [
+        (True, "", 60.0, "PASS"),
+        (False, "", 60.0, "FAIL"),
+        (True, "degenerate", 60.0, "DEFECT"),
+        (False, "degenerate", 60.0, "FAIL"),
+        (True, "", -1.0, "FAIL"),  # over its budget
+    ],
+)
+def test_status_from_the_criterion_table(monkeypatch, ok, notes, budget, status):
+    check = lambda ctx: (ok, {"x": 1})
+    monkeypatch.setitem(
+        acceptance._CRITERIA, 1, acceptance._Criterion("name", "gates", budget, check, notes)
+    )
+    (r,) = run_acceptance("quick", criteria=[1])
+    assert (r.cid, r.name, r.expected, r.status) == (1, "name", "gates", status)
+    assert r.measured == {"x": 1, "runtime_budget_seconds": budget}
+    if budget < 0:
+        assert r.notes.startswith("runtime ") and r.notes.endswith(" budget")
+    else:  # notes come with the criterion whatever its status
+        assert r.notes == notes
 
 
 def test_negative_control_turns_suite_red(quick_results, monkeypatch):

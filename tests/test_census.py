@@ -281,8 +281,18 @@ def test_pipeline_reuses_the_analysis_of_a_deflated_polynomial(monkeypatch):
 def test_budget_exceeded():
     from rootcensus.errors import BudgetExceeded
 
+    # 2 * 20 * 41^6, about 1.9e11 points, is above the census budget
     with pytest.raises(BudgetExceeded):
-        run_census(CensusSpec(n=4, height=20, counters=("A*",), budget=1000))
+        run_census(CensusSpec(n=6, height=20, counters=("A*",)))
+
+
+def test_vector_engine_refused_before_any_work(tmp_path):
+    # the vector engine covers n in {2, 3} only: the spec is refused
+    # before the checkpoint header is written
+    path = tmp_path / "ck"
+    with pytest.raises(BadParameters, match="vector engine unavailable"):
+        run_census(CensusSpec(n=4, height=1, engine="vector", checkpoint=str(path)))
+    assert not path.exists()
 
 
 def test_merge_spec_mismatch():

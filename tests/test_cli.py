@@ -2,22 +2,26 @@
 
 Covers the documented exit-code contract (0 success, 1 domain error
 with JSON on stderr, 2 usage error), environment-variable overrides
-and their precedence below explicit flags, format selection, the one
-output path every subcommand shares (csv only for census, --out bytes
-equal to stdout bytes, one final newline), and the byte-identical-output
-guarantee for repeated identical configs.
+and their precedence below explicit flags, each global flag taken only
+by the subcommands that read it (and the README table saying which),
+format selection, the one output path every subcommand shares (csv only
+for census, --out bytes equal to stdout bytes, one final newline), and
+the byte-identical-output guarantee for repeated identical configs.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
+import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from rootcensus.cli import dispatch
+from rootcensus.cli import _GLOBAL_FLAGS, build_parser, dispatch
 
 
 def _run(capsys, argv):
@@ -401,6 +405,61 @@ def test_format_is_refused_first(capsys, argv):
     code, out, err = _run(capsys, argv + ["--format", "csv"])
     assert (code, out) == (1, "")
     assert json.loads(err)["message"] == "%s output has no csv form; use json or text" % argv[0]
+
+
+# -- global flags only where read ------------------------------------------------------------------
+
+# the global flags each subcommand reads besides --format and --out, and
+# a value for each that differs from its default and suits every reader
+_READS = {
+    "roots": {"--precision-cap"},
+    "classify": {"--degree-cap"},
+    "census": {"--jobs", "--degree-cap"},
+    "generate": {"--seed", "--degree-cap"},
+    "fit": set(),
+    "verify": {"--jobs"},
+}
+_VALUES = {"--jobs": 2, "--precision-cap": 256, "--degree-cap": 9, "--seed": 5}
+
+
+@pytest.mark.parametrize("flag", list(_VALUES))
+@pytest.mark.parametrize("subcommand", list(_INVOCATIONS))
+def test_global_flag_only_where_read(capsys, monkeypatch, subcommand, flag):
+    argv = _INVOCATIONS[subcommand]
+    key = flag[2:].replace("-", "_")
+    env = "ROOTCENSUS_" + key.upper()
+    if flag in _READS[subcommand]:
+        value = _VALUES[flag]
+        assert _run_json(capsys, argv + [flag, str(value)])["config"][key] == value
+        monkeypatch.setenv(env, str(value))
+        assert _run_json(capsys, argv)["config"][key] == value
+    else:
+        code, out, err = _run(capsys, argv + [flag, "2"])
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: %s 2" % flag in err
+        monkeypatch.setenv(env, "not-a-number")  # ignored, so never parsed
+        assert key not in _run_json(capsys, argv)["config"]
+
+
+def test_readme_flag_table_matches_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    documented = {name: set() for name in subparsers}
+    for row in re.findall(r"^\| (`--.*?) \| (.*?) \|$", section, re.M):
+        flags = re.findall(r"`(--[a-z-]+)`", row[0])
+        readers = subparsers if row[1] == "every subcommand" else re.findall(r"`([a-z]+)`", row[1])
+        for name in readers:
+            documented[name].update(flags)
+    table_flags = set().union(*documented.values())
+    assert table_flags == {"--" + f.replace("_", "-") for f in _GLOBAL_FLAGS}
+    registered = {
+        name: {opt for a in p._actions for opt in a.option_strings} & table_flags
+        for name, p in subparsers.items()
+    }
+    assert documented == registered
 
 
 # -- console script ------------------------------------------------------------------------------------

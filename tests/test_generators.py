@@ -15,6 +15,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from rootcensus.census import fit_growth_exponent
 from rootcensus.classify import modulus_profile, root_signature
@@ -74,6 +76,19 @@ def test_bounds_gamma_too_large():
         perturbation_bounds(IntPolynomial((1, 0, -1)), Fraction(6, 5))
     with pytest.raises(GammaTooLarge):
         perturbation_bounds(IntPolynomial((1, 0, -1)), 1)
+
+
+@given(st.fractions(min_value=0, max_denominator=10**30).filter(lambda q: q < 10**40))
+@example(Fraction(0))
+@example(Fraction(1, 3))
+@example(Fraction(9, 49))
+@example(Fraction(2) ** 200 / 7)
+def test_sqrt_bounds_bracket_on_the_grid(q):
+    from rootcensus.generators import _SQRT_BITS, _sqrt_bounds
+
+    lo, hi = _sqrt_bounds(q)
+    assert 0 <= lo and lo * lo <= q <= hi * hi
+    assert hi - lo == (Fraction(1, q.denominator << _SQRT_BITS) if q else 0)
 
 
 def test_bounds_default_gamma_quarter_gap():
