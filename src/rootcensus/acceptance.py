@@ -63,7 +63,7 @@ from .generators import (
     perturbation_bounds,
 )
 from .intpoly import IntPolynomial, discriminant
-from .roots import fujiwara_bound, isolate_roots, refine
+from .roots import _dyadic_disks, _modulus_bounds, fujiwara_bound, isolate_roots, refine
 
 __all__ = [
     "CriterionResult",
@@ -309,26 +309,33 @@ def _c7_intervals(f: IntPolynomial, rs) -> Tuple[bool, bool]:
 
     A Mahler-side failure first shows up as undecided; it only counts as
     a violation if refinement cannot clear it, and either way the gate
-    (zero violations, zero undecided) turns red."""
+    (zero violations, zero undecided) turns red.
+
+    Everything is compared in integers at the disks' one scale 2^e
+    (_dyadic_disks), where 1 is `one` = 2^-e: the modulus bounds of each
+    disk (_modulus_bounds), the Fujiwara bound fb, and the bounds
+    |a_0| prod max(1, |root|) of the Mahler measure, which carry the
+    factor one^n since the multiplicities sum to n."""
     fb = fujiwara_bound(f)
     n = f.degree
     H = f.height
-    m_lo = Fraction(abs(f.coeffs[0]))
-    m_hi = m_lo
+    disks, e = _dyadic_disks(rs.disks)
+    one = 1 << -e
+    fb_num, fb_den = fb.numerator * one, fb.denominator
+    m_lo = m_hi = abs(f.coeffs[0])
     fuj_ok = True
     straddle = False
-    one = Fraction(1)
-    for d in rs.disks:
-        lo, hi = d.modulus_interval()
-        if lo > fb:
+    for (a, b, k), d in zip(disks, rs.disks):
+        lo, hi = _modulus_bounds(a, b, k)
+        if lo * fb_den > fb_num:
             fuj_ok = False
-        elif hi > fb:
+        elif hi * fb_den > fb_num:
             straddle = True
         m_lo *= max(one, lo) ** d.multiplicity
         m_hi *= max(one, hi) ** d.multiplicity
-    if not (H <= (2 ** n) * m_lo):
+    if not (H * one**n <= (2 ** n) * m_lo):
         straddle = True
-    if not (m_hi * m_hi <= (n + 1) * H * H):
+    if not (m_hi * m_hi <= (n + 1) * H * H * one ** (2 * n)):
         straddle = True
     return fuj_ok, straddle
 

@@ -15,12 +15,19 @@ checkpoint interruptions. Checkpoints are line-delimited JSON with
 per-record sha256 checksums; any malformed or truncated line is a
 CheckpointCorrupt error, not a silent recovery.
 
-Two tally engines produce identical tables: a scalar path using the
-exact per-polynomial kernels, and a vectorized path for n in {2, 3}
-(the hot censuses) that mirrors the same integer decision trees over
-numpy arrays, falling back to the scalar kernels on the rare exact
-branches (repeated roots). Heights above 5000 force the scalar path
-to keep every intermediate inside int64.
+Two tally engines produce identical tables: a scalar path that runs
+classify_pipeline on every point, and a vector path for n in {2, 3, 4}
+over numpy arrays. At n in {2, 3} it mirrors the exact integer decision
+trees of the low-degree kernels, falling back to them on the rare exact
+branches (repeated roots). At n = 4 it counts real roots by the signs
+of the discriminant and two Rees-Lazard invariants, proposes the roots
+of all rows through one stacked eigenvalue call, and certifies each
+row's disks and modulus runs with the same integer routines as the
+scalar path; rows with a zero root, an f(X^2) shape, a zero
+discriminant, a failed certificate or a tie candidate at an extreme
+modulus go through classify_pipeline. Each degree has its own height
+cap (VECTOR_HEIGHT_CAPS) that keeps every integer term inside int64;
+above it the scalar path runs.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ import contextlib
 import hashlib
 import itertools
 import json
+import math
 import multiprocessing
 import os
 from dataclasses import dataclass, field
@@ -47,7 +55,12 @@ from .errors import (
     SpecMismatch,
 )
 from .classify import (
+    DEFAULT_DEGREE_CAP,
+    DEFAULT_PRIME_BOUND,
+    _Unit,
     _distinct_signature,
+    _mod2,
+    _runs,
     factorize,
     modulus_profile,
     profile_pair_deg3,
@@ -55,6 +68,7 @@ from .classify import (
     sn_certificate,
 )
 from .intpoly import IntPolynomial
+from .roots import _certified, _float_centres
 
 __all__ = [
     "CensusSpec",
@@ -74,7 +88,10 @@ __all__ = [
 UNIT_TARGET = 250_000
 MIN_UNITS = 8
 DEFAULT_BUDGET = 10**9
-VECTOR_HEIGHT_CAP = 5000  # keeps disc3 terms well inside int64
+# the vector engine's degrees, each with its largest height: every
+# integer term stays inside int64 (disc4's coefficients sum to 1,069 in
+# modulus, and 1069 * 452^6 < 2^63)
+VECTOR_HEIGHT_CAPS = {2: 5000, 3: 5000, 4: 452}
 CHECKPOINT_FORMAT = "rootcensus-census-checkpoint"
 
 
@@ -82,13 +99,15 @@ CHECKPOINT_FORMAT = "rootcensus-census-checkpoint"
 
 
 class _Batch(NamedTuple):
-    """One work unit of the vector engine (n in {2, 3}) as numpy arrays."""
+    """The points of one block that the vector engine decided, as numpy
+    arrays."""
 
     n: int
     coeffs: List[np.ndarray]  # a_0..a_n, leading first
     kmax: np.ndarray
     kmin: np.ndarray
     dsc: np.ndarray  # discriminant
+    real: np.ndarray  # real roots with multiplicity
 
 
 class _Counter(NamedTuple):
@@ -140,11 +159,10 @@ def _signature_labels(n: int) -> Dict[int, str]:
 
 def _signature_vector(b: _Batch) -> List[Tuple[str, str, int]]:
     labels = _signature_labels(b.n)
-    rmul = np.where(b.dsc >= 0, b.n, b.n - 2)  # real roots with multiplicity
     # the distinct-root signature differs only on repeated roots (zero
     # discriminant), where the exact kernel decides
     repeated = b.dsc == 0
-    out = _histogram("D*", rmul, labels) + _histogram("D*d", rmul[~repeated], labels)
+    out = _histogram("D*", b.real, labels) + _histogram("D*d", b.real[~repeated], labels)
     for i in np.nonzero(repeated)[0]:
         sig = _distinct_signature(IntPolynomial(tuple(int(arr[i]) for arr in b.coeffs)))
         out.append(("D*d", _signature_label(sig.r, sig.s), 1))
@@ -240,8 +258,8 @@ class CensusSpec:
     counters: Tuple[str, ...] = ("A*",)
     jobs: int = 1
     checkpoint: Optional[str] = None
-    prime_bound: int = 200
-    degree_cap: int = 8
+    prime_bound: int = DEFAULT_PRIME_BOUND
+    degree_cap: int = DEFAULT_DEGREE_CAP
     permissive: bool = False
     symmetry: bool = False
     engine: str = "auto"
@@ -474,30 +492,39 @@ def classify_pipeline(f: IntPolynomial, spec: CensusSpec) -> Optional[List[Tuple
 # -- scalar engine --------------------------------------------------------------
 
 
+def _classify_into(spec: CensusSpec, polys, table: CounterTable) -> None:
+    """Tally each polynomial through classify_pipeline."""
+    for f in polys:
+        cells = classify_pipeline(f, spec)
+        table.totals += 1
+        if cells is None:
+            table.ambiguous += 1
+            continue
+        for fam, label in cells:
+            table.add(fam, label)
+
+
 def _tally_scalar(spec: CensusSpec, leads: Sequence[int], table: CounterTable) -> None:
     hh = spec.height
     rest = spec.n - 1 if spec.monic else spec.n
-    rng = range(-hh, hh + 1)
-    for lead in leads:
-        for tail in itertools.product(rng, repeat=rest):
-            coeffs = (1, lead) + tail if spec.monic else (lead,) + tail
-            cells = classify_pipeline(IntPolynomial(coeffs), spec)
-            table.totals += 1
-            if cells is None:
-                table.ambiguous += 1
-                continue
-            for fam, label in cells:
-                table.add(fam, label)
+    tails = itertools.product(range(-hh, hh + 1), repeat=rest)
+    heads = [(1, lead) if spec.monic else (lead,) for lead in leads]
+    _classify_into(spec, (IntPolynomial(h + t) for h, t in itertools.product(heads, tails)), table)
 
 
 # -- vector engine ----------------------------------------------------------------
+
+
+# each _vec_profileN maps the coefficient arrays of a block to (kmax,
+# kmin, disc, real roots with multiplicity); kmax 0 leaves a row to
+# classify_pipeline
 
 
 def _vec_profile2(a, b, c):
     dd = b * b - 4 * a * c
     single = ((c == 0) & (b != 0)) | ((c != 0) & (b != 0) & (dd > 0))
     k = np.where(single, 1, 2).astype(np.int64)
-    return k, k.copy(), dd
+    return k, k.copy(), dd, np.where(dd >= 0, 2, 0)
 
 
 def _vec_profile3(a0, b0, c0, d0):
@@ -548,34 +575,112 @@ def _vec_profile3(a0, b0, c0, d0):
         for i in np.nonzero(mz)[0]:
             km, kn = profile_pair_deg3(int(a0[i]), int(b0[i]), int(c0[i]), int(d0[i]))
             kmax[i], kmin[i] = km, kn
-    return kmax, kmin, dsc
+    return kmax, kmin, dsc, np.where(dsc >= 0, 3, 1)
+
+
+def _disc4(a, b, c, d, e):
+    """The discriminant of aX^4 + bX^3 + cX^2 + dX + e, summed term by
+    term, so no partial sum exceeds 1,069 H^6 in modulus."""
+    return (
+        256 * a * a * a * e * e * e
+        - 192 * a * a * b * d * e * e
+        - 128 * a * a * c * c * e * e
+        + 144 * a * a * c * d * d * e
+        - 27 * a * a * d * d * d * d
+        + 144 * a * b * b * c * e * e
+        - 6 * a * b * b * d * d * e
+        - 80 * a * b * c * c * d * e
+        + 18 * a * b * c * d * d * d
+        + 16 * a * c * c * c * c * e
+        - 4 * a * c * c * c * d * d
+        - 27 * b * b * b * b * e * e
+        + 18 * b * b * b * c * d * e
+        - 4 * b * b * b * d * d * d
+        - 4 * b * b * c * c * c * e
+        + b * b * c * c * d * d
+    )
+
+
+def _vec_profile4(a, b, c, d, e):
+    """Quartic rows: the real-root count of a squarefree quartic from the
+    signs of disc, P = 8ac - 3b^2 and D = 64a^3e - 16a^2c^2 + 16ab^2c -
+    16a^2bd - 3b^4 (Rees 1922; Lazard 1988): 2 when disc < 0, else 4 when
+    P < 0 and D < 0, else 0. A row with e != 0, b or d != 0 and disc != 0
+    is decided when disks around its companion eigenvalues, rounded to 53
+    bits, certify (roots._certified) and both extreme modulus runs hold
+    one unit (classify._runs); every other row gets kmax 0. As in
+    classify._modulus_units, a unit is a real disk or the upper disk of a
+    mirrored pair, here with integer bounds at the disks' one scale."""
+    dsc = _disc4(a, b, c, d, e)
+    p = 8 * a * c - 3 * b * b
+    q = 64 * a * a * a * e - 16 * a * a * c * c + 16 * a * b * b * c - 16 * a * a * b * d - 3 * b**4
+    real = np.where(dsc < 0, 2, np.where((p < 0) & (q < 0), 4, 0))
+    kmax = np.zeros(a.shape, dtype=np.int64)
+    kmin = np.zeros(a.shape, dtype=np.int64)
+    rows = np.nonzero((e != 0) & ((b != 0) | (d != 0)) & (dsc != 0))[0]
+    comp = np.zeros((rows.size, 4, 4))
+    comp[:, 0, :] = -np.stack([b, c, d, e], axis=1)[rows] / a[rows, None]
+    comp[:, [1, 2, 3], [0, 1, 2]] = 1
+    eig = np.linalg.eigvals(comp)
+    cs = np.stack([a, b, c, d, e], axis=1)[rows].tolist()
+    for i, coeffs, z, r in zip(rows.tolist(), cs, eig.tolist(), real[rows].tolist()):
+        got = _certified([(coeffs, 1, r, _float_centres(z, 53))], 0)
+        if got is None:
+            continue
+        disks, _, _, reals = got
+        runs = _runs([
+            _Unit(*_mod2(x, y, rad), 1 if flag else 2)
+            for (x, y, rad), flag in zip(disks, reals)
+            if flag or y > 0
+        ])
+        if runs[0].size == runs[-1].size == 1:
+            kmax[i], kmin[i] = runs[-1].mult, runs[0].mult
+    return kmax, kmin, dsc, real
+
+
+_VEC_PROFILES = {2: _vec_profile2, 3: _vec_profile3, 4: _vec_profile4}
+
+
+def _blocks(spec: CensusSpec, leads: Sequence[int]):
+    """The unit's points as coefficient arrays a_0..a_n (leading first), in
+    enumeration order and in blocks of at most UNIT_TARGET points: the
+    axes before axis j take one value at a time, and axis j is cut into
+    slices as long as the axes after it allow."""
+    rng = np.arange(-spec.height, spec.height + 1, dtype=np.int64)
+    axes = [np.asarray(leads, dtype=np.int64)] + [rng] * (spec.n - 1 if spec.monic else spec.n)
+    j = 0
+    while math.prod(ax.size for ax in axes[j + 1 :]) > UNIT_TARGET:
+        j += 1
+    step = max(1, UNIT_TARGET // math.prod(ax.size for ax in axes[j + 1 :]))
+    for head in itertools.product(*axes[:j]):
+        for s in range(0, axes[j].size, step):
+            grids = np.meshgrid(*[np.array([h]) for h in head], axes[j][s : s + step],
+                                *axes[j + 1 :], indexing="ij")
+            flats = [g.ravel() for g in grids]
+            yield [np.ones_like(flats[0])] + flats if spec.monic else flats
 
 
 def _tally_vector(spec: CensusSpec, leads: Sequence[int], table: CounterTable) -> None:
-    hh, n = spec.height, spec.n
-    rng = np.arange(-hh, hh + 1, dtype=np.int64)
-    leads_arr = np.asarray(leads, dtype=np.int64)
-    axes = [leads_arr] + [rng] * (n - 1 if spec.monic else n)
-    grids = np.meshgrid(*axes, indexing="ij")
-    flats = [g.ravel() for g in grids]
-    if spec.monic:
-        coeff_arrays = [np.ones_like(flats[0])] + flats
-    else:
-        coeff_arrays = flats
-    table.totals += coeff_arrays[0].size
-    profile = _vec_profile2 if n == 2 else _vec_profile3
-    batch = _Batch(n, coeff_arrays, *profile(*coeff_arrays))
-    for counter in _requested(spec.counters):
-        for fam, label, k in counter.vector(batch):
-            if k:
-                table.add(fam, label, k)
+    counters = _requested(spec.counters)
+    for coeffs in _blocks(spec, leads):
+        kmax, kmin, dsc, real = _VEC_PROFILES[spec.n](*coeffs)
+        decided = kmax > 0
+        if not decided.all():
+            rows = np.stack(coeffs, axis=1)[~decided].tolist()
+            _classify_into(spec, (IntPolynomial(tuple(r)) for r in rows), table)
+            coeffs = [arr[decided] for arr in coeffs]
+            kmax, kmin, dsc, real = kmax[decided], kmin[decided], dsc[decided], real[decided]
+        table.totals += kmax.size
+        batch = _Batch(spec.n, coeffs, kmax, kmin, dsc, real)
+        for counter in counters:
+            for fam, label, k in counter.vector(batch):
+                if k:
+                    table.add(fam, label, k)
 
 
 def _vector_ok(spec: CensusSpec) -> bool:
-    return (
-        spec.n in (2, 3)
-        and spec.height <= VECTOR_HEIGHT_CAP
-        and all(c.vector is not None for c in _requested(spec.counters))
+    return spec.height <= VECTOR_HEIGHT_CAPS.get(spec.n, 0) and all(
+        c.vector is not None for c in _requested(spec.counters)
     )
 
 

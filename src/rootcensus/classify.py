@@ -315,25 +315,34 @@ def _profile_certified(f: IntPolynomial) -> ModulusProfile:
 
 class _Unit(NamedTuple):
     """Disks certified to share one modulus (a real root or a conjugate
-    pair), with an exact rational enclosure of the squared modulus."""
+    pair), with an exact enclosure of the squared modulus: Fractions, or
+    integers at one scale (_mod2) when all units share it."""
 
     lo2: Fraction
     hi2: Fraction
     mult: int
 
 
-def _disk_mod2(d: RootDisk) -> Tuple[Fraction, Fraction]:
-    """Exact rational enclosure of |root|^2 for a root inside the disk.
+def _mod2(a: int, b: int, k: int) -> Tuple[int, int]:
+    """Integers (lo, hi) with lo 4^e <= |root|^2 <= hi 4^e for a root in the
+    disk of centre (a + bi) 2^e and radius k 2^e.
 
-    Centre and radius are (a + bi, k) 2^e in integers (_dyadic_disks).
     With c2 = a^2 + b^2 and cu = ceil(sqrt(c2)) >= |c| 2^-e, the bounds
-    (c2 -+ 2 cu k + k^2) 4^e enclose (|c| -+ r)^2, and so |root|^2, in
-    exact integers; the lower one is 0 when the disk may contain 0."""
-    ((a, b, k),), e = _dyadic_disks((d,))
+    c2 -+ 2 cu k + k^2 enclose (|c| -+ r)^2 4^-e, and so |root|^2 4^-e;
+    the lower one is 0 when the disk may contain 0."""
     c2 = a * a + b * b
     cu = _ceil_sqrt(c2)
     lo = 0 if c2 <= k * k else max(0, c2 - 2 * cu * k + k * k)
-    return (_dyadic(lo, 2 * e), _dyadic(c2 + 2 * cu * k + k * k, 2 * e))
+    return lo, c2 + 2 * cu * k + k * k
+
+
+def _disk_mod2(d: RootDisk) -> Tuple[Fraction, Fraction]:
+    """Exact rational enclosure of |root|^2 for a root inside the disk,
+    from its centre and radius as integers at its own dyadic exponent
+    (_dyadic_disks, _mod2)."""
+    ((a, b, k),), e = _dyadic_disks((d,))
+    lo, hi = _mod2(a, b, k)
+    return _dyadic(lo, 2 * e), _dyadic(hi, 2 * e)
 
 
 def _modulus_units(rs: CertifiedRootSet) -> List[_Unit]:

@@ -9,7 +9,8 @@
 
 Exit codes: 0 success (verify: its suite_exit), 1 domain errors
 (machine-readable {"error", "message"} JSON on standard error), 2 usage
-errors (argparse prints the grammar).
+errors (argparse prints the grammar, of the subcommand once one is
+named).
 
 Global flags --jobs, --precision-cap, --degree-cap, --seed, --format, --out
 can also be set through environment variables with the ROOTCENSUS_ prefix
@@ -53,6 +54,8 @@ from .census import (
     run_census,
 )
 from .classify import (
+    DEFAULT_DEGREE_CAP,
+    DEFAULT_PRIME_BOUND,
     factorize,
     has_multiplicative_relation,
     modulus_profile,
@@ -68,7 +71,7 @@ from .generators import (
     validate_family,
 )
 from .intpoly import IntPolynomial, coeff_string, parse_coeff_string
-from .roots import isolate_roots
+from .roots import _DEFAULT_CAP, isolate_roots
 
 __all__ = ["dispatch", "main", "build_parser"]
 
@@ -81,8 +84,8 @@ _Output = Tuple[Dict[str, object], Dict[str, object], str]
 # only on the subcommands that read it
 _GLOBAL_FLAGS = {
     "jobs": (1, "worker processes"),
-    "precision_cap": (4096, "certification precision cap in bits"),
-    "degree_cap": (8, "factor search degree cap"),
+    "precision_cap": (_DEFAULT_CAP, "certification precision cap in bits"),
+    "degree_cap": (DEFAULT_DEGREE_CAP, "factor search degree cap"),
     "seed": (0, "sampling seed"),
     "format": ("json", "output format"),
     "out": ("-", "output path, '-' for stdout"),
@@ -568,7 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--precision", type=int, default=128, help="starting precision in bits")
     p.add_argument("--radius", default=None, help="refine disks to this rational radius")
     _add_global_flags(p, "precision_cap")
-    p.set_defaults(run=_cmd_roots)
+    p.set_defaults(run=_cmd_roots, parser=p)
 
     p = sub.add_parser("classify", help="modulus profile, signature, factorization, S_n, relations")
     p.add_argument("--poly", required=True, help='coefficients "a_0,...,a_n", leading first')
@@ -578,9 +581,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--factor", action="store_true", help="factorization over the integers")
     p.add_argument("--sn", action="store_true", help="one-sided S_n certificate")
     p.add_argument("--relation", action="store_true", help="multiplicative relation detector")
-    p.add_argument("--prime-bound", type=int, default=200, dest="prime_bound")
+    p.add_argument("--prime-bound", type=int, default=DEFAULT_PRIME_BOUND, dest="prime_bound")
     _add_global_flags(p, "degree_cap")
-    p.set_defaults(run=_cmd_classify)
+    p.set_defaults(run=_cmd_classify, parser=p)
 
     p = sub.add_parser("census", help="exhaustive counter tables over a coefficient box")
     p.add_argument("--n", type=int, default=None, help="degree")
@@ -596,12 +599,12 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p.add_argument("--checkpoint", default=None, help="checkpoint file for resumable runs")
-    p.add_argument("--prime-bound", type=int, default=200, dest="prime_bound")
+    p.add_argument("--prime-bound", type=int, default=DEFAULT_PRIME_BOUND, dest="prime_bound")
     p.add_argument("--permissive", action="store_true", help="count precision-cap hits as ambiguous")
     p.add_argument("--symmetry", action="store_true", help="use the sign symmetry reduction")
     p.add_argument("--engine", default="auto", choices=("auto", "scalar", "vector"))
     _add_global_flags(p, "jobs", "degree_cap")
-    p.set_defaults(run=_cmd_census)
+    p.set_defaults(run=_cmd_census, parser=p)
 
     p = sub.add_parser("generate", help="stream explicit positive-density families")
     p.add_argument(
@@ -618,7 +621,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--enumerate", action="store_true", help="lexicographic instead of sampled")
     p.add_argument("--validate", default=None, help="membership predicate, e.g. 'b*=2,2'")
     _add_global_flags(p, "degree_cap", "seed")
-    p.set_defaults(run=_cmd_generate)
+    p.set_defaults(run=_cmd_generate, parser=p)
 
     p = sub.add_parser("fit", help="log-log growth exponent from points or census tables")
     p.add_argument("--points", default=None, help='"H:count,H:count,..."')
@@ -626,13 +629,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", default=None, help="counter family to read from --tables")
     p.add_argument("--label", default=None, help="counter cell label to read from --tables")
     _add_global_flags(p)
-    p.set_defaults(run=_cmd_fit)
+    p.set_defaults(run=_cmd_fit, parser=p)
 
     p = sub.add_parser("verify", help="run the packaged acceptance suite")
     p.add_argument("--suite", default="quick", choices=("quick", "full"))
     p.add_argument("--criteria", default=None, help="comma list of criterion ids (default all)")
     _add_global_flags(p, "jobs")
-    p.set_defaults(run=_cmd_verify)
+    p.set_defaults(run=_cmd_verify, parser=p)
 
     return ap
 
@@ -641,7 +644,10 @@ def dispatch(argv: Sequence[str]) -> int:
     """Parse argv and run one subcommand; never raises for domain errors."""
     parser = build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args, unread = parser.parse_known_args(list(argv))
+        if unread:
+            # the subcommand's parser reports it, with the flags it takes
+            args.parser.error("unrecognized arguments: %s" % " ".join(unread))
     except SystemExit as e:
         code = e.code
         return int(code) if isinstance(code, int) else 0 if code is None else 2

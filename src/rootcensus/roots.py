@@ -11,8 +11,9 @@ real root counts (by the sign of the discriminant up to degree 3, by
 Sturm above); this analysis (_analysis) is computed once per polynomial
 and stored on it, so refine and the signatures in classify reuse it.
 Each factor goes through one certification rung: centres are proposed
-at the bits of its ladder step, and one exact integer routine certifies
-them:
+at the bits of its ladder step (_propose), and one exact integer routine
+certifies them (_certified, which the n = 4 census also calls on
+centres it proposes itself):
 
 - a linear factor's centre is its root -c1/c0 rounded to the step's
   bits; for higher degrees, Aberth-Ehrlich simultaneous iteration in
@@ -97,10 +98,18 @@ class RootDisk:
         radius k 2^e (_dyadic_disks) and c2 = a^2 + b^2, the integers
         (max(0, floor(sqrt c2) - k), ceil(sqrt c2) + k) 2^e enclose |c| -+ r."""
         ((a, b, k),), e = _dyadic_disks((self,))
-        c2 = a * a + b * b
-        lo = math.isqrt(c2)
-        hi = lo if lo * lo == c2 else lo + 1
-        return (_dyadic(max(0, lo - k), e), _dyadic(hi + k, e))
+        lo, hi = _modulus_bounds(a, b, k)
+        return (_dyadic(lo, e), _dyadic(hi, e))
+
+
+def _modulus_bounds(a: int, b: int, k: int) -> Tuple[int, int]:
+    """Integers (lo, hi) with lo 2^e <= |root| <= hi 2^e for a root in the
+    disk of centre (a + bi) 2^e and radius k 2^e: with c2 = a^2 + b^2,
+    max(0, floor(sqrt c2) - k) and ceil(sqrt c2) + k."""
+    c2 = a * a + b * b
+    lo = math.isqrt(c2)
+    hi = lo if lo * lo == c2 else lo + 1
+    return max(0, lo - k), hi + k
 
 
 def _dyadic_disks(disks: Sequence[RootDisk]) -> Tuple[List[Tuple[int, int, int]], int]:
@@ -436,9 +445,15 @@ def _certify(coeffs: Sequence[int], a: int, b: int, k: int) -> Optional[Tuple[in
     return a, b, _ceil_sqrt(-(-n * n * (gr * gr + gi * gi) // d2)), k
 
 
-def _isolate_factor(g: IntPolynomial, bits: int):
-    """Certified disks (a, b, r, k) (_certify) around the centres proposed
-    at `bits` bits for one squarefree factor, or None if one fails.
+def _float_centres(z: Sequence[complex], bits: int) -> List[Tuple[int, int, int]]:
+    """Points in hardware doubles as centres (a, b, k) rounded to `bits`
+    bits (_centre)."""
+    return [_centre(w.real.as_integer_ratio(), w.imag.as_integer_ratio(), bits) for w in z]
+
+
+def _propose(g: IntPolynomial, bits: int) -> List[Tuple[int, int, int]]:
+    """Centres (a, b, k) (_centre) proposed at `bits` bits for the roots of
+    one squarefree factor.
 
     A linear factor's centre is its root rounded to `bits` bits. Otherwise
     double Aberth sweeps from companion seeds propose the centres of the
@@ -448,20 +463,16 @@ def _isolate_factor(g: IntPolynomial, bits: int):
     cs = g.coeffs
     if g.degree == 1:
         c0, c1 = cs
-        centres = [_centre((-c1 if c0 > 0 else c1, abs(c0)), (0, 1), bits)]
-    else:
-        z = _companion_seeds(cs)
-        if z is not None:
-            z = _aberth(cs, z)
-            if not all(map(cmath.isfinite, z)):
-                z = None
-        if z is not None and bits <= 53:
-            centres = [_centre(w.real.as_integer_ratio(), w.imag.as_integer_ratio(), bits) for w in z]
-        else:
-            Z, k = _polish(cs, [(w, 0) for w in z] if z is not None else _newton_seeds(cs), bits)
-            centres = [_centre((a, 1 << k), (b, 1 << k), bits) for a, b in Z]
-    disks = [_certify(cs, *c) for c in centres]
-    return None if None in disks else disks
+        return [_centre((-c1 if c0 > 0 else c1, abs(c0)), (0, 1), bits)]
+    z = _companion_seeds(cs)
+    if z is not None:
+        z = _aberth(cs, z)
+        if not all(map(cmath.isfinite, z)):
+            z = None
+    if z is not None and bits <= 53:
+        return _float_centres(z, bits)
+    Z, k = _polish(cs, [(w, 0) for w in z] if z is not None else _newton_seeds(cs), bits)
+    return [_centre((a, 1 << k), (b, 1 << k), bits) for a, b in Z]
 
 
 def _common(disks: Sequence[Tuple[int, int, int, int]]) -> Tuple[List[List[int]], int]:
@@ -517,14 +528,20 @@ def _realness(disks: List[List[int]], realcount: int) -> Optional[List[bool]]:
     return flags
 
 
-def _attempt(parts, v: int, bits: int) -> Optional[List[RootDisk]]:
-    """One full certification attempt from centres proposed at `bits` bits."""
+def _certified(factors, v: int):
+    """Certified disjoint disks around given centres, as (disks [a, b, r]
+    at one scale 2^-k, k, multiplicities, real flags), or None when a check
+    fails: `factors` yields (coefficients, multiplicity, distinct real
+    roots, centres) for each squarefree factor, and v roots at zero get a
+    disk of radius zero. Each centre is certified (_certify), a factor's
+    disks must be disjoint and its real ones certified (_realness), and
+    then all disks must be disjoint."""
     found: List[Tuple[int, int, int, int]] = []
     mults: List[int] = []
     reals: List[bool] = []
-    for fac, mult, realcount in parts:
-        got = _isolate_factor(fac, bits)
-        if got is None:
+    for cs, mult, realcount, centres in factors:
+        got = [_certify(cs, *c) for c in centres]
+        if None in got:
             return None
         disks, k = _common(got)
         is_real = _realness(disks, realcount) if _disjoint(disks) else None
@@ -538,12 +555,7 @@ def _attempt(parts, v: int, bits: int) -> Optional[List[RootDisk]]:
         mults.append(v)
         reals.append(True)
     disks, k = _common(found)
-    if not _disjoint(disks):
-        return None
-    return [
-        RootDisk(_dyadic(a, -k), _dyadic(b, -k), _dyadic(r, -k), m, br)
-        for (a, b, r), m, br in zip(disks, mults, reals)
-    ]
+    return (disks, k, mults, reals) if _disjoint(disks) else None
 
 
 def isolate_roots(
@@ -572,8 +584,16 @@ def isolate_roots(
         return tuple(sorted(disks, key=lambda d: (d.center_re, d.center_im)))
 
     while True:
-        disks = _attempt(parts, v, prec)
-        if disks is not None:
+        got = _certified(
+            ((fac.coeffs, mult, real, _propose(fac, prec)) for fac, mult, real in parts), v
+        )
+        disks = None
+        if got is not None:
+            ints, k, mults, reals = got
+            disks = [
+                RootDisk(_dyadic(a, -k), _dyadic(b, -k), _dyadic(r, -k), m, br)
+                for (a, b, r), m, br in zip(ints, mults, reals)
+            ]
             tight = radius_target is None or all(d.radius <= radius_target for d in disks)
             if tight:
                 return CertifiedRootSet(f, _sorted(disks), prec, "CERTIFIED")

@@ -8,11 +8,14 @@ the same table byte for byte.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import math
 import os
+import random
 
+import numpy as np
 import pytest
 
 from rootcensus.census import (
@@ -155,6 +158,101 @@ def test_engines_agree_cubic(counter, monic):
         assert ts.family("D*d") != ts.family("D*")  # repeated roots were met
 
 
+@pytest.mark.parametrize(
+    "counter,monic,height",
+    [("A", True, 2), ("A*", False, 2), ("B*", False, 2), ("D*", False, 2), ("A*", False, 3)],
+    ids=["A", "Astar", "Bstar", "Dstar", "Astar-H3"],
+)
+def test_engines_agree_quartic(counter, monic, height, tmp_path):
+    from rootcensus import census
+
+    base = dict(n=4, height=height, monic=monic, counters=(counter,))
+    assert census._vector_ok(CensusSpec(**base))  # what "auto" picks
+    tables, blobs = [], []
+    for engine in ("scalar", "vector"):
+        path = str(tmp_path / engine)
+        tables.append(run_census(CensusSpec(engine=engine, checkpoint=path, **base)))
+        blobs.append(open(path, "rb").read())
+    assert tables[0] == tables[1] and tables[0].to_json() == tables[1].to_json()
+    assert blobs[0] == blobs[1]
+
+
+@pytest.mark.parametrize("n,height,monic", [(3, 2, False), (4, 1, False), (4, 2, True)])
+def test_vector_blocks_cover_each_unit_in_order(monkeypatch, n, height, monic):
+    # a unit whose points exceed UNIT_TARGET is cut into blocks of at most
+    # that many, which together enumerate it in order; tables are the same
+    from rootcensus import census
+
+    spec = CensusSpec(n=n, height=height, monic=monic, counters=("A",) if monic else ("A*", "B*", "D*"))
+    want = run_census(dataclasses.replace(spec, engine="scalar"))
+    monkeypatch.setattr(census, "UNIT_TARGET", 7)
+    rng = range(-height, height + 1)
+    for unit in make_work_units(spec):
+        blocks = list(census._blocks(spec, unit.leads))
+        assert max(len(b[0]) for b in blocks) <= 7
+        rows = [tuple(r) for b in blocks for r in np.stack(b, axis=1).tolist()]
+        heads = [(1, lead) if monic else (lead,) for lead in unit.leads]
+        tails = itertools.product(rng, repeat=n - len(heads[0]) + 1)
+        assert rows == [h + t for h, t in itertools.product(heads, tails)]
+    assert run_census(dataclasses.replace(spec, engine="vector")) == want
+
+
+def _quartic_columns(rows):
+    """Coefficient columns a_0..a_4 of the rows: int64 where every value
+    fits, Python integers otherwise."""
+    big = any(abs(c) >= 2**62 for r in rows for c in r)
+    return [np.array(col, dtype=object if big else np.int64) for col in zip(*rows)]
+
+
+def test_quartic_batch_rows_match_classify_pipeline():
+    # every row the n = 4 vector profile decides gets the cells the scalar
+    # pipeline gives it; the rest are left to that pipeline
+    from rootcensus import census
+
+    rng = random.Random(4)
+    box = [tuple(f.coeffs) for f in _box(4, 3, False)]
+    near_ties = [
+        (1, 1, 2, 1, 1),  # (X^2+1)(X^2+X+1): all four roots on the unit circle
+        (1, 1, 0, -2, -4),  # (X^2-2)(X^2+X+2): four roots of modulus sqrt 2
+        (1, 0, 0, -2**40, 1),  # a real root and a pair, moduli in ratio 1 + 2^-54
+        (1, -1, 0, 0, -1),  # X^4 - X^3 - 1
+        (4, 0, -1, 1, 1),
+        (1, 2, 3, 2, 1),  # (X^2+X+1)^2: repeated roots
+        (2, 0, 0, 0, 3),  # f(X^2) shape
+    ]
+    spec = CensusSpec(n=4, height=3, counters=("A*", "B*", "D*"))
+    for rows in (rng.sample(box, 800), near_ties):
+        cols = _quartic_columns(rows)
+        kmax, kmin, dsc, real = census._vec_profile4(*cols)
+        decided = np.nonzero(kmax > 0)[0]
+        if rows is near_ties:
+            # exact ties, a repeated root and f(X^2) are never decided here
+            assert not {0, 1, 5, 6} & set(decided.tolist())
+        else:
+            assert len(decided) > len(rows) * 3 // 4
+        for i in decided:
+            one = census._Batch(4, [c[i : i + 1] for c in cols], kmax[i : i + 1],
+                                kmin[i : i + 1], dsc[i : i + 1], real[i : i + 1])
+            cells = {(fam, label) for c in census._requested(spec.counters)
+                     for fam, label, k in c.vector(one) if k}
+            assert cells == set(census.classify_pipeline(IntPolynomial(rows[i]), spec)), rows[i]
+
+
+def test_disc4_is_exact_in_int64_at_the_cap_height():
+    from rootcensus import census
+    from rootcensus.intpoly import discriminant
+
+    cap = census.VECTOR_HEIGHT_CAPS[4]
+    # the cap is the largest height whose disc4 terms sum inside int64
+    assert 1069 * cap**6 < 2**63 <= 1069 * (cap + 1) ** 6
+    rows = [r for r in itertools.product((-cap, 0, cap), repeat=5) if r[0] != 0]
+    rows += [(cap, cap - 1, -cap, cap - 1, cap), (cap, -cap, cap, -cap, -cap)]
+    got = census._disc4(*_quartic_columns(rows))
+    assert got.dtype == np.int64
+    assert got.tolist() == [discriminant(IntPolynomial(r)) for r in rows]
+    assert max(abs(x) for x in got.tolist()) > 2**62
+
+
 def test_symmetry_reduction_equal():
     # symmetry is part of the fingerprint, so compare the payload fields
     base = dict(n=2, height=5, counters=("A*", "D*"))
@@ -287,11 +385,11 @@ def test_budget_exceeded():
 
 
 def test_vector_engine_refused_before_any_work(tmp_path):
-    # the vector engine covers n in {2, 3} only: the spec is refused
+    # the vector engine covers n in {2, 3, 4} only: the spec is refused
     # before the checkpoint header is written
     path = tmp_path / "ck"
     with pytest.raises(BadParameters, match="vector engine unavailable"):
-        run_census(CensusSpec(n=4, height=1, engine="vector", checkpoint=str(path)))
+        run_census(CensusSpec(n=5, height=1, engine="vector", checkpoint=str(path)))
     assert not path.exists()
 
 

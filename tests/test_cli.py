@@ -441,6 +441,15 @@ def test_global_flag_only_where_read(capsys, monkeypatch, subcommand, flag):
         assert key not in _run_json(capsys, argv)["config"]
 
 
+def test_unread_flag_is_reported_by_the_subcommand(capsys):
+    code, out, err = _run(capsys, ["roots", "--poly", "1,0,-2", "--seed", "3"])
+    assert (code, out) == (2, "")
+    # the usage shown is that of roots, with the flags roots does take
+    assert err.startswith("usage: rootcensus roots ")
+    assert "--precision-cap" in err
+    assert err.rstrip("\n").endswith("rootcensus roots: error: unrecognized arguments: --seed 3")
+
+
 def test_readme_flag_table_matches_parser():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
