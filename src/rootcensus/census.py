@@ -17,17 +17,20 @@ CheckpointCorrupt error, not a silent recovery.
 
 Two tally engines produce identical tables: a scalar path that runs
 classify_pipeline on every point, and a vector path for n in {2, 3, 4}
-over numpy arrays. At n in {2, 3} it mirrors the exact integer decision
-trees of the low-degree kernels, falling back to them on the rare exact
-branches (repeated roots). At n = 4 it counts real roots by the signs
+over numpy arrays. Zero roots are split off every row first: a row
+X^v u with u(0) != 0 and v >= 1 is decided by the degree-(n - v)
+kernel on u, its v zero roots forming the minimal group. At n in
+{2, 3} the kernels mirror the exact integer decision trees of the
+low-degree kernels, falling back to them on the rare exact branches
+(repeated roots). At n = 4 the kernel counts real roots by the signs
 of the discriminant and two Rees-Lazard invariants, proposes the roots
 of all rows through one stacked eigenvalue call, and certifies each
 row's disks and modulus runs with the same integer routines as the
-scalar path; rows with a zero root, an f(X^2) shape, a zero
-discriminant, a failed certificate or a tie candidate at an extreme
-modulus go through classify_pipeline. Each degree has its own height
-cap (VECTOR_HEIGHT_CAPS) that keeps every integer term inside int64;
-above it the scalar path runs.
+scalar path; rows with an f(X^2) shape, a zero discriminant, a failed
+certificate or a tie candidate at an extreme modulus go through
+classify_pipeline (on the n=4 H=2 box 80, 32, 0 and 108 of 2,500
+points). Each degree has its own height cap (VECTOR_HEIGHT_CAPS) that
+keeps every integer term inside int64; above it the scalar path runs.
 """
 
 from __future__ import annotations
@@ -67,7 +70,7 @@ from .classify import (
     root_signature,
     sn_certificate,
 )
-from .intpoly import IntPolynomial
+from .intpoly import IntPolynomial, disc2, disc3
 from .roots import _certified, _float_centres
 
 __all__ = [
@@ -106,7 +109,7 @@ class _Batch(NamedTuple):
     coeffs: List[np.ndarray]  # a_0..a_n, leading first
     kmax: np.ndarray
     kmin: np.ndarray
-    dsc: np.ndarray  # discriminant
+    repeated: np.ndarray  # whether the row has a repeated root
     real: np.ndarray  # real roots with multiplicity
 
 
@@ -159,11 +162,10 @@ def _signature_labels(n: int) -> Dict[int, str]:
 
 def _signature_vector(b: _Batch) -> List[Tuple[str, str, int]]:
     labels = _signature_labels(b.n)
-    # the distinct-root signature differs only on repeated roots (zero
-    # discriminant), where the exact kernel decides
-    repeated = b.dsc == 0
-    out = _histogram("D*", b.real, labels) + _histogram("D*d", b.real[~repeated], labels)
-    for i in np.nonzero(repeated)[0]:
+    # the distinct-root signature differs only on repeated roots, where
+    # the exact kernel decides
+    out = _histogram("D*", b.real, labels) + _histogram("D*d", b.real[~b.repeated], labels)
+    for i in np.nonzero(b.repeated)[0]:
         sig = _distinct_signature(IntPolynomial(tuple(int(arr[i]) for arr in b.coeffs)))
         out.append(("D*d", _signature_label(sig.r, sig.s), 1))
     return out
@@ -517,64 +519,37 @@ def _tally_scalar(spec: CensusSpec, leads: Sequence[int], table: CounterTable) -
 
 # each _vec_profileN maps the coefficient arrays of a block to (kmax,
 # kmin, disc, real roots with multiplicity); kmax 0 leaves a row to
-# classify_pipeline
+# classify_pipeline. _vec_profile overwrites every row with a_n = 0, so
+# a kernel may assume a nonzero constant term
+
+
+def _vec_profile1(a, b):
+    one = np.ones_like(a)
+    return one, one, one, one
 
 
 def _vec_profile2(a, b, c):
-    dd = b * b - 4 * a * c
-    single = ((c == 0) & (b != 0)) | ((c != 0) & (b != 0) & (dd > 0))
-    k = np.where(single, 1, 2).astype(np.int64)
+    dd = disc2(a, b, c)
+    k = np.where((b != 0) & (dd > 0), 1, 2)
     return k, k.copy(), dd, np.where(dd >= 0, 2, 0)
 
 
 def _vec_profile3(a0, b0, c0, d0):
     s = np.where(a0 < 0, -1, 1)
     a, b, c, d = a0 * s, b0 * s, c0 * s, d0 * s
-    kmax = np.empty(a.shape, dtype=np.int64)
-    kmin = np.empty(a.shape, dtype=np.int64)
-    dzero = d == 0
-    czero = c == 0
-    bzero = b == 0
-    m00 = dzero & czero & bzero
-    kmax[m00], kmin[m00] = 3, 3
-    m01 = dzero & czero & ~bzero
-    kmax[m01], kmin[m01] = 1, 2
-    m02 = dzero & ~czero
-    dd = b * b - 4 * a * c
-    m02a = m02 & (dd > 0) & ~bzero
-    kmax[m02a], kmin[m02a] = 1, 1
-    m02b = m02 & ~((dd > 0) & ~bzero)
-    kmax[m02b], kmin[m02b] = 2, 1
-    dsc = (
-        18 * a * b * c * d
-        - 4 * b * b * b * d
-        + b * b * c * c
-        - 4 * a * c * c * c
-        - 27 * a * a * d * d
-    )
-    mneg = ~dzero & (dsc < 0)
+    dsc = disc3(a, b, c, d)
     d3 = a * c * c * c - b * b * b * d
-    kmax_neg = np.where(d3 < 0, 1, np.where(d3 > 0, 2, 3))
-    s2 = np.where(d > 0, 1, -1)
-    ra, rb, rc, rd = d * s2, c * s2, b * s2, a * s2
-    d3r = ra * rc * rc * rc - rb * rb * rb * rd
-    kmin_neg = np.where(d3r < 0, 1, np.where(d3r > 0, 2, 3))
-    kmax[mneg] = kmax_neg[mneg]
-    kmin[mneg] = kmin_neg[mneg]
-    mpos = ~dzero & (dsc > 0)
-    tie = ~bzero & (b * c == a * d)
-    num = -(a * a * d + b * b * b)
-    sgn = np.sign(num) * np.sign(b)
-    kmax_pos = np.where(tie, np.where(sgn > 0, 2, np.where(sgn < 0, 1, 3)), 1)
-    kmin_pos = np.where(tie, np.where(sgn > 0, 1, np.where(sgn < 0, 2, 3)), 1)
-    kmax[mpos] = kmax_pos[mpos]
-    kmin[mpos] = kmin_pos[mpos]
-    # disc = 0 with d != 0: rational repeated root, exact scalar kernel
-    mz = ~dzero & (dsc == 0)
-    if mz.any():
-        for i in np.nonzero(mz)[0]:
-            km, kn = profile_pair_deg3(int(a0[i]), int(b0[i]), int(c0[i]), int(d0[i]))
-            kmax[i], kmin[i] = km, kn
+    tie = (b != 0) & (b * c == a * d)
+    sgn = np.sign(-(a * a * d + b * b * b)) * np.sign(b)
+    neg = dsc < 0
+    kmax = np.where(neg, np.where(d3 < 0, 1, np.where(d3 > 0, 2, 3)),
+                    np.where(tie, np.where(sgn > 0, 2, np.where(sgn < 0, 1, 3)), 1))
+    kmin = np.where(neg, np.where(d3 > 0, 1, np.where(d3 < 0, 2, 3)),
+                    np.where(tie, np.where(sgn > 0, 1, np.where(sgn < 0, 2, 3)), 1))
+    # disc = 0: rational repeated root, exact scalar kernel (a row with
+    # d = 0 is overwritten by _vec_profile)
+    for i in np.nonzero((dsc == 0) & (d != 0))[0]:
+        kmax[i], kmin[i] = profile_pair_deg3(int(a0[i]), int(b0[i]), int(c0[i]), int(d0[i]))
     return kmax, kmin, dsc, np.where(dsc >= 0, 3, 1)
 
 
@@ -638,7 +613,7 @@ def _vec_profile4(a, b, c, d, e):
     return kmax, kmin, dsc, real
 
 
-_VEC_PROFILES = {2: _vec_profile2, 3: _vec_profile3, 4: _vec_profile4}
+_VEC_PROFILES = {1: _vec_profile1, 2: _vec_profile2, 3: _vec_profile3, 4: _vec_profile4}
 
 
 def _blocks(spec: CensusSpec, leads: Sequence[int]):
@@ -660,18 +635,46 @@ def _blocks(spec: CensusSpec, leads: Sequence[int]):
             yield [np.ones_like(flats[0])] + flats if spec.monic else flats
 
 
+def _vec_profile(coeffs):
+    """(kmax, kmin, repeated, real) for the rows of a block (a_0 != 0).
+    The degree-n kernel reads every row; a row X^v u with u(0) != 0 and
+    v >= 1 is then overwritten from the degree-(n - v) kernel on its
+    first n - v + 1 columns, which hold u: kmax is u's, and the v zero
+    roots are the strict minimal group, v more real roots, and a
+    repeated root when v >= 2."""
+    n = len(coeffs) - 1
+    kmax, kmin, dsc, real = _VEC_PROFILES[n](*coeffs)
+    repeated = dsc == 0
+    v = np.zeros(kmax.shape, dtype=np.int64)
+    trailing = np.ones(kmax.shape, dtype=bool)
+    for col in coeffs[:0:-1]:
+        trailing &= col == 0
+        v += trailing
+    for k in range(1, n + 1):
+        rows = np.nonzero(v == k)[0]
+        if k == n:
+            kmax[rows] = kmin[rows] = real[rows] = n
+            repeated[rows] = n >= 2
+        elif rows.size:
+            km, _, d, r = _VEC_PROFILES[n - k](*(col[rows] for col in coeffs[: n - k + 1]))
+            kmax[rows], kmin[rows], real[rows] = km, k, r + k
+            repeated[rows] = (d == 0) | (k >= 2)
+    return kmax, kmin, repeated, real
+
+
 def _tally_vector(spec: CensusSpec, leads: Sequence[int], table: CounterTable) -> None:
     counters = _requested(spec.counters)
     for coeffs in _blocks(spec, leads):
-        kmax, kmin, dsc, real = _VEC_PROFILES[spec.n](*coeffs)
+        kmax, kmin, repeated, real = _vec_profile(coeffs)
         decided = kmax > 0
         if not decided.all():
             rows = np.stack(coeffs, axis=1)[~decided].tolist()
             _classify_into(spec, (IntPolynomial(tuple(r)) for r in rows), table)
             coeffs = [arr[decided] for arr in coeffs]
-            kmax, kmin, dsc, real = kmax[decided], kmin[decided], dsc[decided], real[decided]
+            kmax, kmin = kmax[decided], kmin[decided]
+            repeated, real = repeated[decided], real[decided]
         table.totals += kmax.size
-        batch = _Batch(spec.n, coeffs, kmax, kmin, dsc, real)
+        batch = _Batch(spec.n, coeffs, kmax, kmin, repeated, real)
         for counter in counters:
             for fam, label, k in counter.vector(batch):
                 if k:

@@ -20,14 +20,15 @@ Answers, with certificates, the questions driving the censuses:
   prove all pair products distinct from root disks isolated at a 53-bit
   start, with product enclosures compared in exact integers.
 
-Degrees 1-3 are decided by exact integer sign tests (the census hot
-path never touches floating point). Degree >= 4 escalates:
+Zero roots are split off exactly first, at every degree: they form the
+strict minimal-modulus group, and the rest decides k_max. Degrees 1-3
+are then decided by exact integer sign tests (the census hot path never
+touches floating point). Degree >= 4 escalates:
 
-1. zero roots split off exactly (they form the minimal-modulus group);
-2. f(X) = g(X^m) with m >= 2 reduces to g: each root y of g lifts to
+1. f(X) = g(X^m) with m >= 2 reduces to g: each root y of g lifts to
    m roots of equal modulus |y|^(1/m), so both counts multiply by m
    (this covers all polynomials invariant under X -> -X);
-3. otherwise certified root disks, isolated from a 53-bit start (the
+2. otherwise certified root disks, isolated from a 53-bit start (the
    hardware-double step; the ladder escalates only where it fails),
    give enclosures of squared moduli in exact integers: one real root or
    one conjugate pair (its disks are exact mirror images) forms a unit,
@@ -65,6 +66,7 @@ from .intpoly import (
     _interpolate,
     _pair_products,
     _scaled_value,
+    disc2,
     disc3,
     discriminant,
     divmod_exact,
@@ -167,52 +169,36 @@ class SnCertificate:
 
 
 def profile_pair_deg2(a: int, b: int, c: int) -> Tuple[int, int]:
-    """(k_max, k_min) for aX^2+bX+c by exact sign tests."""
-    if c == 0:
-        if b == 0:
-            return (2, 2)  # double root 0
-        return (1, 1)  # 0 and -b/a
+    """(k_max, k_min) for aX^2+bX+c, c != 0, by exact sign tests."""
     if b == 0:
         return (2, 2)  # roots +-sqrt(-c/a): opposite or conjugate pair
-    if b * b - 4 * a * c > 0:
+    if disc2(a, b, c) > 0:
         return (1, 1)  # distinct reals, not opposite since b != 0
     return (2, 2)  # conjugate pair or double real root
 
 
 def profile_pair_deg3(a: int, b: int, c: int, d: int) -> Tuple[int, int]:
-    """(k_max, k_min) for aX^3+bX^2+cX+d by exact integer sign tests.
+    """(k_max, k_min) for aX^3+bX^2+cX+d, d != 0, by exact integer sign
+    tests.
 
     disc < 0 (one real root rho and a conjugate pair of modulus m):
     m = |rho| can only happen when rho = -c/b, and f(-c/b) equals
     -(a c^3 - b^3 d)/b^3, so with a normalized positive the sign of
     D3 = a c^3 - b^3 d decides: D3 < 0 real root strictly maximal,
-    D3 > 0 pair strictly maximal, D3 = 0 three-way tie; the minimal
-    side mirrors through the reciprocal coefficients. disc > 0 (three
-    distinct reals): the only possible tie is an opposite pair +-t,
-    present iff b != 0 and bc = ad (then f = (aX + b)(X^2 + d/b)); the
-    pair modulus t and lone root s = -b/a compare via
-    sign(t^2 - s^2) = sign(-(a^2 d + b^3)) * sign(b). disc = 0: the
-    repeated and simple roots are rational, compared exactly.
+    D3 > 0 pair strictly maximal, D3 = 0 three-way tie; the other
+    group is the minimal one. disc > 0 (three distinct reals): the only
+    possible tie is an opposite pair +-t, present iff b != 0 and bc = ad
+    (then f = (aX + b)(X^2 + d/b)); the pair modulus t and lone root
+    s = -b/a compare via sign(t^2 - s^2) = sign(-(a^2 d + b^3)) * sign(b).
+    disc = 0: the repeated and simple roots are rational, compared
+    exactly.
     """
     if a < 0:
         a, b, c, d = -a, -b, -c, -d
-    if d == 0:
-        if c == 0:
-            if b == 0:
-                return (3, 3)  # triple root 0
-            return (1, 2)  # roots 0, 0, -b/a
-        dd = b * b - 4 * a * c
-        if dd > 0 and b != 0:
-            return (1, 1)  # 0 and two reals of distinct nonzero moduli
-        return (2, 1)  # 0 plus an equal-modulus pair (or a double root)
     dsc = disc3(a, b, c, d)
     if dsc < 0:
         d3 = a * c * c * c - b * b * b * d
-        kmax = 1 if d3 < 0 else (2 if d3 > 0 else 3)
-        ra, rb, rc, rd = (d, c, b, a) if d > 0 else (-d, -c, -b, -a)
-        d3r = ra * rc * rc * rc - rb * rb * rb * rd
-        kmin = 1 if d3r < 0 else (2 if d3r > 0 else 3)
-        return (kmax, kmin)
+        return (1, 2) if d3 < 0 else (2, 1) if d3 > 0 else (3, 3)
     if dsc > 0:
         if b != 0 and b * c == a * d:
             num = -(a * a * d + b * b * b)
@@ -223,7 +209,7 @@ def profile_pair_deg3(a: int, b: int, c: int, d: int) -> Tuple[int, int]:
                 return (1, 2)
             return (3, 3)  # |pair| = |s| would force disc = 0; defensive
         return (1, 1)
-    # disc == 0, d != 0: rational double (or triple) root
+    # disc == 0: rational double (or triple) root
     f = IntPolynomial((a, b, c, d))
     g = subresultant_gcd(f, f.derivative())
     if g.degree == 2:
@@ -244,9 +230,11 @@ def profile_pair_deg3(a: int, b: int, c: int, d: int) -> Tuple[int, int]:
 def modulus_profile(f: IntPolynomial, method: str = "auto") -> ModulusProfile:
     """Certified (k_max, k_min, dominant) for f of degree >= 1.
 
-    method "auto" routes degree <= 3 to exact integer kernels and
-    higher degrees to the certified path; "certified" forces the
-    certified path at any degree (used to cross-validate the kernels).
+    Zero roots are split off first, exactly: they form the strict
+    minimal group, and the rest of f decides k_max. Then method "auto"
+    routes degree <= 3 to exact integer kernels and higher degrees to
+    the certified path; "certified" forces the certified path at any
+    degree (used to cross-validate the kernels).
     """
     if f.is_zero:
         raise ZeroPolynomial("modulus profile of the zero polynomial")
@@ -255,6 +243,13 @@ def modulus_profile(f: IntPolynomial, method: str = "auto") -> ModulusProfile:
         raise DegreeTooSmall("modulus profile needs degree >= 1")
     if method not in ("auto", "certified"):
         raise BadParameters("unknown method %r" % (method,))
+    v, u = _deflated(f)
+    if u.degree == 0:
+        # a_0 X^n: all roots are 0
+        return ModulusProfile(n, n, n == 1, "EXACT")
+    if v > 0:
+        sub = modulus_profile(u)
+        return ModulusProfile(sub.k_max, v, sub.k_max == 1, sub.decision)
     if method != "certified" and n <= 3:
         cs = f.coeffs
         if n == 1:
@@ -268,18 +263,10 @@ def modulus_profile(f: IntPolynomial, method: str = "auto") -> ModulusProfile:
 
 
 def _profile_certified(f: IntPolynomial) -> ModulusProfile:
-    n = f.degree
-    v, u = _deflated(f)
-    if u.degree == 0:
-        # a_0 X^n: all roots are 0
-        return ModulusProfile(n, n, n == 1, "EXACT")
-    if v > 0:
-        sub = modulus_profile(u)
-        # zero roots form the strict minimal group; u's maximum stands
-        return ModulusProfile(sub.k_max, v, sub.k_max == 1, sub.decision)
-    m, h = power_substitution(u)
+    """The certified profile of f, f(0) != 0."""
+    m, h = power_substitution(f)
     if m >= 2:
-        # roots of u are the m-th roots of the roots of h: a root y of
+        # roots of f are the m-th roots of the roots of h: a root y of
         # h contributes m roots of equal modulus |y|^(1/m), preserving
         # the group order and multiplying both counts by m
         sub = modulus_profile(h)

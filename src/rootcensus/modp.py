@@ -65,22 +65,29 @@ def _mulmod(a: List[int], b: List[int], p: int) -> List[int]:
     return _trim(out)
 
 
-def _rem(a: List[int], b: List[int], p: int) -> List[int]:
-    """a mod b over F_p; b nonzero."""
-    a = a[:]
+def _divmod(a: List[int], b: List[int], p: int) -> Tuple[List[int], List[int]]:
+    """(q, r) with a = q b + r and deg r < deg b over F_p; b nonzero."""
+    r = a[:]
     db = len(b) - 1
     inv = pow(b[-1], p - 2, p)
-    while len(a) - 1 >= db and a:
-        if a[-1] == 0:
-            a.pop()
+    q = [0] * (len(r) - db)
+    while len(r) - 1 >= db and r:
+        if r[-1] == 0:
+            r.pop()
             continue
-        k = len(a) - 1 - db
-        t = (a[-1] * inv) % p
+        k = len(r) - 1 - db
+        t = (r[-1] * inv) % p
+        q[k] = t
         for i in range(db + 1):
-            a[k + i] = (a[k + i] - t * b[i]) % p
-        a.pop()
-        _trim(a)
-    return _trim(a)
+            r[k + i] = (r[k + i] - t * b[i]) % p
+        r.pop()
+        _trim(r)
+    return _trim(q), _trim(r)
+
+
+def _rem(a: List[int], b: List[int], p: int) -> List[int]:
+    """a mod b over F_p; b nonzero."""
+    return _divmod(a, b, p)[1]
 
 
 def _gcd(a: List[int], b: List[int], p: int) -> List[int]:
@@ -91,26 +98,6 @@ def _gcd(a: List[int], b: List[int], p: int) -> List[int]:
         inv = pow(a[-1], p - 2, p)
         a = [(c * inv) % p for c in a]
     return a
-
-
-def _quo(a: List[int], b: List[int], p: int) -> List[int]:
-    """Exact quotient a / b over F_p (remainder known zero)."""
-    a = a[:]
-    db = len(b) - 1
-    inv = pow(b[-1], p - 2, p)
-    q = [0] * (len(a) - db)
-    while len(a) - 1 >= db and a:
-        if a[-1] == 0:
-            a.pop()
-            continue
-        k = len(a) - 1 - db
-        t = (a[-1] * inv) % p
-        q[k] = t
-        for i in range(db + 1):
-            a[k + i] = (a[k + i] - t * b[i]) % p
-        a.pop()
-        _trim(a)
-    return _trim(q)
 
 
 def _powmod(base: List[int], e: int, f: List[int], p: int) -> List[int]:
@@ -161,7 +148,7 @@ def factor_degree_pattern(f: IntPolynomial, p: int) -> Optional[Tuple[int, ...]]
         dg = len(g) - 1
         if dg > 0:
             pattern.extend([d] * (dg // d))
-            a = _quo(a, g, p)
+            a = _divmod(a, g, p)[0]
             h = _rem(h, a, p)
             rem_deg = len(a) - 1
     return tuple(sorted(pattern))

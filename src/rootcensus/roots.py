@@ -93,14 +93,6 @@ class RootDisk:
     multiplicity: int
     is_real: bool
 
-    def modulus_interval(self) -> Tuple[Fraction, Fraction]:
-        """Exact rational bounds on |root|: with centre (a + bi) 2^e and
-        radius k 2^e (_dyadic_disks) and c2 = a^2 + b^2, the integers
-        (max(0, floor(sqrt c2) - k), ceil(sqrt c2) + k) 2^e enclose |c| -+ r."""
-        ((a, b, k),), e = _dyadic_disks((self,))
-        lo, hi = _modulus_bounds(a, b, k)
-        return (_dyadic(lo, e), _dyadic(hi, e))
-
 
 def _modulus_bounds(a: int, b: int, k: int) -> Tuple[int, int]:
     """Integers (lo, hi) with lo 2^e <= |root| <= hi 2^e for a root in the

@@ -206,7 +206,8 @@ def _quartic_columns(rows):
 
 def test_quartic_batch_rows_match_classify_pipeline():
     # every row the n = 4 vector profile decides gets the cells the scalar
-    # pipeline gives it; the rest are left to that pipeline
+    # pipeline gives it; the rest are left to that pipeline, and a row
+    # with a zero root is always decided
     from rootcensus import census
 
     rng = random.Random(4)
@@ -223,19 +224,42 @@ def test_quartic_batch_rows_match_classify_pipeline():
     spec = CensusSpec(n=4, height=3, counters=("A*", "B*", "D*"))
     for rows in (rng.sample(box, 800), near_ties):
         cols = _quartic_columns(rows)
-        kmax, kmin, dsc, real = census._vec_profile4(*cols)
+        kmax, kmin, repeated, real = census._vec_profile(cols)
         decided = np.nonzero(kmax > 0)[0]
         if rows is near_ties:
             # exact ties, a repeated root and f(X^2) are never decided here
             assert not {0, 1, 5, 6} & set(decided.tolist())
         else:
             assert len(decided) > len(rows) * 3 // 4
+            zero_root = {i for i, r in enumerate(rows) if r[-1] == 0}
+            assert zero_root and zero_root <= set(decided.tolist())
         for i in decided:
             one = census._Batch(4, [c[i : i + 1] for c in cols], kmax[i : i + 1],
-                                kmin[i : i + 1], dsc[i : i + 1], real[i : i + 1])
+                                kmin[i : i + 1], repeated[i : i + 1], real[i : i + 1])
             cells = {(fam, label) for c in census._requested(spec.counters)
                      for fam, label, k in c.vector(one) if k}
             assert cells == set(census.classify_pipeline(IntPolynomial(rows[i]), spec)), rows[i]
+
+
+def test_quartic_fall_back_rows_have_no_zero_root(monkeypatch):
+    # on the n = 4 H = 2 box the vector engine leaves 220 rows to the
+    # scalar pipeline (f(X^2) 80, disc = 0 32, extreme-run overlap 108)
+    # and decides every row with a_4 = 0 itself
+    from rootcensus import census
+
+    seen = []
+    classify_into = census._classify_into
+
+    def spy(spec, polys, table):
+        polys = list(polys)
+        seen.extend(polys)
+        classify_into(spec, polys, table)
+
+    monkeypatch.setattr(census, "_classify_into", spy)
+    table = run_census(CensusSpec(n=4, height=2, counters=("A*",), engine="vector"))
+    assert table.totals == 2500
+    assert len(seen) == 220
+    assert not any(f.coeffs[-1] == 0 for f in seen)
 
 
 def test_disc4_is_exact_in_int64_at_the_cap_height():

@@ -24,6 +24,8 @@ from rootcensus.roots import (
     CertifiedRootSet,
     RootDisk,
     _FUJIWARA_BITS,
+    _dyadic_disks,
+    _modulus_bounds,
     fujiwara_bound,
     isolate_roots,
     refine,
@@ -37,6 +39,14 @@ def _rand_poly(rng: random.Random, max_deg: int = 6, height: int = 1000) -> IntP
     if cs[0] == 0:
         cs[0] = rng.randint(1, height)
     return IntPolynomial(tuple(cs))
+
+
+def _modulus_interval(disk: RootDisk):
+    """Bounds on |root| for a root in the disk: _modulus_bounds on its
+    integers at the _dyadic_disks scale 2^e."""
+    ((a, b, k),), e = _dyadic_disks((disk,))
+    lo, hi = _modulus_bounds(a, b, k)
+    return lo * Fraction(2) ** e, hi * Fraction(2) ** e
 
 
 def _check_against_numpy(f: IntPolynomial, rs: CertifiedRootSet, slack: float = 1e-6):
@@ -103,22 +113,25 @@ def test_zero_root_exact():
     zero_disks = [d for d in rs.disks if d.center_re == 0 and d.center_im == 0]
     assert len(zero_disks) == 1
     assert zero_disks[0].radius == 0
-    lo, hi = zero_disks[0].modulus_interval()
+    lo, hi = _modulus_interval(zero_disks[0])
     assert lo == 0
 
 
 def test_modulus_interval_is_exact_on_dyadic_disks():
     # centre 3/4 + i, radius 1/4: |c| = 5/4, so exactly [1, 3/2]
     disk = RootDisk(Fraction(3, 4), Fraction(1), Fraction(1, 4), 1, False)
-    assert disk.modulus_interval() == (1, Fraction(3, 2))
+    assert _dyadic_disks((disk,)) == ([(3, 4, 1)], -2)
+    assert _modulus_bounds(3, 4, 1) == (4, 6)
+    assert _modulus_interval(disk) == (1, Fraction(3, 2))
     # centre 1 + i, radius 1/2: on the half-integer grid of the disk,
     # sqrt 2 lies in [1, 3/2], so |c| -+ 1/2 lies in [1/2, 2]
     disk = RootDisk(Fraction(1), Fraction(1), Fraction(1, 2), 1, False)
-    assert disk.modulus_interval() == (Fraction(1, 2), 2)
+    assert _modulus_bounds(2, 2, 1) == (1, 4)
+    assert _modulus_interval(disk) == (Fraction(1, 2), 2)
     # a disk around 0 may hold the root 0
     disk = RootDisk(Fraction(1, 8), Fraction(-1, 8), Fraction(1, 4), 1, False)
-    assert disk.modulus_interval() == (0, Fraction(1, 2))
-    assert RootDisk(Fraction(-2), Fraction(0), Fraction(0), 2, True).modulus_interval() == (2, 2)
+    assert _modulus_interval(disk) == (0, Fraction(1, 2))
+    assert _modulus_interval(RootDisk(Fraction(-2), Fraction(0), Fraction(0), 2, True)) == (2, 2)
 
 
 def test_rational_root_enclosed():
@@ -135,7 +148,7 @@ def test_cyclotomic_conjugate_disks():
     assert len(rs.disks) == 4
     assert not any(d.is_real for d in rs.disks)
     for d in rs.disks:
-        lo, hi = d.modulus_interval()
+        lo, hi = _modulus_interval(d)
         assert lo <= 1 <= hi
 
 

@@ -12,6 +12,10 @@ No two package functions of two or more statements share a body,
 docstrings aside: a twin is one idea implemented twice, and one of the
 two should call the other.
 
+No expression of _EXPRESSION_NODES or more AST nodes appears twice in
+the package: a formula that long is spelled once, in a function both
+places call.
+
 No module imports mpmath: root centres are proposed in hardware doubles
 and in exact integers, and every value handed out is an exact integer or
 dyadic Fraction, so nothing depends on a global working precision.
@@ -155,3 +159,42 @@ def test_shared_body_is_found():
         ),
     }
     assert _shared_bodies(trees) == [[("a.py", "f"), ("b.py", "g")]]
+
+
+# the size from which a repeated expression counts as a second spelling of
+# one formula; the sign tests the scalar and vector cubic kernels share by
+# design (D3 = a c^3 - b^3 d, 30 nodes) stay below it
+_EXPRESSION_NODES = 40
+
+
+def _repeated_expressions(trees: dict) -> list:
+    """Groups of (module, line) of equal expressions of _EXPRESSION_NODES
+    or more AST nodes; a repeat inside a longer repeat is not listed."""
+    groups: dict = {}
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.expr) and sum(1 for _ in ast.walk(node)) >= _EXPRESSION_NODES:
+                groups.setdefault(ast.dump(node), []).append((name, node.lineno))
+    repeats = {key: group for key, group in groups.items() if len(group) > 1}
+    return sorted(
+        group for key, group in repeats.items()
+        if not any(key != other and key in other for other in repeats)
+    )
+
+
+def test_no_long_expression_is_spelled_twice():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in _MODULES}
+    assert _repeated_expressions(trees) == []
+
+
+def test_repeated_expression_is_found():
+    # a product of two Names is 6 nodes and each + adds 2: the seven-term
+    # sum has 54 nodes, its first six terms 46 (a repeat inside it), and
+    # five terms 38
+    long = "a * b + c * d + e * f + g * h + i * j + k * l + m * n"
+    short = "a * b + c * d + e * f + g * h + i * j"
+    trees = {
+        "a.py": ast.parse("def f():\n    return %s\n" % long),
+        "b.py": ast.parse("x = 1\ny = (%s) * 2\nz = %s\nw = %s\n" % (long, short, short)),
+    }
+    assert _repeated_expressions(trees) == [[("a.py", 2), ("b.py", 2)]]
