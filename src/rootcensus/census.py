@@ -15,22 +15,17 @@ checkpoint interruptions. Checkpoints are line-delimited JSON with
 per-record sha256 checksums; any malformed or truncated line is a
 CheckpointCorrupt error, not a silent recovery.
 
-Two tally engines produce identical tables: a scalar path that runs
-classify_pipeline on every point, and a vector path for n in {2, 3, 4}
-over numpy arrays. Zero roots are split off every row first: a row
-X^v u with u(0) != 0 and v >= 1 is decided by the degree-(n - v)
-kernel on u, its v zero roots forming the minimal group. At n in
-{2, 3} the kernels mirror the exact integer decision trees of the
-low-degree kernels, falling back to them on the rare exact branches
-(repeated roots). At n = 4 the kernel counts real roots by the signs
-of the discriminant and two Rees-Lazard invariants, proposes the roots
-of all rows through one stacked eigenvalue call, and certifies each
-row's disks and modulus runs with the same integer routines as the
-scalar path; rows with an f(X^2) shape, a zero discriminant, a failed
-certificate or a tie candidate at an extreme modulus go through
-classify_pipeline (on the n=4 H=2 box 80, 32, 0 and 108 of 2,500
-points). Each degree has its own height cap (VECTOR_HEIGHT_CAPS) that
-keeps every integer term inside int64; above it the scalar path runs.
+Two engines compute the same statistics of each point (k_max, k_min,
+real and distinct roots, ...), and each counter labels them through its
+one labeler. The scalar engine runs classify_pipeline on every point.
+The vector engine, for n in {2, 3, 4} up to a height cap per degree
+that keeps every integer term inside int64 (VECTOR_HEIGHT_CAPS),
+decides whole blocks over numpy arrays (_vec_profile: the exact integer
+decision trees of the low-degree kernels at n in {2, 3}, certified
+eigenvalues at n = 4), packs each decided row's statistics into one
+integer code, counts a block's codes with one np.bincount and labels
+each distinct code once; the rows it leaves undecided (on the n=4 H=2
+box 220 of 2,500) go through classify_pipeline.
 """
 
 from __future__ import annotations
@@ -60,9 +55,8 @@ from .errors import (
 from .classify import (
     DEFAULT_DEGREE_CAP,
     DEFAULT_PRIME_BOUND,
-    _Unit,
     _distinct_signature,
-    _mod2,
+    _modulus_units,
     _runs,
     factorize,
     modulus_profile,
@@ -101,104 +95,62 @@ CHECKPOINT_FORMAT = "rootcensus-census-checkpoint"
 # -- counters ---------------------------------------------------------------------
 
 
-class _Batch(NamedTuple):
-    """The points of one block that the vector engine decided, as numpy
-    arrays."""
-
-    n: int
-    coeffs: List[np.ndarray]  # a_0..a_n, leading first
-    kmax: np.ndarray
-    kmin: np.ndarray
-    repeated: np.ndarray  # whether the row has a repeated root
-    real: np.ndarray  # real roots with multiplicity
+# Every counter labels one flat dict of plain integers per polynomial,
+# its statistics (_stats, _packed): n, and by need "profile": kmax, kmin
+# and nz (1 when a_n != 0); "signature": the real roots r among n, with
+# multiplicity, and the distinct real roots rd among nd distinct roots;
+# "factorization": m, the smallest factor degree when reducible, else 0;
+# "sn": undecided (1 when S_n is not certified).
 
 
 class _Counter(NamedTuple):
     """One census counter: the box it needs (monic, full, or either when
-    None); its families, each with its complete labels at degree n keyed
-    by histogram code; the statistics its labeler `cells(f, stats)`
-    reads; an optional vector labeler giving (family, label, count)
-    cells of a _Batch; its degree limit, if any (needing the
-    factorization also limits n to degree_cap); other spellings the CLI
-    accepts; and whether its one cell is written as a bare number."""
+    None); its families, each with its complete labels at degree n; the
+    statistics it needs; its labeler `cells(stats)`, giving the (family,
+    label) cells of a polynomial's statistics; its degree limit, if any
+    (needing the factorization also limits n to degree_cap); other
+    spellings the CLI accepts; and whether its one cell is written as a
+    bare number."""
 
     monic: Optional[bool]
-    families: Dict[str, Callable[[int], Dict[int, str]]]
+    families: Dict[str, Callable[[int], List[str]]]
     needs: Tuple[str, ...]
-    cells: Callable[[IntPolynomial, Dict[str, object]], List[Tuple[str, str]]]
-    vector: Optional[Callable[[_Batch], List[Tuple[str, str, int]]]] = None
+    cells: Callable[[Dict[str, int]], List[Tuple[str, str]]]
     max_n: Optional[int] = None
     aliases: Tuple[str, ...] = ()
     scalar: bool = False
 
 
-def _histogram(family: str, codes: np.ndarray, labels: Dict[int, str]):
-    hist = np.bincount(codes, minlength=max(labels) + 1)
-    return [(family, label, int(hist[code])) for code, label in labels.items()]
-
-
-def _kmax_labels(n: int) -> Dict[int, str]:
-    return {k: str(k) for k in range(1, n + 1)}
-
-
 def _kmax_counter(family: str, monic: bool) -> _Counter:
     return _Counter(
         monic=monic,
-        families={family: _kmax_labels},
+        families={family: lambda n: [str(k) for k in range(1, n + 1)]},
         needs=("profile",),
-        cells=lambda f, st: [(family, str(st["profile"].k_max))],
-        vector=lambda b: _histogram(family, b.kmax, _kmax_labels(b.n)),
+        cells=lambda st: [(family, str(st["kmax"]))],
     )
 
 
-def _signature_label(r: int, s: int) -> str:
-    return "r=%d,s=%d" % (r, s)
+def _signature_label(r: int, n: int) -> str:
+    """The label of r real roots among n."""
+    return "r=%d,s=%d" % (r, (n - r) // 2)
 
 
-def _signature_labels(n: int) -> Dict[int, str]:
-    """Signatures with multiplicity, keyed by the real-root count."""
-    return {r: _signature_label(r, (n - r) // 2) for r in range(n % 2, n + 1, 2)}
+_PAIRS = ["%d,%d" % (i, j) for i in (1, 2) for j in (1, 2)]
 
 
-def _signature_vector(b: _Batch) -> List[Tuple[str, str, int]]:
-    labels = _signature_labels(b.n)
-    # the distinct-root signature differs only on repeated roots, where
-    # the exact kernel decides
-    out = _histogram("D*", b.real, labels) + _histogram("D*d", b.real[~b.repeated], labels)
-    for i in np.nonzero(b.repeated)[0]:
-        sig = _distinct_signature(IntPolynomial(tuple(int(arr[i]) for arr in b.coeffs)))
-        out.append(("D*d", _signature_label(sig.r, sig.s), 1))
-    return out
-
-
-_PAIRS = {i * 4 + j: "%d,%d" % (i, j) for i in (1, 2) for j in (1, 2)}
-
-
-def _pair_cells(f: IntPolynomial, st: Dict[str, object]) -> List[Tuple[str, str]]:
-    prof = st["profile"]
-    if prof.k_max > 2 or prof.k_min > 2:
+def _pair_cells(st: Dict[str, int]) -> List[Tuple[str, str]]:
+    if st["kmax"] > 2 or st["kmin"] > 2:
         return []
-    label = _PAIRS[prof.k_max * 4 + prof.k_min]
-    return [("B*", label)] + ([("B*nz", label)] if f.coeffs[-1] != 0 else [])
-
-
-def _pair_vector(b: _Batch) -> List[Tuple[str, str, int]]:
-    code = b.kmax * 4 + b.kmin
-    return _histogram("B*", code, _PAIRS) + _histogram("B*nz", code[b.coeffs[-1] != 0], _PAIRS)
+    label = "%d,%d" % (st["kmax"], st["kmin"])
+    return [("B*", label)] + ([("B*nz", label)] if st["nz"] else [])
 
 
 def _reducible_counter(family: str, monic: bool) -> _Counter:
-    def cells(f, st):
-        fr = st["factorization"]
-        if fr.irreducible:
-            return []
-        return [(family, "m=%d" % min(p.degree for p, _ in fr.factors))]
-
     return _Counter(
         monic=monic,
-        families={family: lambda n: {m: "m=%d" % m for m in range(1, n // 2 + 1)}},
+        families={family: lambda n: ["m=%d" % m for m in range(1, n // 2 + 1)]},
         needs=("factorization",),
-        cells=cells,
+        cells=lambda st: [(family, "m=%d" % st["m"])] if st["m"] else [],
         max_n=6,
     )
 
@@ -211,11 +163,11 @@ _COUNTERS: Dict[str, _Counter] = {
     # by real signature (r, s) with multiplicity; D*d by distinct roots
     "D*": _Counter(
         monic=False,
-        families={"D*": _signature_labels, "D*d": lambda n: {}},
+        families={"D*": lambda n: [_signature_label(r, n) for r in range(n % 2, n + 1, 2)],
+                  "D*d": lambda n: []},
         needs=("signature",),
-        cells=lambda f, st: [("D*", _signature_label(*st["signature"])),
-                             ("D*d", _signature_label(*st["distinct_signature"]))],
-        vector=_signature_vector,
+        cells=lambda st: [("D*", _signature_label(st["r"], st["n"])),
+                          ("D*d", _signature_label(st["rd"], st["nd"]))],
     ),
     # by (k_max, k_min) with both <= 2; B*nz restricts to a_n != 0, where
     # the reciprocal identity B*(2,1) = B*(1,2) holds exactly
@@ -224,7 +176,6 @@ _COUNTERS: Dict[str, _Counter] = {
         families={"B*": lambda n: _PAIRS, "B*nz": lambda n: _PAIRS},
         needs=("profile",),
         cells=_pair_cells,
-        vector=_pair_vector,
     ),
     # reducible polynomials by smallest irreducible factor degree
     "RHO": _reducible_counter("rho", monic=True),
@@ -232,9 +183,9 @@ _COUNTERS: Dict[str, _Counter] = {
     # polynomials not certified S_n: an upper bound on the non-S_n count
     "E_UPPER": _Counter(
         monic=None,
-        families={"E_upper": lambda n: {0: "count"}},
+        families={"E_upper": lambda n: ["count"]},
         needs=("factorization", "sn"),
-        cells=lambda f, st: [("E_upper", "count")] if st["sn"] == "UNDECIDED" else [],
+        cells=lambda st: [("E_upper", "count")] if st["undecided"] else [],
         aliases=("E",),
         scalar=True,
     ),
@@ -456,39 +407,46 @@ def _empty_cells(spec: CensusSpec) -> Dict[str, Dict[str, int]]:
     """All requested families with their complete label sets at 0, so
     complete tables always carry every expected key."""
     return {
-        fam: {label: 0 for label in labels(spec.n).values()}
+        fam: dict.fromkeys(labels(spec.n), 0)
         for c in _requested(spec.counters)
         for fam, labels in c.families.items()
     }
 
 
-def classify_pipeline(f: IntPolynomial, spec: CensusSpec) -> Optional[List[Tuple[str, str]]]:
-    """The (family, label) cells of f for the requested counters, each
-    statistic they need computed once, cheapest first. The modulus
-    profile raises PrecisionCapExceeded on ambiguity unless
-    spec.permissive, in which case f is ambiguous and this returns None."""
-    counters = _requested(spec.counters)
-    needs = {s for c in counters for s in c.needs}
-    st: Dict[str, object] = {}
+def _stats(f: IntPolynomial, spec: CensusSpec) -> Optional[Dict[str, int]]:
+    """The statistics of f that the requested counters need, each computed
+    once, cheapest first. The modulus profile raises PrecisionCapExceeded
+    on ambiguity unless spec.permissive, in which case f is ambiguous and
+    this returns None."""
+    needs = {s for c in _requested(spec.counters) for s in c.needs}
+    st = {"n": f.degree}
     if "signature" in needs:
         sig, sigd = root_signature(f), _distinct_signature(f)
-        st["signature"], st["distinct_signature"] = (sig.r, sig.s), (sigd.r, sigd.s)
+        st.update(r=sig.r, rd=sigd.r, nd=sigd.r + 2 * sigd.s)
     if "factorization" in needs:
-        fr = st["factorization"] = factorize(f, degree_cap=spec.degree_cap)
+        fr = factorize(f, degree_cap=spec.degree_cap)
+        st["m"] = 0 if fr.irreducible else min(p.degree for p, _ in fr.factors)
         if "sn" in needs:
-            if not fr.irreducible:
-                st["sn"] = "UNDECIDED"
-            else:
-                cert = sn_certificate(f, prime_bound=spec.prime_bound, assume_irreducible=True)
-                st["sn"] = cert.verdict
+            st["undecided"] = int(not fr.irreducible or sn_certificate(
+                f, prime_bound=spec.prime_bound, assume_irreducible=True).verdict == "UNDECIDED")
     if "profile" in needs:
         try:
-            st["profile"] = modulus_profile(f)
+            prof = modulus_profile(f)
         except PrecisionCapExceeded:
             if not spec.permissive:
                 raise
             return None
-    return [cell for c in counters for cell in c.cells(f, st)]
+        st.update(kmax=prof.k_max, kmin=prof.k_min, nz=int(f.coeffs[-1] != 0))
+    return st
+
+
+def classify_pipeline(f: IntPolynomial, spec: CensusSpec) -> Optional[List[Tuple[str, str]]]:
+    """The (family, label) cells of f for the requested counters, or None
+    when f is ambiguous (_stats)."""
+    st = _stats(f, spec)
+    if st is None:
+        return None
+    return [cell for c in _requested(spec.counters) for cell in c.cells(st)]
 
 
 # -- scalar engine --------------------------------------------------------------
@@ -534,9 +492,7 @@ def _vec_profile2(a, b, c):
     return k, k.copy(), dd, np.where(dd >= 0, 2, 0)
 
 
-def _vec_profile3(a0, b0, c0, d0):
-    s = np.where(a0 < 0, -1, 1)
-    a, b, c, d = a0 * s, b0 * s, c0 * s, d0 * s
+def _vec_profile3(a, b, c, d):
     dsc = disc3(a, b, c, d)
     d3 = a * c * c * c - b * b * b * d
     tie = (b != 0) & (b * c == a * d)
@@ -549,7 +505,7 @@ def _vec_profile3(a0, b0, c0, d0):
     # disc = 0: rational repeated root, exact scalar kernel (a row with
     # d = 0 is overwritten by _vec_profile)
     for i in np.nonzero((dsc == 0) & (d != 0))[0]:
-        kmax[i], kmin[i] = profile_pair_deg3(int(a0[i]), int(b0[i]), int(c0[i]), int(d0[i]))
+        kmax[i], kmin[i] = profile_pair_deg3(int(a[i]), int(b[i]), int(c[i]), int(d[i]))
     return kmax, kmin, dsc, np.where(dsc >= 0, 3, 1)
 
 
@@ -583,9 +539,8 @@ def _vec_profile4(a, b, c, d, e):
     P < 0 and D < 0, else 0. A row with e != 0, b or d != 0 and disc != 0
     is decided when disks around its companion eigenvalues, rounded to 53
     bits, certify (roots._certified) and both extreme modulus runs hold
-    one unit (classify._runs); every other row gets kmax 0. As in
-    classify._modulus_units, a unit is a real disk or the upper disk of a
-    mirrored pair, here with integer bounds at the disks' one scale."""
+    one unit (classify._modulus_units, classify._runs); every other row
+    gets kmax 0."""
     dsc = _disc4(a, b, c, d, e)
     p = 8 * a * c - 3 * b * b
     q = 64 * a * a * a * e - 16 * a * a * c * c + 16 * a * b * b * c - 16 * a * a * b * d - 3 * b**4
@@ -602,12 +557,8 @@ def _vec_profile4(a, b, c, d, e):
         got = _certified([(coeffs, 1, r, _float_centres(z, 53))], 0)
         if got is None:
             continue
-        disks, _, _, reals = got
-        runs = _runs([
-            _Unit(*_mod2(x, y, rad), 1 if flag else 2)
-            for (x, y, rad), flag in zip(disks, reals)
-            if flag or y > 0
-        ])
+        disks, _, mults, reals = got
+        runs = _runs(_modulus_units(disks, mults, reals))
         if runs[0].size == runs[-1].size == 1:
             kmax[i], kmin[i] = runs[-1].mult, runs[0].mult
     return kmax, kmin, dsc, real
@@ -662,28 +613,51 @@ def _vec_profile(coeffs):
     return kmax, kmin, repeated, real
 
 
+def _packed(spec: CensusSpec, coeffs, kmax, kmin, repeated, real):
+    """The names of the statistics the requested counters need, and for
+    each row of a decided block one code: those statistics as its digits
+    in base n + 1."""
+    needs = {s for c in _requested(spec.counters) for s in c.needs}
+    cols = {}
+    if "profile" in needs:
+        cols.update(kmax=kmax, kmin=kmin, nz=coeffs[-1] != 0)
+    if "signature" in needs:
+        # the distinct roots differ from all roots only on repeated roots,
+        # where the exact analysis decides
+        rd, nd = np.where(repeated, 0, real), np.where(repeated, 0, spec.n)
+        for i in np.nonzero(repeated)[0]:
+            sig = _distinct_signature(IntPolynomial(tuple(int(arr[i]) for arr in coeffs)))
+            rd[i], nd[i] = sig.r, sig.r + 2 * sig.s
+        cols.update(r=real, rd=rd, nd=nd)
+    return list(cols), np.ravel_multi_index(list(cols.values()), (spec.n + 1,) * len(cols))
+
+
 def _tally_vector(spec: CensusSpec, leads: Sequence[int], table: CounterTable) -> None:
+    """Tally each block's decided rows by their packed statistics, one
+    np.bincount a block, labelling each distinct code once; the other
+    rows go through classify_pipeline."""
     counters = _requested(spec.counters)
     for coeffs in _blocks(spec, leads):
-        kmax, kmin, repeated, real = _vec_profile(coeffs)
-        decided = kmax > 0
+        profile = _vec_profile(coeffs)
+        decided = profile[0] > 0
         if not decided.all():
             rows = np.stack(coeffs, axis=1)[~decided].tolist()
             _classify_into(spec, (IntPolynomial(tuple(r)) for r in rows), table)
             coeffs = [arr[decided] for arr in coeffs]
-            kmax, kmin = kmax[decided], kmin[decided]
-            repeated, real = repeated[decided], real[decided]
-        table.totals += kmax.size
-        batch = _Batch(spec.n, coeffs, kmax, kmin, repeated, real)
-        for counter in counters:
-            for fam, label, k in counter.vector(batch):
-                if k:
-                    table.add(fam, label, k)
+            profile = [arr[decided] for arr in profile]
+        table.totals += len(coeffs[0])
+        names, codes = _packed(spec, coeffs, *profile)
+        hist = np.bincount(codes)
+        for code in np.nonzero(hist)[0].tolist():
+            digits = np.unravel_index(code, (spec.n + 1,) * len(names))
+            st = dict(zip(names, map(int, digits)), n=spec.n)
+            for fam, label in (cell for c in counters for cell in c.cells(st)):
+                table.add(fam, label, int(hist[code]))
 
 
 def _vector_ok(spec: CensusSpec) -> bool:
     return spec.height <= VECTOR_HEIGHT_CAPS.get(spec.n, 0) and all(
-        c.vector is not None for c in _requested(spec.counters)
+        set(c.needs) <= {"profile", "signature"} for c in _requested(spec.counters)
     )
 
 

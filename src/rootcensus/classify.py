@@ -183,18 +183,16 @@ def profile_pair_deg3(a: int, b: int, c: int, d: int) -> Tuple[int, int]:
 
     disc < 0 (one real root rho and a conjugate pair of modulus m):
     m = |rho| can only happen when rho = -c/b, and f(-c/b) equals
-    -(a c^3 - b^3 d)/b^3, so with a normalized positive the sign of
-    D3 = a c^3 - b^3 d decides: D3 < 0 real root strictly maximal,
-    D3 > 0 pair strictly maximal, D3 = 0 three-way tie; the other
-    group is the minimal one. disc > 0 (three distinct reals): the only
-    possible tie is an opposite pair +-t, present iff b != 0 and bc = ad
-    (then f = (aX + b)(X^2 + d/b)); the pair modulus t and lone root
-    s = -b/a compare via sign(t^2 - s^2) = sign(-(a^2 d + b^3)) * sign(b).
-    disc = 0: the repeated and simple roots are rational, compared
-    exactly.
+    -(a c^3 - b^3 d)/b^3, so the sign of D3 = a c^3 - b^3 d decides:
+    D3 < 0 real root strictly maximal, D3 > 0 pair strictly maximal,
+    D3 = 0 three-way tie; the other group is the minimal one. disc > 0
+    (three distinct reals): the only possible tie is an opposite pair
+    +-t, present iff b != 0 and bc = ad (then f = (aX + b)(X^2 + d/b));
+    the pair modulus t and lone root s = -b/a compare via
+    sign(t^2 - s^2) = sign(-(a^2 d + b^3)) * sign(b). disc = 0: the
+    repeated and simple roots are rational, compared exactly. Every
+    quantity tested is unchanged under f -> -f, so a may be negative.
     """
-    if a < 0:
-        a, b, c, d = -a, -b, -c, -d
     dsc = disc3(a, b, c, d)
     if dsc < 0:
         d3 = a * c * c * c - b * b * b * d
@@ -227,22 +225,19 @@ def profile_pair_deg3(a: int, b: int, c: int, d: int) -> Tuple[int, int]:
 # -- modulus profile ----------------------------------------------------------
 
 
-def modulus_profile(f: IntPolynomial, method: str = "auto") -> ModulusProfile:
+def modulus_profile(f: IntPolynomial) -> ModulusProfile:
     """Certified (k_max, k_min, dominant) for f of degree >= 1.
 
     Zero roots are split off first, exactly: they form the strict
-    minimal group, and the rest of f decides k_max. Then method "auto"
-    routes degree <= 3 to exact integer kernels and higher degrees to
-    the certified path; "certified" forces the certified path at any
-    degree (used to cross-validate the kernels).
+    minimal group, and the rest of f decides k_max. Degree <= 3 then
+    goes to the exact integer kernels and higher degrees to the
+    certified path (_profile_certified).
     """
     if f.is_zero:
         raise ZeroPolynomial("modulus profile of the zero polynomial")
     n = f.degree
     if n < 1:
         raise DegreeTooSmall("modulus profile needs degree >= 1")
-    if method not in ("auto", "certified"):
-        raise BadParameters("unknown method %r" % (method,))
     v, u = _deflated(f)
     if u.degree == 0:
         # a_0 X^n: all roots are 0
@@ -250,7 +245,7 @@ def modulus_profile(f: IntPolynomial, method: str = "auto") -> ModulusProfile:
     if v > 0:
         sub = modulus_profile(u)
         return ModulusProfile(sub.k_max, v, sub.k_max == 1, sub.decision)
-    if method != "certified" and n <= 3:
+    if n <= 3:
         cs = f.coeffs
         if n == 1:
             kk = (1, 1)
@@ -273,7 +268,7 @@ def _profile_certified(f: IntPolynomial) -> ModulusProfile:
         return ModulusProfile(m * sub.k_max, m * sub.k_min, False, sub.decision)
     # the double step first: the ladder escalates only where it fails
     rs = isolate_roots(f, precision_bits=53)
-    runs = _runs(_modulus_units(rs))
+    runs, e = _disk_runs(rs)
     decision = "NUMERIC_CERTIFIED"
     if any(run.size > 1 for run in runs):
         # every squared modulus is a positive real root of S =
@@ -286,7 +281,7 @@ def _profile_certified(f: IntPolynomial) -> ModulusProfile:
         # needs one refine, to 228 bits); point disks cannot refine
         cap = max(_DEFAULT_CAP, 8 * rs.precision_bits)
         while any(
-            run.size > 1 and chain.roots_in(run.lo2, run.hi2) != 1
+            run.size > 1 and chain.roots_in(_dyadic(run.lo2, e), _dyadic(run.hi2, e)) != 1
             for run in (runs[0], runs[-1])
         ):
             radius = rs.max_radius()
@@ -295,19 +290,9 @@ def _profile_certified(f: IntPolynomial) -> ModulusProfile:
                     "modulus tie undecided at %d bits for %s" % (rs.precision_bits, f.coeffs)
                 )
             rs = refine(rs, radius / 2**20)
-            runs = _runs(_modulus_units(rs))
+            runs, e = _disk_runs(rs)
     kmax, kmin = runs[-1].mult, runs[0].mult
     return ModulusProfile(kmax, kmin, kmax == 1, decision)
-
-
-class _Unit(NamedTuple):
-    """Disks certified to share one modulus (a real root or a conjugate
-    pair), with an exact enclosure of the squared modulus: Fractions, or
-    integers at one scale (_mod2) when all units share it."""
-
-    lo2: Fraction
-    hi2: Fraction
-    mult: int
 
 
 def _mod2(a: int, b: int, k: int) -> Tuple[int, int]:
@@ -323,23 +308,20 @@ def _mod2(a: int, b: int, k: int) -> Tuple[int, int]:
     return lo, c2 + 2 * cu * k + k * k
 
 
-def _disk_mod2(d: RootDisk) -> Tuple[Fraction, Fraction]:
-    """Exact rational enclosure of |root|^2 for a root inside the disk,
-    from its centre and radius as integers at its own dyadic exponent
-    (_dyadic_disks, _mod2)."""
-    ((a, b, k),), e = _dyadic_disks((d,))
-    lo, hi = _mod2(a, b, k)
-    return _dyadic(lo, 2 * e), _dyadic(hi, 2 * e)
-
-
-def _modulus_units(rs: CertifiedRootSet) -> List[_Unit]:
-    """One unit per real disk, and one per conjugate pair, read from its
-    upper disk: isolate_roots makes the disks of a pair exact mirror
-    images with one multiplicity."""
+def _modulus_units(
+    disks: Sequence[Sequence[int]], mults: Sequence[int], reals: Sequence[bool]
+) -> List[Tuple[int, int, int]]:
+    """The units of certified disks (a, b, k) at one scale 2^e, with their
+    multiplicities and real flags: the disks certified to share one
+    modulus, as (lo2, hi2, mult) with the exact enclosure of the squared
+    modulus at that scale (_mod2). A unit is a real disk or a conjugate
+    pair, read from its upper disk (both isolate_roots and
+    roots._certified make the disks of a pair exact mirror images with
+    one multiplicity)."""
     return [
-        _Unit(*_disk_mod2(d), d.multiplicity * (1 if d.is_real else 2))
-        for d in rs.disks
-        if d.is_real or d.center_im > 0
+        (*_mod2(a, b, k), mult * (1 if real else 2))
+        for (a, b, k), mult, real in zip(disks, mults, reals)
+        if real or b > 0
     ]
 
 
@@ -347,23 +329,32 @@ class _Run(NamedTuple):
     """A maximal run of units with chained overlapping enclosures: the
     union [lo2, hi2], the summed multiplicity and the number of units."""
 
-    lo2: Fraction
-    hi2: Fraction
+    lo2: int
+    hi2: int
     mult: int
     size: int
 
 
-def _runs(units: List[_Unit]) -> List[_Run]:
+def _runs(units: List[Tuple[int, int, int]]) -> List[_Run]:
     """The units chained into runs in lo2 order, lowest run first; two
     units overlap somewhere exactly when two lo2-neighbours do."""
     runs: List[_Run] = []
-    for w in sorted(units, key=lambda w: w.lo2):
-        if runs and w.lo2 <= runs[-1].hi2:
+    for lo2, hi2, mult in sorted(units):
+        if runs and lo2 <= runs[-1].hi2:
             r = runs[-1]
-            runs[-1] = _Run(r.lo2, max(r.hi2, w.hi2), r.mult + w.mult, r.size + 1)
+            runs[-1] = _Run(r.lo2, max(r.hi2, hi2), r.mult + mult, r.size + 1)
         else:
-            runs.append(_Run(w.lo2, w.hi2, w.mult, 1))
+            runs.append(_Run(lo2, hi2, mult, 1))
     return runs
+
+
+def _disk_runs(rs: CertifiedRootSet) -> Tuple[List[_Run], int]:
+    """The modulus runs of the disks of rs, and the exponent e at which
+    their integer bounds enclose squared moduli: lo2 2^e <= |root|^2 <=
+    hi2 2^e, with 2^e the square of the disks' one dyadic scale."""
+    ints, e = _dyadic_disks(rs.disks)
+    mults = [d.multiplicity for d in rs.disks]
+    return _runs(_modulus_units(ints, mults, [d.is_real for d in rs.disks])), 2 * e
 
 
 # -- signature ----------------------------------------------------------------
@@ -606,17 +597,17 @@ def sn_certificate(
 # -- multiplicative relations ---------------------------------------------------
 
 
-def has_multiplicative_relation(f: IntPolynomial, prefilter: bool = True) -> bool:
+def has_multiplicative_relation(f: IntPolynomial) -> bool:
     """True iff the pairwise product polynomial prod_{i<j}(X - a_i a_j)
     of the roots of f (degree n >= 4) has a repeated root, i.e. some
     alpha_1 alpha_2 = alpha_3 alpha_4 over two different index pairs.
 
     Squareful f reports True (a repeated root already collides pair
     products), as does any zero root (all its pair products are 0).
-    The exact decider is discriminant(root_product_poly(f)) == 0; with
-    prefilter=True disjoint product enclosures, from root disks isolated
-    at a 53-bit start and compared in exact integers, prove the negative
-    cheaply, and only what they cannot separate falls through to exact
+    The exact decider is discriminant(root_product_poly(f)) == 0; first
+    disjoint product enclosures, from root disks isolated at a 53-bit
+    start and compared in exact integers, prove the negative cheaply,
+    and only what they cannot separate falls through to exact
     arithmetic.
     """
     if f.degree < 4:
@@ -626,7 +617,7 @@ def has_multiplicative_relation(f: IntPolynomial, prefilter: bool = True) -> boo
     # its n-1 >= 3 pair products all vanish
     if a.zeros or any(m >= 2 for _, m, _ in a.factors):
         return True
-    if prefilter and _products_separated(f):
+    if _products_separated(f):
         return False
     return discriminant(root_product_poly(f)) == 0
 
@@ -641,7 +632,7 @@ def _products_separated(g: IntPolynomial) -> bool:
         rs = isolate_roots(g, precision_bits=53)
     except PrecisionCapExceeded:
         return False
-    return _products_disjoint(rs.disks)
+    return _disjoint(_product_disks(rs.disks))
 
 
 def _product_disks(disks: Sequence[RootDisk]) -> List[Tuple[int, int, int]]:
@@ -656,9 +647,3 @@ def _product_disks(disks: Sequence[RootDisk]) -> List[Tuple[int, int, int]]:
         for i, (a1, b1, k1, cu1) in enumerate(cs)
         for a2, b2, k2, cu2 in cs[i + 1 :]
     ]
-
-
-def _products_disjoint(disks: Sequence[RootDisk]) -> bool:
-    """Whether the product enclosures of all disk pairs are pairwise
-    disjoint."""
-    return _disjoint(_product_disks(disks))

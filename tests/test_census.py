@@ -131,12 +131,24 @@ def test_bstar_labels_bounded():
 # -- engine and parallel equivalence ---------------------------------------------
 
 
-# every counter with a vector labeler, on its box; D* also covers the
+def _vector_counters():
+    """Every counter the vector engine takes, with whether its box is the
+    monic one."""
+    from rootcensus import census
+
+    out = []
+    for name, c in census._COUNTERS.items():
+        spec = CensusSpec(n=2, height=1, monic=c.monic is True, counters=(name,))
+        if census._vector_ok(spec):
+            out.append((name, spec.monic))
+    return out
+
+
+# every counter the vector engine takes, on its box; D* also covers the
 # distinct-root D*d fallback on the zero-discriminant rows
+_VECTOR = _vector_counters()
 VECTOR_COUNTERS = pytest.mark.parametrize(
-    "counter,monic",
-    [("A", True), ("A*", False), ("B*", False), ("D*", False)],
-    ids=["A", "Astar", "Bstar", "Dstar"],
+    "counter,monic", _VECTOR, ids=[name.replace("*", "star") for name, _ in _VECTOR]
 )
 
 
@@ -205,9 +217,10 @@ def _quartic_columns(rows):
 
 
 def test_quartic_batch_rows_match_classify_pipeline():
-    # every row the n = 4 vector profile decides gets the cells the scalar
-    # pipeline gives it; the rest are left to that pipeline, and a row
-    # with a zero root is always decided
+    # every row the n = 4 vector profile decides packs the statistics the
+    # scalar pipeline computes for it, which the counters then label; the
+    # rest are left to that pipeline, and a row with a zero root is
+    # always decided
     from rootcensus import census
 
     rng = random.Random(4)
@@ -233,12 +246,11 @@ def test_quartic_batch_rows_match_classify_pipeline():
             assert len(decided) > len(rows) * 3 // 4
             zero_root = {i for i, r in enumerate(rows) if r[-1] == 0}
             assert zero_root and zero_root <= set(decided.tolist())
-        for i in decided:
-            one = census._Batch(4, [c[i : i + 1] for c in cols], kmax[i : i + 1],
-                                kmin[i : i + 1], repeated[i : i + 1], real[i : i + 1])
-            cells = {(fam, label) for c in census._requested(spec.counters)
-                     for fam, label, k in c.vector(one) if k}
-            assert cells == set(census.classify_pipeline(IntPolynomial(rows[i]), spec)), rows[i]
+        names, codes = census._packed(spec, [c[decided] for c in cols], kmax[decided],
+                                      kmin[decided], repeated[decided], real[decided])
+        for i, code in zip(decided.tolist(), codes.tolist()):
+            st = dict(zip(names, np.unravel_index(code, (5,) * len(names))), n=4)
+            assert st == census._stats(IntPolynomial(rows[i]), spec), rows[i]
 
 
 def test_quartic_fall_back_rows_have_no_zero_root(monkeypatch):

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from rootcensus import classify
 from rootcensus.errors import DegreeCapExceeded, NotIrreducible, PrecisionCapExceeded
-from rootcensus.intpoly import IntPolynomial, discriminant
+from rootcensus.intpoly import IntPolynomial, discriminant, root_product_poly
 from rootcensus.modp import factor_degree_pattern, primes_up_to
 from rootcensus.classify import (
     factorize,
@@ -34,7 +34,7 @@ from rootcensus.classify import (
     root_signature,
     sn_certificate,
 )
-from rootcensus.roots import RootDisk, isolate_roots
+from rootcensus.roots import isolate_roots
 
 _X = sympy.symbols("x")
 
@@ -168,9 +168,12 @@ def test_profile_of_products_with_exact_moduli(pairs, roots):
     for r in roots:
         f = f * IntPolynomial((1, -r))
         mod2.append(Fraction(r * r))
-    p = modulus_profile(f, method="certified")
-    assert (p.k_max, p.k_min) == (mod2.count(max(mod2)), mod2.count(min(mod2))), f.coeffs
-    assert p.dominant == (p.k_max == 1)
+    profiles = [modulus_profile(f)]
+    if f.coeffs[-1] != 0:
+        profiles.append(classify._profile_certified(f))  # at every degree
+    for p in profiles:
+        assert (p.k_max, p.k_min) == (mod2.count(max(mod2)), mod2.count(min(mod2))), f.coeffs
+        assert p.dominant == (p.k_max == 1)
 
 
 @pytest.mark.parametrize(
@@ -195,7 +198,7 @@ def test_tie_loop_is_bounded(monkeypatch, coeffs):
 
     monkeypatch.setattr(classify, "refine", counted)
     with pytest.raises(PrecisionCapExceeded):
-        modulus_profile(IntPolynomial(coeffs), method="certified")
+        classify._profile_certified(IntPolynomial(coeffs))
 
 
 def test_conjugate_pair_from_mp_rung_is_one_unit():
@@ -204,22 +207,23 @@ def test_conjugate_pair_from_mp_rung_is_one_unit():
     f = IntPolynomial((1, -2, -2, -2, -1))
     rs = isolate_roots(f)
     assert rs.precision_bits > 53
-    assert len(classify._modulus_units(rs)) == 3
+    runs, _ = classify._disk_runs(rs)
+    assert sum(run.size for run in runs) == 3
     assert modulus_profile(f).decision == "NUMERIC_CERTIFIED"
 
 
-def test_disk_mod2_is_exact_on_dyadic_disks():
-    # centre 3/4 + i, radius 1/4: |c| = 5/4, enclosure (1, 3/2)^2
-    disk = RootDisk(Fraction(3, 4), Fraction(1), Fraction(1, 4), 1, False)
-    assert classify._disk_mod2(disk) == (1, Fraction(9, 4))
-    # centre 1 + i, radius 1/2: |c| = sqrt 2 is bounded above by 3/2, so
-    # (sqrt 2 -+ 1/2)^2 = 9/4 -+ sqrt 2 lies inside (3/4, 15/4)
-    disk = RootDisk(Fraction(1), Fraction(1), Fraction(1, 2), 1, False)
-    assert classify._disk_mod2(disk) == (Fraction(3, 4), Fraction(15, 4))
-    # a disk around 0 may hold the root 0
-    disk = RootDisk(Fraction(1, 8), Fraction(-1, 8), Fraction(1, 4), 1, False)
-    assert classify._disk_mod2(disk)[0] == 0
-    assert classify._disk_mod2(RootDisk(Fraction(-2), Fraction(0), Fraction(0), 2, True)) == (4, 4)
+def test_mod2_is_exact_on_dyadic_disks():
+    # centre 3/4 + i, radius 1/4, at the scale 2^-2: |c| = 5/4, enclosure
+    # (1, 3/2)^2 = (16, 36) 4^-2
+    assert classify._mod2(3, 4, 1) == (16, 36)
+    # centre 1 + i, radius 1/2, at the scale 2^-1: |c| = sqrt 2 is bounded
+    # above by 3/2, so (sqrt 2 -+ 1/2)^2 = 9/4 -+ sqrt 2 lies inside
+    # (3/4, 15/4) = (3, 15) 4^-1
+    assert classify._mod2(2, 2, 1) == (3, 15)
+    # a disk around 0 may hold the root 0: centre (1 - i)/8, radius 1/4
+    assert classify._mod2(1, -1, 2)[0] == 0
+    # a point disk at -2
+    assert classify._mod2(-2, 0, 0) == (4, 4)
 
 
 def test_low_degree_kernels_match_general_path():
@@ -231,18 +235,18 @@ def test_low_degree_kernels_match_general_path():
 
     rng = random.Random(77)
     for _ in range(300):
-        a = rng.randint(1, 9)
+        a = rng.choice((-1, 1)) * rng.randint(1, 9)
         b, c, d = (rng.randint(-9, 9) for _ in range(3))
         f2 = IntPolynomial((a, b, c))
-        p2 = modulus_profile(f2, method="certified")
-        assert counts(modulus_profile(f2)) == counts(p2), (a, b, c)
         if c != 0:
+            p2 = classify._profile_certified(f2)
+            assert counts(modulus_profile(f2)) == counts(p2), (a, b, c)
             assert profile_pair_deg2(a, b, c) == (p2.k_max, p2.k_min)
         assert root_signature(f2).r == len(sympy.Poly([a, b, c], _X).real_roots())
         f3 = IntPolynomial((a, b, c, d))
-        p3 = modulus_profile(f3, method="certified")
-        assert counts(modulus_profile(f3)) == counts(p3), (a, b, c, d)
         if d != 0:
+            p3 = classify._profile_certified(f3)
+            assert counts(modulus_profile(f3)) == counts(p3), (a, b, c, d)
             assert profile_pair_deg3(a, b, c, d) == (p3.k_max, p3.k_min), (a, b, c, d)
         assert root_signature(f3).r == len(sympy.Poly([a, b, c, d], _X).real_roots()), (a, b, c, d)
 
@@ -552,9 +556,8 @@ def test_relation_prefilter_agrees_with_exact():
             if cs[0] == 0:
                 cs[0] = 1
             f = IntPolynomial(tuple(cs))
-            assert has_multiplicative_relation(f, prefilter=True) == has_multiplicative_relation(
-                f, prefilter=False
-            ), f.coeffs
+            exact = discriminant(root_product_poly(f)) == 0
+            assert has_multiplicative_relation(f) == exact, f.coeffs
 
 
 @pytest.mark.parametrize(
@@ -583,10 +586,11 @@ def test_relation_verdict_on_a_near_collision():
         * IntPolynomial((2, -1))
         * IntPolynomial((1, 0, 0, -4096, 1))
     )
-    assert not classify._products_disjoint(isolate_roots(f, precision_bits=53).disks)
+    disks = isolate_roots(f, precision_bits=53).disks
+    assert not classify._disjoint(classify._product_disks(disks))
     assert not classify._products_separated(f)
     assert not has_multiplicative_relation(f)
-    assert not has_multiplicative_relation(f, prefilter=False)
+    assert discriminant(root_product_poly(f)) != 0
 
 
 def test_relation_prefilter_lets_unexpected_errors_through(monkeypatch):

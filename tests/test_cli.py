@@ -471,6 +471,30 @@ def test_readme_flag_table_matches_parser():
     assert documented == registered
 
 
+def test_readme_counter_table_matches_census():
+    from rootcensus import census
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n### Census counters\n", 1)[1].split("\n### ", 1)[0]
+    documented = {}
+    for names, boxes in re.findall(r"^\| (`.*?) \| (.*?) \|", section, re.M):
+        names, _, aliases = names.partition("(alias")
+        names, boxes = re.findall(r"`([^`]+)`", names), boxes.split(" / ")
+        assert len(names) == len(boxes), names
+        for name, box in zip(names, boxes):
+            documented[name] = (box, tuple(re.findall(r"`([^`]+)`", aliases)))
+    box = {True: "monic", False: "full", None: "either"}
+    assert documented == {name: (box[c.monic], c.aliases) for name, c in census._COUNTERS.items()}
+    # the --engine auto paragraph names exactly the counters the vector
+    # engine takes
+    auto = re.search(r"`--engine auto` .*? vector engine for (.*?), the counters", section, re.S)
+    vector = {
+        name for name, c in census._COUNTERS.items()
+        if census._vector_ok(census.CensusSpec(n=2, height=1, monic=c.monic is True, counters=(name,)))
+    }
+    assert set(re.findall(r"`([^`]+)`", auto.group(1))) == vector
+
+
 # -- console script ------------------------------------------------------------------------------------
 
 

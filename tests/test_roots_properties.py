@@ -36,7 +36,7 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from rootcensus.classify import _disk_mod2, _product_disks, _products_separated
+from rootcensus.classify import _mod2, _product_disks, _products_separated
 from rootcensus.intpoly import (
     IntPolynomial,
     _deflate_zero_roots,
@@ -48,6 +48,7 @@ from rootcensus.intpoly import (
 from rootcensus.roots import (
     CertifiedRootSet,
     RootDisk,
+    _dyadic,
     _dyadic_disks,
     isolate_roots,
 )
@@ -198,10 +199,11 @@ def test_squared_modulus_enclosures(f):
     roots = _oracle_roots(f)
     for bits in (53, 212):
         rs = isolate_roots(f, precision_bits=bits)
+        ints, e = _dyadic_disks(rs.disks)
         with mpmath.workdps(2 * _DIGITS):
             for z, tol in roots:
-                disk = next(d for d in rs.disks if _near(z, tol, d))
-                lo, hi = _disk_mod2(disk)
+                i = next(i for i, d in enumerate(rs.disks) if _near(z, tol, d))
+                lo, hi = (_dyadic(x, 2 * e) for x in _mod2(*ints[i]))
                 m2, slack = abs(z) ** 2, 3 * _SLACK * max(1, abs(z)) ** 2
                 assert lo.numerator <= (m2 + slack) * lo.denominator, (f.coeffs, z)
                 assert (m2 - slack) * hi.denominator <= hi.numerator, (f.coeffs, z)
