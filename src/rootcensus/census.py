@@ -20,12 +20,13 @@ real and distinct roots, ...), and each counter labels them through its
 one labeler. The scalar engine runs classify_pipeline on every point.
 The vector engine, for n in {2, 3, 4} up to a height cap per degree
 that keeps every integer term inside int64 (VECTOR_HEIGHT_CAPS),
-decides whole blocks over numpy arrays (_vec_profile: the exact integer
-decision trees of the low-degree kernels at n in {2, 3}, certified
-eigenvalues at n = 4), packs each decided row's statistics into one
-integer code, counts a block's codes with one np.bincount and labels
-each distinct code once; the rows it leaves undecided (on the n=4 H=2
-box 220 of 2,500) go through classify_pipeline.
+decides whole open-grid blocks over broadcast numpy arrays
+(_vec_profile: the exact integer decision trees of the low-degree
+kernels at n in {2, 3}, disc = 0 and repeated roots in closed form,
+certified eigenvalues at n = 4), packs each decided row's statistics
+into one integer code, counts a block's codes with one np.bincount and
+labels each distinct code once; the rows it leaves undecided (on the
+n=4 H=2 box 220 of 2,500) go through classify_pipeline.
 """
 
 from __future__ import annotations
@@ -56,11 +57,11 @@ from .classify import (
     DEFAULT_DEGREE_CAP,
     DEFAULT_PRIME_BOUND,
     _distinct_signature,
+    _double_root_order,
     _modulus_units,
     _runs,
     factorize,
     modulus_profile,
-    profile_pair_deg3,
     root_signature,
     sn_certificate,
 )
@@ -87,7 +88,8 @@ MIN_UNITS = 8
 DEFAULT_BUDGET = 10**9
 # the vector engine's degrees, each with its largest height: every
 # integer term stays inside int64 (disc4's coefficients sum to 1,069 in
-# modulus, and 1069 * 452^6 < 2^63)
+# modulus, and 1069 * 452^6 < 2^63; the cubic kernel's terms, its disc =
+# 0 closed form's included, stay below 54 H^4 in modulus)
 VECTOR_HEIGHT_CAPS = {2: 5000, 3: 5000, 4: 452}
 CHECKPOINT_FORMAT = "rootcensus-census-checkpoint"
 
@@ -475,38 +477,44 @@ def _tally_scalar(spec: CensusSpec, leads: Sequence[int], table: CounterTable) -
 # -- vector engine ----------------------------------------------------------------
 
 
-# each _vec_profileN maps the coefficient arrays of a block to (kmax,
-# kmin, disc, real roots with multiplicity); kmax 0 leaves a row to
-# classify_pipeline. _vec_profile overwrites every row with a_n = 0, so
-# a kernel may assume a nonzero constant term
+# each _vec_profileN maps a block's coefficient columns, flat or open-grid
+# (_blocks), to writable arrays of the block's shape: kmax, kmin, r, rd
+# and nd as in _stats; kmax 0 leaves a row to classify_pipeline. A disc =
+# 0 row of degree <= 3 is decided in closed form: its roots are real, a
+# double root (and a simple one) or a triple root. _vec_profile
+# overwrites every row with a_n = 0, so a kernel may assume a nonzero
+# constant term
 
 
 def _vec_profile1(a, b):
-    one = np.ones_like(a)
-    return one, one, one, one
+    one = np.ones(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
+    return one, one.copy(), one.copy(), one.copy(), one.copy()
 
 
 def _vec_profile2(a, b, c):
     dd = disc2(a, b, c)
     k = np.where((b != 0) & (dd > 0), 1, 2)
-    return k, k.copy(), dd, np.where(dd >= 0, 2, 0)
+    r = np.where(dd >= 0, 2, 0)
+    return k, k.copy(), r, np.where(dd == 0, 1, r), np.where(dd == 0, 1, 2)
 
 
 def _vec_profile3(a, b, c, d):
+    """The cases of profile_pair_deg3, each row's key the integer whose sign
+    decides it (case 0 key = 0, 1 key > 0, 2 key < 0, 3 disc > 0 and no
+    opposite pair); only the disc = 0 rows are gathered, for their closed form."""
     dsc = disc3(a, b, c, d)
-    d3 = a * c * c * c - b * b * b * d
-    tie = (b != 0) & (b * c == a * d)
-    sgn = np.sign(-(a * a * d + b * b * b)) * np.sign(b)
-    neg = dsc < 0
-    kmax = np.where(neg, np.where(d3 < 0, 1, np.where(d3 > 0, 2, 3)),
-                    np.where(tie, np.where(sgn > 0, 2, np.where(sgn < 0, 1, 3)), 1))
-    kmin = np.where(neg, np.where(d3 > 0, 1, np.where(d3 < 0, 2, 3)),
-                    np.where(tie, np.where(sgn > 0, 1, np.where(sgn < 0, 2, 3)), 1))
-    # disc = 0: rational repeated root, exact scalar kernel (a row with
-    # d = 0 is overwritten by _vec_profile)
-    for i in np.nonzero((dsc == 0) & (d != 0))[0]:
-        kmax[i], kmin[i] = profile_pair_deg3(int(a[i]), int(b[i]), int(c[i]), int(d[i]))
-    return kmax, kmin, dsc, np.where(dsc >= 0, 3, 1)
+    key = np.where(dsc < 0, a * c * c * c - b * b * b * d, -(a * a * d + b * b * b) * b)
+    zero = np.flatnonzero(dsc == 0)
+    a0, b0, c0, d0 = _rows((a, b, c, d), zero)
+    key.flat[zero] = _double_root_order(a0, b0, c0, d0)
+    one = (dsc > 0) & ((b == 0) | (b * c != a * d))
+    case = np.where(one, 3, (key > 0) + 2 * (key < 0))
+    kmax, kmin = np.array([[3, 2, 1, 1], [3, 1, 2, 1]])[:, case]
+    r = np.where(dsc < 0, 1, 3)
+    rd, nd = r.copy(), np.full_like(r, 3)
+    # a triple root is a double root of the derivative
+    rd.flat[zero] = nd.flat[zero] = np.where(disc2(3 * a0, 2 * b0, c0) == 0, 1, 2)
+    return kmax, kmin, r, rd, nd
 
 
 def _disc4(a, b, c, d, e):
@@ -540,96 +548,94 @@ def _vec_profile4(a, b, c, d, e):
     is decided when disks around its companion eigenvalues, rounded to 53
     bits, certify (roots._certified) and both extreme modulus runs hold
     one unit (classify._modulus_units, classify._runs); every other row
-    gets kmax 0."""
+    gets kmax 0, so every decided row is squarefree."""
     dsc = _disc4(a, b, c, d, e)
     p = 8 * a * c - 3 * b * b
     q = 64 * a * a * a * e - 16 * a * a * c * c + 16 * a * b * b * c - 16 * a * a * b * d - 3 * b**4
     real = np.where(dsc < 0, 2, np.where((p < 0) & (q < 0), 4, 0))
-    kmax = np.zeros(a.shape, dtype=np.int64)
-    kmin = np.zeros(a.shape, dtype=np.int64)
-    rows = np.nonzero((e != 0) & ((b != 0) | (d != 0)) & (dsc != 0))[0]
+    kmax, kmin = np.zeros((2,) + real.shape, dtype=np.int64)
+    rows = np.flatnonzero((e != 0) & ((b != 0) | (d != 0)) & (dsc != 0))
+    cols = _rows((a, b, c, d, e), rows)
     comp = np.zeros((rows.size, 4, 4))
-    comp[:, 0, :] = -np.stack([b, c, d, e], axis=1)[rows] / a[rows, None]
+    comp[:, 0, :] = -np.stack(cols[1:], axis=1) / cols[0][:, None]
     comp[:, [1, 2, 3], [0, 1, 2]] = 1
     eig = np.linalg.eigvals(comp)
-    cs = np.stack([a, b, c, d, e], axis=1)[rows].tolist()
-    for i, coeffs, z, r in zip(rows.tolist(), cs, eig.tolist(), real[rows].tolist()):
+    cs = np.stack(cols, axis=1).tolist()
+    for i, coeffs, z, r in zip(rows.tolist(), cs, eig.tolist(), real.flat[rows].tolist()):
         got = _certified([(coeffs, 1, r, _float_centres(z, 53))], 0)
         if got is None:
             continue
         disks, _, mults, reals = got
         runs = _runs(_modulus_units(disks, mults, reals))
         if runs[0].size == runs[-1].size == 1:
-            kmax[i], kmin[i] = runs[-1].mult, runs[0].mult
-    return kmax, kmin, dsc, real
+            kmax.flat[i], kmin.flat[i] = runs[-1].mult, runs[0].mult
+    return kmax, kmin, real, real.copy(), np.full_like(real, 4)
 
 
 _VEC_PROFILES = {1: _vec_profile1, 2: _vec_profile2, 3: _vec_profile3, 4: _vec_profile4}
 
 
 def _blocks(spec: CensusSpec, leads: Sequence[int]):
-    """The unit's points as coefficient arrays a_0..a_n (leading first), in
+    """The unit's points as open-grid coefficient columns a_0..a_n (leading
+    first, column i varying along axis i only, as from np.ix_), in
     enumeration order and in blocks of at most UNIT_TARGET points: the
     axes before axis j take one value at a time, and axis j is cut into
     slices as long as the axes after it allow."""
     rng = np.arange(-spec.height, spec.height + 1, dtype=np.int64)
-    axes = [np.asarray(leads, dtype=np.int64)] + [rng] * (spec.n - 1 if spec.monic else spec.n)
+    # a monic box's a_0 = 1 is an axis of one value
+    axes = [np.ones(1, dtype=np.int64)] * spec.monic + [np.asarray(leads, dtype=np.int64)]
+    axes += [rng] * (spec.n - spec.monic)
     j = 0
     while math.prod(ax.size for ax in axes[j + 1 :]) > UNIT_TARGET:
         j += 1
     step = max(1, UNIT_TARGET // math.prod(ax.size for ax in axes[j + 1 :]))
     for head in itertools.product(*axes[:j]):
         for s in range(0, axes[j].size, step):
-            grids = np.meshgrid(*[np.array([h]) for h in head], axes[j][s : s + step],
-                                *axes[j + 1 :], indexing="ij")
-            flats = [g.ravel() for g in grids]
-            yield [np.ones_like(flats[0])] + flats if spec.monic else flats
+            yield list(np.ix_(*[np.array([h]) for h in head], axes[j][s : s + step], *axes[j + 1 :]))
+
+
+def _rows(cols, rows):
+    """The given flat rows of a block's broadcasting columns, as 1-D columns."""
+    shape = np.broadcast_shapes(*(col.shape for col in cols))
+    at = np.unravel_index(rows, shape)
+    return [np.broadcast_to(col, shape)[at] for col in cols]
 
 
 def _vec_profile(coeffs):
-    """(kmax, kmin, repeated, real) for the rows of a block (a_0 != 0).
-    The degree-n kernel reads every row; a row X^v u with u(0) != 0 and
-    v >= 1 is then overwritten from the degree-(n - v) kernel on its
-    first n - v + 1 columns, which hold u: kmax is u's, and the v zero
-    roots are the strict minimal group, v more real roots, and a
-    repeated root when v >= 2."""
+    """The statistics of a block's rows (a_0 != 0) as flat arrays named as
+    in _stats: kmax, kmin, r, rd, nd and nz. The degree-n kernel reads
+    every row; a row X^v u with u(0) != 0 and v >= 1 is then overwritten
+    from the degree-(n - v) kernel on its first n - v + 1 columns, which
+    hold u: kmax is u's, and the v zero roots are the strict minimal
+    group, v more real roots and one more distinct real root."""
     n = len(coeffs) - 1
-    kmax, kmin, dsc, real = _VEC_PROFILES[n](*coeffs)
-    repeated = dsc == 0
-    v = np.zeros(kmax.shape, dtype=np.int64)
-    trailing = np.ones(kmax.shape, dtype=bool)
-    for col in coeffs[:0:-1]:
-        trailing &= col == 0
-        v += trailing
-    for k in range(1, n + 1):
-        rows = np.nonzero(v == k)[0]
+    st = _VEC_PROFILES[n](*coeffs)
+    zero = np.broadcast_to(coeffs[-1] == 0, st[0].shape).reshape(-1)
+    st = [arr.reshape(-1) for arr in st]
+    rows = np.flatnonzero(zero)
+    sub = _rows(coeffs, rows)
+    # v, the number of trailing zero coefficients before a_0 != 0
+    v = np.argmax(np.stack(sub[::-1]) != 0, axis=0)
+    for k in set(v.tolist()):
+        sel = np.flatnonzero(v == k)
         if k == n:
-            kmax[rows] = kmin[rows] = real[rows] = n
-            repeated[rows] = n >= 2
-        elif rows.size:
-            km, _, d, r = _VEC_PROFILES[n - k](*(col[rows] for col in coeffs[: n - k + 1]))
-            kmax[rows], kmin[rows], real[rows] = km, k, r + k
-            repeated[rows] = (d == 0) | (k >= 2)
-    return kmax, kmin, repeated, real
+            vals = (n, n, n, 1, 1)
+        else:
+            km, _, r, rd, nd = _VEC_PROFILES[n - k](*(col[sel] for col in sub[: n - k + 1]))
+            vals = (km, k, r + k, rd + 1, nd + 1)
+        for arr, val in zip(st, vals):
+            arr[rows[sel]] = val
+    return dict(zip(("kmax", "kmin", "r", "rd", "nd"), st), nz=~zero)
 
 
-def _packed(spec: CensusSpec, coeffs, kmax, kmin, repeated, real):
+def _packed(spec: CensusSpec, stats):
     """The names of the statistics the requested counters need, and for
-    each row of a decided block one code: those statistics as its digits
-    in base n + 1."""
+    each row of a decided block's statistics (_vec_profile) one code:
+    those statistics as its digits in base n + 1."""
     needs = {s for c in _requested(spec.counters) for s in c.needs}
-    cols = {}
-    if "profile" in needs:
-        cols.update(kmax=kmax, kmin=kmin, nz=coeffs[-1] != 0)
-    if "signature" in needs:
-        # the distinct roots differ from all roots only on repeated roots,
-        # where the exact analysis decides
-        rd, nd = np.where(repeated, 0, real), np.where(repeated, 0, spec.n)
-        for i in np.nonzero(repeated)[0]:
-            sig = _distinct_signature(IntPolynomial(tuple(int(arr[i]) for arr in coeffs)))
-            rd[i], nd[i] = sig.r, sig.r + 2 * sig.s
-        cols.update(r=real, rd=rd, nd=nd)
-    return list(cols), np.ravel_multi_index(list(cols.values()), (spec.n + 1,) * len(cols))
+    names = (["kmax", "kmin", "nz"] if "profile" in needs else []) + (
+        ["r", "rd", "nd"] if "signature" in needs else [])
+    return names, np.ravel_multi_index([stats[s] for s in names], (spec.n + 1,) * len(names))
 
 
 def _tally_vector(spec: CensusSpec, leads: Sequence[int], table: CounterTable) -> None:
@@ -638,15 +644,14 @@ def _tally_vector(spec: CensusSpec, leads: Sequence[int], table: CounterTable) -
     rows go through classify_pipeline."""
     counters = _requested(spec.counters)
     for coeffs in _blocks(spec, leads):
-        profile = _vec_profile(coeffs)
-        decided = profile[0] > 0
+        stats = _vec_profile(coeffs)
+        decided = stats["kmax"] > 0
         if not decided.all():
-            rows = np.stack(coeffs, axis=1)[~decided].tolist()
-            _classify_into(spec, (IntPolynomial(tuple(r)) for r in rows), table)
-            coeffs = [arr[decided] for arr in coeffs]
-            profile = [arr[decided] for arr in profile]
-        table.totals += len(coeffs[0])
-        names, codes = _packed(spec, coeffs, *profile)
+            rows = zip(*(col.tolist() for col in _rows(coeffs, np.flatnonzero(~decided))))
+            _classify_into(spec, (IntPolynomial(r) for r in rows), table)
+            stats = {name: arr[decided] for name, arr in stats.items()}
+        table.totals += stats["kmax"].size
+        names, codes = _packed(spec, stats)
         hist = np.bincount(codes)
         for code in np.nonzero(hist)[0].tolist():
             digits = np.unravel_index(code, (spec.n + 1,) * len(names))

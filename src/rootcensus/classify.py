@@ -48,7 +48,6 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .errors import (
@@ -75,7 +74,6 @@ from .intpoly import (
     squarefree_decomposition,
     squarefree_part,
     sturm_chain,
-    subresultant_gcd,
 )
 from .modp import factor_degree_pattern, primes_up_to, root_counts
 from .roots import (
@@ -179,47 +177,43 @@ def profile_pair_deg2(a: int, b: int, c: int) -> Tuple[int, int]:
 
 def profile_pair_deg3(a: int, b: int, c: int, d: int) -> Tuple[int, int]:
     """(k_max, k_min) for aX^3+bX^2+cX+d, d != 0, by exact integer sign
-    tests.
+    tests: each case names an integer whose sign, positive for (2, 1),
+    negative for (1, 2) and zero for (3, 3), decides.
 
     disc < 0 (one real root rho and a conjugate pair of modulus m):
     m = |rho| can only happen when rho = -c/b, and f(-c/b) equals
-    -(a c^3 - b^3 d)/b^3, so the sign of D3 = a c^3 - b^3 d decides:
-    D3 < 0 real root strictly maximal, D3 > 0 pair strictly maximal,
-    D3 = 0 three-way tie; the other group is the minimal one. disc > 0
-    (three distinct reals): the only possible tie is an opposite pair
-    +-t, present iff b != 0 and bc = ad (then f = (aX + b)(X^2 + d/b));
-    the pair modulus t and lone root s = -b/a compare via
-    sign(t^2 - s^2) = sign(-(a^2 d + b^3)) * sign(b). disc = 0: the
-    repeated and simple roots are rational, compared exactly. Every
-    quantity tested is unchanged under f -> -f, so a may be negative.
+    -(a c^3 - b^3 d)/b^3, so D3 = a c^3 - b^3 d decides: D3 < 0 real root
+    strictly maximal, D3 > 0 pair strictly maximal, D3 = 0 three-way
+    tie; the other group is the minimal one. disc > 0 (three distinct
+    reals): the only possible tie is an opposite pair +-t, present iff
+    b != 0 and bc = ad (then f = (aX + b)(X^2 + d/b)); the pair modulus t
+    and lone root s = -b/a compare via sign(t^2 - s^2) =
+    sign(-(a^2 d + b^3) b), never 0: t = |s| would make s a root of
+    X^2 + d/b, a repeated root, and disc = 0. disc = 0: the repeated and
+    simple roots are rational (_double_root_order). Every quantity
+    tested is unchanged under f -> -f, so a may be negative.
     """
     dsc = disc3(a, b, c, d)
     if dsc < 0:
-        d3 = a * c * c * c - b * b * b * d
-        return (1, 2) if d3 < 0 else (2, 1) if d3 > 0 else (3, 3)
-    if dsc > 0:
-        if b != 0 and b * c == a * d:
-            num = -(a * a * d + b * b * b)
-            sgn = (1 if num > 0 else -1 if num < 0 else 0) * (1 if b > 0 else -1)
-            if sgn > 0:
-                return (2, 1)
-            if sgn < 0:
-                return (1, 2)
-            return (3, 3)  # |pair| = |s| would force disc = 0; defensive
-        return (1, 1)
-    # disc == 0: rational double (or triple) root
-    f = IntPolynomial((a, b, c, d))
-    g = subresultant_gcd(f, f.derivative())
-    if g.degree == 2:
-        return (3, 3)  # triple root
-    u = Fraction(-g.coeffs[1], g.coeffs[0])  # double root
-    s = Fraction(-b, a) - 2 * u  # simple root
-    au, asv = abs(u), abs(s)
-    if au == asv:
-        return (3, 3)  # s = -u
-    if au > asv:
-        return (2, 1)
-    return (1, 2)
+        key = a * c * c * c - b * b * b * d
+    elif dsc == 0:
+        key = _double_root_order(a, b, c, d)
+    elif b != 0 and b * c == a * d:
+        key = -(a * a * d + b * b * b) * b
+    else:
+        return (1, 1)  # distinct reals, no opposite pair
+    return (2, 1) if key > 0 else (1, 2) if key < 0 else (3, 3)
+
+
+def _double_root_order(a, b, c, d):
+    """For a cubic aX^3+bX^2+cX+d with disc = 0, an integer with the sign of
+    |u| - |s|, u its double and s its simple root: with D = b^2 - 3ac and
+    N = 9ad - bc, u = N/(2D) and s = -(bD + aN)/(aD), so |N a| - 2|bD + aN|.
+    A triple root makes D = N = 0, a tie. For integers or numpy arrays;
+    every term stays below 28 H^3 in modulus at height H."""
+    dd = b * b - 3 * a * c
+    nn = 9 * a * d - b * c
+    return abs(nn * a) - 2 * abs(b * dd + a * nn)
 
 
 # -- modulus profile ----------------------------------------------------------

@@ -28,6 +28,7 @@ from rootcensus.census import (
     make_work_units,
     run_census,
 )
+from rootcensus.classify import profile_pair_deg3
 from rootcensus.errors import (
     BadParameters,
     CheckpointCorrupt,
@@ -145,7 +146,7 @@ def _vector_counters():
 
 
 # every counter the vector engine takes, on its box; D* also covers the
-# distinct-root D*d fallback on the zero-discriminant rows
+# distinct roots D*d of the zero-discriminant rows
 _VECTOR = _vector_counters()
 VECTOR_COUNTERS = pytest.mark.parametrize(
     "counter,monic", _VECTOR, ids=[name.replace("*", "star") for name, _ in _VECTOR]
@@ -191,8 +192,9 @@ def test_engines_agree_quartic(counter, monic, height, tmp_path):
 
 @pytest.mark.parametrize("n,height,monic", [(3, 2, False), (4, 1, False), (4, 2, True)])
 def test_vector_blocks_cover_each_unit_in_order(monkeypatch, n, height, monic):
-    # a unit whose points exceed UNIT_TARGET is cut into blocks of at most
-    # that many, which together enumerate it in order; tables are the same
+    # a unit whose points exceed UNIT_TARGET is cut into open-grid blocks,
+    # column i varying along axis i only, of at most that many points,
+    # which together enumerate it in order; tables are the same
     from rootcensus import census
 
     spec = CensusSpec(n=n, height=height, monic=monic, counters=("A",) if monic else ("A*", "B*", "D*"))
@@ -201,8 +203,10 @@ def test_vector_blocks_cover_each_unit_in_order(monkeypatch, n, height, monic):
     rng = range(-height, height + 1)
     for unit in make_work_units(spec):
         blocks = list(census._blocks(spec, unit.leads))
-        assert max(len(b[0]) for b in blocks) <= 7
-        rows = [tuple(r) for b in blocks for r in np.stack(b, axis=1).tolist()]
+        assert all(col.shape[i] == col.size for b in blocks for i, col in enumerate(b))
+        assert max(math.prod(np.broadcast_shapes(*(col.shape for col in b))) for b in blocks) <= 7
+        grids = [np.stack(np.broadcast_arrays(*b), axis=-1).reshape(-1, n + 1) for b in blocks]
+        rows = [tuple(r) for g in grids for r in g.tolist()]
         heads = [(1, lead) if monic else (lead,) for lead in unit.leads]
         tails = itertools.product(rng, repeat=n - len(heads[0]) + 1)
         assert rows == [h + t for h, t in itertools.product(heads, tails)]
@@ -237,8 +241,8 @@ def test_quartic_batch_rows_match_classify_pipeline():
     spec = CensusSpec(n=4, height=3, counters=("A*", "B*", "D*"))
     for rows in (rng.sample(box, 800), near_ties):
         cols = _quartic_columns(rows)
-        kmax, kmin, repeated, real = census._vec_profile(cols)
-        decided = np.nonzero(kmax > 0)[0]
+        stats = census._vec_profile(cols)
+        decided = np.nonzero(stats["kmax"] > 0)[0]
         if rows is near_ties:
             # exact ties, a repeated root and f(X^2) are never decided here
             assert not {0, 1, 5, 6} & set(decided.tolist())
@@ -246,8 +250,7 @@ def test_quartic_batch_rows_match_classify_pipeline():
             assert len(decided) > len(rows) * 3 // 4
             zero_root = {i for i, r in enumerate(rows) if r[-1] == 0}
             assert zero_root and zero_root <= set(decided.tolist())
-        names, codes = census._packed(spec, [c[decided] for c in cols], kmax[decided],
-                                      kmin[decided], repeated[decided], real[decided])
+        names, codes = census._packed(spec, {k: v[decided] for k, v in stats.items()})
         for i, code in zip(decided.tolist(), codes.tolist()):
             st = dict(zip(names, np.unravel_index(code, (5,) * len(names))), n=4)
             assert st == census._stats(IntPolynomial(rows[i]), spec), rows[i]
@@ -272,6 +275,81 @@ def test_quartic_fall_back_rows_have_no_zero_root(monkeypatch):
     assert table.totals == 2500
     assert len(seen) == 220
     assert not any(f.coeffs[-1] == 0 for f in seen)
+
+
+def test_vector_engine_decides_rows_without_scalar_kernels(monkeypatch):
+    # disc = 0 and repeated-root rows are decided over arrays too: the
+    # exact scalar kernels run only for the rows the vector engine leaves
+    # to classify_pipeline, none at n = 2 and 3, 220 at n = 4 H = 2
+    from rootcensus import census
+
+    calls = _count_calls(monkeypatch, ("_distinct_signature", "profile_pair_deg3", "subresultant_gcd"))
+    in_fallback = dict.fromkeys(calls, 0)
+    fallback = []
+    classify_into = census._classify_into
+
+    def spy(spec, polys, table):
+        before = dict(calls)
+        polys = list(polys)
+        fallback.extend(polys)
+        classify_into(spec, polys, table)
+        for name in calls:
+            in_fallback[name] += calls[name] - before[name]
+
+    monkeypatch.setattr(census, "_classify_into", spy)
+    for n, height, rows in ((2, 6, 0), (3, 3, 0), (4, 2, 220)):
+        fallback.clear()
+        run_census(CensusSpec(n=n, height=height, counters=("A*", "B*", "D*"), engine="vector"))
+        assert len(fallback) == rows, (n, height)
+        assert calls == in_fallback, (n, height)
+    assert in_fallback["_distinct_signature"] == 220
+
+
+def test_cubic_kernel_is_exact_in_int64_at_the_cap_height():
+    # cubics with a repeated root at height near the cap, (pX + q)^2 (rX + s)
+    # and k (pX + q)^3, whose root moduli are known from p, q, r and s,
+    # rows X^v u and the corners of the box: the kernels agree with the
+    # construction and with the exact scalar kernels on Python integers,
+    # on int64 columns and on columns of Python integers alike
+    from rootcensus import census
+
+    cap = census.VECTOR_HEIGHT_CAPS[3]
+    # disc3's coefficients sum to 54 in modulus, and the disc = 0 closed
+    # form's terms stay below 28 H^3
+    assert 54 * cap**4 < 2**63
+    rng = random.Random(5)
+    double = {}
+    for p, r in itertools.product((1, 2, 3), repeat=2):
+        for q, s in itertools.product(range(-70, 71), range(-60, 61)):
+            f = (p * p * r, p * p * s + 2 * p * q * r, 2 * p * q * s + q * q * r, q * q * s)
+            if q and s and cap // 2 <= max(map(abs, f)) <= cap:
+                # double root -q/p against simple root -s/r
+                gap = abs(q) * r - abs(s) * p
+                km = (2, 1) if gap > 0 else (1, 2) if gap < 0 else (3, 3)
+                distinct = 1 if q * r == s * p else 2
+                double.setdefault(km + (distinct, distinct), []).append(f)
+    # both orders, the tie u = -s and the triple root
+    assert len(double) == 4
+    rows = [(f, want) for want, fs in sorted(double.items()) for f in rng.sample(fs, min(40, len(fs)))]
+    for p, q in itertools.product(range(1, 6), range(-17, 18)):
+        f = (p**3, 3 * p * p * q, 3 * p * q * q, q**3)
+        if q and math.gcd(p, q) == 1:
+            k = rng.choice((-1, 1)) * (cap // max(map(abs, f)))
+            rows.append((tuple(k * x for x in f), (3, 3, 1, 1)))
+    assert max(abs(x) for f, _ in rows for x in f) == cap
+    others = [(1, 140, 4900, 0), (-cap, cap, -cap, 0), (cap, -1, 0, 0), (-cap, 0, 0, 0)]
+    others += [r for r in itertools.product((-cap, 0, cap), repeat=4) if r[0] != 0]
+    rows += [(f, None) for f in others]
+    stats, exact = (census._vec_profile([np.array(col, dtype=dtype) for col in zip(*(f for f, _ in rows))])
+                    for dtype in (np.int64, object))
+    spec = CensusSpec(n=3, height=cap, counters=("A*", "D*"))
+    for i, (f, want) in enumerate(rows):
+        got = {name: int(arr[i]) for name, arr in stats.items()}
+        assert got == {name: int(arr[i]) for name, arr in exact.items()}, f
+        assert dict(got, n=3) == census._stats(IntPolynomial(f), spec), f
+        if want is not None:
+            assert (got["kmax"], got["kmin"], got["rd"], got["nd"]) == want, f
+            assert profile_pair_deg3(*f) == want[:2], f
 
 
 def test_disc4_is_exact_in_int64_at_the_cap_height():
@@ -365,8 +443,8 @@ def test_permissive_counts_precision_cap_as_ambiguous(monkeypatch):
 
 
 def _count_calls(monkeypatch, names):
-    """Counts of calls to the named intpoly functions, through every
-    module's binding of them."""
+    """Counts of calls to the named intpoly or classify functions, through
+    every module's binding of them."""
     from rootcensus import census, classify, intpoly, roots
 
     calls = dict.fromkeys(names, 0)
@@ -378,7 +456,7 @@ def _count_calls(monkeypatch, names):
         return wrapper
 
     for name in calls:
-        fn = getattr(intpoly, name)
+        fn = getattr(intpoly, name, None) or getattr(classify, name)
         for mod in (intpoly, roots, classify, census):
             if getattr(mod, name, None) is fn:
                 monkeypatch.setattr(mod, name, counted(name, fn))

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from rootcensus import classify
 from rootcensus.errors import DegreeCapExceeded, NotIrreducible, PrecisionCapExceeded
-from rootcensus.intpoly import IntPolynomial, discriminant, root_product_poly
+from rootcensus.intpoly import IntPolynomial, disc3, discriminant, root_product_poly
 from rootcensus.modp import factor_degree_pattern, primes_up_to
 from rootcensus.classify import (
     factorize,
@@ -249,6 +249,16 @@ def test_low_degree_kernels_match_general_path():
             assert counts(modulus_profile(f3)) == counts(p3), (a, b, c, d)
             assert profile_pair_deg3(a, b, c, d) == (p3.k_max, p3.k_min), (a, b, c, d)
         assert root_signature(f3).r == len(sympy.Poly([a, b, c, d], _X).real_roots()), (a, b, c, d)
+
+
+def test_cubic_opposite_pair_never_ties_the_lone_root():
+    # the disc > 0 tie branch of profile_pair_deg3 has no (3, 3) case: with
+    # f = (aX + b)(X^2 + d/b), a^2 d + b^3 = 0 would make the lone root
+    # -b/a a root of X^2 + d/b, a repeated root, and disc = 0
+    a, b, c, d = np.ix_(*[np.arange(-8, 9)] * 4)
+    tie = (a != 0) & (disc3(a, b, c, d) > 0) & (b != 0) & (b * c == a * d)
+    assert tie.sum() > 100
+    assert not (tie & (a * a * d + b * b * b == 0)).any()
 
 
 # -- signatures ------------------------------------------------------------------
