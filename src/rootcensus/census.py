@@ -19,14 +19,14 @@ Two engines compute the same statistics of each point (k_max, k_min,
 real and distinct roots, ...), and each counter labels them through its
 one labeler. The scalar engine runs classify_pipeline on every point.
 The vector engine, for n in {2, 3, 4} up to a height cap per degree
-that keeps every integer term inside int64 (VECTOR_HEIGHT_CAPS),
-decides whole open-grid blocks over broadcast numpy arrays
-(_vec_profile: the exact integer decision trees of the low-degree
-kernels at n in {2, 3}, disc = 0 and repeated roots in closed form,
-certified eigenvalues at n = 4), packs each decided row's statistics
-into one integer code, counts a block's codes with one np.bincount and
-labels each distinct code once; the rows it leaves undecided (on the
-n=4 H=2 box 220 of 2,500) go through classify_pipeline.
+(VECTOR_HEIGHT_CAPS), decides whole open-grid blocks of int32 or int64
+columns over broadcast numpy arrays (_vec_profile: the exact integer
+decision trees of the low-degree kernels at n in {2, 3}, disc = 0 and
+repeated roots in closed form, certified eigenvalues at n = 4), giving
+each row one uint8 state and a short table from state to statistics;
+it counts a block's states with one np.bincount and labels each state
+that occurs once. The rows left in state 0, undecided (on the n=4 H=2
+box 220 of 2,500), go through classify_pipeline.
 """
 
 from __future__ import annotations
@@ -86,11 +86,12 @@ __all__ = [
 UNIT_TARGET = 250_000
 MIN_UNITS = 8
 DEFAULT_BUDGET = 10**9
-# the vector engine's degrees, each with its largest height: every
-# integer term stays inside int64 (disc4's coefficients sum to 1,069 in
-# modulus, and 1069 * 452^6 < 2^63; the cubic kernel's terms, its disc =
-# 0 closed form's included, stay below 54 H^4 in modulus)
-VECTOR_HEIGHT_CAPS = {2: 5000, 3: 5000, 4: 452}
+# the vector engine's degrees, each with C: at height H every integer term
+# of its kernel stays below C H^(2n - 2) in modulus (C sums the modulus of
+# disc's coefficients); its cap is the largest H whose bound is below 2^63,
+# and _blocks takes int32 columns while the bound is below 2^31
+_TERM_BOUNDS = {2: 5, 3: 54, 4: 1069}
+VECTOR_HEIGHT_CAPS = {n: int((2**63 / c) ** (1 / (2 * n - 2))) for n, c in _TERM_BOUNDS.items()}
 CHECKPOINT_FORMAT = "rootcensus-census-checkpoint"
 
 
@@ -98,11 +99,11 @@ CHECKPOINT_FORMAT = "rootcensus-census-checkpoint"
 
 
 # Every counter labels one flat dict of plain integers per polynomial,
-# its statistics (_stats, _packed): n, and by need "profile": kmax, kmin
-# and nz (1 when a_n != 0); "signature": the real roots r among n, with
-# multiplicity, and the distinct real roots rd among nd distinct roots;
-# "factorization": m, the smallest factor degree when reducible, else 0;
-# "sn": undecided (1 when S_n is not certified).
+# its statistics (_stats, _vec_profile): n, and by need "profile": kmax,
+# kmin and nz (1 when a_n != 0); "signature": the real roots r among n,
+# with multiplicity, and the distinct real roots rd among nd distinct
+# roots; "factorization": m, the smallest factor degree when reducible,
+# else 0; "sn": undecided (1 when S_n is not certified).
 
 
 class _Counter(NamedTuple):
@@ -478,43 +479,57 @@ def _tally_scalar(spec: CensusSpec, leads: Sequence[int], table: CounterTable) -
 
 
 # each _vec_profileN maps a block's coefficient columns, flat or open-grid
-# (_blocks), to writable arrays of the block's shape: kmax, kmin, r, rd
-# and nd as in _stats; kmax 0 leaves a row to classify_pipeline. A disc =
-# 0 row of degree <= 3 is decided in closed form: its roots are real, a
-# double root (and a simple one) or a triple root. _vec_profile
-# overwrites every row with a_n = 0, so a kernel may assume a nonzero
-# constant term
+# (_blocks), to a uint8 state per row, of the block's shape, and the table
+# from state to the row's (kmax, kmin, r, rd, nd) as in _stats: None for
+# state 0, which leaves a row to classify_pipeline (only at n = 4), and
+# for states no row takes. A disc = 0 row of degree <= 3 is decided in
+# closed form: its roots are real, a double root (and a simple one) or a
+# triple root. _vec_profile restates every row with a_n = 0, so a kernel
+# may assume a nonzero constant term
+
+
+def _case(key):
+    """Bytes 0, 1, 2 as key = 0, > 0, < 0."""
+    return (key > 0).view(np.uint8) + 2 * (key < 0).view(np.uint8)
+
+
+def _vec_profile0(a):
+    return np.ones(a.shape, dtype=np.uint8), [None, (0, 0, 0, 0, 0)]  # no roots
 
 
 def _vec_profile1(a, b):
-    one = np.ones(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
-    return one, one.copy(), one.copy(), one.copy(), one.copy()
+    return np.ones(np.broadcast_shapes(a.shape, b.shape), dtype=np.uint8), [None, (1, 1, 1, 1, 1)]
 
 
 def _vec_profile2(a, b, c):
+    """States 1 + _case(disc), or 4 when disc > 0 and b != 0 (no opposite pair)."""
     dd = disc2(a, b, c)
-    k = np.where((b != 0) & (dd > 0), 1, 2)
-    r = np.where(dd >= 0, 2, 0)
-    return k, k.copy(), r, np.where(dd == 0, 1, r), np.where(dd == 0, 1, 2)
+    states = 1 + _case(dd)
+    states[(dd > 0) & (b != 0)] = 4
+    return states, [None, (2, 2, 2, 1, 1), (2, 2, 2, 2, 2), (2, 2, 0, 0, 2), (1, 1, 2, 2, 2)]
 
 
 def _vec_profile3(a, b, c, d):
-    """The cases of profile_pair_deg3, each row's key the integer whose sign
-    decides it (case 0 key = 0, 1 key > 0, 2 key < 0, 3 disc > 0 and no
-    opposite pair); only the disc = 0 rows are gathered, for their closed form."""
+    """States 1 + case + 4 g: g = 0, 1, 2 as disc < 0, = 0, > 0, and case
+    0, 1, 2 as the key of profile_pair_deg3 is 0, > 0, < 0, or 3 when disc
+    > 0 and no opposite pair, or disc = 0 and a triple root (a double root
+    of the derivative; its key is 0); the table holds None where no row
+    can be. Only the rows with an opposite pair and disc > 0, or with disc
+    = 0, are gathered."""
     dsc = disc3(a, b, c, d)
-    key = np.where(dsc < 0, a * c * c * c - b * b * b * d, -(a * a * d + b * b * b) * b)
+    states = 1 + _case(a * c * c * c - b * b * b * d)
+    pos = dsc > 0
+    states[pos] = 12
+    pair = np.flatnonzero(pos & (b != 0) & (b * c == a * d))
+    a1, b1, _, d1 = _rows((a, b, c, d), pair)
+    states.flat[pair] = 9 + _case(-(a1 * a1 * d1 + b1 * b1 * b1) * b1)
     zero = np.flatnonzero(dsc == 0)
     a0, b0, c0, d0 = _rows((a, b, c, d), zero)
-    key.flat[zero] = _double_root_order(a0, b0, c0, d0)
-    one = (dsc > 0) & ((b == 0) | (b * c != a * d))
-    case = np.where(one, 3, (key > 0) + 2 * (key < 0))
-    kmax, kmin = np.array([[3, 2, 1, 1], [3, 1, 2, 1]])[:, case]
-    r = np.where(dsc < 0, 1, 3)
-    rd, nd = r.copy(), np.full_like(r, 3)
-    # a triple root is a double root of the derivative
-    rd.flat[zero] = nd.flat[zero] = np.where(disc2(3 * a0, 2 * b0, c0) == 0, 1, 2)
-    return kmax, kmin, r, rd, nd
+    triple = (disc2(3 * a0, 2 * b0, c0) == 0).view(np.uint8)
+    states.flat[zero] = 5 + _case(_double_root_order(a0, b0, c0, d0)) + 3 * triple
+    return states, [None, (3, 3, 1, 1, 3), (2, 1, 1, 1, 3), (1, 2, 1, 1, 3), None,
+                    (3, 3, 3, 2, 2), (2, 1, 3, 2, 2), (1, 2, 3, 2, 2), (3, 3, 3, 1, 1),
+                    None, (2, 1, 3, 3, 3), (1, 2, 3, 3, 3), (1, 1, 3, 3, 3)]
 
 
 def _disc4(a, b, c, d, e):
@@ -548,31 +563,33 @@ def _vec_profile4(a, b, c, d, e):
     is decided when disks around its companion eigenvalues, rounded to 53
     bits, certify (roots._certified) and both extreme modulus runs hold
     one unit (classify._modulus_units, classify._runs); every other row
-    gets kmax 0, so every decided row is squarefree."""
+    gets state 0, so every decided row is squarefree, its state that of
+    (real roots, kmax, kmin)."""
+    table = [None] + [(kmax, kmin, r, r, 4) for r in (0, 2, 4) for kmax in (1, 2) for kmin in (1, 2)]
     dsc = _disc4(a, b, c, d, e)
+    states = np.zeros(dsc.shape, dtype=np.uint8)
+    rows = np.flatnonzero((e != 0) & ((b != 0) | (d != 0)) & (dsc != 0))
+    cols = a, b, c, d, e = _rows((a, b, c, d, e), rows)
     p = 8 * a * c - 3 * b * b
     q = 64 * a * a * a * e - 16 * a * a * c * c + 16 * a * b * b * c - 16 * a * a * b * d - 3 * b**4
-    real = np.where(dsc < 0, 2, np.where((p < 0) & (q < 0), 4, 0))
-    kmax, kmin = np.zeros((2,) + real.shape, dtype=np.int64)
-    rows = np.flatnonzero((e != 0) & ((b != 0) | (d != 0)) & (dsc != 0))
-    cols = _rows((a, b, c, d, e), rows)
+    real = np.where(dsc.flat[rows] < 0, 2, np.where((p < 0) & (q < 0), 4, 0))
     comp = np.zeros((rows.size, 4, 4))
-    comp[:, 0, :] = -np.stack(cols[1:], axis=1) / cols[0][:, None]
+    comp[:, 0, :] = -np.stack(cols[1:], axis=1) / a[:, None]
     comp[:, [1, 2, 3], [0, 1, 2]] = 1
     eig = np.linalg.eigvals(comp)
     cs = np.stack(cols, axis=1).tolist()
-    for i, coeffs, z, r in zip(rows.tolist(), cs, eig.tolist(), real.flat[rows].tolist()):
+    for i, coeffs, z, r in zip(rows.tolist(), cs, eig.tolist(), real.tolist()):
         got = _certified([(coeffs, 1, r, _float_centres(z, 53))], 0)
         if got is None:
             continue
         disks, _, mults, reals = got
         runs = _runs(_modulus_units(disks, mults, reals))
         if runs[0].size == runs[-1].size == 1:
-            kmax.flat[i], kmin.flat[i] = runs[-1].mult, runs[0].mult
-    return kmax, kmin, real, real.copy(), np.full_like(real, 4)
+            states.flat[i] = table.index((runs[-1].mult, runs[0].mult, r, r, 4))
+    return states, table
 
 
-_VEC_PROFILES = {1: _vec_profile1, 2: _vec_profile2, 3: _vec_profile3, 4: _vec_profile4}
+_VEC_PROFILES = [_vec_profile0, _vec_profile1, _vec_profile2, _vec_profile3, _vec_profile4]
 
 
 def _blocks(spec: CensusSpec, leads: Sequence[int]):
@@ -581,9 +598,10 @@ def _blocks(spec: CensusSpec, leads: Sequence[int]):
     enumeration order and in blocks of at most UNIT_TARGET points: the
     axes before axis j take one value at a time, and axis j is cut into
     slices as long as the axes after it allow."""
-    rng = np.arange(-spec.height, spec.height + 1, dtype=np.int64)
+    dtype = np.int32 if _TERM_BOUNDS[spec.n] * spec.height ** (2 * spec.n - 2) < 2**31 else np.int64
+    rng = np.arange(-spec.height, spec.height + 1, dtype=dtype)
     # a monic box's a_0 = 1 is an axis of one value
-    axes = [np.ones(1, dtype=np.int64)] * spec.monic + [np.asarray(leads, dtype=np.int64)]
+    axes = [np.ones(1, dtype=dtype)] * spec.monic + [np.asarray(leads, dtype=dtype)]
     axes += [rng] * (spec.n - spec.monic)
     j = 0
     while math.prod(ax.size for ax in axes[j + 1 :]) > UNIT_TARGET:
@@ -602,62 +620,48 @@ def _rows(cols, rows):
 
 
 def _vec_profile(coeffs):
-    """The statistics of a block's rows (a_0 != 0) as flat arrays named as
-    in _stats: kmax, kmin, r, rd, nd and nz. The degree-n kernel reads
-    every row; a row X^v u with u(0) != 0 and v >= 1 is then overwritten
-    from the degree-(n - v) kernel on its first n - v + 1 columns, which
-    hold u: kmax is u's, and the v zero roots are the strict minimal
-    group, v more real roots and one more distinct real root."""
+    """A block's rows (a_0 != 0) as one uint8 state each, flat, and the
+    table from state to statistics, each a dict named as in _stats (n,
+    kmax, kmin, r, rd, nd and nz), None for state 0: undecided. The
+    degree-n kernel reads every row; a row X^v u with u(0) != 0 and v >= 1
+    then takes the state of the degree-(n - v) kernel on its first n - v + 1
+    columns, which hold u, shifted onto a copy of that kernel's table:
+    kmax is u's (v when u has no roots), and the v zero roots are the
+    strict minimal group, v more real roots and one more distinct real
+    root. The kernels of degree < n decide every row."""
     n = len(coeffs) - 1
-    st = _VEC_PROFILES[n](*coeffs)
-    zero = np.broadcast_to(coeffs[-1] == 0, st[0].shape).reshape(-1)
-    st = [arr.reshape(-1) for arr in st]
-    rows = np.flatnonzero(zero)
-    sub = _rows(coeffs, rows)
+    states, entries = _VEC_PROFILES[n](*coeffs)
+    zero = np.flatnonzero(np.broadcast_to(coeffs[-1] == 0, states.shape))
+    states = states.reshape(-1)
+    table = [e and dict(zip(("kmax", "kmin", "r", "rd", "nd"), e), n=n, nz=1) for e in entries]
+    sub = _rows(coeffs, zero)
     # v, the number of trailing zero coefficients before a_0 != 0
     v = np.argmax(np.stack(sub[::-1]) != 0, axis=0)
     for k in set(v.tolist()):
         sel = np.flatnonzero(v == k)
-        if k == n:
-            vals = (n, n, n, 1, 1)
-        else:
-            km, _, r, rd, nd = _VEC_PROFILES[n - k](*(col[sel] for col in sub[: n - k + 1]))
-            vals = (km, k, r + k, rd + 1, nd + 1)
-        for arr, val in zip(st, vals):
-            arr[rows[sel]] = val
-    return dict(zip(("kmax", "kmin", "r", "rd", "nd"), st), nz=~zero)
-
-
-def _packed(spec: CensusSpec, stats):
-    """The names of the statistics the requested counters need, and for
-    each row of a decided block's statistics (_vec_profile) one code:
-    those statistics as its digits in base n + 1."""
-    needs = {s for c in _requested(spec.counters) for s in c.needs}
-    names = (["kmax", "kmin", "nz"] if "profile" in needs else []) + (
-        ["r", "rd", "nd"] if "signature" in needs else [])
-    return names, np.ravel_multi_index([stats[s] for s in names], (spec.n + 1,) * len(names))
+        sub_states, entries = _VEC_PROFILES[n - k](*(col[sel] for col in sub[: n - k + 1]))
+        states[zero[sel]] = sub_states + len(table)
+        table += [e and dict(n=n, kmax=e[0] or k, kmin=k, r=e[2] + k, rd=e[3] + 1, nd=e[4] + 1, nz=0)
+                  for e in entries]
+    return states, table
 
 
 def _tally_vector(spec: CensusSpec, leads: Sequence[int], table: CounterTable) -> None:
-    """Tally each block's decided rows by their packed statistics, one
-    np.bincount a block, labelling each distinct code once; the other
-    rows go through classify_pipeline."""
+    """Tally each block's decided rows by state, one np.bincount a block,
+    labelling each state that occurs once; the undecided rows (state 0)
+    go through classify_pipeline."""
     counters = _requested(spec.counters)
     for coeffs in _blocks(spec, leads):
-        stats = _vec_profile(coeffs)
-        decided = stats["kmax"] > 0
-        if not decided.all():
-            rows = zip(*(col.tolist() for col in _rows(coeffs, np.flatnonzero(~decided))))
+        states, stats = _vec_profile(coeffs)
+        hist = np.bincount(states).tolist()
+        if hist[0]:
+            rows = zip(*(col.tolist() for col in _rows(coeffs, np.flatnonzero(states == 0))))
             _classify_into(spec, (IntPolynomial(r) for r in rows), table)
-            stats = {name: arr[decided] for name, arr in stats.items()}
-        table.totals += stats["kmax"].size
-        names, codes = _packed(spec, stats)
-        hist = np.bincount(codes)
-        for code in np.nonzero(hist)[0].tolist():
-            digits = np.unravel_index(code, (spec.n + 1,) * len(names))
-            st = dict(zip(names, map(int, digits)), n=spec.n)
-            for fam, label in (cell for c in counters for cell in c.cells(st)):
-                table.add(fam, label, int(hist[code]))
+        table.totals += states.size - hist[0]
+        for st, count in zip(stats[1:], hist[1:]):
+            if count:
+                for fam, label in (cell for c in counters for cell in c.cells(st)):
+                    table.add(fam, label, count)
 
 
 def _vector_ok(spec: CensusSpec) -> bool:

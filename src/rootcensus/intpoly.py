@@ -419,13 +419,9 @@ def disc2(a: int, b: int, c: int) -> int:
 
 
 def disc3(a: int, b: int, c: int, d: int) -> int:
-    return (
-        18 * a * b * c * d
-        - 4 * b * b * b * d
-        + b * b * c * c
-        - 4 * a * c * c * c
-        - 27 * a * a * d * d
-    )
+    """18abcd - 4b^3 d + b^2 c^2 - 4ac^3 - 27a^2 d^2, grouped so that at
+    height H no partial result exceeds 54 H^4 in modulus."""
+    return (18 * a * b * c - 4 * b * b * b - 27 * a * a * d) * d + (b * b - 4 * a * c) * c * c
 
 
 # -- squarefree structure ------------------------------------------------

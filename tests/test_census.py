@@ -221,10 +221,10 @@ def _quartic_columns(rows):
 
 
 def test_quartic_batch_rows_match_classify_pipeline():
-    # every row the n = 4 vector profile decides packs the statistics the
-    # scalar pipeline computes for it, which the counters then label; the
-    # rest are left to that pipeline, and a row with a zero root is
-    # always decided
+    # the table entry of every row's state that the n = 4 vector profile
+    # decides holds the statistics the scalar pipeline computes for it,
+    # which the counters then label; the rest are left to that pipeline,
+    # and a row with a zero root is always decided
     from rootcensus import census
 
     rng = random.Random(4)
@@ -240,20 +240,37 @@ def test_quartic_batch_rows_match_classify_pipeline():
     ]
     spec = CensusSpec(n=4, height=3, counters=("A*", "B*", "D*"))
     for rows in (rng.sample(box, 800), near_ties):
-        cols = _quartic_columns(rows)
-        stats = census._vec_profile(cols)
-        decided = np.nonzero(stats["kmax"] > 0)[0]
+        states, table = census._vec_profile(_quartic_columns(rows))
+        decided = np.flatnonzero(states).tolist()
         if rows is near_ties:
             # exact ties, a repeated root and f(X^2) are never decided here
-            assert not {0, 1, 5, 6} & set(decided.tolist())
+            assert not {0, 1, 5, 6} & set(decided)
         else:
             assert len(decided) > len(rows) * 3 // 4
             zero_root = {i for i, r in enumerate(rows) if r[-1] == 0}
-            assert zero_root and zero_root <= set(decided.tolist())
-        names, codes = census._packed(spec, {k: v[decided] for k, v in stats.items()})
-        for i, code in zip(decided.tolist(), codes.tolist()):
-            st = dict(zip(names, np.unravel_index(code, (5,) * len(names))), n=4)
-            assert st == census._stats(IntPolynomial(rows[i]), spec), rows[i]
+            assert zero_root and zero_root <= set(decided)
+        for i in decided:
+            assert table[states[i]] == census._stats(IntPolynomial(rows[i]), spec), rows[i]
+
+
+@pytest.mark.parametrize("n,height", [(2, 6), (3, 3)])
+def test_every_row_state_names_the_row_statistics(n, height):
+    # row by row over the whole box, X^v u rows included, the table entry
+    # of each row's state is the row's _stats; equal tables alone could
+    # hide two wrong entries that offset each other
+    from rootcensus import census
+
+    spec = CensusSpec(n=n, height=height, counters=("A*", "B*", "D*"))
+    zeros = set()
+    for unit in make_work_units(spec):
+        for cols in census._blocks(spec, unit.leads):
+            states, table = census._vec_profile(cols)
+            rows = np.stack(np.broadcast_arrays(*cols), axis=-1).reshape(-1, n + 1).tolist()
+            assert len(rows) == states.size
+            for state, row in zip(states.tolist(), rows):
+                assert table[state] == census._stats(IntPolynomial(row), spec), row
+                zeros.add(len(row) - len(np.trim_zeros(row, "b")))
+    assert zeros == set(range(n + 1))  # every v of X^v u was met
 
 
 def test_quartic_fall_back_rows_have_no_zero_root(monkeypatch):
@@ -305,18 +322,28 @@ def test_vector_engine_decides_rows_without_scalar_kernels(monkeypatch):
     assert in_fallback["_distinct_signature"] == 220
 
 
-def test_cubic_kernel_is_exact_in_int64_at_the_cap_height():
-    # cubics with a repeated root at height near the cap, (pX + q)^2 (rX + s)
+def _column_types(n, height):
+    """The column type _blocks picks at a height and at the next one."""
+    from rootcensus import census
+
+    return [next(census._blocks(CensusSpec(n=n, height=h), [1]))[0].dtype for h in (height, height + 1)]
+
+
+@pytest.mark.parametrize("dtype,height", [(np.int32, 79), (np.int64, None)], ids=["int32-H79", "int64-cap"])
+def test_cubic_kernel_is_exact_at_the_column_type_height(dtype, height):
+    # cubics with a repeated root near the height, (pX + q)^2 (rX + s)
     # and k (pX + q)^3, whose root moduli are known from p, q, r and s,
     # rows X^v u and the corners of the box: the kernels agree with the
     # construction and with the exact scalar kernels on Python integers,
-    # on int64 columns and on columns of Python integers alike
+    # on columns of the type and on columns of Python integers alike, at
+    # the largest height whose term bound the type holds
     from rootcensus import census
 
-    cap = census.VECTOR_HEIGHT_CAPS[3]
+    cap = height or census.VECTOR_HEIGHT_CAPS[3]
     # disc3's coefficients sum to 54 in modulus, and the disc = 0 closed
     # form's terms stay below 28 H^3
-    assert 54 * cap**4 < 2**63
+    assert 54 * cap**4 < 2 ** (np.iinfo(dtype).bits - 1) <= 54 * (cap + 1) ** 4
+    assert _column_types(3, cap) == [dtype, np.int64]
     rng = random.Random(5)
     double = {}
     for p, r in itertools.product((1, 2, 3), repeat=2):
@@ -333,38 +360,43 @@ def test_cubic_kernel_is_exact_in_int64_at_the_cap_height():
     rows = [(f, want) for want, fs in sorted(double.items()) for f in rng.sample(fs, min(40, len(fs)))]
     for p, q in itertools.product(range(1, 6), range(-17, 18)):
         f = (p**3, 3 * p * p * q, 3 * p * q * q, q**3)
-        if q and math.gcd(p, q) == 1:
+        if q and math.gcd(p, q) == 1 and max(map(abs, f)) <= cap:
             k = rng.choice((-1, 1)) * (cap // max(map(abs, f)))
             rows.append((tuple(k * x for x in f), (3, 3, 1, 1)))
-    assert max(abs(x) for f, _ in rows for x in f) == cap
-    others = [(1, 140, 4900, 0), (-cap, cap, -cap, 0), (cap, -1, 0, 0), (-cap, 0, 0, 0)]
+    # the constructed rows reach the height, up to one
+    assert max(abs(x) for f, _ in rows for x in f) >= cap - 1
+    m = math.isqrt(cap)
+    others = [(1, 2 * m, m * m, 0), (-cap, cap, -cap, 0), (cap, -1, 0, 0), (-cap, 0, 0, 0)]
     others += [r for r in itertools.product((-cap, 0, cap), repeat=4) if r[0] != 0]
     rows += [(f, None) for f in others]
-    stats, exact = (census._vec_profile([np.array(col, dtype=dtype) for col in zip(*(f for f, _ in rows))])
-                    for dtype in (np.int64, object))
+    (states, table), (exact, exact_table) = (
+        census._vec_profile([np.array(col, dtype=t) for col in zip(*(f for f, _ in rows))])
+        for t in (dtype, object))
     spec = CensusSpec(n=3, height=cap, counters=("A*", "D*"))
     for i, (f, want) in enumerate(rows):
-        got = {name: int(arr[i]) for name, arr in stats.items()}
-        assert got == {name: int(arr[i]) for name, arr in exact.items()}, f
-        assert dict(got, n=3) == census._stats(IntPolynomial(f), spec), f
+        got = table[states[i]]
+        assert got == exact_table[exact[i]], f
+        assert got == census._stats(IntPolynomial(f), spec), f
         if want is not None:
             assert (got["kmax"], got["kmin"], got["rd"], got["nd"]) == want, f
             assert profile_pair_deg3(*f) == want[:2], f
 
 
-def test_disc4_is_exact_in_int64_at_the_cap_height():
+@pytest.mark.parametrize("dtype,height", [(np.int32, 11), (np.int64, None)], ids=["int32-H11", "int64-cap"])
+def test_disc4_is_exact_at_the_column_type_height(dtype, height):
     from rootcensus import census
     from rootcensus.intpoly import discriminant
 
-    cap = census.VECTOR_HEIGHT_CAPS[4]
-    # the cap is the largest height whose disc4 terms sum inside int64
-    assert 1069 * cap**6 < 2**63 <= 1069 * (cap + 1) ** 6
+    cap = height or census.VECTOR_HEIGHT_CAPS[4]
+    # the largest height whose disc4 terms sum inside the type
+    assert 1069 * cap**6 < 2 ** (np.iinfo(dtype).bits - 1) <= 1069 * (cap + 1) ** 6
+    assert _column_types(4, cap) == [dtype, np.int64]
     rows = [r for r in itertools.product((-cap, 0, cap), repeat=5) if r[0] != 0]
     rows += [(cap, cap - 1, -cap, cap - 1, cap), (cap, -cap, cap, -cap, -cap)]
-    got = census._disc4(*_quartic_columns(rows))
-    assert got.dtype == np.int64
+    got = census._disc4(*(np.array(col, dtype=dtype) for col in zip(*rows)))
+    assert got.dtype == dtype
     assert got.tolist() == [discriminant(IntPolynomial(r)) for r in rows]
-    assert max(abs(x) for x in got.tolist()) > 2**62
+    assert 2 * max(abs(x) for x in got.tolist()) > 1069 * cap**6
 
 
 def test_symmetry_reduction_equal():
