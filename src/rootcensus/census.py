@@ -22,7 +22,8 @@ The vector engine, for n in {2, 3, 4} up to a height cap per degree
 (VECTOR_HEIGHT_CAPS), decides whole open-grid blocks of int32 or int64
 columns over broadcast numpy arrays (_vec_profile: the exact integer
 decision trees of the low-degree kernels at n in {2, 3}, disc = 0 and
-repeated roots in closed form, certified eigenvalues at n = 4), giving
+repeated roots in closed form; at n = 4 certified disks around the
+eigenvalues, which alone give the real roots and squarefreeness), giving
 each row one uint8 state and a short table from state to statistics;
 it counts a block's states with one np.bincount and labels each state
 that occurs once. The rows left in state 0, undecided (on the n=4 H=2
@@ -86,12 +87,14 @@ __all__ = [
 UNIT_TARGET = 250_000
 MIN_UNITS = 8
 DEFAULT_BUDGET = 10**9
-# the vector engine's degrees, each with C: at height H every integer term
-# of its kernel stays below C H^(2n - 2) in modulus (C sums the modulus of
-# disc's coefficients); its cap is the largest H whose bound is below 2^63,
-# and _blocks takes int32 columns while the bound is below 2^31
-_TERM_BOUNDS = {2: 5, 3: 54, 4: 1069}
-VECTOR_HEIGHT_CAPS = {n: int((2**63 / c) ** (1 / (2 * n - 2))) for n, c in _TERM_BOUNDS.items()}
+# each integer kernel's degree n with C: at height H its every integer term
+# stays below C H^(2n - 2) in modulus (C sums the modulus of disc's
+# coefficients). The n = 4 kernel has none of its own, so degree n is bound
+# by the kernel of degree min(n, 3): the cap is the largest H whose bound is
+# below 2^63, and _blocks takes int32 columns while it is below 2^31
+_TERM_BOUNDS = {2: 5, 3: 54}
+VECTOR_HEIGHT_CAPS = {n: int((2**63 / _TERM_BOUNDS[min(n, 3)]) ** (1 / (2 * min(n, 3) - 2)))
+                      for n in (2, 3, 4)}
 CHECKPOINT_FORMAT = "rootcensus-census-checkpoint"
 
 
@@ -532,59 +535,31 @@ def _vec_profile3(a, b, c, d):
                     None, (2, 1, 3, 3, 3), (1, 2, 3, 3, 3), (1, 1, 3, 3, 3)]
 
 
-def _disc4(a, b, c, d, e):
-    """The discriminant of aX^4 + bX^3 + cX^2 + dX + e, summed term by
-    term, so no partial sum exceeds 1,069 H^6 in modulus."""
-    return (
-        256 * a * a * a * e * e * e
-        - 192 * a * a * b * d * e * e
-        - 128 * a * a * c * c * e * e
-        + 144 * a * a * c * d * d * e
-        - 27 * a * a * d * d * d * d
-        + 144 * a * b * b * c * e * e
-        - 6 * a * b * b * d * d * e
-        - 80 * a * b * c * c * d * e
-        + 18 * a * b * c * d * d * d
-        + 16 * a * c * c * c * c * e
-        - 4 * a * c * c * c * d * d
-        - 27 * b * b * b * b * e * e
-        + 18 * b * b * b * c * d * e
-        - 4 * b * b * b * d * d * d
-        - 4 * b * b * c * c * c * e
-        + b * b * c * c * d * d
-    )
-
-
 def _vec_profile4(a, b, c, d, e):
-    """Quartic rows: the real-root count of a squarefree quartic from the
-    signs of disc, P = 8ac - 3b^2 and D = 64a^3e - 16a^2c^2 + 16ab^2c -
-    16a^2bd - 3b^4 (Rees 1922; Lazard 1988): 2 when disc < 0, else 4 when
-    P < 0 and D < 0, else 0. A row with e != 0, b or d != 0 and disc != 0
-    is decided when disks around its companion eigenvalues, rounded to 53
-    bits, certify (roots._certified) and both extreme modulus runs hold
-    one unit (classify._modulus_units, classify._runs); every other row
-    gets state 0, so every decided row is squarefree, its state that of
-    (real roots, kmax, kmin)."""
+    """Quartic rows: a row with e != 0 and b or d != 0 is decided when
+    disks around its companion eigenvalues, rounded to 53 bits, certify
+    (roots._certified) and both extreme modulus runs hold one unit
+    (classify._modulus_units, classify._runs); every other row gets state
+    0. Four disjoint disks prove a decided row squarefree and give its
+    real roots, so its state is that of (real roots, kmax, kmin); a row
+    with disc = 0 never certifies."""
     table = [None] + [(kmax, kmin, r, r, 4) for r in (0, 2, 4) for kmax in (1, 2) for kmin in (1, 2)]
-    dsc = _disc4(a, b, c, d, e)
-    states = np.zeros(dsc.shape, dtype=np.uint8)
-    rows = np.flatnonzero((e != 0) & ((b != 0) | (d != 0)) & (dsc != 0))
+    states = np.zeros(np.broadcast(a, b, c, d, e).shape, dtype=np.uint8)
+    rows = np.flatnonzero(np.broadcast_to((e != 0) & ((b != 0) | (d != 0)), states.shape))
     cols = a, b, c, d, e = _rows((a, b, c, d, e), rows)
-    p = 8 * a * c - 3 * b * b
-    q = 64 * a * a * a * e - 16 * a * a * c * c + 16 * a * b * b * c - 16 * a * a * b * d - 3 * b**4
-    real = np.where(dsc.flat[rows] < 0, 2, np.where((p < 0) & (q < 0), 4, 0))
     comp = np.zeros((rows.size, 4, 4))
     comp[:, 0, :] = -np.stack(cols[1:], axis=1) / a[:, None]
     comp[:, [1, 2, 3], [0, 1, 2]] = 1
     eig = np.linalg.eigvals(comp)
     cs = np.stack(cols, axis=1).tolist()
-    for i, coeffs, z, r in zip(rows.tolist(), cs, eig.tolist(), real.tolist()):
-        got = _certified([(coeffs, 1, r, _float_centres(z, 53))], 0)
+    for i, coeffs, z in zip(rows.tolist(), cs, eig.tolist()):
+        got = _certified([(coeffs, 1, _float_centres(z, 53))], 0)
         if got is None:
             continue
         disks, _, mults, reals = got
         runs = _runs(_modulus_units(disks, mults, reals))
         if runs[0].size == runs[-1].size == 1:
+            r = sum(reals)
             states.flat[i] = table.index((runs[-1].mult, runs[0].mult, r, r, 4))
     return states, table
 
@@ -598,7 +573,8 @@ def _blocks(spec: CensusSpec, leads: Sequence[int]):
     enumeration order and in blocks of at most UNIT_TARGET points: the
     axes before axis j take one value at a time, and axis j is cut into
     slices as long as the axes after it allow."""
-    dtype = np.int32 if _TERM_BOUNDS[spec.n] * spec.height ** (2 * spec.n - 2) < 2**31 else np.int64
+    m = min(spec.n, 3)
+    dtype = np.int32 if _TERM_BOUNDS[m] * spec.height ** (2 * m - 2) < 2**31 else np.int64
     rng = np.arange(-spec.height, spec.height + 1, dtype=dtype)
     # a monic box's a_0 = 1 is an axis of one value
     axes = [np.ones(1, dtype=dtype)] * spec.monic + [np.asarray(leads, dtype=dtype)]

@@ -8,8 +8,9 @@ disk. Centres and radii are exact dyadic Fractions.
 Roots at zero are split off exactly and get a disk of radius zero, and
 Yun decomposition hands the rest over as squarefree factors with their
 real root counts (by the sign of the discriminant up to degree 3, by
-Sturm above); this analysis (_analysis) is computed once per polynomial
-and stored on it, so refine and the signatures in classify reuse it.
+Sturm above; only the signatures read them); this analysis (_analysis)
+is computed once per polynomial and stored on it, so refine and the
+signatures in classify reuse it.
 Each factor goes through one certification rung: centres are proposed
 at the bits of its ladder step (_propose), and one exact integer routine
 certifies them (_certified, which the n = 4 census also calls on
@@ -25,15 +26,17 @@ centres it proposes itself):
   the coefficients do not fit a double there are no companion seeds, and
   the sweeps start from Newton-polygon circles at every step (_polish);
 - each centre z is read exactly as (a + bi) 2^-k, and the disk radius
-  bounds deg(g) * |g(z)| / |g'(z)| from above for the squarefree factor
-  g, from Gaussian-integer Horner values and one upward isqrt
-  (_certify); by the classical argument (g'/g = sum 1/(z - root)) the
-  disk holds at least one root of g, and pairwise disjointness, decided
-  by exact squared distances, then pins exactly one root per disk;
-- realness is decided by comparing the number of disks straddling the
-  real axis with the exact Sturm count of the factor; straddling disks
-  are then centered on the axis and the rest are matched into exact
-  conjugate pairs.
+  bounds deg(g) * |g(z)| / |g'(z)| from above for the factor g, from
+  Gaussian-integer Horner values and one upward isqrt (_certify); by the
+  classical argument (g'/g = sum 1/(z - root), over the roots with
+  multiplicity) the disk holds at least one root of g, and pairwise
+  disjointness, decided by exact squared distances, then pins exactly one
+  root per disk;
+- realness is read off the disks: a disk straddling the real axis whose
+  hull, symmetric about the axis, misses the factor's other disks holds
+  a root and its conjugate, so a real root; such disks are centered on
+  the axis, the rest matched into exact conjugate pairs. The m disjoint
+  disks of a degree-m factor also prove it squarefree.
 
 Proposals round, in doubles or on a dyadic grid, but certification does
 not: a bad centre can only fail a check. A failed attempt escalates
@@ -459,7 +462,8 @@ def _propose(g: IntPolynomial, bits: int) -> List[Tuple[int, int, int]]:
     z = _companion_seeds(cs)
     if z is not None:
         z = _aberth(cs, z)
-        if not all(map(cmath.isfinite, z)):
+        # equal points never move apart under Aberth, so never certify
+        if not all(map(cmath.isfinite, z)) or len(set(z)) < len(z):
             z = None
     if z is not None and bits <= 53:
         return _float_centres(z, bits)
@@ -483,14 +487,18 @@ def _disjoint(disks: Sequence[Sequence[int]]) -> bool:
     return True
 
 
-def _realness(disks: List[List[int]], realcount: int) -> Optional[List[bool]]:
+def _realness(disks: List[List[int]]) -> Optional[List[bool]]:
     """Certify which of a factor's disjoint disks [a, b, r] (one scale)
     hold real roots and symmetrize them in place; returns the real flags,
-    or None to request more precision."""
-    # a disk holding a real root must straddle the axis: |b| <= |c - root| <= r
+    or None to request more precision. A real root's disk straddles the
+    axis, |b| <= r; a straddling disk is real when its hull [a, 0, r + |b|],
+    symmetric about the axis, misses the other disks, as it then holds the
+    disk's one root and that root's conjugate."""
     flags = [abs(b) <= r for _, b, r in disks]
-    if sum(flags) != realcount:
-        return None
+    for i, (a, b, r) in enumerate(disks):
+        hull = [a, 0, r + abs(b)]
+        if flags[i] and not all(_disjoint((hull, d)) for d in disks[:i] + disks[i + 1 :]):
+            return None
     upper, lower = [], []
     for i, disk in enumerate(disks):
         if flags[i]:
@@ -503,11 +511,7 @@ def _realness(disks: List[List[int]], realcount: int) -> Optional[List[bool]]:
     for i in upper:
         a, b, r = disks[i]
         # the lower disks meeting the mirror image of disk i
-        cand = [
-            j
-            for j in lower
-            if (a - disks[j][0]) ** 2 + (b + disks[j][1]) ** 2 <= (r + disks[j][2]) ** 2
-        ]
+        cand = [j for j in lower if not _disjoint(([a, -b, r], disks[j]))]
         if len(cand) != 1:
             return None
         j = cand[0]
@@ -523,20 +527,20 @@ def _realness(disks: List[List[int]], realcount: int) -> Optional[List[bool]]:
 def _certified(factors, v: int):
     """Certified disjoint disks around given centres, as (disks [a, b, r]
     at one scale 2^-k, k, multiplicities, real flags), or None when a check
-    fails: `factors` yields (coefficients, multiplicity, distinct real
-    roots, centres) for each squarefree factor, and v roots at zero get a
-    disk of radius zero. Each centre is certified (_certify), a factor's
-    disks must be disjoint and its real ones certified (_realness), and
-    then all disks must be disjoint."""
+    fails: `factors` yields (coefficients, multiplicity, centres) for each
+    factor, one centre per root, and v roots at zero get a disk of radius
+    zero. Each centre is certified (_certify), a factor's disks must be
+    disjoint, which proves the factor squarefree, and its real ones
+    certified (_realness), and then all disks must be disjoint."""
     found: List[Tuple[int, int, int, int]] = []
     mults: List[int] = []
     reals: List[bool] = []
-    for cs, mult, realcount, centres in factors:
+    for cs, mult, centres in factors:
         got = [_certify(cs, *c) for c in centres]
         if None in got:
             return None
         disks, k = _common(got)
-        is_real = _realness(disks, realcount) if _disjoint(disks) else None
+        is_real = _realness(disks) if _disjoint(disks) else None
         if is_real is None:
             return None
         found += [(a, b, r, k) for a, b, r in disks]
@@ -577,7 +581,7 @@ def isolate_roots(
 
     while True:
         got = _certified(
-            ((fac.coeffs, mult, real, _propose(fac, prec)) for fac, mult, real in parts), v
+            ((fac.coeffs, mult, _propose(fac, prec)) for fac, mult, _ in parts), v
         )
         disks = None
         if got is not None:

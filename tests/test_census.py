@@ -275,8 +275,9 @@ def test_every_row_state_names_the_row_statistics(n, height):
 
 def test_quartic_fall_back_rows_have_no_zero_root(monkeypatch):
     # on the n = 4 H = 2 box the vector engine leaves 220 rows to the
-    # scalar pipeline (f(X^2) 80, disc = 0 32, extreme-run overlap 108)
-    # and decides every row with a_4 = 0 itself
+    # scalar pipeline (f(X^2) 80, failed certificates 32, all with disc
+    # = 0, and extreme-run overlap 108) and decides every row with a_4 = 0
+    # itself
     from rootcensus import census
 
     seen = []
@@ -292,6 +293,40 @@ def test_quartic_fall_back_rows_have_no_zero_root(monkeypatch):
     assert table.totals == 2500
     assert len(seen) == 220
     assert not any(f.coeffs[-1] == 0 for f in seen)
+
+
+def test_quartic_rows_with_a_repeated_root_never_certify():
+    # the n = 4 kernel has no discriminant: four disjoint certified disks
+    # prove a row squarefree, so every row of the n = 4 H = 2 box with
+    # disc = 0 stays undecided, the 32 that reach certification included
+    from rootcensus import census
+    from rootcensus.intpoly import discriminant
+
+    rows = [tuple(f.coeffs) for f in _box(4, 2, False)]
+    states, _ = census._vec_profile4(*_quartic_columns(rows))
+    repeated = [i for i, r in enumerate(rows) if discriminant(IntPolynomial(r)) == 0]
+    tried = [i for i in repeated if rows[i][-1] and (rows[i][1] or rows[i][3])]
+    assert len(tried) == 32
+    assert not states[repeated].any()
+
+
+def test_quartic_kernel_reads_realness_off_the_certificate(monkeypatch):
+    # (2^20 X^2 - 2^21 X + 2^20 + 1)(2X - 1)(X - 3) has the roots 1/2, 3
+    # and 1 +- 2^-10 i. Centres on the roots certify two real roots. With
+    # the upper root's centre moved a fifth of the way to the axis its disk
+    # straddles the axis, apart from the other disks, but its hull meets
+    # the lower disk: the row must stay undecided, not count three reals
+    from rootcensus import census
+
+    row = (2**21, -11 * 2**20, 19 * 2**20 + 2, -13 * 2**20 - 7, 3 * 2**20 + 3)
+    k, y = 40, 2**30
+    want = census._stats(IntPolynomial(row), CensusSpec(n=4, height=2, counters=("A*", "B*", "D*")))
+    assert want["r"] == 2
+    for b, stats in ((y, want), (4 * y // 5, None)):
+        centres = [(1 << k - 1, 0, k), (3 << k, 0, k), (1 << k, b, k), (1 << k, -y, k)]
+        monkeypatch.setattr(census, "_float_centres", lambda z, bits: centres)
+        states, table = census._vec_profile(_quartic_columns([row]))
+        assert table[states[0]] == stats, b
 
 
 def test_vector_engine_decides_rows_without_scalar_kernels(monkeypatch):
@@ -344,6 +379,9 @@ def test_cubic_kernel_is_exact_at_the_column_type_height(dtype, height):
     # form's terms stay below 28 H^3
     assert 54 * cap**4 < 2 ** (np.iinfo(dtype).bits - 1) <= 54 * (cap + 1) ** 4
     assert _column_types(3, cap) == [dtype, np.int64]
+    # an n = 4 block computes integer terms only in the cubic kernel, on
+    # its rows X u, so it takes the cubic bound
+    assert _column_types(4, cap) == _column_types(3, cap)
     rng = random.Random(5)
     double = {}
     for p, r in itertools.product((1, 2, 3), repeat=2):
@@ -380,23 +418,6 @@ def test_cubic_kernel_is_exact_at_the_column_type_height(dtype, height):
         if want is not None:
             assert (got["kmax"], got["kmin"], got["rd"], got["nd"]) == want, f
             assert profile_pair_deg3(*f) == want[:2], f
-
-
-@pytest.mark.parametrize("dtype,height", [(np.int32, 11), (np.int64, None)], ids=["int32-H11", "int64-cap"])
-def test_disc4_is_exact_at_the_column_type_height(dtype, height):
-    from rootcensus import census
-    from rootcensus.intpoly import discriminant
-
-    cap = height or census.VECTOR_HEIGHT_CAPS[4]
-    # the largest height whose disc4 terms sum inside the type
-    assert 1069 * cap**6 < 2 ** (np.iinfo(dtype).bits - 1) <= 1069 * (cap + 1) ** 6
-    assert _column_types(4, cap) == [dtype, np.int64]
-    rows = [r for r in itertools.product((-cap, 0, cap), repeat=5) if r[0] != 0]
-    rows += [(cap, cap - 1, -cap, cap - 1, cap), (cap, -cap, cap, -cap, -cap)]
-    got = census._disc4(*(np.array(col, dtype=dtype) for col in zip(*rows)))
-    assert got.dtype == dtype
-    assert got.tolist() == [discriminant(IntPolynomial(r)) for r in rows]
-    assert 2 * max(abs(x) for x in got.tolist()) > 1069 * cap**6
 
 
 def test_symmetry_reduction_equal():

@@ -11,6 +11,7 @@ form, also beyond the double range.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -24,8 +25,11 @@ from rootcensus.roots import (
     CertifiedRootSet,
     RootDisk,
     _FUJIWARA_BITS,
+    _certified,
     _dyadic_disks,
+    _float_centres,
     _modulus_bounds,
+    _realness,
     fujiwara_bound,
     isolate_roots,
     refine,
@@ -170,6 +174,49 @@ def test_conjugate_disks_are_exact_mirrors_seeded():
             for d in sets.disks:
                 if not d.is_real:
                     assert (d.center_re, -d.center_im, d.radius, d.multiplicity) in keys, f.coeffs
+
+
+def test_realness_by_the_symmetric_hull():
+    # disks [a, b, r] at one scale: a straddling disk (|b| <= r) is real
+    # when its hull [a, 0, r + |b|] misses the factor's other disks
+    assert _realness([[0, 1, 2], [0, -1, 2]]) is None  # a straddling mirror pair
+    disks = [[0, 1, 2], [10, -1, 2]]
+    assert _realness(disks) == [True, True]
+    assert disks == [[0, 0, 2], [10, 0, 2]]
+    # [7, -3, 1] misses the disk [0, 3, 4] but meets its hull [0, 0, 7]
+    assert _realness([[0, 3, 4], [7, -3, 1]]) is None
+
+
+@pytest.mark.parametrize("m", [20, 40, 80])
+def test_a_pair_near_the_axis_is_never_real(m):
+    # 2^(2m) X^2 - 2^(2m+1) X + 2^(2m) + 1 has the roots 1 +- 2^-m i. At
+    # m = 40 and 80 its coefficients in doubles have the double root 1, so
+    # the companion seeds coincide and Newton-polygon seeds take over
+    f = IntPolynomial((1 << 2 * m, -(1 << 2 * m + 1), (1 << 2 * m) + 1))
+    for bits in (53, 128):
+        rs = isolate_roots(f, precision_bits=bits)
+        assert len(rs.disks) == 2 and not any(d.is_real for d in rs.disks), bits
+
+
+def test_a_repeated_root_never_certifies():
+    # degree-n disks that certify are n disjoint disks each holding a
+    # root, so a factor with a repeated root never certifies as one: not
+    # from double centres, nor from its roots moved apart by 2^-60
+    k = 100
+    sqrt2, sqrt3 = math.isqrt(2 << 2 * k), math.isqrt(3 << 2 * k)
+    cases = {
+        (1, 0, -4, 0, 4): [(sqrt2, 0), (-sqrt2, 0)],  # (X^2 - 2)^2
+        (1, 1, -5, 3): [(1 << k, 0), (-3 << k, 0)],  # (X - 1)^2 (X + 3)
+        (1, 2, 3, 2, 1): [(-1 << k - 1, sqrt3 >> 1), (-1 << k - 1, -(sqrt3 >> 1))],  # (X^2 + X + 1)^2
+    }
+    for cs, roots in cases.items():
+        moved = [(a + s, b, k) for a, b in roots for s in (1 << 40, -(1 << 40))]
+        if len(cs) == 4:
+            moved = moved[:3]  # the simple root -3 once
+        fast = _float_centres(np.roots(cs).tolist(), 53)
+        for centres in (moved, fast):
+            assert len(centres) == len(cs) - 1
+            assert _certified([(cs, 1, centres)], 0) is None, (cs, centres)
 
 
 def test_refine_shrinks_radii():

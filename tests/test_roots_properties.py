@@ -14,7 +14,8 @@ For a 53-bit and a 212-bit start each: every disk holds exactly as many
 roots as its multiplicity, against 50-digit roots from sympy's
 factorization and mpmath polyroots; disks are
 pairwise disjoint in exact rational arithmetic; multiplicities sum to the
-degree; the real disks number the distinct real roots (Sturm). The two
+degree; the real disks number the distinct real roots (Sturm), and those
+of each squarefree factor the factor's exact real count. The two
 starts must agree root for root. The exact enclosure of |root|^2 that
 modulus profiles read from each disk must hold the squared modulus of
 its 50-digit root.
@@ -48,8 +49,10 @@ from rootcensus.intpoly import (
 from rootcensus.roots import (
     CertifiedRootSet,
     RootDisk,
+    _analysis,
     _dyadic,
     _dyadic_disks,
+    _real_count,
     isolate_roots,
 )
 
@@ -165,6 +168,15 @@ def _check_certified(f: IntPolynomial, rs: CertifiedRootSet, roots) -> None:
             (ar, ai, ra), (br, bi, rb) = disks[i], disks[j]
             assert (ar - br) ** 2 + (ai - bi) ** 2 > (ra + rb) ** 2, f.coeffs
     assert sum(d.is_real for d in rs.disks) == sturm_real_root_count(f), f.coeffs
+    # the hull rule's real disks of each squarefree factor, told apart by
+    # multiplicity from each other and from the point disk at 0, number
+    # the factor's exact real roots
+    a = _analysis(f)
+    zero = RootDisk(Fraction(0), Fraction(0), Fraction(0), a.zeros, True)
+    assert [
+        sum(d.is_real for d in rs.disks if d.multiplicity == mult and d != zero)
+        for _, mult, _ in a.factors
+    ] == [_real_count(fac) for fac, _, _ in a.factors], f.coeffs
     with mpmath.workdps(_DIGITS + 10):
         held = [0] * len(rs.disks)
         for z, slack in roots:
