@@ -59,6 +59,7 @@ from .classify import (
     DEFAULT_PRIME_BOUND,
     _distinct_signature,
     _double_root_order,
+    _mod2,
     _modulus_units,
     _runs,
     factorize,
@@ -67,7 +68,7 @@ from .classify import (
     sn_certificate,
 )
 from .intpoly import IntPolynomial, disc2, disc3
-from .roots import _certified, _float_centres
+from .roots import _apart, _certified, _float_centres, _horner
 
 __all__ = [
     "CensusSpec",
@@ -488,7 +489,9 @@ def _tally_scalar(spec: CensusSpec, leads: Sequence[int], table: CounterTable) -
 # for states no row takes. A disc = 0 row of degree <= 3 is decided in
 # closed form: its roots are real, a double root (and a simple one) or a
 # triple root. _vec_profile restates every row with a_n = 0, so a kernel
-# may assume a nonzero constant term
+# may assume a nonzero constant term. The n = 4 kernel certifies the rows
+# in int64 over the block where a guard allows (_vec_certify), then the rest
+# one by one (roots._certified); what is left goes to classify_pipeline
 
 
 def _case(key):
@@ -535,14 +538,68 @@ def _vec_profile3(a, b, c, d):
                     None, (2, 1, 3, 3, 3), (1, 2, 3, 3, 3), (1, 1, 3, 3, 3)]
 
 
+def _certified_state(kmax, kmin, r):
+    """The state of a certified n = 4 row (_vec_profile4's table)."""
+    return 4 * (r // 2) + 2 * kmax + kmin - 2
+
+
+def _radius_bound(n, gr, gi, dr, di):
+    """ceil(n |G| / |D| (1 + 2^-40)) + 1 in doubles from int64 _horner values,
+    which err by less than 2^-49 relative: above roots._certify's radius."""
+    return np.ceil(n * np.hypot(gr, gi) / np.hypot(dr, di) * (1 + 2**-40)) + 1
+
+
+def _vec_certify(cols, z, k):
+    """The int64 pass over the columns a_0..a_n of rows with proposed roots
+    z (n a row): a uint8 state per row (_certified_state), 0 where it
+    cannot decide. Centres (A + Bi) 2^-k round z. A row is taken only when
+    2 (n + 1) H mu^n < 2^63, H its largest |coefficient| and mu =
+    max(|A + Bi|, 2^k), k >= 2: every partial value of _horner on the
+    columns, widened to int64 first, then stays below it. A row is decided
+    as roots._certified and classify._runs would decide it, or stricter:
+    its radii below 2^30 (so no square overflows), its disks pairwise apart,
+    each real (b = 0) or the exact mirror image of another, and so |b| > r,
+    and both extreme modulus runs one unit."""
+    n = len(cols) - 1
+    cs = [col.astype(np.int64)[:, None] for col in cols]
+    a, b = np.rint(z.real * 2.0**k), np.rint(z.imag * 2.0**k)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        mu2 = np.maximum(a * a + b * b, 4.0**k)
+        bound = 2 * (n + 1) * np.max(np.abs(np.stack(cs)), axis=0) * mu2 ** (n / 2)
+        rows = np.flatnonzero(np.all(bound < 2.0**63, axis=1))
+        cs, a, b = [c[rows] for c in cs], a[rows].astype(np.int64), b[rows].astype(np.int64)
+        rf = _radius_bound(n, *_horner(cs, a, b, k))
+    r = np.where(rf < 2**30, rf, 0).astype(np.int64)
+    disks = np.stack((a, b, r))[..., None]
+    apart = _apart(disks, disks.swapaxes(2, 3)) | np.eye(n, dtype=bool)
+    mirror = (disks == np.stack((a, -b, r))[:, :, None, :]).all(axis=0)
+    ok = np.all(rf < 2**30, axis=1) & apart.all(axis=(1, 2)) & mirror.any(axis=2).all(axis=1)
+    # a unit (a real disk or the upper one of a pair) alone in an extreme
+    # run has its enclosure below, or above, those of all other units
+    real, (lo, hi) = b == 0, _mod2(a, b, r)
+    unit = real | (b > 0)
+    other = ~unit[:, None, :] | np.eye(n, dtype=bool)
+    low = unit & ((hi[:, :, None] < lo[:, None, :]) | other).all(axis=2)
+    high = unit & ((lo[:, :, None] > hi[:, None, :]) | other).all(axis=2)
+    ok &= low.any(axis=1) & high.any(axis=1)
+    mult = 2 - real
+    got = _certified_state((mult * high).sum(axis=1), (mult * low).sum(axis=1), real.sum(axis=1))
+    states = np.zeros(cols[0].size, dtype=np.uint8)
+    states[rows[ok]] = got[ok]
+    return states
+
+
 def _vec_profile4(a, b, c, d, e):
     """Quartic rows: a row with e != 0 and b or d != 0 is decided when
-    disks around its companion eigenvalues, rounded to 53 bits, certify
-    (roots._certified) and both extreme modulus runs hold one unit
-    (classify._modulus_units, classify._runs); every other row gets state
-    0. Four disjoint disks prove a decided row squarefree and give its
-    real roots, so its state is that of (real roots, kmax, kmin); a row
-    with disc = 0 never certifies."""
+    disks around its companion eigenvalues certify and both extreme modulus
+    runs hold one unit: first in int64 over the block (_vec_certify, at the
+    k bits that keep the roots of the block's height H, of modulus at most
+    H + 1, within its guard; none when k < 2), then one by one around the
+    eigenvalues rounded to 53 bits (roots._certified,
+    classify._modulus_units, classify._runs); every other row gets state 0.
+    Four disjoint disks prove a decided row squarefree and give its real
+    roots, so its state is that of (real roots, kmax, kmin); a row with
+    disc = 0 never certifies."""
     table = [None] + [(kmax, kmin, r, r, 4) for r in (0, 2, 4) for kmax in (1, 2) for kmin in (1, 2)]
     states = np.zeros(np.broadcast(a, b, c, d, e).shape, dtype=np.uint8)
     rows = np.flatnonzero(np.broadcast_to((e != 0) & ((b != 0) | (d != 0)), states.shape))
@@ -551,16 +608,19 @@ def _vec_profile4(a, b, c, d, e):
     comp[:, 0, :] = -np.stack(cols[1:], axis=1) / a[:, None]
     comp[:, [1, 2, 3], [0, 1, 2]] = 1
     eig = np.linalg.eigvals(comp)
-    cs = np.stack(cols, axis=1).tolist()
-    for i, coeffs, z in zip(rows.tolist(), cs, eig.tolist()):
-        got = _certified([(coeffs, 1, _float_centres(z, 53))], 0)
-        if got is None:
+    h = max(int(np.abs(col).max(initial=0)) for col in cols)
+    k = (63 - (10 * h * (h + 1) ** 4).bit_length()) // 4
+    got = _vec_certify(cols, eig, k) if k >= 2 else np.zeros(rows.size, dtype=np.uint8)
+    left = np.flatnonzero(got == 0)
+    for i, coeffs, z in zip(left.tolist(), np.stack(cols, axis=1)[left].tolist(), eig[left].tolist()):
+        cert = _certified([(coeffs, 1, _float_centres(z, 53))], 0)
+        if cert is None:
             continue
-        disks, _, mults, reals = got
+        disks, _, mults, reals = cert
         runs = _runs(_modulus_units(disks, mults, reals))
         if runs[0].size == runs[-1].size == 1:
-            r = sum(reals)
-            states.flat[i] = table.index((runs[-1].mult, runs[0].mult, r, r, 4))
+            got[i] = _certified_state(runs[-1].mult, runs[0].mult, sum(reals))
+    states.flat[rows] = got
     return states, table
 
 

@@ -289,17 +289,17 @@ def _profile_certified(f: IntPolynomial) -> ModulusProfile:
     return ModulusProfile(kmax, kmin, kmax == 1, decision)
 
 
-def _mod2(a: int, b: int, k: int) -> Tuple[int, int]:
+def _mod2(a, b, k):
     """Integers (lo, hi) with lo 4^e <= |root|^2 <= hi 4^e for a root in the
-    disk of centre (a + bi) 2^e and radius k 2^e.
+    disk of centre (a + bi) 2^e and radius k 2^e, or int64 columns of them.
 
     With c2 = a^2 + b^2 and cu = ceil(sqrt(c2)) >= |c| 2^-e, the bounds
     c2 -+ 2 cu k + k^2 enclose (|c| -+ r)^2 4^-e, and so |root|^2 4^-e;
     the lower one is 0 when the disk may contain 0."""
     c2 = a * a + b * b
     cu = _ceil_sqrt(c2)
-    lo = 0 if c2 <= k * k else max(0, c2 - 2 * cu * k + k * k)
-    return lo, c2 + 2 * cu * k + k * k
+    lo = c2 - 2 * cu * k + k * k
+    return lo * ((c2 > k * k) & (lo > 0)), c2 + 2 * cu * k + k * k
 
 
 def _modulus_units(

@@ -102,9 +102,7 @@ def _modulus_bounds(a: int, b: int, k: int) -> Tuple[int, int]:
     disk of centre (a + bi) 2^e and radius k 2^e: with c2 = a^2 + b^2,
     max(0, floor(sqrt c2) - k) and ceil(sqrt c2) + k."""
     c2 = a * a + b * b
-    lo = math.isqrt(c2)
-    hi = lo if lo * lo == c2 else lo + 1
-    return max(0, lo - k), hi + k
+    return max(0, math.isqrt(c2) - k), _ceil_sqrt(c2) + k
 
 
 def _dyadic_disks(disks: Sequence[RootDisk]) -> Tuple[List[Tuple[int, int, int]], int]:
@@ -122,10 +120,11 @@ def _dyadic(n: int, e: int) -> Fraction:
     return Fraction(n << e) if e >= 0 else Fraction(n, 1 << -e)
 
 
-def _ceil_sqrt(n: int) -> int:
-    """ceil(sqrt(n)) for an integer n >= 0."""
-    r = math.isqrt(n)
-    return r if r * r == n else r + 1
+def _ceil_sqrt(n):
+    """ceil(sqrt(n)) for an integer n >= 0, or elementwise for int64 values below 2^52."""
+    r = np.sqrt(n).astype(np.int64) if isinstance(n, np.ndarray) else math.isqrt(n)
+    r -= r * r > n
+    return r + (r * r < n)
 
 
 @dataclass(frozen=True)
@@ -477,14 +476,16 @@ def _common(disks: Sequence[Tuple[int, int, int, int]]) -> Tuple[List[List[int]]
     return [[a << (k - j), b << (k - j), r << (k - j)] for a, b, r, j in disks], k
 
 
+def _apart(p, q):
+    """Whether the disks p = (a, b, r) and q = (c, d, s) at one scale are
+    disjoint, on Python integers or elementwise on int64 columns."""
+    (a, b, r), (c, d, s) = p, q
+    return (a - c) ** 2 + (b - d) ** 2 > (r + s) ** 2
+
+
 def _disjoint(disks: Sequence[Sequence[int]]) -> bool:
-    """Whether the disks [a, b, r] at one scale are pairwise disjoint:
-    squared centre distance above the squared radius sum."""
-    for i, (a, b, r) in enumerate(disks):
-        for c, d, s in disks[i + 1 :]:
-            if (a - c) ** 2 + (b - d) ** 2 <= (r + s) ** 2:
-                return False
-    return True
+    """Whether the disks [a, b, r] at one scale are pairwise disjoint."""
+    return all(_apart(p, q) for i, p in enumerate(disks) for q in disks[i + 1 :])
 
 
 def _realness(disks: List[List[int]]) -> Optional[List[bool]]:
@@ -496,8 +497,7 @@ def _realness(disks: List[List[int]]) -> Optional[List[bool]]:
     disk's one root and that root's conjugate."""
     flags = [abs(b) <= r for _, b, r in disks]
     for i, (a, b, r) in enumerate(disks):
-        hull = [a, 0, r + abs(b)]
-        if flags[i] and not all(_disjoint((hull, d)) for d in disks[:i] + disks[i + 1 :]):
+        if flags[i] and not all(_apart((a, 0, r + abs(b)), d) for j, d in enumerate(disks) if j != i):
             return None
     upper, lower = [], []
     for i, disk in enumerate(disks):
@@ -511,7 +511,7 @@ def _realness(disks: List[List[int]]) -> Optional[List[bool]]:
     for i in upper:
         a, b, r = disks[i]
         # the lower disks meeting the mirror image of disk i
-        cand = [j for j in lower if not _disjoint(([a, -b, r], disks[j]))]
+        cand = [j for j in lower if not _apart((a, -b, r), disks[j])]
         if len(cand) != 1:
             return None
         j = cand[0]

@@ -220,6 +220,23 @@ def _quartic_columns(rows):
     return [np.array(col, dtype=object if big else np.int64) for col in zip(*rows)]
 
 
+# quartic rows the n = 4 kernel must never decide, beside rows it may
+_NEAR_TIES = [
+    (1, 1, 2, 1, 1),  # (X^2+1)(X^2+X+1): all four roots on the unit circle
+    (1, 1, 0, -2, -4),  # (X^2-2)(X^2+X+2): four roots of modulus sqrt 2
+    (1, 0, 0, -2**40, 1),  # a real root and a pair, moduli in ratio 1 + 2^-54
+    (1, -1, 0, 0, -1),  # X^4 - X^3 - 1
+    (4, 0, -1, 1, 1),
+    (1, 2, 3, 2, 1),  # (X^2+X+1)^2: repeated roots
+    (2, 0, 0, 0, 3),  # f(X^2) shape
+]
+
+
+def _quartic_sample():
+    """800 seeded rows of the full n = 4 H = 3 box."""
+    return random.Random(4).sample([tuple(f.coeffs) for f in _box(4, 3, False)], 800)
+
+
 def test_quartic_batch_rows_match_classify_pipeline():
     # the table entry of every row's state that the n = 4 vector profile
     # decides holds the statistics the scalar pipeline computes for it,
@@ -227,22 +244,11 @@ def test_quartic_batch_rows_match_classify_pipeline():
     # and a row with a zero root is always decided
     from rootcensus import census
 
-    rng = random.Random(4)
-    box = [tuple(f.coeffs) for f in _box(4, 3, False)]
-    near_ties = [
-        (1, 1, 2, 1, 1),  # (X^2+1)(X^2+X+1): all four roots on the unit circle
-        (1, 1, 0, -2, -4),  # (X^2-2)(X^2+X+2): four roots of modulus sqrt 2
-        (1, 0, 0, -2**40, 1),  # a real root and a pair, moduli in ratio 1 + 2^-54
-        (1, -1, 0, 0, -1),  # X^4 - X^3 - 1
-        (4, 0, -1, 1, 1),
-        (1, 2, 3, 2, 1),  # (X^2+X+1)^2: repeated roots
-        (2, 0, 0, 0, 3),  # f(X^2) shape
-    ]
     spec = CensusSpec(n=4, height=3, counters=("A*", "B*", "D*"))
-    for rows in (rng.sample(box, 800), near_ties):
+    for rows in (_quartic_sample(), _NEAR_TIES):
         states, table = census._vec_profile(_quartic_columns(rows))
         decided = np.flatnonzero(states).tolist()
-        if rows is near_ties:
+        if rows is _NEAR_TIES:
             # exact ties, a repeated root and f(X^2) are never decided here
             assert not {0, 1, 5, 6} & set(decided)
         else:
@@ -315,18 +321,151 @@ def test_quartic_kernel_reads_realness_off_the_certificate(monkeypatch):
     # and 1 +- 2^-10 i. Centres on the roots certify two real roots. With
     # the upper root's centre moved a fifth of the way to the axis its disk
     # straddles the axis, apart from the other disks, but its hull meets
-    # the lower disk: the row must stay undecided, not count three reals
+    # the lower disk: the row must stay undecided, not count three reals.
+    # Its coefficients near 2^24 leave the int64 pass no k >= 2, so the row
+    # reaches the per-row certificate both times
     from rootcensus import census
 
     row = (2**21, -11 * 2**20, 19 * 2**20 + 2, -13 * 2**20 - 7, 3 * 2**20 + 3)
     k, y = 40, 2**30
     want = census._stats(IntPolynomial(row), CensusSpec(n=4, height=2, counters=("A*", "B*", "D*")))
     assert want["r"] == 2
+    calls = []
     for b, stats in ((y, want), (4 * y // 5, None)):
         centres = [(1 << k - 1, 0, k), (3 << k, 0, k), (1 << k, b, k), (1 << k, -y, k)]
-        monkeypatch.setattr(census, "_float_centres", lambda z, bits: centres)
+        monkeypatch.setattr(census, "_float_centres", lambda z, bits: calls.append(bits) or centres)
         states, table = census._vec_profile(_quartic_columns([row]))
         assert table[states[0]] == stats, b
+    assert calls == [53, 53]
+
+
+def _per_row_state(row, z):
+    """The state of a quartic row from its proposed roots z rounded to 53
+    bits, by roots._certified and the extreme runs of classify._runs, as
+    _vec_profile4 decides a row the int64 pass leaves; 0 when undecided."""
+    from rootcensus import census
+    from rootcensus.classify import _modulus_units, _runs
+    from rootcensus.roots import _certified, _float_centres
+
+    got = _certified([(list(row), 1, _float_centres(list(z), 53))], 0)
+    if got is None:
+        return 0
+    disks, _, mults, reals = got
+    runs = _runs(_modulus_units(disks, mults, reals))
+    if runs[0].size == runs[-1].size == 1:
+        return census._certified_state(runs[-1].mult, runs[0].mult, sum(reals))
+    return 0
+
+
+def _guard_holds(row, z, k):
+    """The overflow guard of the int64 pass, 2 (n + 1) H mu^n < 2^63, in
+    exact integers: H the row's largest |coefficient|, mu the largest of
+    2^k and the moduli of the centres z rounded at k bits."""
+    a, b = (np.rint(part * 2.0**k).astype(np.int64).tolist() for part in (z.real, z.imag))
+    mu2 = max(4**k, *(x * x + y * y for x, y in zip(a, b)))
+    return (2 * len(row) * max(map(abs, row))) ** 2 * mu2 ** (len(row) - 1) < 2**126
+
+
+def test_int64_pass_matches_the_per_row_certificate():
+    # every row the int64 pass decides, at the block's k and at the largest
+    # k its guard admits, gets the state the per-row certificate gives it
+    # from the same roots and the table entry of its _stats; one k further
+    # the guard holds for none of them, and the pass decides none. Of the
+    # near ties, exact ties and repeated roots never pass, and the row with
+    # a coefficient 2^40 is beyond the guard already
+    from rootcensus import census
+
+    spec = CensusSpec(n=4, height=3, counters=("A*", "B*", "D*"))
+    table = census._vec_profile4(*_quartic_columns(_NEAR_TIES))[1]
+    never = {_NEAR_TIES[i] for i in (0, 1, 2, 5)}
+    for rows, least in ((_quartic_sample(), 600), (_NEAR_TIES, 2)):
+        rows = [r for r in rows if r[-1] and (r[1] or r[3])]
+        z = np.array([np.roots(r) for r in rows])
+        states = census._vec_certify(_quartic_columns(rows), z, 12)
+        decided = np.flatnonzero(states).tolist()
+        assert len(decided) >= least and not never & {rows[i] for i in decided}
+        edge = []
+        for i in decided:
+            stats = census._stats(IntPolynomial(rows[i]), spec)
+            assert table[states[i]] == tuple(stats[s] for s in ("kmax", "kmin", "r", "rd", "nd")), rows[i]
+            assert states[i] == _per_row_state(rows[i], z[i]), rows[i]
+            k = max(k for k in range(2, 20) if _guard_holds(rows[i], z[i], k))
+            assert not _guard_holds(rows[i], z[i], k + 1)
+            edge.append((k, i))
+        for k, group in itertools.groupby(sorted(edge), key=lambda e: e[0]):
+            sel = [i for _, i in group]
+            cols = _quartic_columns([rows[i] for i in sel])
+            assert (census._vec_certify(cols, z[sel], k) == states[sel]).all(), k
+            assert not census._vec_certify(cols, z[sel], k + 1).any(), k
+
+
+def test_int64_pass_leaves_a_straddling_pair_undecided():
+    # (16X^2 - 32X + 17)(2X - 1)(X - 3) has the roots 1/2, 3 and 1 +- i/4.
+    # Centres on the roots are decided: two real roots. With a centre of the
+    # pair moved to 1 + i/64, or both to 1 +- i/64, a disk straddles the
+    # axis, and the pass leaves the row, never counting it as real
+    from rootcensus import census
+
+    row = (32, -176, 306, -215, 51)
+    cols = _quartic_columns([row])
+    want = census._stats(IntPolynomial(row), CensusSpec(n=4, height=306, counters=("A*", "B*", "D*")))
+    assert (want["r"], want["kmax"], want["kmin"]) == (2, 1, 1)
+    roots = np.array([[0.5, 3, 1 + 0.25j, 1 - 0.25j]])
+    states = census._vec_certify(cols, roots, 6)
+    assert states[0] == census._certified_state(1, 1, 2)
+    for moved in ([0.5, 3, 1 + 1j / 64, 1 - 0.25j], [0.5, 3, 1 + 1j / 64, 1 - 1j / 64]):
+        assert census._vec_certify(cols, np.array([moved]), 6)[0] == 0, moved
+
+
+def test_int64_pass_widens_int32_columns_and_skips_object_columns(monkeypatch):
+    # _blocks gives int32 columns up to H = 79. There the pass takes k = 7,
+    # and a constant term 79 shifted by 4k bits wraps in int32, so the pass
+    # must widen the columns first: it alone decides these rows, and right.
+    # Object columns, with values at or above 2^62, leave the pass no k:
+    # every row goes to the per-row certificate, without an error
+    from rootcensus import census
+
+    assert _column_types(4, 79)[0] == np.int32
+    assert (np.array([79], dtype=np.int32) << 28)[0] != 79 << 28
+    passes, per_row = [], []
+    vec_certify, float_centres = census._vec_certify, census._float_centres
+    monkeypatch.setattr(census, "_vec_certify", lambda c, z, k: passes.append(k) or vec_certify(c, z, k))
+    monkeypatch.setattr(census, "_float_centres", lambda z, bits: per_row.append(z) or float_centres(z, bits))
+    rows = [(3, 1, -79, 2, 79), (2, 79, 0, 79, -79), (1, -2, 3, 79, 79), (1, 0, 0, 2, -79), (-5, 0, 1, 9, 79)]
+    spec = CensusSpec(n=4, height=79, counters=("A*", "B*", "D*"))
+    states, table = census._vec_profile([np.array(col, dtype=np.int32) for col in zip(*rows)])
+    assert passes == [7] and per_row == []
+    for i, row in enumerate(rows):
+        assert table[states[i]] == census._stats(IntPolynomial(row), spec), row
+    big = [(1, 0, 0, 2**62, 1), (2**62, 1, 0, 0, -3), (1, 1, 0, 1, 1), (1, 0, 2, 0, 1)]
+    cols = _quartic_columns(big)
+    assert cols[0].dtype == object
+    passes.clear()
+    states, table = census._vec_profile(cols)
+    assert passes == [] and len(per_row) == 3
+    for i in np.flatnonzero(states):
+        assert table[states[i]] == census._stats(IntPolynomial(big[i]), spec), big[i]
+
+
+def test_radius_bound_is_above_the_exact_radius():
+    # the double radius of the int64 pass bounds _certify's exact
+    # ceil(sqrt(ceil(n^2 |G|^2 / |D|^2))) from above, also where the
+    # doubles round G down (2^62 + 511 to 2^62) or divide by D = 1
+    from rootcensus import census
+    from rootcensus.roots import _ceil_sqrt
+
+    rng = random.Random(7)
+    top = 2**63 - 1
+    vals = [(2**62 + 511, 0, 1, 0), (-(2**62) - 511, 2**40 + 1, 0, -1), (top, top, 1, 1), (5, 0, 0, 3)]
+    vals += [tuple(rng.randint(-(2**rng.randint(1, 62)), 2**62) for _ in range(4)) for _ in range(2000)]
+    gr, gi, dr, di = (np.array(col, dtype=np.int64) for col in zip(*vals))
+    for n in (4, 5):
+        got = census._radius_bound(n, gr, gi, dr, di)
+        for (a, b, c, d), r in zip(vals, got.tolist()):
+            d2 = c * c + d * d
+            if d2:
+                exact = _ceil_sqrt(-(-n * n * (a * a + b * b) // d2))
+                assert exact <= r <= exact * (1 + 2**-38) + 2, (a, b, c, d)
 
 
 def test_vector_engine_decides_rows_without_scalar_kernels(monkeypatch):

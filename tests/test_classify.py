@@ -226,6 +226,19 @@ def test_mod2_is_exact_on_dyadic_disks():
     assert classify._mod2(-2, 0, 0) == (4, 4)
 
 
+def test_mod2_on_int64_columns_matches_integers():
+    # the int64 pass of the n = 4 census kernel reads the enclosures of
+    # whole columns, with a ceil sqrt from doubles corrected by one: each
+    # entry is the enclosure of the Python integers, perfect squares,
+    # their neighbours and disks around 0 included
+    rng = random.Random(11)
+    disks = [(3, 4, 1), (2, 2, 1), (1, -1, 2), (-2, 0, 0), (0, 0, 5), (2**24, 2**24 - 1, 2**29)]
+    disks += [(m, 0, k) for m in (2**25 - 1, 2**25, 2**25 + 1) for k in (0, 1, m)]
+    disks += [(rng.randint(-2**24, 2**24), rng.randint(-2**24, 2**24), rng.randint(0, 2**29)) for _ in range(3000)]
+    lo, hi = classify._mod2(*(np.array(col, dtype=np.int64) for col in zip(*disks)))
+    assert list(zip(lo.tolist(), hi.tolist())) == [classify._mod2(*d) for d in disks]
+
+
 def test_low_degree_kernels_match_general_path():
     # the kernels take a nonzero constant term; modulus_profile splits zero
     # roots off before it calls them, on either path, and both paths agree

@@ -25,7 +25,9 @@ from rootcensus.roots import (
     CertifiedRootSet,
     RootDisk,
     _FUJIWARA_BITS,
+    _apart,
     _certified,
+    _disjoint,
     _dyadic_disks,
     _float_centres,
     _modulus_bounds,
@@ -174,6 +176,19 @@ def test_conjugate_disks_are_exact_mirrors_seeded():
             for d in sets.disks:
                 if not d.is_real:
                     assert (d.center_re, -d.center_im, d.radius, d.multiplicity) in keys, f.coeffs
+
+
+def test_apart_on_integers_and_int64_columns():
+    # one disk test for Python integers and whole int64 columns: tangent
+    # disks meet, and _disjoint asks it of every pair
+    pairs = [((0, 0, 1), (3, 4, 4)), ((0, 0, 1), (3, 4, 3)), ((-2, 1, 0), (-2, 1, 0)), ((5, -1, 2), (0, 0, 2))]
+    want = [False, True, False, True]
+    assert [_apart(p, q) for p, q in pairs] == want
+    cols = [np.array(col, dtype=np.int64) for col in zip(*(p for p, _ in pairs))]
+    other = [np.array(col, dtype=np.int64) for col in zip(*(q for _, q in pairs))]
+    assert _apart(cols, other).tolist() == want
+    assert _disjoint([pairs[1][0], pairs[1][1], (9, 9, 1)])
+    assert not _disjoint([pairs[1][0], (9, 9, 1), pairs[0][1]])
 
 
 def test_realness_by_the_symmetric_hull():
