@@ -22,12 +22,12 @@ The vector engine, for n in {2, 3, 4} up to a height cap per degree
 (VECTOR_HEIGHT_CAPS), decides whole open-grid blocks of int32 or int64
 columns over broadcast numpy arrays (_vec_profile: the exact integer
 decision trees of the low-degree kernels at n in {2, 3}, disc = 0 and
-repeated roots in closed form; at n = 4 certified disks around the
-eigenvalues, which alone give the real roots and squarefreeness), giving
+repeated roots in closed form; at n = 4 f(X^2) in closed form, else
+certified eigenvalue disks, with ties decided by a Sturm count), giving
 each row one uint8 state and a short table from state to statistics;
 it counts a block's states with one np.bincount and labels each state
 that occurs once. The rows left in state 0, undecided (on the n=4 H=2
-box 220 of 2,500), go through classify_pipeline.
+box 32 of 2,500, each with disc = 0), go through classify_pipeline.
 """
 
 from __future__ import annotations
@@ -59,16 +59,18 @@ from .classify import (
     DEFAULT_PRIME_BOUND,
     _distinct_signature,
     _double_root_order,
+    _extremes_split,
     _mod2,
     _modulus_units,
     _runs,
+    _tie_chain,
     factorize,
     modulus_profile,
     root_signature,
     sn_certificate,
 )
 from .intpoly import IntPolynomial, disc2, disc3
-from .roots import _apart, _certified, _float_centres, _horner
+from .roots import _apart, _horner
 
 __all__ = [
     "CensusSpec",
@@ -489,9 +491,9 @@ def _tally_scalar(spec: CensusSpec, leads: Sequence[int], table: CounterTable) -
 # for states no row takes. A disc = 0 row of degree <= 3 is decided in
 # closed form: its roots are real, a double root (and a simple one) or a
 # triple root. _vec_profile restates every row with a_n = 0, so a kernel
-# may assume a nonzero constant term. The n = 4 kernel certifies the rows
-# in int64 over the block where a guard allows (_vec_certify), then the rest
-# one by one (roots._certified); what is left goes to classify_pipeline
+# may assume a nonzero constant term. The n = 4 kernel decides f(X^2) rows
+# in closed form and certifies the rest in int64 where a guard allows
+# (_vec_certify), ties by a Sturm count; what is left goes to classify_pipeline
 
 
 def _case(key):
@@ -539,8 +541,8 @@ def _vec_profile3(a, b, c, d):
 
 
 def _certified_state(kmax, kmin, r):
-    """The state of a certified n = 4 row (_vec_profile4's table)."""
-    return 4 * (r // 2) + 2 * kmax + kmin - 2
+    """The state of a squarefree n = 4 row (_vec_profile4's table)."""
+    return 16 * (r // 2) + 4 * kmax + kmin - 4
 
 
 def _radius_bound(n, gr, gi, dr, di):
@@ -552,14 +554,15 @@ def _radius_bound(n, gr, gi, dr, di):
 def _vec_certify(cols, z, k):
     """The int64 pass over the columns a_0..a_n of rows with proposed roots
     z (n a row): a uint8 state per row (_certified_state), 0 where it
-    cannot decide. Centres (A + Bi) 2^-k round z. A row is taken only when
-    2 (n + 1) H mu^n < 2^63, H its largest |coefficient| and mu =
-    max(|A + Bi|, 2^k), k >= 2: every partial value of _horner on the
-    columns, widened to int64 first, then stays below it. A row is decided
-    as roots._certified and classify._runs would decide it, or stricter:
-    its radii below 2^30 (so no square overflows), its disks pairwise apart,
-    each real (b = 0) or the exact mirror image of another, and so |b| > r,
-    and both extreme modulus runs one unit."""
+    cannot decide, and the rows it certifies with a tied extreme run, with
+    their disks (A, B, r), an (n, 3) array a row. Centres (A + Bi) 2^-k
+    round z. A row is taken only when 2 (n + 1) H mu^n < 2^63, H its
+    largest |coefficient| and mu = max(|A + Bi|, 2^k), k >= 2: every partial
+    value of _horner on the columns, widened to int64 first, then stays
+    below it. A row is certified as roots._certified would certify it, or
+    stricter: its radii below 2^30 (so no square overflows), its disks
+    pairwise apart, each real (b = 0) or the exact mirror image of another,
+    and so |b| > r; it has a state when both extreme runs are one unit."""
     n = len(cols) - 1
     cs = [col.astype(np.int64)[:, None] for col in cols]
     a, b = np.rint(z.real * 2.0**k), np.rint(z.imag * 2.0**k)
@@ -581,44 +584,50 @@ def _vec_certify(cols, z, k):
     other = ~unit[:, None, :] | np.eye(n, dtype=bool)
     low = unit & ((hi[:, :, None] < lo[:, None, :]) | other).all(axis=2)
     high = unit & ((lo[:, :, None] > hi[:, None, :]) | other).all(axis=2)
-    ok &= low.any(axis=1) & high.any(axis=1)
+    single = ok & low.any(axis=1) & high.any(axis=1)
     mult = 2 - real
     got = _certified_state((mult * high).sum(axis=1), (mult * low).sum(axis=1), real.sum(axis=1))
     states = np.zeros(cols[0].size, dtype=np.uint8)
-    states[rows[ok]] = got[ok]
-    return states
+    states[rows[single]] = got[single]
+    tied = ok & ~single
+    return states, rows[tied], np.stack((a, b, r), axis=2)[tied]
 
 
 def _vec_profile4(a, b, c, d, e):
-    """Quartic rows: a row with e != 0 and b or d != 0 is decided when
-    disks around its companion eigenvalues certify and both extreme modulus
-    runs hold one unit: first in int64 over the block (_vec_certify, at the
-    k bits that keep the roots of the block's height H, of modulus at most
-    H + 1, within its guard; none when k < 2), then one by one around the
-    eigenvalues rounded to 53 bits (roots._certified,
-    classify._modulus_units, classify._runs); every other row gets state 0.
-    Four disjoint disks prove a decided row squarefree and give its real
-    roots, so its state is that of (real roots, kmax, kmin); a row with
-    disc = 0 never certifies."""
-    table = [None] + [(kmax, kmin, r, r, 4) for r in (0, 2, 4) for kmax in (1, 2) for kmin in (1, 2)]
+    """Quartic rows with e != 0. An f(X^2) row (b = d = 0) is decided in
+    closed form: a root y of g = aY^2 + cY + e gives two roots of modulus
+    |y|^(1/2), real when y > 0 and double when y is. Any other row is
+    decided when disks around its companion eigenvalues certify in int64
+    over the block (_vec_certify, at the k bits that keep the roots of the
+    block's height H, of modulus at most H + 1, within its guard; none when
+    k < 2) and each extreme modulus run is one unit or a union holding one
+    distinct root of the pair-product Sturm chain (classify._extremes_split);
+    every other row gets state 0. Four disjoint disks prove a certified row
+    squarefree and give its real roots, so its state is that of (real
+    roots, kmax, kmin); such a row with disc = 0 never certifies."""
+    ks = range(1, 5)
+    table = [None] + [(kx, kn, r, r, 4) for r in (0, 2, 4) for kx in ks for kn in ks]
+    table += [(4, 4, 4, 2, 2), (4, 4, 0, 0, 2)]  # f(X^2) with a double root of g
     states = np.zeros(np.broadcast(a, b, c, d, e).shape, dtype=np.uint8)
+    sq = np.flatnonzero(np.broadcast_to((e != 0) & (b == 0) & (d == 0), states.shape))
+    a2, _, c2, _, e2 = _rows((a, b, c, d, e), sq)
+    dg, r = disc2(a2, c2, e2), np.where(a2 * e2 < 0, 2, 4 * (a2 * c2 < 0))
+    k2 = np.where((dg > 0) & (c2 != 0), 2, 4)
+    states.flat[sq] = np.where(dg == 0, 49 + (r == 0), _certified_state(k2, k2, r * (dg > 0)))
     rows = np.flatnonzero(np.broadcast_to((e != 0) & ((b != 0) | (d != 0)), states.shape))
     cols = a, b, c, d, e = _rows((a, b, c, d, e), rows)
+    h = max(int(np.abs(col).max(initial=0)) for col in cols)
+    k = (63 - (10 * h * (h + 1) ** 4).bit_length()) // 4
+    if k < 2:
+        return states, table
     comp = np.zeros((rows.size, 4, 4))
     comp[:, 0, :] = -np.stack(cols[1:], axis=1) / a[:, None]
     comp[:, [1, 2, 3], [0, 1, 2]] = 1
-    eig = np.linalg.eigvals(comp)
-    h = max(int(np.abs(col).max(initial=0)) for col in cols)
-    k = (63 - (10 * h * (h + 1) ** 4).bit_length()) // 4
-    got = _vec_certify(cols, eig, k) if k >= 2 else np.zeros(rows.size, dtype=np.uint8)
-    left = np.flatnonzero(got == 0)
-    for i, coeffs, z in zip(left.tolist(), np.stack(cols, axis=1)[left].tolist(), eig[left].tolist()):
-        cert = _certified([(coeffs, 1, _float_centres(z, 53))], 0)
-        if cert is None:
-            continue
-        disks, _, mults, reals = cert
-        runs = _runs(_modulus_units(disks, mults, reals))
-        if runs[0].size == runs[-1].size == 1:
+    got, tied, disks = _vec_certify(cols, np.linalg.eigvals(comp), k)
+    for i, coeffs, dk in zip(tied.tolist(), np.stack(cols, axis=1)[tied].tolist(), disks.tolist()):
+        reals = [y == 0 for _, y, _ in dk]
+        runs = _runs(_modulus_units(dk, [1] * 4, reals))
+        if _extremes_split(runs, -2 * k, _tie_chain(IntPolynomial(coeffs))):
             got[i] = _certified_state(runs[-1].mult, runs[0].mult, sum(reals))
     states.flat[rows] = got
     return states, table

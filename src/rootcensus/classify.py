@@ -270,14 +270,11 @@ def _profile_certified(f: IntPolynomial) -> ModulusProfile:
         # holds one distinct root of S is one modulus group; refining
         # splits the rest, as distinct roots of S are separated
         decision = "EXACT"
-        chain = sturm_chain(squarefree_part(_pair_products(f, distinct=False)))
+        chain = _tie_chain(f)
         # correct input stays far below this bound (X^5 - 2^40 X + 1
         # needs one refine, to 228 bits); point disks cannot refine
         cap = max(_DEFAULT_CAP, 8 * rs.precision_bits)
-        while any(
-            run.size > 1 and chain.roots_in(_dyadic(run.lo2, e), _dyadic(run.hi2, e)) != 1
-            for run in (runs[0], runs[-1])
-        ):
+        while not _extremes_split(runs, e, chain):
             radius = rs.max_radius()
             if radius == 0 or rs.precision_bits > cap:
                 raise PrecisionCapExceeded(
@@ -287,6 +284,20 @@ def _profile_certified(f: IntPolynomial) -> ModulusProfile:
             runs, e = _disk_runs(rs)
     kmax, kmin = runs[-1].mult, runs[0].mult
     return ModulusProfile(kmax, kmin, kmax == 1, decision)
+
+
+def _tie_chain(f: IntPolynomial):
+    """The Sturm chain of squarefree S = _pair_products(f, distinct=False):
+    each squared modulus of a root of f, f(0) != 0, is a root of S."""
+    return sturm_chain(squarefree_part(_pair_products(f, distinct=False)))
+
+
+def _extremes_split(runs: List["_Run"], e: int, chain) -> bool:
+    """Whether both extreme runs are modulus groups: one unit, or a union
+    [lo2 2^e, hi2 2^e] holding exactly one distinct root of chain
+    (_tie_chain), the squared modulus all its units then share."""
+    return all(run.size == 1 or chain.roots_in(_dyadic(run.lo2, e), _dyadic(run.hi2, e)) == 1
+               for run in (runs[0], runs[-1]))
 
 
 def _mod2(a, b, k):
@@ -309,9 +320,9 @@ def _modulus_units(
     multiplicities and real flags: the disks certified to share one
     modulus, as (lo2, hi2, mult) with the exact enclosure of the squared
     modulus at that scale (_mod2). A unit is a real disk or a conjugate
-    pair, read from its upper disk (both isolate_roots and
-    roots._certified make the disks of a pair exact mirror images with
-    one multiplicity)."""
+    pair, read from its upper disk (isolate_roots, roots._certified and
+    the int64 pass of the n = 4 census make the disks of a pair exact
+    mirror images with one multiplicity)."""
     return [
         (*_mod2(a, b, k), mult * (1 if real else 2))
         for (a, b, k), mult, real in zip(disks, mults, reals)

@@ -13,8 +13,8 @@ is computed once per polynomial and stored on it, so refine and the
 signatures in classify reuse it.
 Each factor goes through one certification rung: centres are proposed
 at the bits of its ladder step (_propose), and one exact integer routine
-certifies them (_certified, which the n = 4 census also calls on
-centres it proposes itself):
+certifies them (_certified, whose _horner and _apart the n = 4 census
+also runs over int64 columns):
 
 - a linear factor's centre is its root -c1/c0 rounded to the step's
   bits; for higher degrees, Aberth-Ehrlich simultaneous iteration in

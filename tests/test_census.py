@@ -9,6 +9,7 @@ the same table byte for byte.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -17,6 +18,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rootcensus.census import (
     CensusSpec,
@@ -232,6 +235,10 @@ _NEAR_TIES = [
 ]
 
 
+# the statistics of a row, in the order of the kernels' table entries
+_STATS = ("kmax", "kmin", "r", "rd", "nd")
+
+
 def _quartic_sample():
     """800 seeded rows of the full n = 4 H = 3 box."""
     return random.Random(4).sample([tuple(f.coeffs) for f in _box(4, 3, False)], 800)
@@ -249,8 +256,9 @@ def test_quartic_batch_rows_match_classify_pipeline():
         states, table = census._vec_profile(_quartic_columns(rows))
         decided = np.flatnonzero(states).tolist()
         if rows is _NEAR_TIES:
-            # exact ties, a repeated root and f(X^2) are never decided here
-            assert not {0, 1, 5, 6} & set(decided)
+            # the 2^40 coefficient leaves the block no int64 pass, so only
+            # the f(X^2) row is decided, in closed form
+            assert decided == [6]
         else:
             assert len(decided) > len(rows) * 3 // 4
             zero_root = {i for i, r in enumerate(rows) if r[-1] == 0}
@@ -280,9 +288,10 @@ def test_every_row_state_names_the_row_statistics(n, height):
 
 
 def test_quartic_fall_back_rows_have_no_zero_root(monkeypatch):
-    # on the n = 4 H = 2 box the vector engine leaves 220 rows to the
-    # scalar pipeline (f(X^2) 80, failed certificates 32, all with disc
-    # = 0, and extreme-run overlap 108) and decides every row with a_4 = 0
+    # on the n = 4 H = 2 box the vector engine leaves 32 rows to the
+    # scalar pipeline, the failed certificates, all with disc = 0 (the
+    # f(X^2) rows are decided in closed form and the rows with a tied
+    # extreme run by the tie step), and decides every row with a_4 = 0
     # itself
     from rootcensus import census
 
@@ -297,52 +306,174 @@ def test_quartic_fall_back_rows_have_no_zero_root(monkeypatch):
     monkeypatch.setattr(census, "_classify_into", spy)
     table = run_census(CensusSpec(n=4, height=2, counters=("A*",), engine="vector"))
     assert table.totals == 2500
-    assert len(seen) == 220
+    assert len(seen) == 32
     assert not any(f.coeffs[-1] == 0 for f in seen)
 
 
 def test_quartic_rows_with_a_repeated_root_never_certify():
     # the n = 4 kernel has no discriminant: four disjoint certified disks
     # prove a row squarefree, so every row of the n = 4 H = 2 box with
-    # disc = 0 stays undecided, the 32 that reach certification included
+    # disc = 0 that is not of f(X^2) shape stays undecided, the 32 that
+    # reach certification included; an f(X^2) row with a_4 != 0 and disc
+    # = 0, where g = aY^2 + cY + e has a double root, gets a closed-form
+    # state with two distinct roots
     from rootcensus import census
     from rootcensus.intpoly import discriminant
 
+    spec = CensusSpec(n=4, height=2, counters=("A*", "B*", "D*"))
     rows = [tuple(f.coeffs) for f in _box(4, 2, False)]
-    states, _ = census._vec_profile4(*_quartic_columns(rows))
+    states, table = census._vec_profile4(*_quartic_columns(rows))
     repeated = [i for i, r in enumerate(rows) if discriminant(IntPolynomial(r)) == 0]
+    even = [i for i in repeated if rows[i][-1] and not (rows[i][1] or rows[i][3])]
     tried = [i for i in repeated if rows[i][-1] and (rows[i][1] or rows[i][3])]
-    assert len(tried) == 32
-    assert not states[repeated].any()
+    assert len(tried) == 32 and even
+    assert not states[sorted(set(repeated) - set(even))].any()
+    for i in even:
+        want = census._stats(IntPolynomial(rows[i]), spec)
+        assert want["nd"] == 2 and table[states[i]] == tuple(want[s] for s in _STATS), rows[i]
 
 
-def test_quartic_kernel_reads_realness_off_the_certificate(monkeypatch):
-    # (2^20 X^2 - 2^21 X + 2^20 + 1)(2X - 1)(X - 3) has the roots 1/2, 3
-    # and 1 +- 2^-10 i. Centres on the roots certify two real roots. With
-    # the upper root's centre moved a fifth of the way to the axis its disk
-    # straddles the axis, apart from the other disks, but its hull meets
-    # the lower disk: the row must stay undecided, not count three reals.
-    # Its coefficients near 2^24 leave the int64 pass no k >= 2, so the row
-    # reaches the per-row certificate both times
+@pytest.mark.parametrize("dtype", [np.int32, np.int64, object], ids=["int32", "int64", "object"])
+def test_quartic_f_of_x_squared_rows_in_closed_form(monkeypatch, dtype):
+    # an f(X^2) row with a_4 != 0 is decided from g = aY^2 + cY + e alone,
+    # in each of the seven cases of the sign of disc(g), c, ae and ac, and
+    # for -f alike; the int64 pass sees none of these rows
     from rootcensus import census
 
-    row = (2**21, -11 * 2**20, 19 * 2**20 + 2, -13 * 2**20 - 7, 3 * 2**20 + 3)
-    k, y = 40, 2**30
-    want = census._stats(IntPolynomial(row), CensusSpec(n=4, height=2, counters=("A*", "B*", "D*")))
-    assert want["r"] == 2
-    calls = []
-    for b, stats in ((y, want), (4 * y // 5, None)):
-        centres = [(1 << k - 1, 0, k), (3 << k, 0, k), (1 << k, b, k), (1 << k, -y, k)]
-        monkeypatch.setattr(census, "_float_centres", lambda z, bits: calls.append(bits) or centres)
-        states, table = census._vec_profile(_quartic_columns([row]))
-        assert table[states[0]] == stats, b
-    assert calls == [53, 53]
+    cases = {
+        (1, 0, 0, 0, 1): (4, 4, 0, 0, 4),  # X^4 + 1: disc(g) < 0
+        (1, 0, -2, 0, 1): (4, 4, 4, 2, 2),  # (X^2 - 1)^2: disc(g) = 0, ac < 0
+        (1, 0, 2, 0, 1): (4, 4, 0, 0, 2),  # (X^2 + 1)^2: disc(g) = 0, ac > 0
+        (1, 0, 0, 0, -2): (4, 4, 2, 2, 4),  # X^4 - 2: disc(g) > 0, c = 0
+        (1, 0, 1, 0, -2): (2, 2, 2, 2, 4),  # X^4 + X^2 - 2: ae < 0
+        (1, 0, -3, 0, 2): (2, 2, 4, 4, 4),  # X^4 - 3X^2 + 2: ae > 0, ac < 0
+        (1, 0, 3, 0, 2): (2, 2, 0, 0, 4),  # X^4 + 3X^2 + 2: ae > 0, ac > 0
+    }
+    rows = [(tuple(sign * x for x in row), want) for row, want in cases.items() for sign in (1, -1)]
+    passed = []
+    vec_certify = census._vec_certify
+    monkeypatch.setattr(census, "_vec_certify", lambda c, z, k: passed.append(c[0].size) or vec_certify(c, z, k))
+    spec = CensusSpec(n=4, height=3, counters=("A*", "B*", "D*"))
+    states, table = census._vec_profile4(*(np.array(col, dtype=dtype) for col in zip(*(r for r, _ in rows))))
+    assert sum(passed) == 0
+    for (row, want), state in zip(rows, states.tolist()):
+        stats = census._stats(IntPolynomial(row), spec)
+        assert table[state] == tuple(stats[s] for s in _STATS) == want, row
+
+
+def test_quartic_state_table_encodes_each_state():
+    # _certified_state numbers the squarefree states 1..48 once each, and
+    # each is the table entry of the (kmax, kmin, r) it encodes; the two
+    # f(X^2) states with a double root of g follow
+    from rootcensus import census
+
+    table = census._vec_profile4(*_quartic_columns([(1, 0, 0, 0, 1)]))[1]
+    encoded = {census._certified_state(kmax, kmin, r): (kmax, kmin, r)
+               for r in (0, 2, 4) for kmax in range(1, 5) for kmin in range(1, 5)}
+    assert sorted(encoded) == list(range(1, 49)) and table[0] is None
+    for state, (kmax, kmin, r) in encoded.items():
+        assert table[state] == (kmax, kmin, r, r, 4), state
+    assert table[49:] == [(4, 4, 4, 2, 2), (4, 4, 0, 0, 2)]
+
+
+# exact ties the tie step decides, with the (kmax, kmin) they must get
+_TIES = {
+    (1, 1, 1, 1, 1): (4, 4),  # Phi_5: four roots of modulus 1
+    (1, -2, 0, -1, 2): (1, 3),  # (X - 2)(X^3 - 1)
+    (2, 2, 0, 1, 1): (1, 3),  # (X + 1)(2X^3 + 1)
+    (1, 1, -1, -2, -2): (2, 2),  # (X^2 - 2)(X^2 + X + 1)
+    (1, 1, 0, -2, -4): (4, 4),  # (X^2 - 2)(X^2 + X + 2)
+}
+
+
+def test_tie_step_rows_get_their_statistics(monkeypatch):
+    # on the full n = 4 boxes with H <= 3, every row the tie step decides
+    # gets the table entry of its _stats; at H = 2 it decides all 108 rows
+    # the int64 pass certifies with a tied extreme run. So it does the
+    # named exact ties, while a row beyond the pass's guard and a row with
+    # repeated roots, whose disks never certify, stay in state 0
+    from rootcensus import census
+
+    # the rows the int64 pass certifies with a tied extreme run
+    tied = []
+    vec_certify = census._vec_certify
+
+    def spy(cols, z, k):
+        got = vec_certify(cols, z, k)
+        tied.extend(map(tuple, np.stack(cols, axis=1)[got[1]].tolist()))
+        return got
+
+    monkeypatch.setattr(census, "_vec_certify", spy)
+    counts = {}
+    for height in (1, 2, 3):
+        spec = CensusSpec(n=4, height=height, counters=("A*", "B*", "D*"))
+        decided = 0
+        for unit in make_work_units(spec):
+            for cols in census._blocks(spec, unit.leads):
+                tied.clear()
+                states, table = census._vec_profile(cols)
+                rows = np.stack(np.broadcast_arrays(*cols), axis=-1).reshape(-1, 5).tolist()
+                state = dict(zip(map(tuple, rows), states.tolist()))
+                for row in tied:
+                    if state[row]:
+                        decided += 1
+                        assert table[state[row]] == census._stats(IntPolynomial(row), spec), row
+        counts[height] = decided
+    assert counts[2] == 108 and counts[3] > counts[2] > counts[1] > 0
+    tied.clear()
+    states, table = census._vec_profile4(*_quartic_columns(list(_TIES)))
+    assert tied == list(_TIES)
+    spec = CensusSpec(n=4, height=4, counters=("A*", "B*", "D*"))
+    for (row, kk), state in zip(_TIES.items(), states.tolist()):
+        want = census._stats(IntPolynomial(row), spec)
+        assert table[state] == tuple(want[s] for s in _STATS) and table[state][:2] == kk, row
+    for row in (_NEAR_TIES[2], _NEAR_TIES[5]):
+        assert census._vec_profile4(*_quartic_columns([row]))[0][0] == 0, row
+
+
+def _times(f, g):
+    """The coefficients of the product of two polynomials."""
+    out = [0] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+_CYCLOTOMIC = {1: [(1, -1), (1, 1)], 2: [(1, 1, 1), (1, 0, 1), (1, -1, 1)],
+               4: [(1, 1, 1, 1, 1), (1, 0, 0, 0, 1), (1, -1, 1, -1, 1), (1, 0, -1, 0, 1)]}
+_small, _nonzero = st.integers(-4, 4), st.integers(-4, 4).filter(bool)
+# quartics whose roots are forced into modulus ties: an opposite pair or a
+# pair on one circle, times a quadratic; a root times three of one modulus;
+# two quadratics with one product of roots; products of cyclotomic factors
+_TIE_FAMILIES = st.one_of(
+    st.builds(lambda b, d, q: _times((b, 0, d), q), _nonzero, _nonzero, st.tuples(_nonzero, _small, _small)),
+    st.builds(lambda p, q, u, w: _times((p, q), (u, 0, 0, w)), _nonzero, _small, _nonzero, _nonzero),
+    st.builds(lambda p, q, m: _times((1, p, m), (1, q, m)), _small, _small, _nonzero),
+    st.lists(st.sampled_from((1, 2, 4)), min_size=1, max_size=4)
+    .filter(lambda degs: sum(degs) == 4)
+    .flatmap(lambda degs: st.tuples(*(st.sampled_from(_CYCLOTOMIC[d]) for d in degs)))
+    .map(lambda fs: functools.reduce(_times, fs)),
+)
+
+
+@given(st.lists(_TIE_FAMILIES, min_size=1, max_size=6))
+def test_exact_tie_families_get_their_statistics(rows):
+    # every row of the tie families that _vec_profile decides, by the int64
+    # pass, the tie step or a closed form, gets the table entry of its _stats
+    from rootcensus import census
+
+    spec = CensusSpec(n=4, height=4, counters=("A*", "B*", "D*"))
+    states, table = census._vec_profile(_quartic_columns(rows))
+    for i in np.flatnonzero(states).tolist():
+        assert table[states[i]] == census._stats(IntPolynomial(rows[i]), spec), rows[i]
 
 
 def _per_row_state(row, z):
     """The state of a quartic row from its proposed roots z rounded to 53
     bits, by roots._certified and the extreme runs of classify._runs, as
-    _vec_profile4 decides a row the int64 pass leaves; 0 when undecided."""
+    the int64 pass decides a row with one-unit extreme runs; 0 when
+    undecided."""
     from rootcensus import census
     from rootcensus.classify import _modulus_units, _runs
     from rootcensus.roots import _certified, _float_centres
@@ -367,12 +498,13 @@ def _guard_holds(row, z, k):
 
 
 def test_int64_pass_matches_the_per_row_certificate():
-    # every row the int64 pass decides, at the block's k and at the largest
-    # k its guard admits, gets the state the per-row certificate gives it
-    # from the same roots and the table entry of its _stats; one k further
-    # the guard holds for none of them, and the pass decides none. Of the
-    # near ties, exact ties and repeated roots never pass, and the row with
-    # a coefficient 2^40 is beyond the guard already
+    # every row the int64 pass gives a state, at the block's k and at the
+    # largest k its guard admits, gets the state the per-row certificate
+    # gives it from the same roots and the table entry of its _stats; one k
+    # further the guard holds for none of them, and the pass decides none.
+    # Of the near ties, the exact ties certify with a tied extreme run and
+    # get no state here, repeated roots never certify, and the row with a
+    # coefficient 2^40 is beyond the guard already
     from rootcensus import census
 
     spec = CensusSpec(n=4, height=3, counters=("A*", "B*", "D*"))
@@ -381,13 +513,18 @@ def test_int64_pass_matches_the_per_row_certificate():
     for rows, least in ((_quartic_sample(), 600), (_NEAR_TIES, 2)):
         rows = [r for r in rows if r[-1] and (r[1] or r[3])]
         z = np.array([np.roots(r) for r in rows])
-        states = census._vec_certify(_quartic_columns(rows), z, 12)
+        states, tied, _ = census._vec_certify(_quartic_columns(rows), z, 12)
         decided = np.flatnonzero(states).tolist()
         assert len(decided) >= least and not never & {rows[i] for i in decided}
+        assert not set(decided) & set(tied.tolist())
+        if rows is not _NEAR_TIES:
+            assert tied.size
+        else:
+            assert {rows[i] for i in tied.tolist()} == {_NEAR_TIES[0], _NEAR_TIES[1]}
         edge = []
         for i in decided:
             stats = census._stats(IntPolynomial(rows[i]), spec)
-            assert table[states[i]] == tuple(stats[s] for s in ("kmax", "kmin", "r", "rd", "nd")), rows[i]
+            assert table[states[i]] == tuple(stats[s] for s in _STATS), rows[i]
             assert states[i] == _per_row_state(rows[i], z[i]), rows[i]
             k = max(k for k in range(2, 20) if _guard_holds(rows[i], z[i], k))
             assert not _guard_holds(rows[i], z[i], k + 1)
@@ -395,8 +532,9 @@ def test_int64_pass_matches_the_per_row_certificate():
         for k, group in itertools.groupby(sorted(edge), key=lambda e: e[0]):
             sel = [i for _, i in group]
             cols = _quartic_columns([rows[i] for i in sel])
-            assert (census._vec_certify(cols, z[sel], k) == states[sel]).all(), k
-            assert not census._vec_certify(cols, z[sel], k + 1).any(), k
+            assert (census._vec_certify(cols, z[sel], k)[0] == states[sel]).all(), k
+            above, tied, _ = census._vec_certify(cols, z[sel], k + 1)
+            assert not above.any() and not tied.size, k
 
 
 def test_int64_pass_leaves_a_straddling_pair_undecided():
@@ -411,10 +549,11 @@ def test_int64_pass_leaves_a_straddling_pair_undecided():
     want = census._stats(IntPolynomial(row), CensusSpec(n=4, height=306, counters=("A*", "B*", "D*")))
     assert (want["r"], want["kmax"], want["kmin"]) == (2, 1, 1)
     roots = np.array([[0.5, 3, 1 + 0.25j, 1 - 0.25j]])
-    states = census._vec_certify(cols, roots, 6)
-    assert states[0] == census._certified_state(1, 1, 2)
+    states, tied, _ = census._vec_certify(cols, roots, 6)
+    assert states[0] == census._certified_state(1, 1, 2) and not tied.size
     for moved in ([0.5, 3, 1 + 1j / 64, 1 - 0.25j], [0.5, 3, 1 + 1j / 64, 1 - 1j / 64]):
-        assert census._vec_certify(cols, np.array([moved]), 6)[0] == 0, moved
+        states, tied, _ = census._vec_certify(cols, np.array([moved]), 6)
+        assert states[0] == 0 and not tied.size, moved
 
 
 def test_int64_pass_widens_int32_columns_and_skips_object_columns(monkeypatch):
@@ -422,19 +561,20 @@ def test_int64_pass_widens_int32_columns_and_skips_object_columns(monkeypatch):
     # and a constant term 79 shifted by 4k bits wraps in int32, so the pass
     # must widen the columns first: it alone decides these rows, and right.
     # Object columns, with values at or above 2^62, leave the pass no k:
-    # every row goes to the per-row certificate, without an error
+    # the f(X^2) row is decided in closed form, and the others reach
+    # classify_pipeline, without an error, and are tallied as the scalar
+    # engine tallies them
     from rootcensus import census
 
     assert _column_types(4, 79)[0] == np.int32
     assert (np.array([79], dtype=np.int32) << 28)[0] != 79 << 28
-    passes, per_row = [], []
-    vec_certify, float_centres = census._vec_certify, census._float_centres
+    passes, seen = [], []
+    vec_certify, classify_into = census._vec_certify, census._classify_into
     monkeypatch.setattr(census, "_vec_certify", lambda c, z, k: passes.append(k) or vec_certify(c, z, k))
-    monkeypatch.setattr(census, "_float_centres", lambda z, bits: per_row.append(z) or float_centres(z, bits))
     rows = [(3, 1, -79, 2, 79), (2, 79, 0, 79, -79), (1, -2, 3, 79, 79), (1, 0, 0, 2, -79), (-5, 0, 1, 9, 79)]
     spec = CensusSpec(n=4, height=79, counters=("A*", "B*", "D*"))
     states, table = census._vec_profile([np.array(col, dtype=np.int32) for col in zip(*rows)])
-    assert passes == [7] and per_row == []
+    assert passes == [7]
     for i, row in enumerate(rows):
         assert table[states[i]] == census._stats(IntPolynomial(row), spec), row
     big = [(1, 0, 0, 2**62, 1), (2**62, 1, 0, 0, -3), (1, 1, 0, 1, 1), (1, 0, 2, 0, 1)]
@@ -442,9 +582,21 @@ def test_int64_pass_widens_int32_columns_and_skips_object_columns(monkeypatch):
     assert cols[0].dtype == object
     passes.clear()
     states, table = census._vec_profile(cols)
-    assert passes == [] and len(per_row) == 3
-    for i in np.flatnonzero(states):
-        assert table[states[i]] == census._stats(IntPolynomial(big[i]), spec), big[i]
+    assert passes == [] and np.flatnonzero(states).tolist() == [3]
+    assert table[states[3]] == census._stats(IntPolynomial(big[3]), spec)
+
+    def spy(spec, polys, table):
+        polys = list(polys)
+        seen.extend(f.coeffs for f in polys)
+        classify_into(spec, polys, table)
+
+    monkeypatch.setattr(census, "_classify_into", spy)
+    monkeypatch.setattr(census, "_blocks", lambda spec, leads: iter([cols]))
+    vector, scalar = (CounterTable(spec.fingerprint(), census._empty_cells(spec)) for _ in range(2))
+    census._tally_vector(spec, [], vector)
+    assert seen == big[:3]
+    classify_into(spec, map(IntPolynomial, big), scalar)
+    assert vector == scalar and vector.totals == 4
 
 
 def test_radius_bound_is_above_the_exact_radius():
@@ -471,13 +623,23 @@ def test_radius_bound_is_above_the_exact_radius():
 def test_vector_engine_decides_rows_without_scalar_kernels(monkeypatch):
     # disc = 0 and repeated-root rows are decided over arrays too: the
     # exact scalar kernels run only for the rows the vector engine leaves
-    # to classify_pipeline, none at n = 2 and 3, 220 at n = 4 H = 2
+    # to classify_pipeline, none at n = 2 and 3, 32 at n = 4 H = 2. Beside
+    # them, gcds run only in the n = 4 tie step, one pair-product chain
+    # for each of the 108 rows with a tied extreme run
     from rootcensus import census
 
     calls = _count_calls(monkeypatch, ("_distinct_signature", "profile_pair_deg3", "subresultant_gcd"))
     in_fallback = dict.fromkeys(calls, 0)
+    in_tie_step = {"chains": 0, "subresultant_gcd": 0}
     fallback = []
-    classify_into = census._classify_into
+    classify_into, tie_chain = census._classify_into, census._tie_chain
+
+    def chain(f):
+        before = calls["subresultant_gcd"]
+        in_tie_step["chains"] += 1
+        got = tie_chain(f)
+        in_tie_step["subresultant_gcd"] += calls["subresultant_gcd"] - before
+        return got
 
     def spy(spec, polys, table):
         before = dict(calls)
@@ -488,12 +650,15 @@ def test_vector_engine_decides_rows_without_scalar_kernels(monkeypatch):
             in_fallback[name] += calls[name] - before[name]
 
     monkeypatch.setattr(census, "_classify_into", spy)
-    for n, height, rows in ((2, 6, 0), (3, 3, 0), (4, 2, 220)):
+    monkeypatch.setattr(census, "_tie_chain", chain)
+    for n, height, rows, chains in ((2, 6, 0, 0), (3, 3, 0, 0), (4, 2, 32, 108)):
         fallback.clear()
         run_census(CensusSpec(n=n, height=height, counters=("A*", "B*", "D*"), engine="vector"))
         assert len(fallback) == rows, (n, height)
-        assert calls == in_fallback, (n, height)
-    assert in_fallback["_distinct_signature"] == 220
+        assert in_tie_step["chains"] == chains, (n, height)
+        outside = {name: calls[name] - in_fallback[name] for name in calls}
+        assert outside == dict.fromkeys(calls, 0) | {"subresultant_gcd": in_tie_step["subresultant_gcd"]}
+    assert in_fallback["_distinct_signature"] == 32 and in_tie_step["subresultant_gcd"] >= 108
 
 
 def _column_types(n, height):

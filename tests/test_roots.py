@@ -18,7 +18,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from rootcensus.classify import modulus_profile
+from rootcensus.classify import _modulus_units, _runs, modulus_profile, root_signature
 from rootcensus.errors import DegreeTooSmall, ZeroPolynomial
 from rootcensus.intpoly import IntPolynomial
 from rootcensus.roots import (
@@ -211,6 +211,29 @@ def test_a_pair_near_the_axis_is_never_real(m):
     for bits in (53, 128):
         rs = isolate_roots(f, precision_bits=bits)
         assert len(rs.disks) == 2 and not any(d.is_real for d in rs.disks), bits
+
+
+def test_certified_reads_realness_off_the_disks():
+    # (2^20 X^2 - 2^21 X + 2^20 + 1)(2X - 1)(X - 3) has the roots 1/2, 3
+    # and 1 +- 2^-10 i. Centres on the roots certify two real roots, and
+    # the disks' modulus runs give the profile. With the upper root's
+    # centre moved a fifth of the way to the axis its disk straddles the
+    # axis, apart from the other disks, but its hull meets the lower disk:
+    # the certificate must fail, not count three reals
+    row = (2**21, -11 * 2**20, 19 * 2**20 + 2, -13 * 2**20 - 7, 3 * 2**20 + 3)
+    f = IntPolynomial(row)
+    k, y = 40, 2**30
+    prof = modulus_profile(f)
+    want = (prof.k_max, prof.k_min, root_signature(f).r)
+    assert want[2] == 2
+    for b, stats in ((y, want), (4 * y // 5, None)):
+        centres = [(1 << k - 1, 0, k), (3 << k, 0, k), (1 << k, b, k), (1 << k, -y, k)]
+        got = _certified([(row, 1, centres)], 0)
+        if got is not None:
+            disks, _, mults, reals = got
+            runs = _runs(_modulus_units(disks, mults, reals))
+            got = (runs[-1].mult, runs[0].mult, sum(reals))
+        assert got == stats, b
 
 
 def test_a_repeated_root_never_certifies():
