@@ -72,7 +72,6 @@ from .intpoly import (
     power_substitution,
     root_product_poly,
     squarefree_decomposition,
-    squarefree_part,
     sturm_chain,
 )
 from .modp import factor_degree_pattern, primes_up_to, root_counts
@@ -267,8 +266,9 @@ def _profile_certified(f: IntPolynomial) -> ModulusProfile:
     if any(run.size > 1 for run in runs):
         # every squared modulus is a positive real root of S =
         # _pair_products(f, distinct=False), so an extreme run whose union
-        # holds one distinct root of S is one modulus group; refining
-        # splits the rest, as distinct roots of S are separated
+        # holds one distinct root of S, counted on the Sturm chain of S
+        # itself, is one modulus group; refining splits the rest, as
+        # distinct roots of S are separated
         decision = "EXACT"
         chain = _tie_chain(f)
         # correct input stays far below this bound (X^5 - 2^40 X + 1
@@ -287,9 +287,10 @@ def _profile_certified(f: IntPolynomial) -> ModulusProfile:
 
 
 def _tie_chain(f: IntPolynomial):
-    """The Sturm chain of squarefree S = _pair_products(f, distinct=False):
-    each squared modulus of a root of f, f(0) != 0, is a root of S."""
-    return sturm_chain(squarefree_part(_pair_products(f, distinct=False)))
+    """The Sturm chain of S = _pair_products(f, distinct=False), which
+    counts the distinct roots of S without its squarefree part: each
+    squared modulus of a root of f, f(0) != 0, is a root of S."""
+    return sturm_chain(_pair_products(f, distinct=False))
 
 
 def _extremes_split(runs: List["_Run"], e: int, chain) -> bool:

@@ -54,6 +54,15 @@ def _trim(coeffs: Sequence[int]) -> Tuple[int, ...]:
     return tuple(coeffs[i:])
 
 
+def _poly(cs: Tuple[int, ...]) -> "IntPolynomial":
+    """IntPolynomial(cs) for a tuple of Python ints, trimmed of leading
+    zeros but not re-validated: every arithmetic result inside this
+    module has such coefficients by construction."""
+    p = object.__new__(IntPolynomial)
+    object.__setattr__(p, "coeffs", _trim(cs) if cs and cs[0] == 0 else cs)
+    return p
+
+
 def _int_nthroot(x: int, n: int) -> int:
     """floor(x^(1/n)) for integers x >= 0 and n >= 1, by Newton's method
     from above."""
@@ -138,41 +147,39 @@ class IntPolynomial:
         off = len(a) - len(b)
         for i, c in enumerate(b):
             out[off + i] += c
-        return IntPolynomial(tuple(out))
+        return _poly(tuple(out))
 
     def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
         return self + (-other)
 
     def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial(tuple(-c for c in self.coeffs))
+        return _poly(tuple(-c for c in self.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return IntPolynomial(tuple(c * other for c in self.coeffs))
+            return _poly(tuple(c * other for c in self.coeffs))
         a, b = self.coeffs, other.coeffs
         if not a or not b:
-            return IntPolynomial(())
+            return _poly(())
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
                 for j, cb in enumerate(b):
                     out[i + j] += ca * cb
-        return IntPolynomial(tuple(out))
+        return _poly(tuple(out))
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
     def shift_degree(self, k: int) -> "IntPolynomial":
         """Multiply by X^k."""
-        if self.is_zero or k == 0:
-            return self if k == 0 else self
-        return IntPolynomial(self.coeffs + (0,) * k)
+        return _poly(self.coeffs + (0,) * k) if self.coeffs and k else self
 
     def derivative(self) -> "IntPolynomial":
         n = self.degree
         if n <= 0:
-            return IntPolynomial(())
-        return IntPolynomial(tuple(c * (n - i) for i, c in enumerate(self.coeffs[:-1])))
+            return _poly(())
+        return _poly(tuple(c * (n - i) for i, c in enumerate(self.coeffs[:-1])))
 
     def content(self) -> int:
         """gcd of the coefficients, nonnegative; 0 for the zero polynomial."""
@@ -188,7 +195,7 @@ class IntPolynomial:
         c = self.content()
         if c <= 1:
             return self
-        return IntPolynomial(tuple(x // c for x in self.coeffs))
+        return _poly(tuple(x // c for x in self.coeffs))
 
     def monic_positive(self) -> "IntPolynomial":
         """Primitive part normalized to a positive leading coefficient."""
@@ -274,7 +281,7 @@ def divmod_exact(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
                 r[i + j] -= t * gc
     if any(r[dq + 1 :]):
         raise BadParameters("inexact polynomial division (remainder)")
-    return IntPolynomial(tuple(q))
+    return _poly(tuple(q))
 
 
 def _prem(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
@@ -307,7 +314,7 @@ def _prem(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
     if skipped and lcg != 1:
         scale = lcg**skipped
         rest = [c * scale for c in rest]
-    return IntPolynomial(tuple(rest))
+    return _poly(tuple(rest))
 
 
 # -- gcd / resultant ----------------------------------------------------
@@ -316,12 +323,9 @@ def _prem(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
 def subresultant_gcd(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
     """gcd in Z[X], primitive with positive leading coefficient times the
     content gcd; gcd(0, 0) = 0."""
-    if f.is_zero and g.is_zero:
-        return IntPolynomial(())
-    if f.is_zero:
-        return g.monic_positive() * g.content() if not g.is_zero else g
-    if g.is_zero:
-        return f.monic_positive() * f.content()
+    if f.is_zero or g.is_zero:
+        h = g if f.is_zero else f
+        return h.monic_positive() * h.content()
     cont = math.gcd(f.content(), g.content())
     a = f.monic_positive()
     b = g.monic_positive()
@@ -332,7 +336,7 @@ def subresultant_gcd(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
         a, b = b, r.monic_positive()
     if not b.is_zero:
         # nonzero constant remainder: coprime primitive parts
-        return IntPolynomial((cont,))
+        return _poly((cont,))
     return a * cont
 
 
@@ -368,7 +372,7 @@ def resultant(f: IntPolynomial, g: IntPolynomial) -> int:
             return 0
         A = B
         div = gg * hh**delta
-        B = IntPolynomial(tuple(c // div for c in R.coeffs))
+        B = _poly(tuple(c // div for c in R.coeffs))
         if any(c % div for c in R.coeffs):
             raise AssertionError("subresultant PRS division not exact")
         gg = A.coeffs[0]
@@ -512,7 +516,11 @@ def power_substitution(f: IntPolynomial) -> Tuple[int, IntPolynomial]:
 
 @dataclass(frozen=True)
 class SturmChain:
-    """Sign-correct Sturm sequence of the squarefree part of a polynomial."""
+    """Sign-correct Sturm sequence of a polynomial f, down to a last member
+    g, a multiple of gcd(f, f'). g divides every member, so wherever
+    g(x) != 0 the signs at x are those of the chain of the squarefree f / g
+    times sign g(x): the variations count distinct roots of f (Basu,
+    Pollack and Roy, Algorithms in Real Algebraic Geometry, ch. 2)."""
 
     polys: Tuple[IntPolynomial, ...]
 
@@ -520,53 +528,45 @@ class SturmChain:
         """Number of distinct real roots in the closed interval [lo, hi].
 
         V(lo) - V(hi) counts the roots in (lo, hi], as the chain loses one
-        sign variation exactly at each root; a root at lo is added."""
-        at_lo = _scaled_value(self.polys[0], lo.numerator, lo.denominator) == 0
-        return self._variations(lo) - self._variations(hi) + at_lo
+        sign variation exactly at each root; a root at lo is added. Where
+        g vanishes, at a repeated root of f, the count is read on the chain
+        divided by g, exact in Z[X] as g is primitive (Gauss's lemma)."""
+        at_lo, at_hi = self._values(lo), self._values(hi)
+        if at_lo[-1] == 0 or at_hi[-1] == 0:
+            g = self.polys[-1]
+            reduced = SturmChain(tuple(divmod_exact(p, g) for p in self.polys))
+            at_lo, at_hi = reduced._values(lo), reduced._values(hi)
+        return _sign_changes(at_lo) - _sign_changes(at_hi) + (at_lo[0] == 0)
 
-    def _variations(self, x: Fraction) -> int:
+    def _values(self, x: Fraction):
         # the scale b^deg(p) of x = a/b is positive: signs are those of p(x)
-        vals = [_scaled_value(p, x.numerator, x.denominator) for p in self.polys]
-        signs = [v > 0 for v in vals if v]
-        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+        return [_scaled_value(p, x.numerator, x.denominator) for p in self.polys]
 
     def variations_at_minus_inf(self) -> int:
-        signs = []
-        for p in self.polys:
-            s = 1 if p.coeffs[0] > 0 else -1
-            if p.degree % 2:
-                s = -s
-            signs.append(s)
-        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+        return _sign_changes([-p.coeffs[0] if p.degree % 2 else p.coeffs[0] for p in self.polys])
 
     def variations_at_plus_inf(self) -> int:
-        signs = [1 if p.coeffs[0] > 0 else -1 for p in self.polys]
-        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+        return _sign_changes([p.coeffs[0] for p in self.polys])
+
+
+def _sign_changes(vals) -> int:
+    """Sign variations of a sequence of numbers, zeros dropped."""
+    signs = [v > 0 for v in vals if v]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 def sturm_chain(f: IntPolynomial) -> SturmChain:
-    """Build the Sturm chain of squarefree_part(f).
+    """The Sturm sequence of f.monic_positive(), which ends in a nonzero
+    constant exactly when f is squarefree.
 
     Remainders are computed fraction-free; every rescaling factor is kept
     positive so the sign variations match the classical chain.
-
-    The chain of a squarefree f is its own gcd computation: it ends in a
-    nonzero constant exactly when gcd(f, f') = 1. So it is built from f
-    first and rebuilt from squarefree_part(f) only when it stops early,
-    at a repeated factor.
     """
-    if not f.is_zero:
-        chain = _sturm_sequence(f.monic_positive())
-        if chain.polys[-1].degree < 1:
-            return chain
-    return _sturm_sequence(squarefree_part(f))
-
-
-def _sturm_sequence(p0: IntPolynomial) -> SturmChain:
-    """The chain of p0 (primitive, positive leading coefficient); for p0
-    with a repeated factor it stops at a multiple of gcd(p0, p0')."""
+    if f.is_zero:
+        raise ZeroPolynomial("Sturm chain of the zero polynomial")
+    p0 = f.monic_positive()
     if p0.degree < 1:
-        return SturmChain((p0,)) if not p0.is_zero else SturmChain(())
+        return SturmChain((p0,))
     chain = [p0, p0.derivative().primitive_part()]
     while chain[-1].degree > 0:
         a, b = chain[-2], chain[-1]
@@ -593,11 +593,9 @@ def _scaled_value(p: IntPolynomial, a: int, b: int) -> int:
 
 
 def sturm_real_root_count(f: IntPolynomial) -> int:
-    """Number of distinct real roots of f."""
-    if f.is_zero:
-        raise ZeroPolynomial("root count of the zero polynomial")
-    if f.degree == 0:
-        return 0
+    """Number of distinct real roots of f: a repeated factor ends the chain
+    in a common factor of its members, which flips every sign at -inf,
+    and at +inf, alike."""
     chain = sturm_chain(f)
     return chain.variations_at_minus_inf() - chain.variations_at_plus_inf()
 
@@ -626,7 +624,7 @@ def _interpolate(xs: Sequence[int], ys: Sequence[int]) -> Optional[IntPolynomial
         # poly <- poly * (x - xs[j]) + coefs[j]
         shifted = [0] + [c * xs[j] for c in poly]
         poly = [a - b for a, b in zip(poly + [coefs[j]], shifted)]
-    return IntPolynomial(tuple(poly))
+    return _poly(tuple(poly))
 
 
 def _deflate_zero_roots(f: IntPolynomial) -> Tuple[int, IntPolynomial]:
@@ -636,7 +634,7 @@ def _deflate_zero_roots(f: IntPolynomial) -> Tuple[int, IntPolynomial]:
     v = 0
     while v < len(cs) and cs[-1 - v] == 0:
         v += 1
-    return v, IntPolynomial(cs[: len(cs) - v]) if v else f
+    return v, _poly(cs[: len(cs) - v]) if v else f
 
 
 def _pair_products(g: IntPolynomial, distinct: bool) -> IntPolynomial:
@@ -671,7 +669,7 @@ def _pair_products(g: IntPolynomial, distinct: bool) -> IntPolynomial:
     for k in range(1, npairs + 1):
         u.append(-sum(u[k - i] * q[i] for i in range(1, k + 1)) // k)
     a = abs(a0)
-    return IntPolynomial(tuple(
+    return _poly(tuple(
         ui * a ** (e - 2 * i) if 2 * i <= e else ui // a ** (2 * i - e)
         for i, ui in enumerate(u)
     ))

@@ -624,21 +624,24 @@ def test_vector_engine_decides_rows_without_scalar_kernels(monkeypatch):
     # disc = 0 and repeated-root rows are decided over arrays too: the
     # exact scalar kernels run only for the rows the vector engine leaves
     # to classify_pipeline, none at n = 2 and 3, 32 at n = 4 H = 2. Beside
-    # them, gcds run only in the n = 4 tie step, one pair-product chain
-    # for each of the 108 rows with a tied extreme run
+    # them, the n = 4 tie step builds one pair-product chain for each of
+    # the 108 rows with a tied extreme run, with no gcd and no squarefree
+    # decomposition: no gcd runs outside the fall-back
     from rootcensus import census
 
-    calls = _count_calls(monkeypatch, ("_distinct_signature", "profile_pair_deg3", "subresultant_gcd"))
+    names = ("_distinct_signature", "profile_pair_deg3", "subresultant_gcd", "squarefree_decomposition")
+    calls = _count_calls(monkeypatch, names)
     in_fallback = dict.fromkeys(calls, 0)
-    in_tie_step = {"chains": 0, "subresultant_gcd": 0}
+    in_tie_step = dict.fromkeys(calls, 0) | {"chains": 0}
     fallback = []
     classify_into, tie_chain = census._classify_into, census._tie_chain
 
     def chain(f):
-        before = calls["subresultant_gcd"]
+        before = dict(calls)
         in_tie_step["chains"] += 1
         got = tie_chain(f)
-        in_tie_step["subresultant_gcd"] += calls["subresultant_gcd"] - before
+        for name in calls:
+            in_tie_step[name] += calls[name] - before[name]
         return got
 
     def spy(spec, polys, table):
@@ -657,8 +660,9 @@ def test_vector_engine_decides_rows_without_scalar_kernels(monkeypatch):
         assert len(fallback) == rows, (n, height)
         assert in_tie_step["chains"] == chains, (n, height)
         outside = {name: calls[name] - in_fallback[name] for name in calls}
-        assert outside == dict.fromkeys(calls, 0) | {"subresultant_gcd": in_tie_step["subresultant_gcd"]}
-    assert in_fallback["_distinct_signature"] == 32 and in_tie_step["subresultant_gcd"] >= 108
+        assert outside == dict.fromkeys(calls, 0)
+    assert in_fallback["_distinct_signature"] == 32
+    assert in_tie_step == dict.fromkeys(calls, 0) | {"chains": 108}
 
 
 def _column_types(n, height):

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from rootcensus import classify
 from rootcensus.errors import DegreeCapExceeded, NotIrreducible, PrecisionCapExceeded
-from rootcensus.intpoly import IntPolynomial, disc3, discriminant, root_product_poly
+from rootcensus.intpoly import IntPolynomial, _pair_products, disc3, discriminant, root_product_poly
 from rootcensus.modp import factor_degree_pattern, primes_up_to
 from rootcensus.classify import (
     factorize,
@@ -108,12 +108,15 @@ def test_profile_exact_tie_path(monkeypatch):
     assert not p.dominant
     # (X^2+1)(X^2+X+1): two conjugate pairs on the unit circle form one
     # run of overlapping enclosures, which holds a single distinct root
-    # of the pair-product polynomial at the first count
+    # of the pair-product polynomial at the first count; the chain is that
+    # of S itself, whose double roots -1 and 1 take no squarefree part
     chains = _spy(monkeypatch, "sturm_chain")
     refines = _spy(monkeypatch, "refine")
-    p = modulus_profile(IntPolynomial((1, 1, 2, 1, 1)))
+    f = IntPolynomial((1, 1, 2, 1, 1))
+    p = modulus_profile(f)
     assert (p.k_max, p.k_min, p.decision) == (4, 4, "EXACT")
     assert (len(chains), len(refines)) == (1, 0)
+    assert chains[0] == (_pair_products(f, distinct=False),)
 
 
 @pytest.mark.parametrize(

@@ -15,6 +15,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rootcensus.errors import BadParameters, ZeroPolynomial
 from rootcensus.intpoly import (
@@ -26,6 +28,7 @@ from rootcensus.intpoly import (
     disc2,
     disc3,
     discriminant,
+    divmod_exact,
     parse_coeff_string,
     power_substitution,
     resultant,
@@ -85,6 +88,26 @@ def test_constructor_gives_plain_ints():
         assert all(type(c) is int for c in f.coeffs)
     assert IntPolynomial((0, 0, 2, -1)).coeffs == (2, -1)
     assert IntPolynomial((False, 0)).coeffs == ()
+
+
+def test_arithmetic_results_are_trimmed_int_polynomials():
+    # results built inside intpoly skip the public constructor's checks,
+    # so cancelled leading terms must still be trimmed and every
+    # coefficient stay a Python int
+    a = IntPolynomial((np.int64(2), 1, -3))
+    for got, want in (
+        (a - a, ()),
+        (a * 0, ()),
+        (a + IntPolynomial((-2, 0, 0)), (1, -3)),
+        # X^3 + X + 1 = X (X^2 + 1) + 1: the remainder's X term is 0
+        (_prem(IntPolynomial((1, 0, 1, 1)), IntPolynomial((1, 0, 1))), (1,)),
+        (divmod_exact(a * IntPolynomial((3, -1)), IntPolynomial((3, -1))), (2, 1, -3)),
+        (IntPolynomial((4, 0, 7)).derivative().derivative().derivative(), ()),
+        (IntPolynomial((6, -4, 2)).primitive_part(), (3, -2, 1)),
+    ):
+        assert got.coeffs == want and all(type(c) is int for c in got.coeffs)
+        assert got == IntPolynomial(want) and hash(got) == hash(IntPolynomial(want))
+        assert got.degree == len(want) - 1
 
 
 def test_parse_round_trip():
@@ -223,16 +246,72 @@ def test_squarefree_part_of_squarefree_is_self():
 # -- Sturm ---------------------------------------------------------------------
 
 
-def test_sturm_chain_of_squareful_is_chain_of_squarefree_part():
-    # (X - 1)^2 (X + 2)^3 (X^2 + 1): the chain built from f itself stops
-    # at the gcd, and the one of the squarefree part is returned instead
+def test_sturm_chain_of_squareful_counts_like_its_squarefree_part():
+    # (X - 1)^2 (X + 2)^3 (X^2 + 1): the chain of f itself stops at a
+    # multiple of gcd(f, f') and counts the distinct roots, as the chain
+    # of the squarefree part does, on every interval and over the line
     lin, lin2, quad = IntPolynomial((1, -1)), IntPolynomial((1, 2)), IntPolynomial((1, 0, 1))
     f = -3 * lin * lin * lin2 * lin2 * lin2 * quad
-    assert sturm_chain(f) == sturm_chain(squarefree_part(f))
-    assert sturm_real_root_count(f) == 2
+    sf = squarefree_part(f)
+    chain, want = sturm_chain(f), sturm_chain(sf)
+    assert chain.polys[0] == lin * lin * lin2 * lin2 * lin2 * quad
+    assert chain.polys[-1].degree == 3 and want.polys[-1].degree == 0
+    ends = [Fraction(k, 2) for k in range(-8, 9)]  # -2 and 1 among them
+    for lo in ends:
+        for hi in ends:
+            if lo <= hi:
+                assert chain.roots_in(lo, hi) == want.roots_in(lo, hi), (lo, hi)
+    assert sturm_real_root_count(f) == sturm_real_root_count(sf) == 2
     # squarefree input: the chain starts at the primitive, positive part
     g = -6 * lin * quad
     assert sturm_chain(g).polys[0] == lin * quad
+
+
+def test_sturm_count_where_the_last_member_vanishes():
+    # S of (X^2+1)(X^2+X+1) has the double roots -1 (i^2, (-i)^2) and 1
+    # (i (-i), w w'); at them every member of its chain vanishes, so the
+    # count is read on the chain divided by its last member
+    s = _pair_products(IntPolynomial((1, 1, 2, 1, 1)), distinct=False)
+    chain, want = sturm_chain(s), sturm_chain(squarefree_part(s))
+    last = chain.polys[-1]
+    assert last.eval_at(1) == last.eval_at(-1) == 0
+    sym = _sym(s).sqf_part()
+    one = Fraction(1)
+    assert chain.roots_in(one, one) == want.roots_in(one, one) == 1
+    ends = [Fraction(k, 4) for k in range(-9, 10)]
+    checked = 0
+    for lo in ends:
+        for hi in ends:
+            if lo > hi:
+                continue
+            got = chain.roots_in(lo, hi)
+            assert got == want.roots_in(lo, hi), (lo, hi)
+            assert got == sym.count_roots(sympy.Rational(lo.numerator, lo.denominator),
+                                          sympy.Rational(hi.numerator, hi.denominator)), (lo, hi)
+            checked += abs(lo) == 1 or abs(hi) == 1
+    assert checked > 30
+
+
+_dyadic_roots = st.lists(st.integers(-32, 32).map(lambda k: Fraction(k, 8)), min_size=1, max_size=3)
+
+
+@given(_dyadic_roots, _dyadic_roots, st.lists(st.integers(-5, 5), min_size=2, max_size=4))
+def test_sturm_chain_of_products_with_squared_factors(squared, simple, extra):
+    # f = prod (qX - p)^2 over the squared roots, times the simple ones and
+    # one more factor: counts on the chain of f match those of the chain
+    # of its squarefree part, with the repeated roots as endpoints
+    f = IntPolynomial(tuple(extra) if extra[0] else (1,) + tuple(extra))
+    for r in squared:
+        lin = IntPolynomial((r.denominator, -r.numerator))
+        f = f * lin * lin
+    for r in simple:
+        f = f * IntPolynomial((r.denominator, -r.numerator))
+    chain, want = sturm_chain(f), sturm_chain(squarefree_part(f))
+    ends = sorted(set(squared + simple + [Fraction(-5), Fraction(-3, 16), Fraction(5)]))
+    for i, lo in enumerate(ends):
+        for hi in ends[i:]:
+            assert chain.roots_in(lo, hi) == want.roots_in(lo, hi), (f.coeffs, lo, hi)
+    assert sturm_real_root_count(f) == want.variations_at_minus_inf() - want.variations_at_plus_inf()
 
 
 def test_sturm_count_matches_sympy_seeded():
