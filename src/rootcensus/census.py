@@ -12,8 +12,10 @@ each unit a contiguous chunk of at most ~250k lattice points; unit
 results merge by plain addition, so the final table is a pure function
 of the spec, independent of worker count, completion order, and
 checkpoint interruptions. Checkpoints are line-delimited JSON with
-per-record sha256 checksums; any malformed or truncated line is a
-CheckpointCorrupt error, not a silent recovery.
+per-record sha256 checksums, one record per unit in unit order at any
+worker count, so a checkpoint's bytes too are a function of the spec;
+any malformed or truncated line is a CheckpointCorrupt error, not a
+silent recovery.
 
 Two engines compute the same statistics of each point (k_max, k_min,
 real and distinct roots, ...), and each counter labels them through its
@@ -70,7 +72,7 @@ from .classify import (
     sn_certificate,
 )
 from .intpoly import IntPolynomial, disc2, disc3
-from .roots import _apart, _horner
+from .roots import _apart, _companion_roots, _horner
 
 __all__ = [
     "CensusSpec",
@@ -615,19 +617,17 @@ def _vec_profile4(a, b, c, d, e):
     k2 = np.where((dg > 0) & (c2 != 0), 2, 4)
     states.flat[sq] = np.where(dg == 0, 49 + (r == 0), _certified_state(k2, k2, r * (dg > 0)))
     rows = np.flatnonzero(np.broadcast_to((e != 0) & ((b != 0) | (d != 0)), states.shape))
-    cols = a, b, c, d, e = _rows((a, b, c, d, e), rows)
+    cols = _rows((a, b, c, d, e), rows)
     h = max(int(np.abs(col).max(initial=0)) for col in cols)
     k = (63 - (10 * h * (h + 1) ** 4).bit_length()) // 4
     if k < 2:
         return states, table
-    comp = np.zeros((rows.size, 4, 4))
-    comp[:, 0, :] = -np.stack(cols[1:], axis=1) / a[:, None]
-    comp[:, [1, 2, 3], [0, 1, 2]] = 1
-    got, tied, disks = _vec_certify(cols, np.linalg.eigvals(comp), k)
-    for i, coeffs, dk in zip(tied.tolist(), np.stack(cols, axis=1)[tied].tolist(), disks.tolist()):
+    coeffs = np.stack(cols, axis=1)
+    got, tied, disks = _vec_certify(cols, _companion_roots(coeffs), k)
+    for i, row, dk in zip(tied.tolist(), coeffs[tied].tolist(), disks.tolist()):
         reals = [y == 0 for _, y, _ in dk]
         runs = _runs(_modulus_units(dk, [1] * 4, reals))
-        if _extremes_split(runs, -2 * k, _tie_chain(IntPolynomial(coeffs))):
+        if _extremes_split(runs, -2 * k, _tie_chain(IntPolynomial(row))):
             got[i] = _certified_state(runs[-1].mult, runs[0].mult, sum(reals))
     states.flat[rows] = got
     return states, table
@@ -804,7 +804,8 @@ def checkpoint_load(path: str) -> CheckpointState:
 def run_census(spec: CensusSpec, limit_units: Optional[int] = None) -> CounterTable:
     """Classify every polynomial in the box exactly once and return the
     counter table: deterministic for a given spec, independent of job
-    count and checkpoint interruption.
+    count and checkpoint interruption. Checkpoint records are written in
+    unit order, so the checkpoint's bytes are as well.
 
     limit_units stops after that many units (for interruption tests);
     the partial result lands in the checkpoint, not the return value
@@ -844,7 +845,7 @@ def run_census(spec: CensusSpec, limit_units: Optional[int] = None) -> CounterTa
             results = map(_unit_worker, pending)
         else:
             pool = stack.enter_context(multiprocessing.Pool(spec.jobs))
-            results = pool.imap_unordered(_unit_worker, pending)
+            results = pool.imap(_unit_worker, pending)
         for unit_id, delta in results:
             table = table.merge(CounterTable.from_delta(spec.fingerprint(), delta))
             if fh is not None:

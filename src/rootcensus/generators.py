@@ -228,26 +228,15 @@ def _target_bounds(target: TargetSpec) -> PerturbationBounds:
 
 
 def _target_poly(points: Sequence[Tuple[Fraction, Fraction]]) -> List[Fraction]:
-    """Real coefficients of prod (X - beta_i), leading first, by pairing
-    each non-real point with its conjugate."""
-    used = [False] * len(points)
+    """Real coefficients of prod (X - beta_i), leading first, for distinct
+    points closed under conjugation (TargetSpec.validate): the factor
+    X - re of each real point and X^2 - 2 re X + re^2 + im^2 of each point
+    with im > 0."""
     coeffs = [Fraction(1)]
-    for i, (re, im) in enumerate(points):
-        if used[i]:
+    for re, im in points:
+        if im < 0:
             continue
-        used[i] = True
-        if im == 0:
-            factor = [Fraction(1), -re]
-        else:
-            partner = None
-            for j in range(i + 1, len(points)):
-                if not used[j] and points[j] == (re, -im):
-                    partner = j
-                    break
-            if partner is None:
-                raise BadParameters("target is not closed under conjugation")
-            used[partner] = True
-            factor = [Fraction(1), -2 * re, re * re + im * im]
+        factor = [Fraction(1), -2 * re, re * re + im * im] if im else [Fraction(1), -re]
         out = [Fraction(0)] * (len(coeffs) + len(factor) - 1)
         for a, ca in enumerate(coeffs):
             for b, cb in enumerate(factor):

@@ -17,14 +17,15 @@ certifies them (_certified, whose _horner and _apart the n = 4 census
 also runs over int64 columns):
 
 - a linear factor's centre is its root -c1/c0 rounded to the step's
-  bits; for higher degrees, Aberth-Ehrlich simultaneous iteration in
-  hardware doubles, seeded by companion-matrix eigenvalues, proposes the
-  centres of the 53-bit step;
+  bits; for higher degrees, the companion-matrix eigenvalues in hardware
+  doubles (_companion_roots, which the n = 4 census calls on whole
+  blocks) are the centres of the 53-bit step, with no sweeps;
 - above 53 bits, Aberth sweeps in exact Gaussian-integer fixed point
-  polish those centres on one dyadic grid per factor, fine enough for
-  its smallest root, and each centre is rounded to the step's bits; when
-  the coefficients do not fit a double there are no companion seeds, and
-  the sweeps start from Newton-polygon circles at every step (_polish);
+  polish those eigenvalues on one dyadic grid per factor, fine enough
+  for its smallest root, and each centre is rounded to the step's bits;
+  when the coefficients do not fit a double there are no eigenvalues,
+  and the sweeps start from Newton-polygon circles at every step
+  (_polish);
 - each centre z is read exactly as (a + bi) 2^-k, and the disk radius
   bounds deg(g) * |g(z)| / |g'(z)| from above for the factor g, from
   Gaussian-integer Horner values and one upward isqrt (_certify); by the
@@ -81,7 +82,6 @@ __all__ = [
 
 _DEFAULT_PRECISION = 128
 _DEFAULT_CAP = 4096
-_ABERTH_SWEEPS = 12  # double Aberth sweeps proposing the 53-bit centres
 
 
 @dataclass(frozen=True)
@@ -224,26 +224,21 @@ def fujiwara_bound(f: IntPolynomial) -> Fraction:
     return Fraction(best, 1 << (s - 1))
 
 
-# -- proposals: double Aberth, then exact fixed-point polishing ----------
+# -- proposals: companion eigenvalues, then exact fixed-point polishing --
 
 
-def _companion_seeds(coeffs: Sequence[int]) -> Optional[List[complex]]:
-    """Hardware eigenvalue seeds for Aberth, or None when the coefficients
-    do not fit a double (Newton-polygon seeds take over)."""
-    try:
-        cf = [float(c) for c in coeffs]
-    except OverflowError:
-        return None
-    try:
-        rr = np.roots(cf)
-    except np.linalg.LinAlgError:
-        return None
-    out = [complex(w) for w in rr]
-    if len(out) != len(coeffs) - 1:
-        return None
-    if not all(math.isfinite(w.real) and math.isfinite(w.imag) for w in out):
-        return None
-    return out
+def _companion_roots(rows) -> np.ndarray:
+    """The roots of each coefficient row (leading first, all of one degree
+    n, nonzero leading coefficient) in hardware doubles, an (rows, n)
+    complex array: the eigenvalues of the stacked companion matrices, built
+    as np.roots builds them, from one np.linalg.eigvals call. Raises
+    OverflowError when a coefficient does not fit a double."""
+    cf = np.array(rows, dtype=float)
+    n = cf.shape[1] - 1
+    comp = np.zeros((len(cf), n, n))
+    comp[:, 0, :] = -cf[:, 1:] / cf[:, :1]
+    comp[:, range(1, n), range(n - 1)] = 1
+    return np.linalg.eigvals(comp)
 
 
 def _newton_seeds(coeffs: Sequence[int]) -> List[Tuple[complex, int]]:
@@ -273,57 +268,6 @@ def _newton_seeds(coeffs: Sequence[int]) -> List[Tuple[complex, int]]:
             t = 2 * math.pi * j / m + 0.7 * (h + 1)
             seeds.append((complex(math.cos(t), math.sin(t)), e))
     return seeds
-
-
-def _aberth(coeffs: Sequence[int], z: List[complex]) -> List[complex]:
-    """Aberth sweeps in hardware doubles on z in place; returns best-effort
-    positions, which may be unconverged (certification decides whether
-    they suffice). Sweeps stop below a 1e-14 relative move, and a point on
-    a zero derivative or a collision is nudged off it."""
-    d = len(coeffs) - 1
-    cf = [float(c) for c in coeffs]
-    df = [cf[i] * (d - i) for i in range(d)]
-    for _ in range(_ABERTH_SWEEPS):
-        maxmove = 0
-        for i in range(d):
-            zi = z[i]
-            p = cf[0]
-            for a in cf[1:]:
-                p = p * zi + a
-            if p == 0:
-                continue
-            q = df[0]
-            for a in df[1:]:
-                q = q * zi + a
-            if q == 0:
-                z[i] = zi * (1.0 + 1e-7) + 1e-7
-                continue
-            w = p / q
-            s = 0
-            bad = False
-            for j in range(d):
-                if j != i:
-                    dz = zi - z[j]
-                    if dz == 0:
-                        bad = True
-                        break
-                    s += 1 / dz
-            if bad:
-                z[i] = zi * (1.0 + 1e-7) + 1e-7
-                continue
-            den = 1 - w * s
-            if den == 0:
-                continue
-            corr = w / den
-            if not cmath.isfinite(corr):
-                continue
-            z[i] = zi - corr
-            move = abs(corr) / (abs(zi) + 1)
-            if move > maxmove:
-                maxmove = move
-        if maxmove < 1e-14:
-            break
-    return z
 
 
 def _horner(coeffs: Sequence[int], a: int, b: int, k: int) -> Tuple[int, int, int, int]:
@@ -450,23 +394,28 @@ def _propose(g: IntPolynomial, bits: int) -> List[Tuple[int, int, int]]:
     one squarefree factor.
 
     A linear factor's centre is its root rounded to `bits` bits. Otherwise
-    double Aberth sweeps from companion seeds propose the centres of the
-    53-bit step; above it, or without companion seeds (from Newton-polygon
-    seeds), exact fixed-point sweeps polish them and each centre is
+    the companion eigenvalues (_companion_roots) are the centres at 53
+    bits, as they are, and above 53 bits exact fixed-point sweeps (_polish)
+    start from them; without usable eigenvalues (coefficients beyond the
+    double range, or eigenvalues not finite and distinct) the sweeps start
+    from Newton-polygon seeds at every step. Each polished centre is
     rounded to `bits` bits."""
     cs = g.coeffs
     if g.degree == 1:
         c0, c1 = cs
         return [_centre((-c1 if c0 > 0 else c1, abs(c0)), (0, 1), bits)]
-    z = _companion_seeds(cs)
-    if z is not None:
-        z = _aberth(cs, z)
-        # equal points never move apart under Aberth, so never certify
-        if not all(map(cmath.isfinite, z)) or len(set(z)) < len(z):
-            z = None
-    if z is not None and bits <= 53:
+    try:
+        z = _companion_roots([cs])[0].tolist()
+    except (OverflowError, np.linalg.LinAlgError):
+        z = None
+    # equal points never certify, nor move apart under the sweeps
+    if z is None or not all(map(cmath.isfinite, z)) or len(set(z)) < len(z):
+        seeds = _newton_seeds(cs)
+    elif bits <= 53:
         return _float_centres(z, bits)
-    Z, k = _polish(cs, [(w, 0) for w in z] if z is not None else _newton_seeds(cs), bits)
+    else:
+        seeds = [(w, 0) for w in z]
+    Z, k = _polish(cs, seeds, bits)
     return [_centre((a, 1 << k), (b, 1 << k), bits) for a, b in Z]
 
 

@@ -15,6 +15,7 @@ import json
 import math
 import os
 import random
+import time
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from rootcensus.census import (
     counter_table_csv,
     density_report,
     fit_growth_exponent,
+    _unit_worker,
     make_work_units,
     run_census,
 )
@@ -488,6 +490,33 @@ def _per_row_state(row, z):
     return 0
 
 
+def test_one_companion_call_per_block_and_per_factor(monkeypatch):
+    # both engines take their 53-bit roots from roots._companion_roots:
+    # the n = 4 kernel in one call for a whole block, isolate_roots in one
+    # call for each factor of degree >= 2
+    from rootcensus import census, roots
+    from rootcensus.roots import _companion_roots, isolate_roots
+
+    calls = []
+
+    def spy(rows):
+        calls.append(len(rows))
+        return _companion_roots(rows)
+
+    monkeypatch.setattr(roots, "_companion_roots", spy)
+    monkeypatch.setattr(census, "_companion_roots", spy)
+    rows = _quartic_sample()
+    census._vec_profile4(*_quartic_columns(rows))
+    assert calls == [sum(1 for r in rows if r[-1] and (r[1] or r[3]))]
+    calls.clear()
+    # (X^2 + X + 1)^2 (X^3 - 2) (2X - 1)^3: factors of degree 3, 2 and 1
+    f = IntPolynomial((1, 1, 1)) * IntPolynomial((1, 1, 1)) * IntPolynomial((1, 0, 0, -2))
+    for _ in range(3):
+        f = f * IntPolynomial((2, -1))
+    assert isolate_roots(f, precision_bits=53).precision_bits == 53
+    assert sorted(calls) == [1, 1]
+
+
 def _guard_holds(row, z, k):
     """The overflow guard of the int64 pass, 2 (n + 1) H mu^n < 2^63, in
     exact integers: H the row's largest |coefficient|, mu the largest of
@@ -889,6 +918,33 @@ def test_checkpoint_interrupt_and_resume(tmp_path):
     resumed = run_census(spec)
     clean = run_census(CensusSpec(n=2, height=6, counters=("A*",)))
     assert resumed == clean
+
+
+def _unit_zero_last(payload):
+    """_unit_worker, with unit 0 held back so that it finishes last."""
+    if payload[1].unit_id == 0:
+        time.sleep(0.5)
+    return _unit_worker(payload)
+
+
+def test_checkpoint_bytes_do_not_depend_on_jobs(monkeypatch, tmp_path):
+    # records are written in unit order, not in the order the workers
+    # finish: with unit 0 finishing last, the jobs = 2 files, straight and
+    # interrupted-then-resumed, are the jobs = 1 file byte for byte
+    from rootcensus import census
+
+    spec = CensusSpec(n=3, height=4, counters=("A*", "B*"))
+    want, blobs = run_census(spec), []
+    for jobs, cut in ((1, None), (2, None), (2, 3)):
+        path = str(tmp_path / ("ck%d-%s" % (jobs, cut)))
+        run = dataclasses.replace(spec, jobs=jobs, checkpoint=path)
+        if jobs > 1:
+            monkeypatch.setattr(census, "_unit_worker", _unit_zero_last)
+        if cut is not None:
+            run_census(run, limit_units=cut)
+        assert run_census(run) == want
+        blobs.append(open(path, "rb").read())
+    assert blobs[1] == blobs[0] and blobs[2] == blobs[0]
 
 
 def test_checkpoint_completed_run_is_stable(tmp_path):

@@ -16,6 +16,9 @@ No expression of _EXPRESSION_NODES or more AST nodes appears twice in
 the package: a formula that long is spelled once, in a function both
 places call.
 
+The package calls np.linalg.eigvals in one place, roots._companion_roots,
+which both engines ask for their hardware-double root proposals.
+
 No module imports mpmath: root centres are proposed in hardware doubles
 and in exact integers, and every value handed out is an exact integer or
 dyadic Fraction, so nothing depends on a global working precision.
@@ -198,3 +201,37 @@ def test_repeated_expression_is_found():
         "b.py": ast.parse("x = 1\ny = (%s) * 2\nz = %s\nw = %s\n" % (long, short, short)),
     }
     assert _repeated_expressions(trees) == [[("a.py", 2), ("b.py", 2)]]
+
+
+def _eigvals_references(trees: dict) -> list:
+    """(module, innermost enclosing function or None) of every name,
+    attribute or import of eigvals."""
+    found = []
+
+    def visit(node, module, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                visit(child, module, child.name)
+                continue
+            if "eigvals" in (getattr(child, "id", None), getattr(child, "attr", None)) or (
+                isinstance(child, ast.alias) and child.name.rpartition(".")[2] == "eigvals"
+            ):
+                found.append((module, where))
+            visit(child, module, where)
+
+    for name, tree in trees.items():
+        visit(tree, name, None)
+    return sorted(found, key=lambda ref: (ref[0], ref[1] or ""))
+
+
+def test_one_eigenvalue_call_proposes_every_root():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in _MODULES}
+    assert _eigvals_references(trees) == [("roots.py", "_companion_roots")]
+
+
+def test_eigvals_reference_is_found():
+    trees = {
+        "a.py": ast.parse("import numpy as np\ndef f(m):\n    return np.linalg.eigvals(m)\n"),
+        "b.py": ast.parse("from numpy.linalg import eigvals\nclass C:\n    def g(self):\n        return eigvals\n"),
+    }
+    assert _eigvals_references(trees) == [("a.py", "f"), ("b.py", None), ("b.py", "g")]
