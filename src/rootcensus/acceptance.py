@@ -50,6 +50,7 @@ import numpy as np
 
 from .census import CensusSpec, fit_growth_exponent, make_work_units, run_census
 from .classify import (
+    _mod2,
     has_multiplicative_relation,
     modulus_profile,
     root_signature,
@@ -63,7 +64,7 @@ from .generators import (
     perturbation_bounds,
 )
 from .intpoly import IntPolynomial, discriminant
-from .roots import _dyadic_disks, _modulus_bounds, fujiwara_bound, isolate_roots, refine
+from .roots import _dyadic_disks, fujiwara_bound, isolate_roots, refine
 
 __all__ = [
     "CriterionResult",
@@ -311,31 +312,32 @@ def _c7_intervals(f: IntPolynomial, rs) -> Tuple[bool, bool]:
     a violation if refinement cannot clear it, and either way the gate
     (zero violations, zero undecided) turns red.
 
-    Everything is compared in integers at the disks' one scale 2^e
-    (_dyadic_disks), where 1 is `one` = 2^-e: the modulus bounds of each
-    disk (_modulus_bounds), the Fujiwara bound fb, and the bounds
-    |a_0| prod max(1, |root|) of the Mahler measure, which carry the
-    factor one^n since the multiplicities sum to n."""
+    Everything is compared in integers at the square of the disks' one
+    scale 2^e (_dyadic_disks), where 1 is `one` = 4^-e: the enclosures of
+    each squared modulus (classify._mod2), fb^2 for the Fujiwara bound fb,
+    and the bounds a_0^2 prod max(1, |root|^2) of the squared Mahler
+    measure, which carry the factor one^n since the multiplicities sum to
+    n."""
     fb = fujiwara_bound(f)
     n = f.degree
-    H = f.height
+    H2 = f.height ** 2
     disks, e = _dyadic_disks(rs.disks)
-    one = 1 << -e
-    fb_num, fb_den = fb.numerator * one, fb.denominator
-    m_lo = m_hi = abs(f.coeffs[0])
+    one = 1 << -2 * e
+    fb2_num, fb2_den = fb.numerator ** 2 * one, fb.denominator ** 2
+    m_lo = m_hi = f.coeffs[0] ** 2
     fuj_ok = True
     straddle = False
     for (a, b, k), d in zip(disks, rs.disks):
-        lo, hi = _modulus_bounds(a, b, k)
-        if lo * fb_den > fb_num:
+        lo2, hi2 = _mod2(a, b, k)
+        if lo2 * fb2_den > fb2_num:
             fuj_ok = False
-        elif hi * fb_den > fb_num:
+        elif hi2 * fb2_den > fb2_num:
             straddle = True
-        m_lo *= max(one, lo) ** d.multiplicity
-        m_hi *= max(one, hi) ** d.multiplicity
-    if not (H * one**n <= (2 ** n) * m_lo):
+        m_lo *= max(one, lo2) ** d.multiplicity
+        m_hi *= max(one, hi2) ** d.multiplicity
+    if not (H2 * one**n <= 4**n * m_lo):
         straddle = True
-    if not (m_hi * m_hi <= (n + 1) * H * H * one ** (2 * n)):
+    if not (m_hi <= (n + 1) * H2 * one**n):
         straddle = True
     return fuj_ok, straddle
 
@@ -346,16 +348,6 @@ def _c7_chunk(args: Tuple[int, int]) -> Dict[str, object]:
     unresolved: List[str] = []
     for i in range(start, start + count):
         f = _c7_poly(i)
-        n = f.degree
-        H = f.height
-        if n == 1:
-            # exact closed forms: root -a_1/a_0, M(f) = max(|a_0|, |a_1|)
-            fb = fujiwara_bound(f)
-            a0, a1 = abs(f.coeffs[0]), abs(f.coeffs[1])
-            m = Fraction(max(a0, a1))
-            if Fraction(a1, a0) > fb or not (H <= 2 * m and m * m <= 2 * H * H):
-                violations.append(",".join(str(c) for c in f.coeffs))
-            continue
         rs = isolate_roots(f, precision_bits=53)
         fuj_ok, straddle = _c7_intervals(f, rs)
         if straddle and fuj_ok:

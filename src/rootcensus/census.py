@@ -59,16 +59,15 @@ from .errors import (
 from .classify import (
     DEFAULT_DEGREE_CAP,
     DEFAULT_PRIME_BOUND,
-    _distinct_signature,
     _double_root_order,
     _extremes_split,
     _mod2,
     _modulus_units,
     _runs,
+    _signature_counts,
     _tie_chain,
     factorize,
     modulus_profile,
-    root_signature,
     sn_certificate,
 )
 from .intpoly import IntPolynomial, disc2, disc3
@@ -432,8 +431,7 @@ def _stats(f: IntPolynomial, spec: CensusSpec) -> Optional[Dict[str, int]]:
     needs = {s for c in _requested(spec.counters) for s in c.needs}
     st = {"n": f.degree}
     if "signature" in needs:
-        sig, sigd = root_signature(f), _distinct_signature(f)
-        st.update(r=sig.r, rd=sigd.r, nd=sigd.r + 2 * sigd.s)
+        st["r"], st["rd"], st["nd"] = _signature_counts(f)
     if "factorization" in needs:
         fr = factorize(f, degree_cap=spec.degree_cap)
         st["m"] = 0 if fr.irreducible else min(p.degree for p, _ in fr.factors)

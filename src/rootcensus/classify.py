@@ -7,9 +7,10 @@ Answers, with certificates, the questions driving the censuses:
   (unique);
 - root_signature: the number of real roots r and conjugate pairs s,
   r + 2s = n, by exact real-root counts of the squarefree factors;
-- factorize: certified factorization into
-  irreducibles over the integers (rational roots, degree-pattern sieve
-  mod p, Kronecker interpolation search);
+- factorize: certified factorization into irreducibles over the
+  integers of the squarefree factors of the stored analysis
+  (roots._analysis): rational roots, degree-pattern sieve mod p,
+  Kronecker interpolation search;
 - sn_certificate: one-sided Galois certification via Frobenius cycle
   types (an n-cycle, an (n-1)-cycle and a transposition seen mod
   good primes generate S_n); small primes whose root count mod p
@@ -61,7 +62,6 @@ from .errors import (
 from .intpoly import (
     IntPolynomial,
     SquarefreeDecomposition,
-    _deflate_zero_roots,
     _interpolate,
     _pair_products,
     _scaled_value,
@@ -71,8 +71,8 @@ from .intpoly import (
     divmod_exact,
     power_substitution,
     root_product_poly,
-    squarefree_decomposition,
     sturm_chain,
+    sturm_real_root_count,
 )
 from .modp import factor_degree_pattern, primes_up_to, root_counts
 from .roots import (
@@ -367,25 +367,40 @@ def _disk_runs(rs: CertifiedRootSet) -> Tuple[List[_Run], int]:
 
 
 def root_signature(f: IntPolynomial) -> RootSignature:
-    """Exact (r, s) with multiplicity: r real roots, s conjugate pairs."""
+    """Exact (r, s) with multiplicity: r real roots, s conjugate pairs,
+    from one real-root count per squarefree factor of the analysis of f
+    (_signature_counts)."""
     if f.is_zero:
         raise ZeroPolynomial("signature of the zero polynomial")
     n = f.degree
     if n < 1:
         raise DegreeTooSmall("signature needs degree >= 1")
-    a = _analysis(f)
-    r = a.zeros + sum(mult * real for _, mult, real in a.factors)
+    r = _signature_counts(f)[0]
     return RootSignature(r, (n - r) // 2)
 
 
-def _distinct_signature(f: IntPolynomial) -> RootSignature:
-    """root_signature of the squarefree part of f (degree >= 1), read from
-    the analysis of f itself."""
+def _signature_counts(f: IntPolynomial) -> Tuple[int, int, int]:
+    """(r, rd, nd) for f of degree >= 1: its real roots with multiplicity,
+    its distinct real roots and its distinct roots, read from its analysis
+    with one _real_count per squarefree factor."""
     a = _analysis(f)
     zero = 1 if a.zeros else 0
-    r = zero + sum(real for _, _, real in a.factors)
-    n = zero + sum(fac.degree for fac, _, _ in a.factors)
-    return RootSignature(r, (n - r) // 2)
+    r, rd, nd = a.zeros, zero, zero
+    for fac, mult in a.factors:
+        real = _real_count(fac)
+        r += mult * real
+        rd += real
+        nd += fac.degree
+    return r, rd, nd
+
+
+def _real_count(fac: IntPolynomial) -> int:
+    """Distinct real roots of a squarefree factor. Up to degree 3 it has
+    at most one conjugate pair, so its nonzero discriminant, of sign
+    (-1)^pairs, decides; above, a Sturm count."""
+    if fac.degree <= 3:
+        return fac.degree if discriminant(fac) > 0 else fac.degree - 2
+    return sturm_real_root_count(fac)
 
 
 # -- factorization ------------------------------------------------------------
@@ -419,14 +434,9 @@ def factorize(f: IntPolynomial, degree_cap: int = DEFAULT_DEGREE_CAP) -> Factori
     content = f.content()
     if f.coeffs[0] < 0:
         content = -content
-    p = f.monic_positive()
-    if p.degree == 0:
-        return FactorizationResult(content, (), False)
-    found: Dict[Tuple[int, ...], int] = {}
-    v, p = _deflate_zero_roots(p)
-    if v:
-        found[(1, 0)] = v
-    for fac, mult in squarefree_decomposition(p).factors:
+    a = _analysis(f)
+    found: Dict[Tuple[int, ...], int] = {(1, 0): a.zeros} if a.zeros else {}
+    for fac, mult in a.factors:
         pieces = []
         root = _find_rational_root(fac)
         while root is not None:
@@ -621,7 +631,7 @@ def has_multiplicative_relation(f: IntPolynomial) -> bool:
     a = _analysis(f)
     # a repeated root collides pair products, and so does a zero root:
     # its n-1 >= 3 pair products all vanish
-    if a.zeros or any(m >= 2 for _, m, _ in a.factors):
+    if a.zeros or any(m >= 2 for _, m in a.factors):
         return True
     if _products_separated(f):
         return False

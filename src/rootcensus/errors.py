@@ -23,15 +23,7 @@ class DegreeCapExceeded(RootCensusError):
 
 
 class PrecisionCapExceeded(RootCensusError):
-    """Certification failed to converge below the precision cap.
-
-    Carries the best uncertified result so far in ``partial`` when one
-    exists.
-    """
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    """Certification failed to converge below the precision cap."""
 
 
 class GammaTooLarge(RootCensusError):

@@ -90,8 +90,8 @@ class IntPolynomial:
     """
 
     coeffs: Tuple[int, ...]
-    # roots._analysis stores the polynomial's squarefree factors and real
-    # counts on the instance as `_analysis`, outside the dataclass fields
+    # roots._analysis stores the polynomial's zero roots and squarefree
+    # factors on the instance as `_analysis`, outside the dataclass fields
     # that equality and hashing read
 
     def __post_init__(self):

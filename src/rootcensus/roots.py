@@ -7,10 +7,9 @@ disk. Centres and radii are exact dyadic Fractions.
 
 Roots at zero are split off exactly and get a disk of radius zero, and
 Yun decomposition hands the rest over as squarefree factors with their
-real root counts (by the sign of the discriminant up to degree 3, by
-Sturm above; only the signatures read them); this analysis (_analysis)
-is computed once per polynomial and stored on it, so refine and the
-signatures in classify reuse it.
+multiplicities; this analysis (_analysis) is computed once per
+polynomial and stored on it, so refine and the classifiers in classify
+reuse it.
 Each factor goes through one certification rung: centres are proposed
 at the bits of its ladder step (_propose), and one exact integer routine
 certifies them (_certified, whose _horner and _apart the n = 4 census
@@ -67,9 +66,7 @@ from .intpoly import (
     IntPolynomial,
     _deflate_zero_roots,
     _int_nthroot,
-    discriminant,
     squarefree_decomposition,
-    sturm_real_root_count,
 )
 
 __all__ = [
@@ -97,14 +94,6 @@ class RootDisk:
     is_real: bool
 
 
-def _modulus_bounds(a: int, b: int, k: int) -> Tuple[int, int]:
-    """Integers (lo, hi) with lo 2^e <= |root| <= hi 2^e for a root in the
-    disk of centre (a + bi) 2^e and radius k 2^e: with c2 = a^2 + b^2,
-    max(0, floor(sqrt c2) - k) and ceil(sqrt c2) + k."""
-    c2 = a * a + b * b
-    return max(0, math.isqrt(c2) - k), _ceil_sqrt(c2) + k
-
-
 def _dyadic_disks(disks: Sequence[RootDisk]) -> Tuple[List[Tuple[int, int, int]], int]:
     """The disks' centres and radii as exact integers at one common dyadic
     exponent e: a triple (a, b, k) stands for centre (a + bi) 2^e and
@@ -130,9 +119,7 @@ def _ceil_sqrt(n):
 @dataclass(frozen=True)
 class CertifiedRootSet:
     """Result of isolate_roots: disjoint certified disks covering all
-    roots with multiplicity; status is "CERTIFIED" (the only value a
-    returned set carries; a PrecisionCapExceeded error transports a
-    partial set with status "REFINEMENT_CAP_REACHED")."""
+    roots with multiplicity; status is "CERTIFIED"."""
 
     polynomial: IntPolynomial
     disks: Tuple[RootDisk, ...]
@@ -152,38 +139,24 @@ class CertifiedRootSet:
 
 class _Analysis(NamedTuple):
     """f = X^zeros * g with g(0) != 0, and the squarefree decomposition of
-    g as (factor, multiplicity, number of distinct real roots) triples."""
+    g as (factor, multiplicity) pairs."""
 
     zeros: int
-    factors: Tuple[Tuple[IntPolynomial, int, int], ...]
+    factors: Tuple[Tuple[IntPolynomial, int], ...]
 
 
 def _analysis(f: IntPolynomial) -> _Analysis:
     """The analysis of f, computed on first use and stored on f itself, so
-    isolate_roots, refine and the signatures in classify decompose a
+    isolate_roots, refine and the classifiers in classify decompose a
     polynomial once however many of them ask. It holds only factors and
     integers."""
     got = f.__dict__.get("_analysis")
     if got is None:
         v, g = _deflate_zero_roots(f)
-        factors = ()
-        if g.degree >= 1:
-            factors = tuple(
-                (fac, mult, _real_count(fac))
-                for fac, mult in squarefree_decomposition(g).factors
-            )
+        factors = squarefree_decomposition(g).factors if g.degree >= 1 else ()
         got = _Analysis(v, factors)
         object.__setattr__(f, "_analysis", got)
     return got
-
-
-def _real_count(fac: IntPolynomial) -> int:
-    """Distinct real roots of a squarefree factor. Up to degree 3 it has
-    at most one conjugate pair, so its nonzero discriminant, of sign
-    (-1)^pairs, decides; above, a Sturm count."""
-    if fac.degree <= 3:
-        return fac.degree if discriminant(fac) > 0 else fac.degree - 2
-    return sturm_real_root_count(fac)
 
 
 def _deflated(f: IntPolynomial) -> Tuple[int, IntPolynomial]:
@@ -511,9 +484,8 @@ def isolate_roots(
 ) -> CertifiedRootSet:
     """Certified disjoint root disks for f (degree >= 1).
 
-    Raises PrecisionCapExceeded (carrying a partial, uncertified set when
-    available) if certification does not complete within precision_cap
-    bits.
+    Raises PrecisionCapExceeded if certification does not complete within
+    precision_cap bits.
     """
     if f.is_zero:
         raise ZeroPolynomial("cannot isolate roots of the zero polynomial")
@@ -524,34 +496,23 @@ def isolate_roots(
     prec = max(precision_bits, 53, maxbits + 16)
     cap = max(precision_cap, prec)
     v, parts = _analysis(f)
-
-    def _sorted(disks):
-        return tuple(sorted(disks, key=lambda d: (d.center_re, d.center_im)))
-
     while True:
         got = _certified(
-            ((fac.coeffs, mult, _propose(fac, prec)) for fac, mult, _ in parts), v
+            ((fac.coeffs, mult, _propose(fac, prec)) for fac, mult in parts), v
         )
-        disks = None
         if got is not None:
             ints, k, mults, reals = got
             disks = [
                 RootDisk(_dyadic(a, -k), _dyadic(b, -k), _dyadic(r, -k), m, br)
                 for (a, b, r), m, br in zip(ints, mults, reals)
             ]
-            tight = radius_target is None or all(d.radius <= radius_target for d in disks)
-            if tight:
-                return CertifiedRootSet(f, _sorted(disks), prec, "CERTIFIED")
+            if radius_target is None or all(d.radius <= radius_target for d in disks):
+                disks.sort(key=lambda d: (d.center_re, d.center_im))
+                return CertifiedRootSet(f, tuple(disks), prec, "CERTIFIED")
         if prec >= cap:
-            partial = None
-            if disks is not None:
-                partial = CertifiedRootSet(
-                    f, _sorted(disks), prec, "REFINEMENT_CAP_REACHED"
-                )
             raise PrecisionCapExceeded(
                 "certification incomplete at %d bits (cap %d) for %s"
-                % (prec, cap, f.coeffs),
-                partial=partial,
+                % (prec, cap, f.coeffs)
             )
         prec = min(prec * 2, cap)
 

@@ -658,7 +658,7 @@ def test_vector_engine_decides_rows_without_scalar_kernels(monkeypatch):
     # decomposition: no gcd runs outside the fall-back
     from rootcensus import census
 
-    names = ("_distinct_signature", "profile_pair_deg3", "subresultant_gcd", "squarefree_decomposition")
+    names = ("_signature_counts", "profile_pair_deg3", "subresultant_gcd", "squarefree_decomposition")
     calls = _count_calls(monkeypatch, names)
     in_fallback = dict.fromkeys(calls, 0)
     in_tie_step = dict.fromkeys(calls, 0) | {"chains": 0}
@@ -690,7 +690,7 @@ def test_vector_engine_decides_rows_without_scalar_kernels(monkeypatch):
         assert in_tie_step["chains"] == chains, (n, height)
         outside = {name: calls[name] - in_fallback[name] for name in calls}
         assert outside == dict.fromkeys(calls, 0)
-    assert in_fallback["_distinct_signature"] == 32
+    assert in_fallback["_signature_counts"] == 32
     assert in_tie_step == dict.fromkeys(calls, 0) | {"chains": 108}
 
 

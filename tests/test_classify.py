@@ -417,6 +417,29 @@ def test_sieve_proves_dense_irreducibles_without_kronecker(monkeypatch, cs):
     assert _sympy_factors(f) == [(f.degree, 1)]
 
 
+def test_one_squarefree_decomposition_per_analysed_polynomial(monkeypatch):
+    # isolation, profile, signature, factorization and the relation test
+    # all read one analysis: X^6 - X - 1 is irreducible, and the profile of
+    # X (X - 2)^2 (X^2 + X + 3) reads its zero-deflated quartic, which
+    # shares the analysis of f
+    from rootcensus import intpoly, roots
+
+    calls = []
+    fn = intpoly.squarefree_decomposition
+    for mod in (intpoly, roots, classify):
+        if getattr(mod, "squarefree_decomposition", None) is fn:
+            monkeypatch.setattr(mod, "squarefree_decomposition", lambda f: calls.append(f) or fn(f))
+    x, square = IntPolynomial((1, 0)), IntPolynomial((1, -2)) * IntPolynomial((1, -2))
+    for f in (IntPolynomial((1, 0, 0, 0, 0, -1, -1)), x * square * IntPolynomial((1, 1, 3))):
+        calls.clear()
+        isolate_roots(f, 53)
+        modulus_profile(f)
+        root_signature(f)
+        factorize(f)
+        has_multiplicative_relation(f)
+        assert len(calls) == 1, f.coeffs
+
+
 # -- S_n certificates --------------------------------------------------------------
 
 

@@ -11,14 +11,16 @@ form, also beyond the double range.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
-from rootcensus.classify import _modulus_units, _runs, modulus_profile, root_signature
+from rootcensus.classify import _mod2, _modulus_units, _runs, modulus_profile, root_signature
 from rootcensus.errors import DegreeTooSmall, ZeroPolynomial
 from rootcensus.intpoly import IntPolynomial
 from rootcensus.roots import (
@@ -31,7 +33,6 @@ from rootcensus.roots import (
     _disjoint,
     _dyadic_disks,
     _float_centres,
-    _modulus_bounds,
     _propose,
     _realness,
     fujiwara_bound,
@@ -49,12 +50,12 @@ def _rand_poly(rng: random.Random, max_deg: int = 6, height: int = 1000) -> IntP
     return IntPolynomial(tuple(cs))
 
 
-def _modulus_interval(disk: RootDisk):
-    """Bounds on |root| for a root in the disk: _modulus_bounds on its
-    integers at the _dyadic_disks scale 2^e."""
+def _mod2_interval(disk: RootDisk):
+    """Bounds on |root|^2 for a root in the disk: _mod2 on its integers at
+    the _dyadic_disks scale 2^e."""
     ((a, b, k),), e = _dyadic_disks((disk,))
-    lo, hi = _modulus_bounds(a, b, k)
-    return lo * Fraction(2) ** e, hi * Fraction(2) ** e
+    lo, hi = _mod2(a, b, k)
+    return lo * Fraction(4) ** e, hi * Fraction(4) ** e
 
 
 def _check_against_numpy(f: IntPolynomial, rs: CertifiedRootSet, slack: float = 1e-6):
@@ -121,25 +122,25 @@ def test_zero_root_exact():
     zero_disks = [d for d in rs.disks if d.center_re == 0 and d.center_im == 0]
     assert len(zero_disks) == 1
     assert zero_disks[0].radius == 0
-    lo, hi = _modulus_interval(zero_disks[0])
+    lo, hi = _mod2_interval(zero_disks[0])
     assert lo == 0
 
 
 def test_modulus_interval_is_exact_on_dyadic_disks():
-    # centre 3/4 + i, radius 1/4: |c| = 5/4, so exactly [1, 3/2]
+    # centre 3/4 + i, radius 1/4: |c| = 5/4, so |root|^2 lies exactly in
+    # [1, 3/2]^2
     disk = RootDisk(Fraction(3, 4), Fraction(1), Fraction(1, 4), 1, False)
     assert _dyadic_disks((disk,)) == ([(3, 4, 1)], -2)
-    assert _modulus_bounds(3, 4, 1) == (4, 6)
-    assert _modulus_interval(disk) == (1, Fraction(3, 2))
-    # centre 1 + i, radius 1/2: on the half-integer grid of the disk,
-    # sqrt 2 lies in [1, 3/2], so |c| -+ 1/2 lies in [1/2, 2]
+    assert _mod2_interval(disk) == (1, Fraction(9, 4))
+    # centre 1 + i, radius 1/2: sqrt 2 is bounded above by 3/2 on the
+    # half-integer grid of the disk, so (sqrt 2 -+ 1/2)^2 = 9/4 -+ sqrt 2
+    # lies in [3/4, 15/4]
     disk = RootDisk(Fraction(1), Fraction(1), Fraction(1, 2), 1, False)
-    assert _modulus_bounds(2, 2, 1) == (1, 4)
-    assert _modulus_interval(disk) == (Fraction(1, 2), 2)
-    # a disk around 0 may hold the root 0
+    assert _mod2_interval(disk) == (Fraction(3, 4), Fraction(15, 4))
+    # a disk around 0 may hold the root 0: |c| = sqrt 2 / 8 <= 1/4
     disk = RootDisk(Fraction(1, 8), Fraction(-1, 8), Fraction(1, 4), 1, False)
-    assert _modulus_interval(disk) == (0, Fraction(1, 2))
-    assert _modulus_interval(RootDisk(Fraction(-2), Fraction(0), Fraction(0), 2, True)) == (2, 2)
+    assert _mod2_interval(disk) == (0, Fraction(7, 32))
+    assert _mod2_interval(RootDisk(Fraction(-2), Fraction(0), Fraction(0), 2, True)) == (4, 4)
 
 
 def test_rational_root_enclosed():
@@ -156,7 +157,7 @@ def test_cyclotomic_conjugate_disks():
     assert len(rs.disks) == 4
     assert not any(d.is_real for d in rs.disks)
     for d in rs.disks:
-        lo, hi = _modulus_interval(d)
+        lo, hi = _mod2_interval(d)
         assert lo <= 1 <= hi
 
 
@@ -372,6 +373,40 @@ def test_criterion_7_polynomials_certify_at_the_double_step():
     polys = [f for f in map(_c7_poly, range(2000)) if f.degree >= 2]
     climbed = [f.coeffs for f in polys if isolate_roots(f, precision_bits=53).precision_bits != 53]
     assert len(polys) > 1500 and climbed == []
+
+
+def test_companion_roots_are_real_or_exact_conjugate_pairs():
+    # the int64 pass of the n = 4 census reads a real root off an exactly
+    # zero imaginary part and pairs disks as exact mirror images: every
+    # eigenvalue is real with imaginary part 0.0 or has its exact conjugate
+    # among the row's other eigenvalues, over the whole n = 4 H = 2 block
+    # (a negative lead gives the same companion matrix) and random rows of
+    # degree 2-8 with coefficients up to 10^6
+    rng = random.Random(49)
+    blocks = [list(itertools.product(range(1, 3), *[range(-2, 3)] * 4))]
+    for n in range(2, 9):
+        blocks.append([
+            [rng.choice((-1, 1)) * rng.randint(1, 10**6)] + [rng.randint(-(10**6), 10**6) for _ in range(n)]
+            for _ in range(2000)
+        ])
+    for rows in blocks:
+        for row, z in zip(rows, _companion_roots(rows).tolist()):
+            upper = Counter(w for w in z if w.imag > 0)
+            assert upper == Counter(w.conjugate() for w in z if w.imag < 0), row
+            assert 2 * sum(upper.values()) + sum(w.imag == 0 for w in z) == len(z), row
+
+
+def test_isolation_builds_no_sturm_chain(monkeypatch):
+    # real roots are read off the disks: the squarefree quartic X^4 - X - 1,
+    # with two real roots, certifies without a Sturm count
+    from rootcensus import intpoly
+
+    chains = []
+    chain = intpoly.sturm_chain
+    monkeypatch.setattr(intpoly, "sturm_chain", lambda f: chains.append(f) or chain(f))
+    rs = isolate_roots(IntPolynomial((1, 0, 0, -1, -1)))
+    assert sum(d.is_real for d in rs.disks) == 2
+    assert chains == []
 
 
 def test_huge_coefficients_escalate_cleanly():

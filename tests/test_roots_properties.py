@@ -37,7 +37,7 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from rootcensus.classify import _mod2, _product_disks, _products_separated
+from rootcensus.classify import _mod2, _product_disks, _products_separated, _real_count
 from rootcensus.intpoly import (
     IntPolynomial,
     _deflate_zero_roots,
@@ -52,7 +52,6 @@ from rootcensus.roots import (
     _analysis,
     _dyadic,
     _dyadic_disks,
-    _real_count,
     isolate_roots,
 )
 
@@ -175,8 +174,8 @@ def _check_certified(f: IntPolynomial, rs: CertifiedRootSet, roots) -> None:
     zero = RootDisk(Fraction(0), Fraction(0), Fraction(0), a.zeros, True)
     assert [
         sum(d.is_real for d in rs.disks if d.multiplicity == mult and d != zero)
-        for _, mult, _ in a.factors
-    ] == [_real_count(fac) for fac, _, _ in a.factors], f.coeffs
+        for _, mult in a.factors
+    ] == [_real_count(fac) for fac, _ in a.factors], f.coeffs
     with mpmath.workdps(_DIGITS + 10):
         held = [0] * len(rs.disks)
         for z, slack in roots:

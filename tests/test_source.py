@@ -19,6 +19,12 @@ places call.
 The package calls np.linalg.eigvals in one place, roots._companion_roots,
 which both engines ask for their hardware-double root proposals.
 
+Outside intpoly, where it is defined, the package uses
+squarefree_decomposition in one place, roots._analysis, which stores the
+result on the polynomial for every classifier to read: imports and
+re-exports of the name aside, no other function runs Yun's algorithm
+again.
+
 No module imports mpmath: root centres are proposed in hardware doubles
 and in exact integers, and every value handed out is an exact integer or
 dyadic Fraction, so nothing depends on a global working precision.
@@ -203,9 +209,9 @@ def test_repeated_expression_is_found():
     assert _repeated_expressions(trees) == [[("a.py", 2), ("b.py", 2)]]
 
 
-def _eigvals_references(trees: dict) -> list:
-    """(module, innermost enclosing function or None) of every name,
-    attribute or import of eigvals."""
+def _places(trees: dict, name: str, imports: bool = True) -> list:
+    """(module, innermost enclosing function or None) of every name or
+    attribute `name`, and of every import of it when `imports`."""
     found = []
 
     def visit(node, module, where):
@@ -213,20 +219,20 @@ def _eigvals_references(trees: dict) -> list:
             if isinstance(child, ast.FunctionDef):
                 visit(child, module, child.name)
                 continue
-            if "eigvals" in (getattr(child, "id", None), getattr(child, "attr", None)) or (
-                isinstance(child, ast.alias) and child.name.rpartition(".")[2] == "eigvals"
+            if name in (getattr(child, "id", None), getattr(child, "attr", None)) or (
+                imports and isinstance(child, ast.alias) and child.name.rpartition(".")[2] == name
             ):
                 found.append((module, where))
             visit(child, module, where)
 
-    for name, tree in trees.items():
-        visit(tree, name, None)
+    for module, tree in trees.items():
+        visit(tree, module, None)
     return sorted(found, key=lambda ref: (ref[0], ref[1] or ""))
 
 
 def test_one_eigenvalue_call_proposes_every_root():
     trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in _MODULES}
-    assert _eigvals_references(trees) == [("roots.py", "_companion_roots")]
+    assert _places(trees, "eigvals") == [("roots.py", "_companion_roots")]
 
 
 def test_eigvals_reference_is_found():
@@ -234,4 +240,19 @@ def test_eigvals_reference_is_found():
         "a.py": ast.parse("import numpy as np\ndef f(m):\n    return np.linalg.eigvals(m)\n"),
         "b.py": ast.parse("from numpy.linalg import eigvals\nclass C:\n    def g(self):\n        return eigvals\n"),
     }
-    assert _eigvals_references(trees) == [("a.py", "f"), ("b.py", None), ("b.py", "g")]
+    assert _places(trees, "eigvals") == [("a.py", "f"), ("b.py", None), ("b.py", "g")]
+
+
+def test_one_squarefree_decomposition_per_polynomial():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in _MODULES if p.name != "intpoly.py"}
+    assert _places(trees, "squarefree_decomposition", imports=False) == [("roots.py", "_analysis")]
+
+
+def test_squarefree_decomposition_use_is_found():
+    trees = {
+        "a.py": ast.parse("from .intpoly import squarefree_decomposition\n__all__ = ['squarefree_decomposition']\n"),
+        "b.py": ast.parse("from . import intpoly\ndef f(g):\n    return intpoly.squarefree_decomposition(g)\n"),
+        "c.py": ast.parse("from .intpoly import squarefree_decomposition as sd\nuse = squarefree_decomposition\n"),
+    }
+    refs = _places(trees, "squarefree_decomposition", imports=False)
+    assert refs == [("b.py", "f"), ("c.py", None)]
