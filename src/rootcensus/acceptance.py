@@ -44,13 +44,13 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .census import CensusSpec, fit_growth_exponent, make_work_units, run_census
 from .classify import (
-    _mod2,
+    _modulus_units,
     has_multiplicative_relation,
     modulus_profile,
     root_signature,
@@ -63,8 +63,8 @@ from .generators import (
     near_target_family,
     perturbation_bounds,
 )
-from .intpoly import IntPolynomial, discriminant
-from .roots import _dyadic_disks, fujiwara_bound, isolate_roots, refine
+from .intpoly import IntPolynomial, coeff_string, discriminant
+from .roots import fujiwara_bound, isolate_roots, refine
 
 __all__ = [
     "CriterionResult",
@@ -128,35 +128,17 @@ def _census(ctx: _Context, **kw) -> object:
 def _c1(ctx: _Context) -> _Measured:
     measured: Dict[str, object] = {}
     ok = True
-    for n, H in ((2, 10), (3, 6)):
-        box = (2 * H + 1) ** n
-        t = _census(ctx, n=n, height=H, monic=True, counters=("A",))
-        s = t.family_total("A")
-        measured["A(%d,%d)" % (n, H)] = {"sum": s, "box": box, "ambiguous": t.ambiguous}
-        ok = ok and s == box and t.totals == box and t.ambiguous == 0
-    for n, H in ((2, 8), (3, 5)):
-        box = 2 * H * (2 * H + 1) ** n
-        t = _census(ctx, n=n, height=H, monic=False, counters=("A*",))
-        s = t.family_total("A*")
-        measured["A*(%d,%d)" % (n, H)] = {"sum": s, "box": box, "ambiguous": t.ambiguous}
+    for fam, n, H in (("A", 2, 10), ("A", 3, 6), ("A*", 2, 8), ("A*", 3, 5)):
+        monic = fam == "A"
+        box = CensusSpec(n=n, height=H, monic=monic).total_points
+        t = _census(ctx, n=n, height=H, monic=monic, counters=(fam,))
+        s = t.family_total(fam)
+        measured["%s(%d,%d)" % (fam, n, H)] = {"sum": s, "box": box, "ambiguous": t.ambiguous}
         ok = ok and s == box and t.totals == box and t.ambiguous == 0
     return ok, measured
 
 
 # -- criterion 2: hand-oracle box -------------------------------------------
-
-
-def _monic_quadratics_h1() -> Iterable[IntPolynomial]:
-    for b in (-1, 0, 1):
-        for c in (-1, 0, 1):
-            yield IntPolynomial((1, b, c))
-
-
-def _quadratics_h1() -> Iterable[IntPolynomial]:
-    for a in (-1, 1):
-        for b in (-1, 0, 1):
-            for c in (-1, 0, 1):
-                yield IntPolynomial((a, b, c))
 
 
 def _recount_profile(f: IntPolynomial):
@@ -177,11 +159,13 @@ def _c2(ctx: _Context) -> _Measured:
     census_a = {k: ta.get("A", k) for k in oracle_a}
     census_d = {k: td.get("D*", k) for k in oracle_d}
 
+    # the 18 quadratics of height 1: 9 with a_0 = -1, then the 9 monic ones
+    box = [IntPolynomial(cs) for cs in itertools.product((-1, 1), (-1, 0, 1), (-1, 0, 1))]
     recount_a = {"1": 0, "2": 0}
-    for f in _monic_quadratics_h1():
+    for f in box[9:]:
         recount_a[str(_recount_profile(f).k_max)] += 1
     recount_d = {"r=0,s=1": 0, "r=2,s=0": 0}
-    for f in _quadratics_h1():
+    for f in box:
         sig = root_signature(f)
         recount_d["r=%d,s=%d" % (sig.r, sig.s)] += 1
 
@@ -312,29 +296,27 @@ def _c7_intervals(f: IntPolynomial, rs) -> Tuple[bool, bool]:
     a violation if refinement cannot clear it, and either way the gate
     (zero violations, zero undecided) turns red.
 
-    Everything is compared in integers at the square of the disks' one
-    scale 2^e (_dyadic_disks), where 1 is `one` = 4^-e: the enclosures of
-    each squared modulus (classify._mod2), fb^2 for the Fujiwara bound fb,
-    and the bounds a_0^2 prod max(1, |root|^2) of the squared Mahler
-    measure, which carry the factor one^n since the multiplicities sum to
-    n."""
+    Everything is compared in integers at the square of the one scale
+    2^e of the cells of rs, where 1 is `one` = 4^-e: the enclosures of each
+    squared modulus (classify._modulus_units, one per real root or
+    conjugate pair), fb^2 for the Fujiwara bound fb, and the bounds
+    a_0^2 prod max(1, |root|^2) of the squared Mahler measure, which carry
+    the factor one^n since the multiplicities sum to n."""
     fb = fujiwara_bound(f)
     n = f.degree
     H2 = f.height ** 2
-    disks, e = _dyadic_disks(rs.disks)
-    one = 1 << -2 * e
+    one = 1 << -2 * rs.exponent
     fb2_num, fb2_den = fb.numerator ** 2 * one, fb.denominator ** 2
     m_lo = m_hi = f.coeffs[0] ** 2
     fuj_ok = True
     straddle = False
-    for (a, b, k), d in zip(disks, rs.disks):
-        lo2, hi2 = _mod2(a, b, k)
+    for lo2, hi2, mult in _modulus_units(rs.cells):
         if lo2 * fb2_den > fb2_num:
             fuj_ok = False
         elif hi2 * fb2_den > fb2_num:
             straddle = True
-        m_lo *= max(one, lo2) ** d.multiplicity
-        m_hi *= max(one, hi2) ** d.multiplicity
+        m_lo *= max(one, lo2) ** mult
+        m_hi *= max(one, hi2) ** mult
     if not (H2 * one**n <= 4**n * m_lo):
         straddle = True
     if not (m_hi <= (n + 1) * H2 * one**n):
@@ -353,7 +335,7 @@ def _c7_chunk(args: Tuple[int, int]) -> Dict[str, object]:
         if straddle and fuj_ok:
             rs = refine(rs, Fraction(1, 1 << 80))
             fuj_ok, straddle = _c7_intervals(f, rs)
-        cs = ",".join(str(c) for c in f.coeffs)
+        cs = coeff_string(f)
         if not fuj_ok:
             violations.append(cs)
         elif straddle:
@@ -485,7 +467,7 @@ def _c9(ctx: _Context) -> _Measured:
         if (p.k_max, p.k_min) == (2, 2):
             hits += 1
         elif len(bad) < 3:
-            bad.append(",".join(str(c) for c in f.coeffs))
+            bad.append(coeff_string(f))
     ok = total == budget and hits == total
     return ok, {"sampled": total, "in_B22": hits, "first_misses": bad}
 
@@ -529,7 +511,7 @@ def _c10(ctx: _Context) -> _Measured:
         if got:
             relations += 1
         if got != want:
-            mismatches.append(",".join(str(c) for c in f.coeffs))
+            mismatches.append(coeff_string(f))
     return not mismatches, {
         "checked": checked,
         "repeated_root_skipped": skipped,

@@ -14,8 +14,8 @@ of the spec, independent of worker count, completion order, and
 checkpoint interruptions. Checkpoints are line-delimited JSON with
 per-record sha256 checksums, one record per unit in unit order at any
 worker count, so a checkpoint's bytes too are a function of the spec;
-any malformed or truncated line is a CheckpointCorrupt error, not a
-silent recovery.
+any malformed or truncated line, or a record of a unit the census does
+not have, is a CheckpointCorrupt error, not a silent recovery.
 
 Two engines compute the same statistics of each point (k_max, k_min,
 real and distinct roots, ...), and each counter labels them through its
@@ -623,10 +623,10 @@ def _vec_profile4(a, b, c, d, e):
     coeffs = np.stack(cols, axis=1)
     got, tied, disks = _vec_certify(cols, _companion_roots(coeffs), k)
     for i, row, dk in zip(tied.tolist(), coeffs[tied].tolist(), disks.tolist()):
-        reals = [y == 0 for _, y, _ in dk]
-        runs = _runs(_modulus_units(dk, [1] * 4, reals))
+        cells = [(x, y, r, 1, y == 0) for x, y, r in dk]
+        runs = _runs(_modulus_units(cells))
         if _extremes_split(runs, -2 * k, _tie_chain(IntPolynomial(row))):
-            got[i] = _certified_state(runs[-1].mult, runs[0].mult, sum(reals))
+            got[i] = _certified_state(runs[-1].mult, runs[0].mult, sum(c[4] for c in cells))
     states.flat[rows] = got
     return states, table
 
@@ -754,8 +754,8 @@ def _write_line(fh, record: Dict[str, object]) -> None:
 
 def checkpoint_load(path: str) -> CheckpointState:
     """Parse and validate a checkpoint; any defect (missing or bad
-    header, unparseable or truncated record, checksum mismatch,
-    duplicate unit) raises CheckpointCorrupt."""
+    header, unparseable or truncated record, checksum mismatch, unit id
+    not an integer, duplicate unit) raises CheckpointCorrupt."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read()
@@ -790,6 +790,8 @@ def checkpoint_load(path: str) -> CheckpointState:
             raise CheckpointCorrupt("bad checkpoint record at line %d" % ln) from exc
         if _record_checksum(unit_id, delta) != checksum:
             raise CheckpointCorrupt("checksum mismatch at line %d" % ln)
+        if type(unit_id) is not int:
+            raise CheckpointCorrupt("unit id %r at line %d is not an integer" % (unit_id, ln))
         if unit_id in state.deltas:
             raise CheckpointCorrupt("duplicate unit %r at line %d" % (unit_id, ln))
         state.deltas[unit_id] = delta
@@ -825,6 +827,9 @@ def run_census(spec: CensusSpec, limit_units: Optional[int] = None) -> CounterTa
                 "checkpoint belongs to a different census: %r" % (state.fingerprint,)
             )
         done = state.deltas
+        extra = set(done) - {u.unit_id for u in units}
+        if extra:
+            raise CheckpointCorrupt("checkpoint names units this census lacks: %s" % sorted(extra))
         for delta in done.values():
             table = table.merge(CounterTable.from_delta(spec.fingerprint(), delta))
     pending = [(spec, u) for u in units if u.unit_id not in done]
@@ -834,7 +839,10 @@ def run_census(spec: CensusSpec, limit_units: Optional[int] = None) -> CounterTa
         fh = None
         if spec.checkpoint:
             fresh = not os.path.exists(spec.checkpoint)
-            fh = stack.enter_context(open(spec.checkpoint, "a", encoding="utf-8"))
+            try:
+                fh = stack.enter_context(open(spec.checkpoint, "a", encoding="utf-8"))
+            except OSError as exc:
+                raise CheckpointCorrupt("cannot write checkpoint: %s" % exc) from exc
             if fresh:
                 header = {"format": CHECKPOINT_FORMAT, "version": 1,
                           "fingerprint": spec.fingerprint()}

@@ -77,14 +77,12 @@ from .intpoly import (
 from .modp import factor_degree_pattern, primes_up_to, root_counts
 from .roots import (
     CertifiedRootSet,
-    RootDisk,
     _DEFAULT_CAP,
     _analysis,
     _ceil_sqrt,
     _deflated,
     _disjoint,
     _dyadic,
-    _dyadic_disks,
     isolate_roots,
     refine,
 )
@@ -314,19 +312,19 @@ def _mod2(a, b, k):
     return lo * ((c2 > k * k) & (lo > 0)), c2 + 2 * cu * k + k * k
 
 
-def _modulus_units(
-    disks: Sequence[Sequence[int]], mults: Sequence[int], reals: Sequence[bool]
-) -> List[Tuple[int, int, int]]:
-    """The units of certified disks (a, b, k) at one scale 2^e, with their
-    multiplicities and real flags: the disks certified to share one
-    modulus, as (lo2, hi2, mult) with the exact enclosure of the squared
-    modulus at that scale (_mod2). A unit is a real disk or a conjugate
-    pair, read from its upper disk (isolate_roots, roots._certified and
-    the int64 pass of the n = 4 census make the disks of a pair exact
-    mirror images with one multiplicity)."""
+def _modulus_units(cells: Sequence[Sequence[int]]) -> List[Tuple[int, int, int]]:
+    """The units of certified cells (a, b, k, multiplicity, is_real), disks
+    of centre (a + bi) 2^e and radius k 2^e at one scale (the cells of a
+    CertifiedRootSet, of roots._certified, or of the int64 pass of the
+    n = 4 census): the disks certified to share one modulus, as
+    (lo2, hi2, mult) with the exact enclosure of the squared modulus at
+    the scale 4^e (_mod2) and the multiplicity of all their roots. A unit
+    is a real disk or a conjugate pair, read from its upper disk (all
+    three make the disks of a pair exact mirror images with one
+    multiplicity)."""
     return [
         (*_mod2(a, b, k), mult * (1 if real else 2))
-        for (a, b, k), mult, real in zip(disks, mults, reals)
+        for a, b, k, mult, real in cells
         if real or b > 0
     ]
 
@@ -358,9 +356,7 @@ def _disk_runs(rs: CertifiedRootSet) -> Tuple[List[_Run], int]:
     """The modulus runs of the disks of rs, and the exponent e at which
     their integer bounds enclose squared moduli: lo2 2^e <= |root|^2 <=
     hi2 2^e, with 2^e the square of the disks' one dyadic scale."""
-    ints, e = _dyadic_disks(rs.disks)
-    mults = [d.multiplicity for d in rs.disks]
-    return _runs(_modulus_units(ints, mults, [d.is_real for d in rs.disks])), 2 * e
+    return _runs(_modulus_units(rs.cells)), 2 * rs.exponent
 
 
 # -- signature ----------------------------------------------------------------
@@ -524,18 +520,9 @@ def _kronecker_search(w: IntPolynomial, k: int) -> Optional[IntPolynomial]:
     g(x_i) | w(x_i) at the k+1 integer sample points."""
     from itertools import product as iproduct
 
-    xs: List[int] = []
-    vals: List[int] = []
-    t = 0
-    while len(xs) < k + 1:
-        for x in (t,) if t == 0 else (t, -t):
-            if len(xs) >= k + 1:
-                break
-            val = w.eval_at(x)
-            if val != 0:  # impossible (no rational roots); defensive
-                xs.append(x)
-                vals.append(val)
-        t += 1
+    # the sample points 0, 1, -1, 2, -2, ..., where w has no roots
+    xs = [(i + 1) // 2 * (-1) ** (i + 1) for i in range(k + 1)]
+    vals = [w.eval_at(x) for x in xs]
     divlists: List[List[int]] = []
     for i, val in enumerate(vals):
         ds = _divisors(val)
@@ -648,16 +635,17 @@ def _products_separated(g: IntPolynomial) -> bool:
         rs = isolate_roots(g, precision_bits=53)
     except PrecisionCapExceeded:
         return False
-    return _disjoint(_product_disks(rs.disks))
+    return _disjoint(_product_disks(rs.cells))
 
 
-def _product_disks(disks: Sequence[RootDisk]) -> List[Tuple[int, int, int]]:
+def _product_disks(cells: Sequence[Sequence[int]]) -> List[Tuple[int, int, int]]:
     """Integer enclosures (x + yi, R) 4^e of z1 z2 for every pair of
-    disks. With the disks as (a + bi, k) 2^e (_dyadic_disks) and
+    disks. With the disks as cells (a, b, k, ...) at one scale 2^e
+    (CertifiedRootSet), of centre c = (a + bi) 2^e and radius k 2^e, and
     cu = ceil(sqrt(a^2 + b^2)) >= |c| 2^-e, the centre is
     (a1 a2 - b1 b2, a1 b2 + b1 a2) and the radius cu1 k2 + cu2 k1 + k1 k2,
     since |z1 z2 - c1 c2| <= |c1| r2 + |c2| r1 + r1 r2."""
-    cs = [(a, b, k, _ceil_sqrt(a * a + b * b)) for a, b, k in _dyadic_disks(disks)[0]]
+    cs = [(a, b, k, _ceil_sqrt(a * a + b * b)) for a, b, k, *_ in cells]
     return [
         (a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, cu1 * k2 + cu2 * k1 + k1 * k2)
         for i, (a1, b1, k1, cu1) in enumerate(cs)

@@ -105,14 +105,16 @@ def _resolve_global(args: argparse.Namespace, flag: str):
     env = os.environ.get(_env_name(flag))
     if env is not None and env != "":
         if isinstance(default, int):
-            try:
-                return int(env)
-            except ValueError:
-                raise BadParameters(
-                    "environment %s=%r is not an integer" % (_env_name(flag), env)
-                )
+            return _parse_int(env, "environment " + _env_name(flag))
         return env
     return default
+
+
+def _parse_int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise BadParameters("%s must be an integer, got %r" % (what, text))
 
 
 def _parse_fraction(text: str, what: str) -> Fraction:
@@ -194,8 +196,11 @@ def _emit(cfg: Dict[str, object], obj: Dict[str, object], text: str) -> None:
     if cfg["out"] == "-":
         sys.stdout.write(text + "\n")
     else:
-        with open(str(cfg["out"]), "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(str(cfg["out"]), "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as e:
+            raise BadParameters("cannot write --out: %s" % e)
 
 
 def _config(args: argparse.Namespace, **extra) -> Dict[str, object]:
@@ -384,22 +389,22 @@ def _predicate(expr: str, degree_cap: int) -> Callable[[IntPolynomial], bool]:
     if expr == "irreducible":
         return lambda f: factorize(f, degree_cap=degree_cap).irreducible
     if expr.startswith("k_max="):
-        k = int(expr[6:])
+        k = _parse_int(expr[6:], "k_max")
         return lambda f: modulus_profile(f).k_max == k
     if expr.startswith("k_min="):
-        k = int(expr[6:])
+        k = _parse_int(expr[6:], "k_min")
         return lambda f: modulus_profile(f).k_min == k
     if expr.startswith("b*="):
         parts = expr[3:].split(",")
         if len(parts) != 2:
             raise BadParameters("b* predicate needs 'b*=M1,M2'")
-        m1, m2 = int(parts[0]), int(parts[1])
+        m1, m2 = (_parse_int(m, "b*") for m in parts)
         def _b(f: IntPolynomial) -> bool:
             p = modulus_profile(f)
             return (p.k_max, p.k_min) == (m1, m2)
         return _b
     if expr.startswith("r="):
-        r = int(expr[2:])
+        r = _parse_int(expr[2:], "r")
         return lambda f: root_signature(f).r == r
     raise BadParameters(
         "unknown predicate %r (grammar: k_max=K, k_min=K, dominant, b*=M1,M2, r=R, irreducible)"
@@ -423,6 +428,8 @@ def _cmd_generate(args: argparse.Namespace) -> _Output:
         validate=args.validate,
     )
     count = args.count
+    if count < 0:
+        raise BadParameters("--count must be >= 0, got %d" % count)
     if args.family == "near-target":
         if not args.target:
             raise BadParameters("near-target needs --target \"re,im;re,im;...\"")
@@ -517,10 +524,7 @@ def _cmd_fit(args: argparse.Namespace) -> _Output:
 def _cmd_verify(args: argparse.Namespace) -> _Output:
     criteria = None
     if args.criteria:
-        try:
-            criteria = [int(t) for t in args.criteria.split(",") if t.strip()]
-        except ValueError:
-            raise BadParameters("--criteria must be a comma list of integers")
+        criteria = [_parse_int(t, "--criteria entry") for t in args.criteria.split(",") if t.strip()]
     cfg = _config(args, suite=args.suite, criteria=criteria)
     results = run_acceptance(args.suite, criteria=criteria, jobs=int(cfg["jobs"]))
     code = acceptance_exit_code(results)

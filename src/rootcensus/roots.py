@@ -3,7 +3,9 @@
 The contract: isolate_roots(f) returns pairwise disjoint closed disks,
 one per distinct root, each carrying the multiplicity of its root and a
 certified is_real flag, such that every root of f lies in exactly one
-disk. Centres and radii are exact dyadic Fractions.
+disk. The set keeps the disks as the certifier's integer cells at one
+dyadic exponent, which classify, census and acceptance read as they are;
+its disks view gives them as dyadic Fractions.
 
 Roots at zero are split off exactly and get a disk of radius zero, and
 Yun decomposition hands the rest over as squarefree factors with their
@@ -44,7 +46,8 @@ along a ladder that starts at max(precision_bits, 53, coefficient
 bits + 16) and doubles up to precision_cap (4096 bits by default). A
 start at 53 bits runs the hardware-double step, then fixed point at
 106, 212, ... bits; the default start runs fixed point at 128, 256, ...
-bits. Past the cap isolate_roots raises PrecisionCapExceeded.
+bits. Past the cap isolate_roots raises PrecisionCapExceeded. refine
+continues a set's ladder one step above the step that certified it.
 """
 
 from __future__ import annotations
@@ -94,16 +97,6 @@ class RootDisk:
     is_real: bool
 
 
-def _dyadic_disks(disks: Sequence[RootDisk]) -> Tuple[List[Tuple[int, int, int]], int]:
-    """The disks' centres and radii as exact integers at one common dyadic
-    exponent e: a triple (a, b, k) stands for centre (a + bi) 2^e and
-    radius k 2^e, where 2^-e is the largest denominator of any value."""
-    vals = [x for d in disks for x in (d.center_re, d.center_im, d.radius)]
-    k = max(x.denominator for x in vals).bit_length() - 1
-    ints = [x.numerator << (k + 1 - x.denominator.bit_length()) for x in vals]
-    return [tuple(ints[i : i + 3]) for i in range(0, len(ints), 3)], -k
-
-
 def _dyadic(n: int, e: int) -> Fraction:
     """The Fraction n 2^e."""
     return Fraction(n << e) if e >= 0 else Fraction(n, 1 << -e)
@@ -119,19 +112,30 @@ def _ceil_sqrt(n):
 @dataclass(frozen=True)
 class CertifiedRootSet:
     """Result of isolate_roots: disjoint certified disks covering all
-    roots with multiplicity; status is "CERTIFIED"."""
+    roots with multiplicity, certified at precision_bits. Each cell
+    (a, b, r, multiplicity, is_real) is the disk of centre (a + bi) 2^e and
+    radius r 2^e, e = exponent <= 0, and the cells are sorted by centre;
+    disks gives the same disks as RootDisk Fractions."""
+
+    status = "CERTIFIED"
 
     polynomial: IntPolynomial
-    disks: Tuple[RootDisk, ...]
+    cells: Tuple[Tuple[int, int, int, int, bool], ...]
+    exponent: int
     precision_bits: int
-    status: str
+
+    @property
+    def disks(self) -> Tuple[RootDisk, ...]:
+        e = self.exponent
+        return tuple(RootDisk(_dyadic(a, e), _dyadic(b, e), _dyadic(r, e), m, real)
+                     for a, b, r, m, real in self.cells)
 
     @property
     def total_multiplicity(self) -> int:
-        return sum(d.multiplicity for d in self.disks)
+        return sum(c[3] for c in self.cells)
 
     def max_radius(self) -> Fraction:
-        return max((d.radius for d in self.disks), default=Fraction(0))
+        return _dyadic(max(c[2] for c in self.cells), self.exponent)
 
 
 # -- the exact analysis every certified question starts from -------------
@@ -447,16 +451,16 @@ def _realness(disks: List[List[int]]) -> Optional[List[bool]]:
 
 
 def _certified(factors, v: int):
-    """Certified disjoint disks around given centres, as (disks [a, b, r]
-    at one scale 2^-k, k, multiplicities, real flags), or None when a check
-    fails: `factors` yields (coefficients, multiplicity, centres) for each
-    factor, one centre per root, and v roots at zero get a disk of radius
-    zero. Each centre is certified (_certify), a factor's disks must be
-    disjoint, which proves the factor squarefree, and its real ones
-    certified (_realness), and then all disks must be disjoint."""
+    """Certified disjoint disks around given centres, as (cells (a, b, r,
+    multiplicity, is_real), each the disk of centre (a + bi) 2^-k and
+    radius r 2^-k, and k), or None when a check fails: `factors` yields
+    (coefficients, multiplicity, centres) for each factor, one centre per
+    root, and v roots at zero get a disk of radius zero. Each centre is
+    certified (_certify), a factor's disks must be disjoint, which proves
+    the factor squarefree, and its real ones certified (_realness), and
+    then all disks must be disjoint."""
     found: List[Tuple[int, int, int, int]] = []
-    mults: List[int] = []
-    reals: List[bool] = []
+    tags: List[Tuple[int, bool]] = []
     for cs, mult, centres in factors:
         got = [_certify(cs, *c) for c in centres]
         if None in got:
@@ -466,14 +470,13 @@ def _certified(factors, v: int):
         if is_real is None:
             return None
         found += [(a, b, r, k) for a, b, r in disks]
-        mults += [mult] * len(disks)
-        reals += is_real
+        tags += [(mult, real) for real in is_real]
     if v > 0:
         found.append((0, 0, 0, 0))
-        mults.append(v)
-        reals.append(True)
+        tags.append((v, True))
     disks, k = _common(found)
-    return (disks, k, mults, reals) if _disjoint(disks) else None
+    cells = [(a, b, r, m, real) for (a, b, r), (m, real) in zip(disks, tags)]
+    return (cells, k) if _disjoint(disks) else None
 
 
 def isolate_roots(
@@ -482,7 +485,8 @@ def isolate_roots(
     precision_cap: int = _DEFAULT_CAP,
     radius_target: Optional[Fraction] = None,
 ) -> CertifiedRootSet:
-    """Certified disjoint root disks for f (degree >= 1).
+    """Certified disjoint root disks for f (degree >= 1), every radius at
+    most radius_target when one is given.
 
     Raises PrecisionCapExceeded if certification does not complete within
     precision_cap bits.
@@ -496,19 +500,15 @@ def isolate_roots(
     prec = max(precision_bits, 53, maxbits + 16)
     cap = max(precision_cap, prec)
     v, parts = _analysis(f)
+    t = None if radius_target is None else Fraction(radius_target)
     while True:
         got = _certified(
             ((fac.coeffs, mult, _propose(fac, prec)) for fac, mult in parts), v
         )
         if got is not None:
-            ints, k, mults, reals = got
-            disks = [
-                RootDisk(_dyadic(a, -k), _dyadic(b, -k), _dyadic(r, -k), m, br)
-                for (a, b, r), m, br in zip(ints, mults, reals)
-            ]
-            if radius_target is None or all(d.radius <= radius_target for d in disks):
-                disks.sort(key=lambda d: (d.center_re, d.center_im))
-                return CertifiedRootSet(f, tuple(disks), prec, "CERTIFIED")
+            cells, k = got
+            if t is None or max(c[2] for c in cells) * t.denominator <= t.numerator << k:
+                return CertifiedRootSet(f, tuple(sorted(cells)), -k, prec)
         if prec >= cap:
             raise PrecisionCapExceeded(
                 "certification incomplete at %d bits (cap %d) for %s"
@@ -518,11 +518,16 @@ def isolate_roots(
 
 
 def refine(rootset: CertifiedRootSet, radius_target: Fraction) -> CertifiedRootSet:
-    """New certified set for the same polynomial with every positive disk
-    radius at most radius_target."""
+    """Certified set for the same polynomial with every positive disk
+    radius at most radius_target: rootset itself when its radii already
+    are; otherwise its ladder continued one step above its precision_bits,
+    as the step at precision_bits only certifies rootset again."""
+    if rootset.max_radius() <= radius_target:
+        return rootset
+    bits = rootset.precision_bits
     return isolate_roots(
         rootset.polynomial,
-        precision_bits=rootset.precision_bits,
-        precision_cap=max(_DEFAULT_CAP, rootset.precision_bits * 8),
-        radius_target=Fraction(radius_target),
+        precision_bits=2 * bits,
+        precision_cap=max(_DEFAULT_CAP, 8 * bits),
+        radius_target=radius_target,
     )

@@ -483,10 +483,10 @@ def _per_row_state(row, z):
     got = _certified([(list(row), 1, _float_centres(list(z), 53))], 0)
     if got is None:
         return 0
-    disks, _, mults, reals = got
-    runs = _runs(_modulus_units(disks, mults, reals))
+    cells, _ = got
+    runs = _runs(_modulus_units(cells))
     if runs[0].size == runs[-1].size == 1:
-        return census._certified_state(runs[-1].mult, runs[0].mult, sum(reals))
+        return census._certified_state(runs[-1].mult, runs[0].mult, sum(c[4] for c in cells))
     return 0
 
 
@@ -986,6 +986,27 @@ def test_checkpoint_spec_mismatch_rejected(tmp_path):
     run_census(CensusSpec(n=2, height=3, counters=("A*",), checkpoint=path), limit_units=2)
     with pytest.raises(CheckpointCorrupt):
         run_census(CensusSpec(n=2, height=4, counters=("A*",), checkpoint=path))
+
+
+@pytest.mark.parametrize("unit_id", [999, "0"])
+def test_checkpoint_unit_the_census_lacks_rejected(monkeypatch, tmp_path, unit_id):
+    # a record with a valid checksum but a unit id this census does not
+    # have would be merged into its totals; it is refused before any unit
+    # runs
+    from rootcensus import census
+
+    path = str(tmp_path / "census.ckpt")
+    spec = CensusSpec(n=2, height=2, counters=("A*",), checkpoint=path)
+    run_census(spec, limit_units=1)
+    delta = json.loads(open(path, encoding="utf-8").read().splitlines()[1])["counters_delta"]
+    rec = {"unit_id": unit_id, "counters_delta": delta,
+           "checksum": census._record_checksum(unit_id, delta)}
+    open(path, "a", encoding="utf-8").write(json.dumps(rec, sort_keys=True) + "\n")
+    ran = []
+    monkeypatch.setattr(census, "_unit_worker", lambda p: ran.append(p) or _unit_worker(p))
+    with pytest.raises(CheckpointCorrupt):
+        run_census(spec)
+    assert ran == []
 
 
 # -- fits and reports -------------------------------------------------------------------

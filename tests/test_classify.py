@@ -635,8 +635,8 @@ def test_relation_verdict_on_a_near_collision():
         * IntPolynomial((2, -1))
         * IntPolynomial((1, 0, 0, -4096, 1))
     )
-    disks = isolate_roots(f, precision_bits=53).disks
-    assert not classify._disjoint(classify._product_disks(disks))
+    cells = isolate_roots(f, precision_bits=53).cells
+    assert not classify._disjoint(classify._product_disks(cells))
     assert not classify._products_separated(f)
     assert not has_multiplicative_relation(f)
     assert discriminant(root_product_poly(f)) != 0

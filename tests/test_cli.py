@@ -301,6 +301,43 @@ def test_generate_near_target_needs_target(capsys):
     assert json.loads(err)["error"] == "BadParameters"
 
 
+_A3STAR3 = ["generate", "--family", "a3star3", "--n", "3", "--height", "5", "--count", "3"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        _A3STAR3 + ["--validate", "k_max=abc"],
+        _A3STAR3 + ["--validate", "b*=1,x"],
+        _A3STAR3 + ["--validate", "r="],
+        ["generate", "--family", "theorem31", "--n", "2", "--height", "5", "--count", "-1"],
+        ["generate", "--family", "a3star3", "--height", "5", "--count", "-1"],
+        ["generate", "--family", "x3plus8", "--height", "5", "--count", "-1"],
+        ["generate", "--family", "near-target", "--target", "0,1;0,-1", "--height", "40",
+         "--count", "-1"],
+    ],
+    ids=["k_max", "b*", "r", "count-theorem31", "count-a3star3", "count-x3plus8", "count-near-target"],
+)
+def test_generate_bad_numbers_are_domain_errors(capsys, argv):
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == "BadParameters"
+
+
+def test_unwritable_out_is_a_domain_error(capsys, tmp_path):
+    path = tmp_path / "missing" / "o.json"
+    code, out, err = _run(capsys, ["roots", "--poly", "1,0,-2", "--out", str(path)])
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == "BadParameters"
+
+
+def test_unwritable_checkpoint_is_a_domain_error(capsys, tmp_path):
+    path = tmp_path / "missing" / "x.ckpt"
+    code, out, err = _run(capsys, ["census", "--n", "2", "--height", "1", "--checkpoint", str(path)])
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == "CheckpointCorrupt"
+
+
 # -- fit ------------------------------------------------------------------------------------------
 
 

@@ -31,7 +31,6 @@ from rootcensus.roots import (
     _certified,
     _companion_roots,
     _disjoint,
-    _dyadic_disks,
     _float_centres,
     _propose,
     _realness,
@@ -50,11 +49,10 @@ def _rand_poly(rng: random.Random, max_deg: int = 6, height: int = 1000) -> IntP
     return IntPolynomial(tuple(cs))
 
 
-def _mod2_interval(disk: RootDisk):
-    """Bounds on |root|^2 for a root in the disk: _mod2 on its integers at
-    the _dyadic_disks scale 2^e."""
-    ((a, b, k),), e = _dyadic_disks((disk,))
-    lo, hi = _mod2(a, b, k)
+def _mod2_interval(cell, e: int):
+    """Bounds on |root|^2 for a root in the disk of the cell (a, b, k, ...)
+    at the scale 2^e: _mod2 on its integers."""
+    lo, hi = _mod2(*cell[:3])
     return lo * Fraction(4) ** e, hi * Fraction(4) ** e
 
 
@@ -119,28 +117,25 @@ def test_zero_root_exact():
     f = IntPolynomial((1, 0, -1, 0))
     rs = isolate_roots(f)
     # the roots +-1 are dyadic, so their disks have radius 0 as well
-    zero_disks = [d for d in rs.disks if d.center_re == 0 and d.center_im == 0]
-    assert len(zero_disks) == 1
-    assert zero_disks[0].radius == 0
-    lo, hi = _mod2_interval(zero_disks[0])
+    zero_cells = [c for c in rs.cells if c[:2] == (0, 0)]
+    assert len(zero_cells) == 1
+    assert zero_cells[0][2] == 0
+    lo, hi = _mod2_interval(zero_cells[0], rs.exponent)
     assert lo == 0
 
 
 def test_modulus_interval_is_exact_on_dyadic_disks():
     # centre 3/4 + i, radius 1/4: |c| = 5/4, so |root|^2 lies exactly in
     # [1, 3/2]^2
-    disk = RootDisk(Fraction(3, 4), Fraction(1), Fraction(1, 4), 1, False)
-    assert _dyadic_disks((disk,)) == ([(3, 4, 1)], -2)
-    assert _mod2_interval(disk) == (1, Fraction(9, 4))
+    assert _mod2_interval((3, 4, 1), -2) == (1, Fraction(9, 4))
     # centre 1 + i, radius 1/2: sqrt 2 is bounded above by 3/2 on the
     # half-integer grid of the disk, so (sqrt 2 -+ 1/2)^2 = 9/4 -+ sqrt 2
     # lies in [3/4, 15/4]
-    disk = RootDisk(Fraction(1), Fraction(1), Fraction(1, 2), 1, False)
-    assert _mod2_interval(disk) == (Fraction(3, 4), Fraction(15, 4))
-    # a disk around 0 may hold the root 0: |c| = sqrt 2 / 8 <= 1/4
-    disk = RootDisk(Fraction(1, 8), Fraction(-1, 8), Fraction(1, 4), 1, False)
-    assert _mod2_interval(disk) == (0, Fraction(7, 32))
-    assert _mod2_interval(RootDisk(Fraction(-2), Fraction(0), Fraction(0), 2, True)) == (4, 4)
+    assert _mod2_interval((2, 2, 1), -1) == (Fraction(3, 4), Fraction(15, 4))
+    # a disk around 0 may hold the root 0: centre (1 - i)/8, radius 1/4,
+    # |c| = sqrt 2 / 8 <= 1/4
+    assert _mod2_interval((1, -1, 2), -3) == (0, Fraction(7, 32))
+    assert _mod2_interval((-2, 0, 0, 2, True), 0) == (4, 4)
 
 
 def test_rational_root_enclosed():
@@ -156,8 +151,8 @@ def test_cyclotomic_conjugate_disks():
     rs = isolate_roots(IntPolynomial((1, 0, 0, 0, 1)))
     assert len(rs.disks) == 4
     assert not any(d.is_real for d in rs.disks)
-    for d in rs.disks:
-        lo, hi = _mod2_interval(d)
+    for cell in rs.cells:
+        lo, hi = _mod2_interval(cell, rs.exponent)
         assert lo <= 1 <= hi
 
 
@@ -179,6 +174,46 @@ def test_conjugate_disks_are_exact_mirrors_seeded():
             for d in sets.disks:
                 if not d.is_real:
                     assert (d.center_re, -d.center_im, d.radius, d.multiplicity) in keys, f.coeffs
+
+
+def test_disks_are_the_cells_at_the_exponent():
+    # a set keeps the certifier's integers; its disks are the cells times
+    # 2^exponent, sorted by centre, at every step of the ladder
+    rng = random.Random(27)
+    for _ in range(40):
+        f = _rand_poly(rng, max_deg=7)
+        rs = isolate_roots(f, precision_bits=53)
+        for sets in (rs, isolate_roots(f), refine(rs, rs.max_radius() / 2**20)):
+            scale = Fraction(2) ** sets.exponent
+            want = tuple(
+                RootDisk(a * scale, b * scale, r * scale, m, real) for a, b, r, m, real in sets.cells
+            )
+            assert sets.exponent <= 0 and sets.disks == want, f.coeffs
+            centres = [(d.center_re, d.center_im) for d in sets.disks]
+            assert centres == sorted(centres), f.coeffs
+            assert sets.max_radius() == max(d.radius for d in want)
+            assert sets.total_multiplicity == f.degree
+
+
+def test_refine_continues_the_ladder(monkeypatch):
+    # the step at a set's own precision_bits only certifies the set again:
+    # refine starts one step above it, and returns a set that already
+    # meets the target as it is, without certifying anything
+    from rootcensus import roots
+
+    f = IntPolynomial((1, -3, 1, 2, -5))
+    rs = isolate_roots(f, precision_bits=53)
+    target = rs.max_radius() / 2**20
+    want = isolate_roots(f, precision_bits=53, radius_target=target)
+    steps, calls = [], []
+    propose, certified = roots._propose, roots._certified
+    monkeypatch.setattr(roots, "_propose", lambda g, bits: steps.append(bits) or propose(g, bits))
+    monkeypatch.setattr(roots, "_certified", lambda fs, v: calls.append(v) or certified(fs, v))
+    assert rs.precision_bits == 53
+    assert refine(rs, rs.max_radius()) is rs and calls == []
+    assert refine(rs, target) == want
+    # one certification per step from 106 bits up to the one that meets it
+    assert steps[0] == 106 and 53 << len(calls) == want.precision_bits
 
 
 def test_apart_on_integers_and_int64_columns():
@@ -233,9 +268,9 @@ def test_certified_reads_realness_off_the_disks():
         centres = [(1 << k - 1, 0, k), (3 << k, 0, k), (1 << k, b, k), (1 << k, -y, k)]
         got = _certified([(row, 1, centres)], 0)
         if got is not None:
-            disks, _, mults, reals = got
-            runs = _runs(_modulus_units(disks, mults, reals))
-            got = (runs[-1].mult, runs[0].mult, sum(reals))
+            cells, _ = got
+            runs = _runs(_modulus_units(cells))
+            got = (runs[-1].mult, runs[0].mult, sum(c[4] for c in cells))
         assert got == stats, b
 
 

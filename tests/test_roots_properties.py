@@ -51,7 +51,6 @@ from rootcensus.roots import (
     RootDisk,
     _analysis,
     _dyadic,
-    _dyadic_disks,
     isolate_roots,
 )
 
@@ -210,11 +209,11 @@ def test_squared_modulus_enclosures(f):
     roots = _oracle_roots(f)
     for bits in (53, 212):
         rs = isolate_roots(f, precision_bits=bits)
-        ints, e = _dyadic_disks(rs.disks)
+        disks = rs.disks
         with mpmath.workdps(2 * _DIGITS):
             for z, tol in roots:
-                i = next(i for i, d in enumerate(rs.disks) if _near(z, tol, d))
-                lo, hi = (_dyadic(x, 2 * e) for x in _mod2(*ints[i]))
+                i = next(i for i, d in enumerate(disks) if _near(z, tol, d))
+                lo, hi = (_dyadic(x, 2 * rs.exponent) for x in _mod2(*rs.cells[i][:3]))
                 m2, slack = abs(z) ** 2, 3 * _SLACK * max(1, abs(z)) ** 2
                 assert lo.numerator <= (m2 + slack) * lo.denominator, (f.coeffs, z)
                 assert (m2 - slack) * hi.denominator <= hi.numerator, (f.coeffs, z)
@@ -288,12 +287,10 @@ dyadic_disks = st.lists(
 @example([(1, 1, 0, 0), (2, 0, 1, 0)])
 @given(dyadic_disks)
 def test_product_disks_hold_products_of_boundary_points(raw):
-    disks = [
-        RootDisk(a * Fraction(2) ** e, b * Fraction(2) ** e, k * Fraction(2) ** e, 1, False)
-        for a, b, k, e in raw
-    ]
-    prods = _product_disks(disks)
-    scale = Fraction(4) ** _dyadic_disks(disks)[1]
+    # the disks as cells at their finest scale 2^low
+    low = min(e for *_, e in raw)
+    prods = _product_disks([(a << e - low, b << e - low, k << e - low, 1, False) for a, b, k, e in raw])
+    scale = Fraction(4) ** low
     points = [
         [((x + k * u) * Fraction(2) ** e, (y + k * v) * Fraction(2) ** e) for u, v in _DIRECTIONS]
         for x, y, k, e in raw

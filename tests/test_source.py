@@ -25,6 +25,10 @@ result on the polynomial for every classifier to read: imports and
 re-exports of the name aside, no other function runs Yun's algorithm
 again.
 
+classify and census never read an attribute named disks: root sets are
+read there as the certifier's integer cells, and the hot paths build no
+RootDisk Fractions.
+
 No module imports mpmath: root centres are proposed in hardware doubles
 and in exact integers, and every value handed out is an exact integer or
 dyadic Fraction, so nothing depends on a global working precision.
@@ -256,3 +260,28 @@ def test_squarefree_decomposition_use_is_found():
     }
     refs = _places(trees, "squarefree_decomposition", imports=False)
     assert refs == [("b.py", "f"), ("c.py", None)]
+
+
+def _attribute_reads(trees: dict, attr: str) -> list:
+    """(module, line) of every read of an attribute named `attr`."""
+    return sorted(
+        (name, node.lineno)
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == attr and isinstance(node.ctx, ast.Load)
+    )
+
+
+def test_hot_paths_read_cells_not_disks():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in _MODULES
+             if p.name in ("classify.py", "census.py")}
+    assert len(trees) == 2
+    assert _attribute_reads(trees, "disks") == []
+
+
+def test_disks_read_is_found():
+    trees = {
+        "a.py": ast.parse("def f(rs):\n    disks = rs.cells\n    return rs.disks, disks\n"),
+        "b.py": ast.parse("x.disks = 1\ny = x.disks[0]\nz = disks\n"),
+    }
+    assert _attribute_reads(trees, "disks") == [("a.py", 3), ("b.py", 2)]
