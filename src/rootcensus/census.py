@@ -14,22 +14,22 @@ of the spec, independent of worker count, completion order, and
 checkpoint interruptions. Checkpoints are line-delimited JSON with
 per-record sha256 checksums, one record per unit in unit order at any
 worker count, so a checkpoint's bytes too are a function of the spec;
-any malformed or truncated line, or a record of a unit the census does
-not have, is a CheckpointCorrupt error, not a silent recovery.
+any malformed or truncated line, or a record of a unit or family the
+census does not have, is a CheckpointCorrupt error, not a silent recovery.
 
-Two engines compute the same statistics of each point (k_max, k_min,
-real and distinct roots, ...), and each counter labels them through its
-one labeler. The scalar engine runs classify_pipeline on every point.
-The vector engine, for n in {2, 3, 4} up to a height cap per degree
-(VECTOR_HEIGHT_CAPS), decides whole open-grid blocks of int32 or int64
-columns over broadcast numpy arrays (_vec_profile: the exact integer
-decision trees of the low-degree kernels at n in {2, 3}, disc = 0 and
-repeated roots in closed form; at n = 4 f(X^2) in closed form, else
-certified eigenvalue disks, with ties decided by a Sturm count), giving
-each row one uint8 state and a short table from state to statistics;
-it counts a block's states with one np.bincount and labels each state
-that occurs once. The rows left in state 0, undecided (on the n=4 H=2
-box 32 of 2,500, each with disc = 0), go through classify_pipeline.
+One unit path tallies every unit (_unit_worker). It enumerates the unit
+as open-grid blocks of int32 or int64 columns (_blocks), gives each row
+a uint8 state, 0 when undecided, else one whose table entry holds the
+row's statistics (k_max, k_min, real and distinct roots, ...) for each
+counter's one labeler, counts a block's states with one np.bincount,
+labels each state once, and sends the rows in state 0 through
+classify_pipeline. The scalar engine decides no row, so classify_pipeline
+sees every point. The vector engine, for n in {2, 3, 4} up to a height
+cap per degree (VECTOR_HEIGHT_CAPS), takes the states from kernels over
+broadcast numpy arrays (_vec_profile: exact integer decision trees at
+n in {2, 3}, disc = 0 and repeated roots in closed form; at n = 4 f(X^2)
+in closed form, else certified eigenvalue disks, ties decided by a Sturm
+count); on the n=4 H=2 box it leaves 32 of 2,500 rows, each with disc = 0.
 """
 
 from __future__ import annotations
@@ -95,7 +95,8 @@ DEFAULT_BUDGET = 10**9
 # stays below C H^(2n - 2) in modulus (C sums the modulus of disc's
 # coefficients). The n = 4 kernel has none of its own, so degree n is bound
 # by the kernel of degree min(n, 3): the cap is the largest H whose bound is
-# below 2^63, and _blocks takes int32 columns while it is below 2^31
+# below 2^63, and _blocks takes int32 columns while it is below 2^31 (at
+# n = 1, whose columns are bare coefficients, while the quadratic's is)
 _TERM_BOUNDS = {2: 5, 3: 54}
 VECTOR_HEIGHT_CAPS = {n: int((2**63 / _TERM_BOUNDS[min(n, 3)]) ** (1 / (2 * min(n, 3) - 2)))
                       for n in (2, 3, 4)}
@@ -458,30 +459,7 @@ def classify_pipeline(f: IntPolynomial, spec: CensusSpec) -> Optional[List[Tuple
     return [cell for c in _requested(spec.counters) for cell in c.cells(st)]
 
 
-# -- scalar engine --------------------------------------------------------------
-
-
-def _classify_into(spec: CensusSpec, polys, table: CounterTable) -> None:
-    """Tally each polynomial through classify_pipeline."""
-    for f in polys:
-        cells = classify_pipeline(f, spec)
-        table.totals += 1
-        if cells is None:
-            table.ambiguous += 1
-            continue
-        for fam, label in cells:
-            table.add(fam, label)
-
-
-def _tally_scalar(spec: CensusSpec, leads: Sequence[int], table: CounterTable) -> None:
-    hh = spec.height
-    rest = spec.n - 1 if spec.monic else spec.n
-    tails = itertools.product(range(-hh, hh + 1), repeat=rest)
-    heads = [(1, lead) if spec.monic else (lead,) for lead in leads]
-    _classify_into(spec, (IntPolynomial(h + t) for h, t in itertools.product(heads, tails)), table)
-
-
-# -- vector engine ----------------------------------------------------------------
+# -- unit tally ---------------------------------------------------------------------
 
 
 # each _vec_profileN maps a block's coefficient columns, flat or open-grid
@@ -640,7 +618,7 @@ def _blocks(spec: CensusSpec, leads: Sequence[int]):
     enumeration order and in blocks of at most UNIT_TARGET points: the
     axes before axis j take one value at a time, and axis j is cut into
     slices as long as the axes after it allow."""
-    m = min(spec.n, 3)
+    m = min(max(spec.n, 2), 3)
     dtype = np.int32 if _TERM_BOUNDS[m] * spec.height ** (2 * m - 2) < 2**31 else np.int64
     rng = np.arange(-spec.height, spec.height + 1, dtype=dtype)
     # a monic box's a_0 = 1 is an axis of one value
@@ -689,24 +667,6 @@ def _vec_profile(coeffs):
     return states, table
 
 
-def _tally_vector(spec: CensusSpec, leads: Sequence[int], table: CounterTable) -> None:
-    """Tally each block's decided rows by state, one np.bincount a block,
-    labelling each state that occurs once; the undecided rows (state 0)
-    go through classify_pipeline."""
-    counters = _requested(spec.counters)
-    for coeffs in _blocks(spec, leads):
-        states, stats = _vec_profile(coeffs)
-        hist = np.bincount(states).tolist()
-        if hist[0]:
-            rows = zip(*(col.tolist() for col in _rows(coeffs, np.flatnonzero(states == 0))))
-            _classify_into(spec, (IntPolynomial(r) for r in rows), table)
-        table.totals += states.size - hist[0]
-        for st, count in zip(stats[1:], hist[1:]):
-            if count:
-                for fam, label in (cell for c in counters for cell in c.cells(st)):
-                    table.add(fam, label, count)
-
-
 def _vector_ok(spec: CensusSpec) -> bool:
     return spec.height <= VECTOR_HEIGHT_CAPS.get(spec.n, 0) and all(
         set(c.needs) <= {"profile", "signature"} for c in _requested(spec.counters)
@@ -714,13 +674,33 @@ def _vector_ok(spec: CensusSpec) -> bool:
 
 
 def _unit_worker(payload: Tuple[CensusSpec, WorkUnit]):
-    """The unit id and the counter delta of one unit, tallied by the
-    spec's engine."""
+    """The unit id and the counter delta of one unit. Each block's rows
+    take one state each, from _vec_profile when the spec's engine has a
+    kernel, else state 0; the decided rows are tallied by state, one
+    np.bincount a block, labelling each state that occurs once, and the
+    undecided rows (state 0) go through classify_pipeline."""
     spec, unit = payload
-    vector = spec.engine == "vector" or (spec.engine == "auto" and _vector_ok(spec))
+    kernel = spec.engine == "vector" or (spec.engine == "auto" and _vector_ok(spec))
+    counters = _requested(spec.counters)
     table = CounterTable(spec.fingerprint(), _empty_cells(spec))
-    tally = _tally_vector if vector else _tally_scalar
-    tally(spec, unit.leads, table)
+    for coeffs in _blocks(spec, unit.leads):
+        if kernel:
+            states, stats = _vec_profile(coeffs)
+        else:
+            states, stats = np.zeros(np.broadcast(*coeffs).size, dtype=np.uint8), [None]
+        hist = np.bincount(states).tolist()
+        table.totals += states.size
+        if hist[0]:
+            for row in zip(*(col.tolist() for col in _rows(coeffs, np.flatnonzero(states == 0)))):
+                cells = classify_pipeline(IntPolynomial(row), spec)
+                if cells is None:
+                    table.ambiguous += 1
+                for fam, label in cells or ():
+                    table.add(fam, label)
+        for st, count in zip(stats[1:], hist[1:]):
+            if count:
+                for fam, label in (cell for c in counters for cell in c.cells(st)):
+                    table.add(fam, label, count)
     if spec.symmetry:
         # -f has the same roots: every statistic matches, so the a_0 < 0
         # half-box is an exact mirror of the enumerated a_0 > 0 half
@@ -752,10 +732,22 @@ def _write_line(fh, record: Dict[str, object]) -> None:
     fh.flush()
 
 
+def _delta_ok(delta: object) -> bool:
+    """Whether a counter delta has delta_dict's shape, each count an int >= 0."""
+    if not (isinstance(delta, dict) and sorted(delta) == ["ambiguous", "counts", "totals"]
+            and isinstance(delta["counts"], dict)
+            and all(isinstance(cells, dict) for cells in delta["counts"].values())):
+        return False
+    counts = [delta["totals"], delta["ambiguous"]]
+    counts += [k for cells in delta["counts"].values() for k in cells.values()]
+    return all(type(k) is int and k >= 0 for k in counts)
+
+
 def checkpoint_load(path: str) -> CheckpointState:
     """Parse and validate a checkpoint; any defect (missing or bad
     header, unparseable or truncated record, checksum mismatch, unit id
-    not an integer, duplicate unit) raises CheckpointCorrupt."""
+    not an integer, malformed counter delta, duplicate unit) raises
+    CheckpointCorrupt."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read()
@@ -792,6 +784,8 @@ def checkpoint_load(path: str) -> CheckpointState:
             raise CheckpointCorrupt("checksum mismatch at line %d" % ln)
         if type(unit_id) is not int:
             raise CheckpointCorrupt("unit id %r at line %d is not an integer" % (unit_id, ln))
+        if not _delta_ok(delta):
+            raise CheckpointCorrupt("malformed counter delta at line %d" % ln)
         if unit_id in state.deltas:
             raise CheckpointCorrupt("duplicate unit %r at line %d" % (unit_id, ln))
         state.deltas[unit_id] = delta
@@ -830,6 +824,9 @@ def run_census(spec: CensusSpec, limit_units: Optional[int] = None) -> CounterTa
         extra = set(done) - {u.unit_id for u in units}
         if extra:
             raise CheckpointCorrupt("checkpoint names units this census lacks: %s" % sorted(extra))
+        families = set().union(*(delta["counts"] for delta in done.values())) - set(table.counts)
+        if families:
+            raise CheckpointCorrupt("checkpoint counts families this census does not: %s" % sorted(families))
         for delta in done.values():
             table = table.merge(CounterTable.from_delta(spec.fingerprint(), delta))
     pending = [(spec, u) for u in units if u.unit_id not in done]
@@ -881,6 +878,8 @@ def fit_growth_exponent(points: Sequence[Tuple[float, float]]) -> GrowthFit:
             raise NonpositiveCount("count %r at H=%r is not positive" % (count, hval))
         if hval <= 0:
             raise BadParameters("H must be positive")
+    if len({h for h, _ in points}) < 2:
+        raise InsufficientPoints("growth fit needs >= 2 distinct heights")
     xs = np.log([float(h) for h, _ in points])
     ys = np.log([float(c) for _, c in points])
     amat = np.vstack([xs, np.ones_like(xs)]).T
@@ -894,8 +893,8 @@ def density_report(tables: Sequence[CounterTable]) -> Dict[str, object]:
     sorted by H: dominance ratios, the k >= 3 tail over H^n, B* and D*
     splits, the reciprocal identity on the a_n != 0 sub-box, and the
     completeness checksum."""
-    if not tables:
-        raise EmptyInput("density report over no tables")
+    if not tables or not all(t.totals for t in tables):
+        raise EmptyInput("density report over no tables, or over a table of no points")
     n = tables[0].spec_key["n"]
     monic = tables[0].spec_key["monic"]
     for t in tables:

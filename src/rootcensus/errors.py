@@ -51,7 +51,7 @@ class EmptyStream(RootCensusError):
 
 
 class EmptyInput(RootCensusError):
-    """A report was requested over an empty collection of tables."""
+    """A report was requested over no tables, or over a table of no points."""
 
 
 class NotIrreducible(RootCensusError):
@@ -63,7 +63,7 @@ class SpecMismatch(RootCensusError):
 
 
 class InsufficientPoints(RootCensusError):
-    """Growth-exponent fit needs at least three data points."""
+    """Growth-exponent fit needs three data points at two heights or more."""
 
 
 class NonpositiveCount(RootCensusError):

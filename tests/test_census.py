@@ -25,7 +25,9 @@ from hypothesis import strategies as st
 from rootcensus.census import (
     CensusSpec,
     CounterTable,
+    WorkUnit,
     checkpoint_load,
+    classify_pipeline,
     counter_table_csv,
     density_report,
     fit_growth_exponent,
@@ -37,6 +39,7 @@ from rootcensus.classify import profile_pair_deg3
 from rootcensus.errors import (
     BadParameters,
     CheckpointCorrupt,
+    EmptyInput,
     InsufficientPoints,
     NonpositiveCount,
     SpecMismatch,
@@ -55,6 +58,20 @@ def _box(n: int, height: int, monic: bool):
                 continue
             for rest in itertools.product(rng, repeat=n):
                 yield IntPolynomial((a0,) + rest)
+
+
+def _pipeline_tally(spec, polys):
+    """The table of the polynomials, each tallied through classify_pipeline."""
+    from rootcensus import census
+
+    table = CounterTable(spec.fingerprint(), census._empty_cells(spec))
+    for f in polys:
+        cells = classify_pipeline(f, spec)
+        table.totals += 1
+        table.ambiguous += cells is None
+        for fam, label in cells or ():
+            table.add(fam, label)
+    return table
 
 
 # -- hand-verifiable small boxes ----------------------------------------------
@@ -195,27 +212,79 @@ def test_engines_agree_quartic(counter, monic, height, tmp_path):
     assert blobs[0] == blobs[1]
 
 
-@pytest.mark.parametrize("n,height,monic", [(3, 2, False), (4, 1, False), (4, 2, True)])
-def test_vector_blocks_cover_each_unit_in_order(monkeypatch, n, height, monic):
+# boxes with a kernel (n = 3, 4) and without (n = 1, 5): monic, full, and
+# the full box halved by symmetry
+_BOXES = [(3, 2, False, False), (4, 1, False, False), (4, 2, True, False), (1, 3, True, False),
+          (1, 3, False, False), (1, 3, False, True), (5, 1, True, False), (5, 1, False, False),
+          (5, 1, False, True)]
+
+
+def _unit_rows(spec, unit):
+    """The unit's coefficient rows, in enumeration order."""
+    heads = [(1, lead) if spec.monic else (lead,) for lead in unit.leads]
+    tails = itertools.product(range(-spec.height, spec.height + 1), repeat=spec.n + 1 - len(heads[0]))
+    return [h + t for h, t in itertools.product(heads, tails)]
+
+
+def _box_id(box):
+    n, height, monic, symmetry = box
+    return "%d-%d-%s" % (n, height, monic) + "-sym" * symmetry
+
+
+@pytest.mark.parametrize("n,height,monic,symmetry", _BOXES, ids=map(_box_id, _BOXES))
+def test_vector_blocks_cover_each_unit_in_order(monkeypatch, n, height, monic, symmetry):
     # a unit whose points exceed UNIT_TARGET is cut into open-grid blocks,
     # column i varying along axis i only, of at most that many points,
-    # which together enumerate it in order; tables are the same
+    # which together enumerate it in order, once; tables are the same on
+    # every engine the box admits
     from rootcensus import census
 
-    spec = CensusSpec(n=n, height=height, monic=monic, counters=("A",) if monic else ("A*", "B*", "D*"))
+    counters = ("A",) if monic else ("A*", "B*", "D*")
+    spec = CensusSpec(n=n, height=height, monic=monic, symmetry=symmetry, counters=counters)
     want = run_census(dataclasses.replace(spec, engine="scalar"))
     monkeypatch.setattr(census, "UNIT_TARGET", 7)
-    rng = range(-height, height + 1)
     for unit in make_work_units(spec):
         blocks = list(census._blocks(spec, unit.leads))
         assert all(col.shape[i] == col.size for b in blocks for i, col in enumerate(b))
         assert max(math.prod(np.broadcast_shapes(*(col.shape for col in b))) for b in blocks) <= 7
         grids = [np.stack(np.broadcast_arrays(*b), axis=-1).reshape(-1, n + 1) for b in blocks]
-        rows = [tuple(r) for g in grids for r in g.tolist()]
-        heads = [(1, lead) if monic else (lead,) for lead in unit.leads]
-        tails = itertools.product(rng, repeat=n - len(heads[0]) + 1)
-        assert rows == [h + t for h, t in itertools.product(heads, tails)]
-    assert run_census(dataclasses.replace(spec, engine="vector")) == want
+        assert [tuple(r) for g in grids for r in g.tolist()] == _unit_rows(spec, unit)
+    engines = ("scalar", "auto", "vector") if census._vector_ok(spec) else ("scalar", "auto")
+    for engine in engines:
+        assert run_census(dataclasses.replace(spec, engine=engine)) == want, engine
+
+
+_KERNEL_FREE_BOXES = [
+    (1, 3, True, False, ("A", "RHO", "E_UPPER")),
+    (1, 3, False, True, ("A*", "B*", "D*")),
+    (5, 1, True, False, ("A",)),
+    (5, 1, False, False, ("A*", "B*", "D*")),
+    (5, 1, False, True, ("RHO*", "E_UPPER")),
+]
+
+
+@pytest.mark.parametrize("n,height,monic,symmetry,counters", _KERNEL_FREE_BOXES,
+                         ids=[_box_id(box[:4]) for box in _KERNEL_FREE_BOXES])
+def test_unit_without_a_kernel_sends_every_row_through_classify_pipeline(
+        monkeypatch, n, height, monic, symmetry, counters):
+    # with no kernel (the scalar engine, and "auto" where no kernel serves
+    # the degree or the counters) each row of a unit goes through
+    # classify_pipeline once, and the unit's delta is that of the test's
+    # own enumeration tallied through classify_pipeline, doubled when
+    # symmetry mirrors the a_0 < 0 half-box
+    from rootcensus import census
+
+    calls = []
+    monkeypatch.setattr(census, "classify_pipeline", lambda f, spec: calls.append(f) or classify_pipeline(f, spec))
+    for engine in ("scalar", "auto"):
+        spec = CensusSpec(n=n, height=height, monic=monic, symmetry=symmetry, counters=counters, engine=engine)
+        spec.validate()
+        for unit in make_work_units(spec):
+            rows = _unit_rows(spec, unit)
+            want = _pipeline_tally(spec, map(IntPolynomial, rows))
+            calls.clear()
+            assert _unit_worker((spec, unit)) == (unit.unit_id, (want.merge(want) if symmetry else want).delta_dict())
+            assert [f.coeffs for f in calls] == rows
 
 
 def _quartic_columns(rows):
@@ -298,14 +367,7 @@ def test_quartic_fall_back_rows_have_no_zero_root(monkeypatch):
     from rootcensus import census
 
     seen = []
-    classify_into = census._classify_into
-
-    def spy(spec, polys, table):
-        polys = list(polys)
-        seen.extend(polys)
-        classify_into(spec, polys, table)
-
-    monkeypatch.setattr(census, "_classify_into", spy)
+    monkeypatch.setattr(census, "classify_pipeline", lambda f, spec: seen.append(f) or classify_pipeline(f, spec))
     table = run_census(CensusSpec(n=4, height=2, counters=("A*",), engine="vector"))
     assert table.totals == 2500
     assert len(seen) == 32
@@ -585,20 +647,19 @@ def test_int64_pass_leaves_a_straddling_pair_undecided():
         assert states[0] == 0 and not tied.size, moved
 
 
-def test_int64_pass_widens_int32_columns_and_skips_object_columns(monkeypatch):
+def test_int64_pass_widens_int32_columns_and_skips_blocks_beyond_its_guard(monkeypatch):
     # _blocks gives int32 columns up to H = 79. There the pass takes k = 7,
     # and a constant term 79 shifted by 4k bits wraps in int32, so the pass
     # must widen the columns first: it alone decides these rows, and right.
-    # Object columns, with values at or above 2^62, leave the pass no k:
-    # the f(X^2) row is decided in closed form, and the others reach
-    # classify_pipeline, without an error, and are tallied as the scalar
-    # engine tallies them
+    # A block with values at 2^62 leaves the pass no k: the f(X^2) row is
+    # decided in closed form, and the others reach classify_pipeline,
+    # without an error, and are tallied as the scalar engine tallies them
     from rootcensus import census
 
     assert _column_types(4, 79)[0] == np.int32
     assert (np.array([79], dtype=np.int32) << 28)[0] != 79 << 28
     passes, seen = [], []
-    vec_certify, classify_into = census._vec_certify, census._classify_into
+    vec_certify = census._vec_certify
     monkeypatch.setattr(census, "_vec_certify", lambda c, z, k: passes.append(k) or vec_certify(c, z, k))
     rows = [(3, 1, -79, 2, 79), (2, 79, 0, 79, -79), (1, -2, 3, 79, 79), (1, 0, 0, 2, -79), (-5, 0, 1, 9, 79)]
     spec = CensusSpec(n=4, height=79, counters=("A*", "B*", "D*"))
@@ -607,25 +668,18 @@ def test_int64_pass_widens_int32_columns_and_skips_object_columns(monkeypatch):
     for i, row in enumerate(rows):
         assert table[states[i]] == census._stats(IntPolynomial(row), spec), row
     big = [(1, 0, 0, 2**62, 1), (2**62, 1, 0, 0, -3), (1, 1, 0, 1, 1), (1, 0, 2, 0, 1)]
-    cols = _quartic_columns(big)
-    assert cols[0].dtype == object
+    cols = [np.array(col, dtype=np.int64) for col in zip(*big)]
     passes.clear()
     states, table = census._vec_profile(cols)
     assert passes == [] and np.flatnonzero(states).tolist() == [3]
     assert table[states[3]] == census._stats(IntPolynomial(big[3]), spec)
 
-    def spy(spec, polys, table):
-        polys = list(polys)
-        seen.extend(f.coeffs for f in polys)
-        classify_into(spec, polys, table)
-
-    monkeypatch.setattr(census, "_classify_into", spy)
+    monkeypatch.setattr(census, "classify_pipeline", lambda f, spec: seen.append(f.coeffs) or classify_pipeline(f, spec))
     monkeypatch.setattr(census, "_blocks", lambda spec, leads: iter([cols]))
-    vector, scalar = (CounterTable(spec.fingerprint(), census._empty_cells(spec)) for _ in range(2))
-    census._tally_vector(spec, [], vector)
+    vector = dataclasses.replace(spec, engine="vector")
+    got = CounterTable.from_delta(spec.fingerprint(), _unit_worker((vector, WorkUnit(0, ())))[1])
     assert seen == big[:3]
-    classify_into(spec, map(IntPolynomial, big), scalar)
-    assert vector == scalar and vector.totals == 4
+    assert got == _pipeline_tally(spec, map(IntPolynomial, big)) and got.totals == 4
 
 
 def test_radius_bound_is_above_the_exact_radius():
@@ -663,7 +717,7 @@ def test_vector_engine_decides_rows_without_scalar_kernels(monkeypatch):
     in_fallback = dict.fromkeys(calls, 0)
     in_tie_step = dict.fromkeys(calls, 0) | {"chains": 0}
     fallback = []
-    classify_into, tie_chain = census._classify_into, census._tie_chain
+    tie_chain = census._tie_chain
 
     def chain(f):
         before = dict(calls)
@@ -673,15 +727,15 @@ def test_vector_engine_decides_rows_without_scalar_kernels(monkeypatch):
             in_tie_step[name] += calls[name] - before[name]
         return got
 
-    def spy(spec, polys, table):
+    def spy(f, spec):
         before = dict(calls)
-        polys = list(polys)
-        fallback.extend(polys)
-        classify_into(spec, polys, table)
+        fallback.append(f)
+        cells = classify_pipeline(f, spec)
         for name in calls:
             in_fallback[name] += calls[name] - before[name]
+        return cells
 
-    monkeypatch.setattr(census, "_classify_into", spy)
+    monkeypatch.setattr(census, "classify_pipeline", spy)
     monkeypatch.setattr(census, "_tie_chain", chain)
     for n, height, rows, chains in ((2, 6, 0, 0), (3, 3, 0, 0), (4, 2, 32, 108)):
         fallback.clear()
@@ -988,17 +1042,16 @@ def test_checkpoint_spec_mismatch_rejected(tmp_path):
         run_census(CensusSpec(n=2, height=4, counters=("A*",), checkpoint=path))
 
 
-@pytest.mark.parametrize("unit_id", [999, "0"])
-def test_checkpoint_unit_the_census_lacks_rejected(monkeypatch, tmp_path, unit_id):
-    # a record with a valid checksum but a unit id this census does not
-    # have would be merged into its totals; it is refused before any unit
-    # runs
+def _refused_record(monkeypatch, tmp_path, unit_id, edit):
+    """Run the n = 2 H = 2 census over a checkpoint holding unit 0 and a
+    record of unit_id, with unit 0's delta changed by edit and a valid
+    checksum: it must be refused before any unit runs."""
     from rootcensus import census
 
     path = str(tmp_path / "census.ckpt")
     spec = CensusSpec(n=2, height=2, counters=("A*",), checkpoint=path)
     run_census(spec, limit_units=1)
-    delta = json.loads(open(path, encoding="utf-8").read().splitlines()[1])["counters_delta"]
+    delta = edit(json.loads(open(path, encoding="utf-8").read().splitlines()[1])["counters_delta"])
     rec = {"unit_id": unit_id, "counters_delta": delta,
            "checksum": census._record_checksum(unit_id, delta)}
     open(path, "a", encoding="utf-8").write(json.dumps(rec, sort_keys=True) + "\n")
@@ -1007,6 +1060,30 @@ def test_checkpoint_unit_the_census_lacks_rejected(monkeypatch, tmp_path, unit_i
     with pytest.raises(CheckpointCorrupt):
         run_census(spec)
     assert ran == []
+
+
+@pytest.mark.parametrize("unit_id", [999, "0"])
+def test_checkpoint_unit_the_census_lacks_rejected(monkeypatch, tmp_path, unit_id):
+    # a record with a valid checksum but a unit id this census does not
+    # have would be merged into its totals
+    _refused_record(monkeypatch, tmp_path, unit_id, lambda delta: delta)
+
+
+# counter deltas of the wrong shape, or that the census does not count
+_BAD_DELTAS = {
+    "no-counts": lambda d: {"totals": d["totals"], "ambiguous": d["ambiguous"]},
+    "counts-list": lambda d: dict(d, counts=[]),
+    "totals-string": lambda d: dict(d, totals="x"),
+    "delta-list": lambda d: [d],
+    "cell-string": lambda d: dict(d, counts={"A*": {"1": "a"}}),
+    "totals-negative": lambda d: dict(d, totals=-5),
+    "family-not-counted": lambda d: dict(d, counts=dict(d["counts"], **{"B*": {"1,1": 1}})),
+}
+
+
+@pytest.mark.parametrize("edit", _BAD_DELTAS.values(), ids=_BAD_DELTAS.keys())
+def test_checkpoint_malformed_delta_rejected(monkeypatch, tmp_path, edit):
+    _refused_record(monkeypatch, tmp_path, 1, edit)
 
 
 # -- fits and reports -------------------------------------------------------------------
@@ -1022,6 +1099,8 @@ def test_fit_growth_exponent_exact_power():
 def test_fit_growth_errors():
     with pytest.raises(InsufficientPoints):
         fit_growth_exponent([(1, 1), (2, 4)])
+    with pytest.raises(InsufficientPoints):  # one height: no slope to fit
+        fit_growth_exponent([(2, 1), (2, 2), (2, 3)])
     with pytest.raises(NonpositiveCount):
         fit_growth_exponent([(1, 1), (2, 0), (3, 9)])
 
@@ -1038,6 +1117,13 @@ def test_density_report_structure():
         assert row["sum_check"] and row["D*_sum_check"]
         assert 0 < row["dominant_ratio"] <= row["dominant_pair_ratio"] <= 1
     assert "pair_ratio_increased" in rep
+
+
+def test_density_report_of_a_table_of_no_points_rejected():
+    empty = run_census(CensusSpec(n=2, height=2, counters=("A*",)), limit_units=0)
+    assert empty.totals == 0
+    with pytest.raises(EmptyInput):
+        density_report([run_census(CensusSpec(n=2, height=1, counters=("A*",))), empty])
 
 
 def test_density_report_mixed_specs_rejected():

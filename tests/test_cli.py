@@ -367,9 +367,11 @@ def test_fit_tables(capsys, tmp_path):
 
 
 def test_fit_too_few_points(capsys):
-    code, _, err = _run(capsys, ["fit", "--points", "10:100,20:400"])
-    assert code == 1
-    assert json.loads(err)["error"] == "InsufficientPoints"
+    # two points, or three at one height, which leave the slope undetermined
+    for points in ("10:100,20:400", "2:1,2:2,2:3"):
+        code, out, err = _run(capsys, ["fit", "--points", points])
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "InsufficientPoints"
 
 
 # -- verify ------------------------------------------------------------------------------------------

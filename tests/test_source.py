@@ -19,6 +19,9 @@ places call.
 The package calls np.linalg.eigvals in one place, roots._companion_roots,
 which both engines ask for their hardware-double root proposals.
 
+census calls itertools.product in one place, _blocks, so that a census
+box is enumerated in one place for every engine.
+
 Outside intpoly, where it is defined, the package uses
 squarefree_decomposition in one place, roots._analysis, which stores the
 result on the polynomial for every classifier to read: imports and
@@ -245,6 +248,23 @@ def test_eigvals_reference_is_found():
         "b.py": ast.parse("from numpy.linalg import eigvals\nclass C:\n    def g(self):\n        return eigvals\n"),
     }
     assert _places(trees, "eigvals") == [("a.py", "f"), ("b.py", None), ("b.py", "g")]
+
+
+def test_one_census_enumerator():
+    tree = ast.parse((Path(rootcensus.__file__).parent / "census.py").read_text(encoding="utf-8"))
+    assert _places({"census.py": tree}, "product") == [("census.py", "_blocks")]
+
+
+def test_second_census_enumerator_is_found():
+    # two enumerators of one box, as a scalar tally beside the blocks
+    tree = ast.parse(
+        "import itertools\n"
+        "def _tally_scalar(spec, leads):\n"
+        "    return itertools.product(leads, range(3))\n"
+        "def _blocks(spec, leads):\n"
+        "    yield from itertools.product(leads)\n"
+    )
+    assert _places({"census.py": tree}, "product") == [("census.py", "_blocks"), ("census.py", "_tally_scalar")]
 
 
 def test_one_squarefree_decomposition_per_polynomial():
