@@ -14,8 +14,9 @@ of the spec, independent of worker count, completion order, and
 checkpoint interruptions. Checkpoints are line-delimited JSON with
 per-record sha256 checksums, one record per unit in unit order at any
 worker count, so a checkpoint's bytes too are a function of the spec;
-any malformed or truncated line, or a record of a unit or family the
-census does not have, is a CheckpointCorrupt error, not a silent recovery.
+any malformed or truncated line, or a record of a unit, family or label
+the census does not have, is a CheckpointCorrupt error, not a silent
+recovery.
 
 One unit path tallies every unit (_unit_worker). It enumerates the unit
 as open-grid blocks of int32 or int64 columns (_blocks), gives each row
@@ -827,6 +828,11 @@ def run_census(spec: CensusSpec, limit_units: Optional[int] = None) -> CounterTa
         families = set().union(*(delta["counts"] for delta in done.values())) - set(table.counts)
         if families:
             raise CheckpointCorrupt("checkpoint counts families this census does not: %s" % sorted(families))
+        # a family with a complete label set (all but D*d) admits no other label
+        strays = {(fam, label) for delta in done.values() for fam, cells in delta["counts"].items()
+                  for label in cells if table.counts[fam] and label not in table.counts[fam]}
+        if strays:
+            raise CheckpointCorrupt("checkpoint has labels this census never produces: %s" % sorted(strays))
         for delta in done.values():
             table = table.merge(CounterTable.from_delta(spec.fingerprint(), delta))
     pending = [(spec, u) for u in units if u.unit_id not in done]

@@ -104,9 +104,13 @@ __all__ = [
 DEFAULT_DEGREE_CAP = 8
 DEFAULT_PRIME_BOUND = 200
 # sn_certificate skips primes by their root count mod p below this
-# bound, where the O(n p) grid costs less than the patterns it saves
-# (measured on X^4+1: never certified and with the cheapest patterns,
-# it gains least from each skipped prime)
+# bound. Where the O(n p) grid pays depends on the input: for dense
+# degree 5-8 inputs the gate saves more than its grid at every prime up
+# to 2,000, while X^4+1 (never certified, the cheapest patterns, a
+# quarter of primes skipped) gains nothing at any prime. Every census,
+# bench and default caller scans to 200, where the gate makes the scan
+# 4x faster; the callers above 256 pass X^4+1, which a cutoff of 512 or
+# 1024 would slow by 1-8%
 _ROOT_COUNT_CUTOFF = 256
 # good primes the factor-degree sieve tries at most (_sieve_factor_degrees)
 _SIEVE_PRIMES = 32
@@ -455,12 +459,18 @@ def factorize(f: IntPolynomial, degree_cap: int = DEFAULT_DEGREE_CAP) -> Factori
 
 def _find_rational_root(p: IntPolynomial) -> Optional[Tuple[int, int]]:
     """Some rational root num/den of p (primitive, constant term != 0),
-    or None; den | leading and num | constant with gcd(num, den) = 1."""
+    or None; den | leading and num | constant with gcd(num, den) = 1.
+    Such a root makes den X - num a factor of p in Z[X], so den - num
+    divides p(1) and den + num divides p(-1): a candidate failing either
+    (a divisor 0 says nothing) is skipped before its exact value."""
     nums = _divisors(p.coeffs[-1])
+    at_one, at_minus_one = p.eval_at(1), p.eval_at(-1)
     for den in _divisors(p.coeffs[0]):
         for num_abs in nums:
             for num in (num_abs, -num_abs):
-                if math.gcd(num, den) == 1 and _scaled_value(p, num, den) == 0:
+                if ((num == den or at_one % (den - num) == 0)
+                        and (num == -den or at_minus_one % (den + num) == 0)
+                        and math.gcd(num, den) == 1 and _scaled_value(p, num, den) == 0):
                     return (num, den)
     return None
 
@@ -487,8 +497,8 @@ def _sieve_factor_degrees(w: IntPolynomial) -> Set[int]:
     """Degrees a factor of w could have: the intersection over good
     primes of the subset sums of the mod-p factor degree pattern.
 
-    At degree 8 a pattern costs about 0.15 ms at the small primes the
-    sieve uses (0.5 ms on average over the primes up to 200), a
+    At degree 8 a pattern costs about 0.05 ms at the small primes the
+    sieve uses (0.1 ms on average over the primes up to 200), a
     Kronecker search on 20-bit coefficients up to seconds. About 2.5%
     of irreducible dense polynomials of degree 4-8 need 9-19 good
     primes before no degree is left, so the sieve stops only at an

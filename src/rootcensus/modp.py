@@ -1,5 +1,5 @@
-"""Dense polynomial arithmetic over F_p, distinct-degree factor patterns
-and root counts mod p.
+"""Distinct-degree factor patterns and root counts of integer
+polynomials mod p.
 
 Used for Galois-group certification: for a prime p dividing neither the
 leading coefficient nor the discriminant, the multiset of irreducible
@@ -7,16 +7,23 @@ factor degrees of f mod p equals the cycle type of the Frobenius element
 acting on the roots. Only the degree pattern is needed, so factorization
 stops at the distinct-degree stage.
 
-At such a good prime the number of distinct roots of f mod p is the
+factor_degree_pattern computes X^p mod f once and from it the Frobenius
+(Berlekamp) matrix Q, whose row i is X^(ip) mod f; since h^p = h(X^p)
+over F_p, each further distinct-degree step is one product h Q. A
+residue mod f is one Python int of coefficient slots (_Packed), so each
+product is one big-int multiplication. The gcds stay on short
+coefficient lists.
+
+At a good prime the number of distinct roots of f mod p is the
 number of linear factors, i.e. of 1s in the pattern. root_counts gives
 that number for many primes at once by evaluating f on the whole grid
-0..p-1 in numpy: O(n p) work per prime against the O(n^2 log p) of the
-first distinct-degree step, so it is the cheaper test for small p, and
-sn_certificate uses it to skip, below a fixed prime cutoff, every prime
-whose count rules out each cycle type still missing.
+0..p-1 in numpy: O(n p) work per prime against the log p products of
+X^p mod f and the gcds of a pattern, and sn_certificate uses it to skip,
+below a fixed prime cutoff, every prime whose count rules out each
+cycle type still missing.
 
-Polynomials in this module are ascending coefficient lists of ints in
-[0, p); the public entry points take an IntPolynomial.
+Coefficient lists in this module are ascending, of ints in [0, p); the
+public entry points take an IntPolynomial.
 """
 
 from __future__ import annotations
@@ -54,104 +61,113 @@ def _trim(a: List[int]) -> List[int]:
     return a
 
 
-def _mulmod(a: List[int], b: List[int], p: int) -> List[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % p
-    return _trim(out)
-
-
-def _divmod(a: List[int], b: List[int], p: int) -> Tuple[List[int], List[int]]:
-    """(q, r) with a = q b + r and deg r < deg b over F_p; b nonzero."""
-    r = a[:]
-    db = len(b) - 1
-    inv = pow(b[-1], p - 2, p)
-    q = [0] * (len(r) - db)
-    while len(r) - 1 >= db and r:
-        if r[-1] == 0:
-            r.pop()
-            continue
-        k = len(r) - 1 - db
-        t = (r[-1] * inv) % p
-        q[k] = t
-        for i in range(db + 1):
-            r[k + i] = (r[k + i] - t * b[i]) % p
-        r.pop()
-        _trim(r)
-    return _trim(q), _trim(r)
-
-
-def _rem(a: List[int], b: List[int], p: int) -> List[int]:
-    """a mod b over F_p; b nonzero."""
-    return _divmod(a, b, p)[1]
-
-
-def _gcd(a: List[int], b: List[int], p: int) -> List[int]:
-    a, b = _trim(a[:]), _trim(b[:])
+def _gcd_degree(a: List[int], b: List[int], p: int) -> int:
+    """Degree of gcd(a, b) over F_p, by Euclid's algorithm; a nonzero."""
+    a, b = a[:], _trim(b[:])
     while b:
-        a, b = b, _rem(a, b, p)
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = [(c * inv) % p for c in a]
-    return a
+        db = len(b) - 1
+        inv = p - pow(b[-1], p - 2, p)
+        neg = [c * inv % p for c in b[:-1]]  # -b / lc(b), below the top
+        while len(a) > db:
+            t = a.pop()
+            if t:
+                for i, c in enumerate(neg, len(a) - db):
+                    a[i] = (a[i] + t * c) % p
+        a, b = b, _trim(a)
+    return len(a) - 1
 
 
-def _powmod(base: List[int], e: int, f: List[int], p: int) -> List[int]:
-    """base^e mod (f, p), square and multiply."""
-    result = [1]
-    base = _rem(base, f, p)
-    while e:
-        if e & 1:
-            result = _rem(_mulmod(result, base, p), f, p)
-        base = _rem(_mulmod(base, base, p), f, p)
-        e >>= 1
-    return result
+class _Packed:
+    """Arithmetic mod (f, p) for a monic f of degree n over F_p. A residue
+    of degree < n is one int whose slot i, w = bitlen(2 n p^2) bits at bit
+    w i, holds the coefficient of X^i in [0, p) (Kronecker substitution),
+    so a product is one big-int multiplication. reduce folds its high
+    slots back from the top, slot k times X^(k-n) (X^n mod f), and takes
+    every low slot mod p once; each slot sums fewer than 2n terms below
+    p^2, so none carries into the next."""
+
+    def __init__(self, a: List[int], p: int) -> None:
+        n = len(a) - 1
+        self.p = p
+        self.w = w = (2 * n * p * p).bit_length()
+        self.mask = (1 << w) - 1
+        self.low = (1 << (n * w)) - 1
+        self.shifts = range(0, n * w, w)
+        x_n = sum((-c % p) << s for c, s in zip(a, self.shifts))  # X^n mod f
+        self.tops = range((2 * n - 1) * w, n * w - 1, -w)
+        self.folds = [x_n << (s - n * w) for s in self.tops]
+
+    def coeffs(self, v: int) -> List[int]:
+        """The n slots of v, each mod p."""
+        return [((v >> s) & self.mask) % self.p for s in self.shifts]
+
+    def reduce(self, v: int) -> int:
+        """v of up to 2n slots, each below 2^w, mod (f, p)."""
+        m, p = self.mask, self.p
+        for s, fold in zip(self.tops, self.folds):
+            c = ((v >> s) & m) % p
+            if c:
+                v += c * fold
+        v &= self.low
+        return sum((((v >> s) & m) % p) << s for s in self.shifts)
+
+
+def _pow_x(e: int, ring: _Packed) -> int:
+    """X^e mod (f, p), packed: square, times X by a shift, for each bit of e."""
+    v = 1
+    for bit in bin(e)[2:]:
+        v *= v
+        if bit == "1":
+            v <<= ring.w
+        v = ring.reduce(v)
+    return v
 
 
 def factor_degree_pattern(f: IntPolynomial, p: int) -> Optional[Tuple[int, ...]]:
     """Sorted degrees of the irreducible factors of f mod p, or None when
     the prime is unusable (p divides the leading coefficient, or f mod p
-    is not squarefree)."""
+    is not squarefree). p must be prime: a composite modulus returns a
+    meaningless pattern, and a modulus below 2 raises ValueError.
+
+    Distinct-degree factorization over F_p: X^p mod f is computed once,
+    and with it the Frobenius matrix Q whose row i is X^(ip) mod f, so
+    that h^p = h(X^p) = sum h_i Q_i takes X^(p^d) to X^(p^(d+1)). Every
+    step stays mod f: gcd(f, X^(p^d) - X) is the product of the factors
+    of degree dividing d, and those of degree below d are already
+    counted."""
+    if p < 2:
+        raise ValueError("modulus %d below 2" % p)
     n = f.degree
     if n < 1 or f.coeffs[0] % p == 0:
         return None
     a = [c % p for c in reversed(f.coeffs)]
-    a = _trim(a)
-    # derivative
     da = _trim([(i * a[i]) % p for i in range(1, len(a))])
-    if not da:
-        return None  # f' = 0 mod p: certainly not squarefree for deg >= 1
-    if len(_gcd(a, da, p)) - 1 != 0:
-        return None  # not squarefree mod p
-    # monic normalize
+    if not da or _gcd_degree(a, da, p) != 0:
+        return None  # f' = 0 mod p, or f mod p not squarefree
     inv = pow(a[-1], p - 2, p)
     a = [(c * inv) % p for c in a]
-    pattern: List[int] = []
-    h = [0, 1]  # x
-    d = 0
-    rem_deg = len(a) - 1
-    while rem_deg > 0:
-        d += 1
+    ring = _Packed(a, p)
+    x_p = _pow_x(p, ring)
+    h = ring.coeffs(x_p)
+    rows: List[int] = []
+    found = [0] * (n + 1)  # found[e]: factors of degree e
+    rem_deg = n
+    for d in range(1, n // 2 + 1):
         if 2 * d > rem_deg:
-            pattern.append(rem_deg)
             break
-        h = _powmod(h, p, a, p)
-        diff = h[:]
-        while len(diff) < 2:
-            diff.append(0)
-        diff[1] = (diff[1] - 1) % p
-        g = _gcd(a, _trim(diff), p)
-        dg = len(g) - 1
-        if dg > 0:
-            pattern.extend([d] * (dg // d))
-            a = _divmod(a, g, p)[0]
-            h = _rem(h, a, p)
-            rem_deg = len(a) - 1
-    return tuple(sorted(pattern))
+        if d > 1:
+            if not rows:
+                rows = [1, x_p]
+                while len(rows) < n:
+                    rows.append(ring.reduce(rows[-1] * x_p))
+            h = ring.coeffs(sum(c * row for c, row in zip(h, rows) if c))
+        h_minus_x = [h[0], (h[1] - 1) % p] + h[2:]
+        dg = _gcd_degree(a, h_minus_x, p) - sum(e * found[e] for e in range(1, d) if d % e == 0)
+        found[d] = dg // d
+        rem_deg -= dg
+    # what is left has only factors of degree above rem_deg / 2: one or none
+    pattern = [e for e in range(1, n + 1) for _ in range(found[e])]
+    return tuple(pattern + [rem_deg] if rem_deg else pattern)
 
 
 def root_counts(f: IntPolynomial, primes: Sequence[int]) -> Iterator[int]:

@@ -1069,7 +1069,8 @@ def test_checkpoint_unit_the_census_lacks_rejected(monkeypatch, tmp_path, unit_i
     _refused_record(monkeypatch, tmp_path, unit_id, lambda delta: delta)
 
 
-# counter deltas of the wrong shape, or that the census does not count
+# counter deltas of the wrong shape, or with families or labels the
+# census does not count
 _BAD_DELTAS = {
     "no-counts": lambda d: {"totals": d["totals"], "ambiguous": d["ambiguous"]},
     "counts-list": lambda d: dict(d, counts=[]),
@@ -1078,6 +1079,7 @@ _BAD_DELTAS = {
     "cell-string": lambda d: dict(d, counts={"A*": {"1": "a"}}),
     "totals-negative": lambda d: dict(d, totals=-5),
     "family-not-counted": lambda d: dict(d, counts=dict(d["counts"], **{"B*": {"1,1": 1}})),
+    "label-never-produced": lambda d: dict(d, counts={"A*": {"99": 25}}),
 }
 
 

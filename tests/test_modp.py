@@ -9,7 +9,10 @@ usable prime the root count is the number of linear factors.
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 import sympy
@@ -100,6 +103,54 @@ def test_patterns_match_sympy_seeded():
             assert pat == _sympy_pattern(f, p), (f.coeffs, p)
             checked += 1
     assert checked > 1000
+
+
+def test_patterns_match_sympy_at_every_prime_below_2000():
+    # degrees 1-10 with coefficients up to 2^70, one of them times X^2 + 1
+    rng = random.Random(2000)
+    polys = []
+    for n, bits in ((1, 70), (7, 3), (8, 70), (10, 20)):
+        cs = [rng.choice((-1, 1)) * rng.getrandbits(bits) for _ in range(n + 1)]
+        polys.append(IntPolynomial((cs[0] or 1,) + tuple(cs[1:])))
+    polys.append(polys[2] * IntPolynomial((1, 0, 1)))
+    checked = 0
+    for f in polys:
+        disc = discriminant(f)
+        for p in primes_up_to(2000):
+            pat = factor_degree_pattern(f, p)
+            if f.coeffs[0] % p == 0 or disc % p == 0:
+                assert pat is None, (f.coeffs, p)
+            else:
+                assert pat == _sympy_pattern(f, p), (f.coeffs, p)
+                checked += 1
+    assert checked > 1400
+
+
+def test_one_frobenius_power_per_pattern(monkeypatch):
+    # X^8 - X - 1 is irreducible, and so mod 7 and 13: four distinct-degree
+    # steps each, from one X^p
+    f = IntPolynomial((1, 0, 0, 0, 0, 0, 0, -1, -1))
+    powers = []
+    pow_x = modp._pow_x
+    monkeypatch.setattr(modp, "_pow_x", lambda e, ring: powers.append(e) or pow_x(e, ring))
+    assert [factor_degree_pattern(f, p) for p in (7, 13)] == [(8,), (8,)]
+    assert powers == [7, 13]
+
+
+def test_modulus_below_2_rejected():
+    f = IntPolynomial((1, 0, 1))
+    for bad in (1, 0, -2):
+        with pytest.raises(ValueError):
+            factor_degree_pattern(f, bad)
+    # a negative modulus must not hang: run it where a hang is cut off
+    src = os.path.dirname(os.path.dirname(modp.__file__))
+    code = ("from rootcensus.intpoly import IntPolynomial\n"
+            "from rootcensus.modp import factor_degree_pattern\n"
+            "try:\n    factor_degree_pattern(IntPolynomial((1, 0, 1)), -3)\n"
+            "except ValueError:\n    print('refused')\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=20,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.stdout == "refused\n", proc.stderr
 
 
 def _brute_root_count(f: IntPolynomial, p: int) -> int:

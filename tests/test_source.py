@@ -19,6 +19,11 @@ places call.
 The package calls np.linalg.eigvals in one place, roots._companion_roots,
 which both engines ask for their hardware-double root proposals.
 
+modp calls its powering routine (a name starting _pow) in one place,
+factor_degree_pattern, outside any loop: X^p mod f is computed once per
+pattern, and every later distinct-degree step is a product with the
+Frobenius matrix.
+
 census calls itertools.product in one place, _blocks, so that a census
 box is enumerated in one place for every engine.
 
@@ -305,3 +310,46 @@ def test_disks_read_is_found():
         "b.py": ast.parse("x.disks = 1\ny = x.disks[0]\nz = disks\n"),
     }
     assert _attribute_reads(trees, "disks") == [("a.py", 3), ("b.py", 2)]
+
+
+_LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _call_sites(tree: ast.Module, prefix: str) -> list:
+    """(innermost enclosing function or None, whether inside a loop of
+    it) of every call of a name or attribute starting with prefix."""
+    found = []
+
+    def visit(node, where, looped):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                visit(child, child.name, False)
+                continue
+            if isinstance(child, ast.Call):
+                name = getattr(child.func, "id", None) or getattr(child.func, "attr", "")
+                if name.startswith(prefix):
+                    found.append((where, looped))
+            visit(child, where, looped or isinstance(child, _LOOPS))
+
+    visit(tree, None, False)
+    return sorted(found, key=lambda site: (site[0] or "", site[1]))
+
+
+def test_one_powering_call_per_pattern():
+    tree = ast.parse((Path(rootcensus.__file__).parent / "modp.py").read_text(encoding="utf-8"))
+    assert _call_sites(tree, "_pow") == [("factor_degree_pattern", False)]
+
+
+def test_powering_in_a_loop_is_found():
+    # a fresh X^(p^d) for each distinct-degree step, and a powering helper
+    tree = ast.parse(
+        "def factor_degree_pattern(f, p):\n"
+        "    h = pow(2, p, p)\n"
+        "    while h:\n"
+        "        h = _powmod(h, p, f, p)\n"
+        "    return [m._pow_x(e) for e in f]\n"
+        "def _rows(x):\n"
+        "    return _pow_x(x, 2)\n"
+    )
+    assert _call_sites(tree, "_pow") == [
+        ("_rows", False), ("factor_degree_pattern", True), ("factor_degree_pattern", True)]
