@@ -9,8 +9,9 @@ Answers, with certificates, the questions driving the censuses:
   r + 2s = n, by exact real-root counts of the squarefree factors;
 - factorize: certified factorization into irreducibles over the
   integers of the squarefree factors of the stored analysis
-  (roots._analysis): rational roots, degree-pattern sieve mod p,
-  Kronecker interpolation search;
+  (roots._analysis), recombining the root cells of one 53-bit isolation
+  into candidates that exact division certifies (degree_cap bounds the
+  subsets tried; the isolation may raise PrecisionCapExceeded);
 - sn_certificate: one-sided Galois certification via Frobenius cycle
   types (an n-cycle, an (n-1)-cycle and a transposition seen mod
   good primes generate S_n); small primes whose root count mod p
@@ -47,9 +48,9 @@ touches floating point). Degree >= 4 escalates:
 from __future__ import annotations
 
 import bisect
-import math
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
+from itertools import combinations
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
     BadParameters,
@@ -62,9 +63,7 @@ from .errors import (
 from .intpoly import (
     IntPolynomial,
     SquarefreeDecomposition,
-    _interpolate,
     _pair_products,
-    _scaled_value,
     disc2,
     disc3,
     discriminant,
@@ -112,8 +111,6 @@ DEFAULT_PRIME_BOUND = 200
 # 4x faster; the callers above 256 pass X^4+1, which a cutoff of 512 or
 # 1024 would slow by 1-8%
 _ROOT_COUNT_CUTOFF = 256
-# good primes the factor-degree sieve tries at most (_sieve_factor_degrees)
-_SIEVE_PRIMES = 32
 
 
 @dataclass(frozen=True)
@@ -406,25 +403,16 @@ def _real_count(fac: IntPolynomial) -> int:
 # -- factorization ------------------------------------------------------------
 
 
-def _divisors(n: int) -> List[int]:
-    n = abs(n)
-    out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
-        i += 1
-    return sorted(out)
-
-
 def factorize(f: IntPolynomial, degree_cap: int = DEFAULT_DEGREE_CAP) -> FactorizationResult:
     """Certified factorization of f over the integers into content and
     primitive irreducible factors with positive leading coefficients.
 
-    Degrees above degree_cap raise DegreeCapExceeded: the Kronecker
-    search enumerates divisor tuples, exponential in the factor degree.
+    Each squarefree factor of the stored analysis is split by recombining
+    the cells of one isolate_roots(f, precision_bits=53) (_recombine),
+    refined only where an enclosure is too wide to decide, so factorize
+    raises PrecisionCapExceeded wherever isolate_roots does. Degrees
+    above degree_cap raise DegreeCapExceeded: the cap bounds the at most
+    2^(n-1) root subsets recombination tries.
     """
     if f.is_zero:
         raise ZeroPolynomial("factorization of the zero polynomial")
@@ -436,15 +424,12 @@ def factorize(f: IntPolynomial, degree_cap: int = DEFAULT_DEGREE_CAP) -> Factori
         content = -content
     a = _analysis(f)
     found: Dict[Tuple[int, ...], int] = {(1, 0): a.zeros} if a.zeros else {}
+    rs = isolate_roots(f, precision_bits=53) if any(g.degree > 1 for g, _ in a.factors) else None
     for fac, mult in a.factors:
-        pieces = []
-        root = _find_rational_root(fac)
-        while root is not None:
-            pieces.append(IntPolynomial((root[1], -root[0])))
-            fac = divmod_exact(fac, pieces[-1])
-            root = _find_rational_root(fac)
-        if fac.degree >= 1:
-            pieces += _factor_squarefree(fac)
+        pieces = _recombine(fac, mult, rs)
+        while pieces is None:
+            rs = refine(rs, rs.max_radius() / 2**32)
+            pieces = _recombine(fac, mult, rs)
         for piece in pieces:
             found[piece.coeffs] = found.get(piece.coeffs, 0) + mult
     factors = tuple(
@@ -457,100 +442,94 @@ def factorize(f: IntPolynomial, degree_cap: int = DEFAULT_DEGREE_CAP) -> Factori
     return FactorizationResult(content, factors, irreducible)
 
 
-def _find_rational_root(p: IntPolynomial) -> Optional[Tuple[int, int]]:
-    """Some rational root num/den of p (primitive, constant term != 0),
-    or None; den | leading and num | constant with gcd(num, den) = 1.
-    Such a root makes den X - num a factor of p in Z[X], so den - num
-    divides p(1) and den + num divides p(-1): a candidate failing either
-    (a divisor 0 says nothing) is skipped before its exact value."""
-    nums = _divisors(p.coeffs[-1])
-    at_one, at_minus_one = p.eval_at(1), p.eval_at(-1)
-    for den in _divisors(p.coeffs[0]):
-        for num_abs in nums:
-            for num in (num_abs, -num_abs):
-                if ((num == den or at_one % (den - num) == 0)
-                        and (num == -den or at_minus_one % (den + num) == 0)
-                        and math.gcd(num, den) == 1 and _scaled_value(p, num, den) == 0):
-                    return (num, den)
-    return None
+def _recombine(w: IntPolynomial, mult: int, rs: CertifiedRootSet) -> Optional[List[IntPolynomial]]:
+    """The irreducible factors of w, the squarefree factor of multiplicity
+    mult in the analysis of rs.polynomial, or None when rs is too coarse.
 
-
-def _factor_squarefree(w: IntPolynomial) -> List[IntPolynomial]:
-    """Irreducible factors of a primitive squarefree w without rational
-    roots (so every factor has degree >= 2)."""
-    d = w.degree
-    if d <= 3:
-        return [w]  # no rational root means irreducible for degree <= 3
-    admissible = _sieve_factor_degrees(w)
-    for k in sorted(x for x in admissible if 2 <= x <= d // 2):
-        g = _kronecker_search(w, k)
-        if g is not None:
-            rest = divmod_exact(w, g).monic_positive()
-            return sorted(
-                _factor_squarefree(g) + _factor_squarefree(rest),
-                key=lambda t: (t.degree, t.coeffs),
-            )
-    return [w]
-
-
-def _sieve_factor_degrees(w: IntPolynomial) -> Set[int]:
-    """Degrees a factor of w could have: the intersection over good
-    primes of the subset sums of the mod-p factor degree pattern.
-
-    At degree 8 a pattern costs about 0.05 ms at the small primes the
-    sieve uses (0.1 ms on average over the primes up to 200), a
-    Kronecker search on 20-bit coefficients up to seconds. About 2.5%
-    of irreducible dense polynomials of degree 4-8 need 9-19 good
-    primes before no degree is left, so the sieve stops only at an
-    empty set or after 32 of them."""
-    d = w.degree
-    possible: Optional[Set[int]] = None
-    used = 0
-    for pr in primes_up_to(500):
-        if used >= _SIEVE_PRIMES:
-            break
-        pat = factor_degree_pattern(w, pr)
-        if pat is None:
+    If g | w has roots S, L prod_{z in S} (X - z) = (L / lc(g)) g is an
+    integer polynomial, L = lc(w): Zassenhaus' factor combination with
+    complex roots (von zur Gathen and Gerhard, Modern Computer Algebra,
+    ch. 15). A unit is a real cell (a, 0, r) of multiplicity mult, the
+    zero cell left out, as X - (a +- r), or the upper cell (a, b, r) of a
+    pair as X^2 - (2a +- 2r) X + (a^2 + b^2 +- (2 cu r + r^2)), cu =
+    ceil(sqrt(a^2 + b^2)) as in _product_disks. Unit subsets are tried by
+    ascending degree k <= deg(w) / 2 (_times, _integer_coeffs): one
+    integer in every enclosure is a candidate, whose primitive part is a
+    factor if divmod_exact certifies it, irreducible as no lower degree
+    split, and the search goes on over the quotient and the units left.
+    """
+    if w.degree == 1:
+        return [w]
+    e = rs.exponent
+    units = []
+    for a, b, r, m, real in rs.cells:
+        if m != mult or (a, b, r) == (0, 0, 0):
             continue
-        used += 1
-        sums = {0}
-        for part in pat:
-            sums |= {s + part for s in sums}
-        possible = sums if possible is None else (possible & sums)
-        if not any(1 <= k <= d // 2 for k in possible):
+        if real:
+            units.append(((1, 0), (-a, r)))
+        elif b > 0:
+            c2 = a * a + b * b
+            units.append(((1, 0), (-2 * a, 2 * r), (c2, 2 * _ceil_sqrt(c2) * r + r * r)))
+    pieces = []
+    k = 1
+    while 2 * k <= w.degree:
+        for subset in _subsets(units, k):
+            poly = [(1, 0)]
+            for i in subset:
+                poly = _times(poly, units[i])
+            cs = _integer_coeffs(w.coeffs[0], poly, e)
+            if cs is None:
+                return None
+            if not cs:
+                continue
+            g = IntPolynomial(cs).monic_positive()
+            try:
+                w = divmod_exact(w, g)
+            except BadParameters:
+                continue
+            pieces.append(g)
+            units = [u for i, u in enumerate(units) if i not in subset]
             break
-    if possible is None:
-        return set(range(d + 1))
-    return possible
-
-
-def _kronecker_search(w: IntPolynomial, k: int) -> Optional[IntPolynomial]:
-    """A degree-k factor of w found by interpolating divisor tuples, or
-    None. Complete for the given k: any factor g satisfies
-    g(x_i) | w(x_i) at the k+1 integer sample points."""
-    from itertools import product as iproduct
-
-    # the sample points 0, 1, -1, 2, -2, ..., where w has no roots
-    xs = [(i + 1) // 2 * (-1) ** (i + 1) for i in range(k + 1)]
-    vals = [w.eval_at(x) for x in xs]
-    divlists: List[List[int]] = []
-    for i, val in enumerate(vals):
-        ds = _divisors(val)
-        if i == 0:
-            divlists.append(ds)  # fix sign: g and -g divide alike
         else:
-            divlists.append([s * d0 for d0 in ds for s in (1, -1)])
-    lead_w = w.coeffs[0]
-    for combo in iproduct(*divlists):
-        g = _interpolate(xs, combo)
-        if g is None or g.degree != k or lead_w % g.coeffs[0] != 0:
-            continue
-        try:
-            divmod_exact(w, g)
-        except BadParameters:
-            continue
-        return g.monic_positive()
-    return None
+            k += 1
+    return pieces + [w]
+
+
+def _subsets(units: Sequence[tuple], k: int):
+    """The index tuples of the units of total degree k (_recombine)."""
+    reals = [i for i, u in enumerate(units) if len(u) == 2]
+    pairs = [i for i, u in enumerate(units) if len(u) == 3]
+    for p in range(k // 2 + 1):
+        for ps in combinations(pairs, p):
+            for qs in combinations(reals, k - 2 * p):
+                yield ps + qs
+
+
+def _times(p: Sequence[Sequence[int]], q: Sequence[Sequence[int]]) -> List[List[int]]:
+    """The product of polynomials whose coefficients, leading first, are
+    enclosures (m, r) of x, the j-th at the scale 2^(e j): |x y - m1 m2|
+    <= |m1| r2 + |m2| r1 + r1 r2."""
+    out = [[0, 0] for _ in range(len(p) + len(q) - 1)]
+    for i, (m1, r1) in enumerate(p):
+        for j, (m2, r2) in enumerate(q):
+            out[i + j][0] += m1 * m2
+            out[i + j][1] += abs(m1) * r2 + abs(m2) * r1 + r1 * r2
+    return out
+
+
+def _integer_coeffs(lead: int, poly: Sequence[Sequence[int]], e: int) -> Optional[Tuple[int, ...]]:
+    """The integer in each coefficient enclosure of lead * poly, poly monic
+    with enclosures at the scales 2^(e j), e <= 0 (_times): () when some
+    enclosure holds none, None when none is empty but some holds two."""
+    out, wide = [lead], False
+    for j, (m, r) in enumerate(poly[1:], 1):
+        mid, rad, s = lead * m, abs(lead) * r, -e * j
+        lo, hi = -((rad - mid) >> s), (mid + rad) >> s
+        if lo > hi:
+            return ()
+        wide = wide or lo < hi
+        out.append(lo)
+    return None if wide else tuple(out)
 
 
 # -- Galois certification ------------------------------------------------------

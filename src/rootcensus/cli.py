@@ -85,7 +85,7 @@ _Output = Tuple[Dict[str, object], Dict[str, object], str]
 _GLOBAL_FLAGS = {
     "jobs": (1, "worker processes"),
     "precision_cap": (_DEFAULT_CAP, "certification precision cap in bits"),
-    "degree_cap": (DEFAULT_DEGREE_CAP, "factor search degree cap"),
+    "degree_cap": (DEFAULT_DEGREE_CAP, "largest degree factorized; bounds the 2^(n-1) root subsets tried"),
     "seed": (0, "sampling seed"),
     "format": ("json", "output format"),
     "out": ("-", "output path, '-' for stdout"),

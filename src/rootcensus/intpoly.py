@@ -18,7 +18,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .errors import (
     BadParameters,
@@ -600,31 +600,7 @@ def sturm_real_root_count(f: IntPolynomial) -> int:
     return chain.variations_at_minus_inf() - chain.variations_at_plus_inf()
 
 
-# -- interpolation and pair products -----------------------------------------
-
-
-def _interpolate(xs: Sequence[int], ys: Sequence[int]) -> Optional[IntPolynomial]:
-    """The polynomial of degree < len(xs) through the integer points
-    (xs[i], ys[i]) if its coefficients are integers, else None.
-
-    Newton's divided differences in integers: an integer polynomial has
-    integer divided differences at integer nodes, so the first nonzero
-    remainder proves the interpolant is not integral.
-    """
-    m = len(xs)
-    coefs = list(ys)
-    for j in range(1, m):
-        for i in range(m - 1, j - 1, -1):
-            coefs[i], rem = divmod(coefs[i] - coefs[i - 1], xs[i] - xs[i - j])
-            if rem:
-                return None
-    # expand c0 + c1 (x-x0) + c2 (x-x0)(x-x1) + ..., highest degree first
-    poly = [coefs[m - 1]]
-    for j in range(m - 2, -1, -1):
-        # poly <- poly * (x - xs[j]) + coefs[j]
-        shifted = [0] + [c * xs[j] for c in poly]
-        poly = [a - b for a, b in zip(poly + [coefs[j]], shifted)]
-    return _poly(tuple(poly))
+# -- pair products -----------------------------------------
 
 
 def _deflate_zero_roots(f: IntPolynomial) -> Tuple[int, IntPolynomial]:

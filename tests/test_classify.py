@@ -10,8 +10,12 @@ all-pairs numeric scan.
 
 from __future__ import annotations
 
+import ast
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from typing import List
 
@@ -304,28 +308,38 @@ def _sympy_factors(f: IntPolynomial):
     return sorted((g.degree(), m) for g, m in facs if g.degree() > 0)
 
 
-def test_factorize_matches_sympy_seeded():
-    rng = random.Random(66)
-    for _ in range(80):
-        f = _rand_poly(rng, max_deg=6, height=20)
-        fr = factorize(f)
-        assert fr.reconstruct() == f
-        got = sorted((p.degree, m) for p, m in fr.factors)
-        assert got == _sympy_factors(f), f.coeffs
-
-
-def _sympy_rational_roots(f: IntPolynomial):
+def _sympy_factor_list(f: IntPolynomial):
+    """sympy's factors of f as sorted (coefficients, multiplicity), each
+    factor primitive with a positive leading coefficient."""
     _, facs = sympy.Poly(list(f.coeffs), _X).factor_list()
-    return {Fraction(-int(g.coeffs()[1]), int(g.coeffs()[0])) for g, _ in facs if g.degree() == 1}
+    return sorted(
+        (IntPolynomial(tuple(int(c) for c in g.all_coeffs())).monic_positive().coeffs, m)
+        for g, m in facs if g.degree() > 0
+    )
 
 
-def test_rational_root_matches_sympy_seeded():
+def _rand_factor(rng: random.Random, degree: int, bits: int) -> IntPolynomial:
+    cs = [rng.randint(-(1 << bits), 1 << bits) for _ in range(degree + 1)]
+    cs[0] = cs[0] or 1
+    return IntPolynomial(tuple(cs))
+
+
+# irreducible, with 20-bit coefficients: the first eight good primes leave
+# a factor degree open, so a degree sieve mod p cannot prove them so
+_DENSE_IRREDUCIBLES = (
+    (-41226, 1027051, -105397, 1014547, -441560),
+    (-755496, -477502, -175425, 328698, -994083, -95792),
+    (-752528, -102578, 61789, -964437, -744580, 55792, 586440),
+    (-864652, 836022, 509988, -155066, -126267, -592826, -280004, -641997, -841058),
+)
+
+
+def _rich_divisor_inputs(rng: random.Random) -> List[IntPolynomial]:
     """Leading and constant coefficients with many divisors (720, 5040,
-    2^4 3^2 5 7 11): the candidate num/den runs over all their divisor
-    pairs."""
-    rng = random.Random(5150)
+    2^4 3^2 5 7 11), times up to two linear factors den X + num built from
+    them."""
     rich = (720, 5040, 2 ** 4 * 3 ** 2 * 5 * 7 * 11)
-    found = 0
+    out = []
     for _ in range(60):
         f = IntPolynomial((1,))
         for _ in range(rng.randint(0, 2)):
@@ -334,17 +348,130 @@ def test_rational_root_matches_sympy_seeded():
             f = f * IntPolynomial((den, rng.choice((-1, 1)) * num))
         rest = [rng.randint(-50, 50) for _ in range(rng.randint(1, 4))]
         f = f * IntPolynomial((rng.choice(rich),) + tuple(rest) + (rng.choice(rich),))
-        f = f.monic_positive()
-        roots = _sympy_rational_roots(f)
-        got = classify._find_rational_root(f)
-        if got is None:
-            assert not roots, f.coeffs
-        else:
-            num, den = got
-            assert den > 0 and math.gcd(num, den) == 1
-            assert Fraction(num, den) in roots, f.coeffs
-            found += 1
+        out.append(f.monic_positive())
+    return out
+
+
+def _factor_corpus(rng: random.Random) -> List[IntPolynomial]:
+    """Degrees 1-8, coefficients up to about 2^70: products of random
+    factors (some times X^2 + 1 or (X - 3)^2), cyclotomic products,
+    X^n - 2, Mignotte-type factors X^d - 2 (aX - 1)^2 beside a small
+    one, and the dense irreducibles."""
+    out = []
+    for _ in range(40):
+        degs = rng.choice(((5,), (8,), (1, 4), (2, 3), (2, 2, 2), (3, 3, 2), (1, 1, 3), (4, 4), (2, 6)))
+        bits = rng.choice((4, 20, 70 // len(degs) - 2))
+        f = IntPolynomial((rng.choice((-3, -1, 1, 2)),))
+        for d in degs:
+            f = f * _rand_factor(rng, d, bits)
+        extra = rng.choice((None, (1, 0, 1), (1, -6, 9)))
+        if extra and f.degree <= 6:
+            f = f * IntPolynomial(extra)
+        out.append(f)
+    cyclotomic = [
+        IntPolynomial(tuple(int(c) for c in sympy.Poly(sympy.cyclotomic_poly(k, _X), _X).all_coeffs()))
+        for k in range(1, 21)
+    ]
+    for _ in range(20):
+        f = IntPolynomial((1,))
+        for phi in rng.sample(cyclotomic, 3):
+            if f.degree + phi.degree <= 8:
+                f = f * phi
+        out.append(f * rng.choice(cyclotomic[:2]) if f.degree < 8 else f)
+    out += [IntPolynomial((1,) + (0,) * (n - 1) + (-2,)) for n in range(1, 9)]
+    for d in (3, 4, 5, 6):
+        for a in (3, 10, 256):
+            square = IntPolynomial((a, -1)) * IntPolynomial((a, -1))
+            mignotte = IntPolynomial((1,) + (0,) * d) - IntPolynomial((2,)) * square
+            out.append(mignotte * rng.choice((IntPolynomial((1, 0, 1)), IntPolynomial((2, -1)))))
+    return out + [IntPolynomial(cs) for cs in _DENSE_IRREDUCIBLES]
+
+
+def test_factorize_matches_sympy_seeded():
+    rng = random.Random(66)
+    polys = [_rand_poly(rng, max_deg=6, height=20) for _ in range(80)] + _factor_corpus(rng)
+    for f in polys:
+        fr = factorize(f)
+        assert fr.reconstruct() == f
+        assert sorted((p.coeffs, m) for p, m in fr.factors) == _sympy_factor_list(f), f.coeffs
+    for cs in _DENSE_IRREDUCIBLES:
+        assert factorize(IntPolynomial(cs)).irreducible
+    # the linear factors are exactly the rational roots, however many
+    # divisors the end coefficients have
+    found = 0
+    for f in _rich_divisor_inputs(random.Random(5150)):
+        fr = factorize(f)
+        assert fr.reconstruct() == f
+        roots = {Fraction(-p.coeffs[1], p.coeffs[0]) for p, _ in fr.factors if p.degree == 1}
+        assert roots == _sympy_rational_roots(f), f.coeffs
+        found += bool(roots)
     assert 10 < found < 60
+
+
+_COEFFS = st.sampled_from((4, 20, 35)).flatmap(
+    lambda bits: st.lists(st.integers(-(1 << bits), 1 << bits), min_size=2, max_size=5)
+).filter(lambda cs: cs[0] != 0)
+
+
+@given(st.lists(_COEFFS, min_size=1, max_size=4), st.sampled_from((-2, -1, 1, 3)))
+@example([[(1 << 30) + 3, 0, (1 << 30) - 1], [(1 << 30) + 5, 0, -7, 1 << 30]], 1)
+@example([[1, 0, 1], [1, 0, 1], [1, -3], [1, -3], [5, 0, 0]], -1)
+def test_factorize_property_reconstructs_with_sympy_degrees(factors, unit):
+    f = IntPolynomial((unit,))
+    for cs in factors:
+        f = f * IntPolynomial(tuple(cs))
+    assume(1 <= f.degree <= 8)
+    fr = factorize(f)
+    assert fr.reconstruct() == f
+    assert sorted((p.degree, m) for p, m in fr.factors) == _sympy_factors(f)
+
+
+def test_factorize_refines_an_undecided_enclosure(monkeypatch):
+    """At the first step some coefficient enclosure of a unit subset of
+    this product holds two integers or more; the ladder goes on."""
+    refine = classify.refine
+    calls = []
+    monkeypatch.setattr(classify, "refine", lambda rs, target: calls.append(rs.precision_bits) or refine(rs, target))
+    quadratic = IntPolynomial(((1 << 30) + 3, 0, (1 << 30) - 1))
+    cubic = IntPolynomial(((1 << 30) + 5, 0, -7, 1 << 30))
+    fr = factorize(quadratic * cubic)
+    assert calls
+    assert sorted((p.coeffs, m) for p, m in fr.factors) == [(quadratic.coeffs, 1), (cubic.coeffs, 1)]
+
+
+_M = 1 << 20
+# trial division on the end coefficients (or on values of these) never
+# finished on either: 70-bit coefficients, and three factors with 40-bit
+# end coefficients
+_WIDE = {
+    "degree-5-70-bit": IntPolynomial((
+        0x2A6F3D51E9C8B07A41, -0x1D8E42B7C05F39A6E3, 0x3F01C9A8E7D62B5143,
+        -0x0B7E3D9F14A2C68E05, 0x27C4A1E05B9D3F8A67, -0x3A95E2D74C1B08F6F9)),
+    "three-clustered-factors": (
+        (IntPolynomial((_M, -_M - 1)) * IntPolynomial((_M, -_M - 1)) + IntPolynomial((1,)))
+        * (IntPolynomial((_M, -_M)) * IntPolynomial((_M, -_M)) + IntPolynomial((2,)))
+        * IntPolynomial((1, 0, 3))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WIDE))
+def test_factorize_wide_coefficients_in_time(name):
+    """Factorization reads no divisors: run where a hang is cut off."""
+    f = _WIDE[name]
+    src = os.path.dirname(os.path.dirname(classify.__file__))
+    code = ("from rootcensus.classify import factorize\n"
+            "from rootcensus.intpoly import IntPolynomial\n"
+            "fr = factorize(IntPolynomial(%r))\n"
+            "print(sorted((p.coeffs, m) for p, m in fr.factors))\n" % (f.coeffs,))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=30,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert ast.literal_eval(proc.stdout) == _sympy_factor_list(f)
+
+
+def _sympy_rational_roots(f: IntPolynomial):
+    _, facs = sympy.Poly(list(f.coeffs), _X).factor_list()
+    return {Fraction(-int(g.coeffs()[1]), int(g.coeffs()[0])) for g, _ in facs if g.degree() == 1}
 
 
 def test_factorize_repeated_rational_and_zero_roots_match_sympy():
@@ -397,26 +524,6 @@ def test_factorize_degree_cap():
     assert factorize(f, degree_cap=9).irreducible
 
 
-@pytest.mark.parametrize("cs", [
-    (-41226, 1027051, -105397, 1014547, -441560),
-    (-755496, -477502, -175425, 328698, -994083, -95792),
-    (-752528, -102578, 61789, -964437, -744580, 55792, 586440),
-    (-864652, 836022, 509988, -155066, -126267, -592826, -280004, -641997, -841058),
-])
-def test_sieve_proves_dense_irreducibles_without_kronecker(monkeypatch, cs):
-    """Irreducible polynomials with 20-bit coefficients whose first eight
-    good primes leave a factor degree open; a Kronecker search on them
-    takes 0.6-4 s, the sieve's further primes a few milliseconds."""
-
-    def no_search(w, k):
-        raise AssertionError("Kronecker search for a degree-%d factor" % k)
-
-    monkeypatch.setattr(classify, "_kronecker_search", no_search)
-    f = IntPolynomial(cs)
-    assert factorize(f).irreducible
-    assert _sympy_factors(f) == [(f.degree, 1)]
-
-
 def test_one_squarefree_decomposition_per_analysed_polynomial(monkeypatch):
     # isolation, profile, signature, factorization and the relation test
     # all read one analysis: X^6 - X - 1 is irreducible, and the profile of
@@ -438,6 +545,30 @@ def test_one_squarefree_decomposition_per_analysed_polynomial(monkeypatch):
         factorize(f)
         has_multiplicative_relation(f)
         assert len(calls) == 1, f.coeffs
+
+
+def test_battery_computes_one_pattern_per_polynomial_and_prime(monkeypatch):
+    """The classify --all battery on irreducible and reducible inputs: the
+    factorization reads no pattern mod p, so sn_certificate's are the
+    only ones."""
+    seen = []
+    fn = classify.factor_degree_pattern
+    monkeypatch.setattr(classify, "factor_degree_pattern", lambda f, p: seen.append((f.coeffs, p)) or fn(f, p))
+    rng = random.Random(7)
+    polys = [IntPolynomial(cs) for cs in _DENSE_IRREDUCIBLES] + [
+        IntPolynomial((1, 0, 0, 0, -1, -1)),
+        IntPolynomial((1, 0, 0, 0, 1)),
+        IntPolynomial((1, 0, 1)) * IntPolynomial((1, 1, 0, 3)),
+    ] + [_rand_factor(rng, rng.randint(4, 8), 20) for _ in range(10)]
+    for f in polys:
+        isolate_roots(f, precision_bits=53)
+        modulus_profile(f)
+        root_signature(f)
+        if factorize(f).irreducible:
+            sn_certificate(f, assume_irreducible=True)
+        has_multiplicative_relation(f)
+    assert seen
+    assert len(set(seen)) == len(seen)
 
 
 # -- S_n certificates --------------------------------------------------------------

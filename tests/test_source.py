@@ -19,6 +19,11 @@ places call.
 The package calls np.linalg.eigvals in one place, roots._companion_roots,
 which both engines ask for their hardware-double root proposals.
 
+Outside modp, where it is defined, the package uses factor_degree_pattern
+in one place, classify.sn_certificate: factorization over Z reads root
+cells, not patterns mod p, so no second scan computes the patterns
+sn_certificate computes again.
+
 modp calls its powering routine (a name starting _pow) in one place,
 factor_degree_pattern, outside any loop: X^p mod f is computed once per
 pattern, and every later distinct-degree step is a product with the
@@ -253,6 +258,24 @@ def test_eigvals_reference_is_found():
         "b.py": ast.parse("from numpy.linalg import eigvals\nclass C:\n    def g(self):\n        return eigvals\n"),
     }
     assert _places(trees, "eigvals") == [("a.py", "f"), ("b.py", None), ("b.py", "g")]
+
+
+def test_one_reader_of_factor_patterns():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in _MODULES if p.name != "modp.py"}
+    assert _places(trees, "factor_degree_pattern", imports=False) == [("classify.py", "sn_certificate")]
+
+
+def test_second_reader_of_factor_patterns_is_found():
+    # a degree sieve beside the certificate, reading the patterns twice
+    tree = ast.parse(
+        "from .modp import factor_degree_pattern\n"
+        "def _sieve_factor_degrees(w):\n"
+        "    return [factor_degree_pattern(w, p) for p in (3, 5)]\n"
+        "def sn_certificate(f):\n"
+        "    return factor_degree_pattern(f, 7)\n"
+    )
+    assert _places({"classify.py": tree}, "factor_degree_pattern", imports=False) == [
+        ("classify.py", "_sieve_factor_degrees"), ("classify.py", "sn_certificate")]
 
 
 def test_one_census_enumerator():
