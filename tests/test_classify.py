@@ -394,10 +394,11 @@ def test_factorize_matches_sympy_seeded():
         fr = factorize(f)
         assert fr.reconstruct() == f
         assert sorted((p.coeffs, m) for p, m in fr.factors) == _sympy_factor_list(f), f.coeffs
-    for cs in _DENSE_IRREDUCIBLES:
-        assert factorize(IntPolynomial(cs)).irreducible
-    # the linear factors are exactly the rational roots, however many
-    # divisors the end coefficients have
+
+
+def test_rational_root_matches_sympy_seeded():
+    """The linear factors are exactly the rational roots, however many
+    divisors the end coefficients have."""
     found = 0
     for f in _rich_divisor_inputs(random.Random(5150)):
         fr = factorize(f)
@@ -406,6 +407,22 @@ def test_factorize_matches_sympy_seeded():
         assert roots == _sympy_rational_roots(f), f.coeffs
         found += bool(roots)
     assert 10 < found < 60
+
+
+@pytest.mark.parametrize("cs", _DENSE_IRREDUCIBLES)
+def test_sieve_proves_dense_irreducibles_without_kronecker(monkeypatch, cs):
+    """Irreducible polynomials with 20-bit coefficients whose first eight
+    good primes leave a factor degree open: the root cells prove them
+    irreducible, with no pattern mod p and no search over candidate
+    factors."""
+
+    def no_pattern(f, p):
+        raise AssertionError("factor-degree pattern mod %d" % p)
+
+    monkeypatch.setattr(classify, "factor_degree_pattern", no_pattern)
+    f = IntPolynomial(cs)
+    assert factorize(f).irreducible
+    assert _sympy_factors(f) == [(f.degree, 1)]
 
 
 _COEFFS = st.sampled_from((4, 20, 35)).flatmap(
