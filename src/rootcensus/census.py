@@ -734,14 +734,16 @@ def _write_line(fh, record: Dict[str, object]) -> None:
 
 
 def _delta_ok(delta: object) -> bool:
-    """Whether a counter delta has delta_dict's shape, each count an int >= 0."""
+    """Whether a counter delta has delta_dict's shape, each count an int >= 0,
+    with no family above totals - ambiguous: each labels a point at most once."""
     if not (isinstance(delta, dict) and sorted(delta) == ["ambiguous", "counts", "totals"]
             and isinstance(delta["counts"], dict)
             and all(isinstance(cells, dict) for cells in delta["counts"].values())):
         return False
     counts = [delta["totals"], delta["ambiguous"]]
     counts += [k for cells in delta["counts"].values() for k in cells.values()]
-    return all(type(k) is int and k >= 0 for k in counts)
+    return all(type(k) is int and k >= 0 for k in counts) and all(
+        sum(cells.values()) <= delta["totals"] - delta["ambiguous"] for cells in delta["counts"].values())
 
 
 def checkpoint_load(path: str) -> CheckpointState:

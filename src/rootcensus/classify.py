@@ -8,8 +8,8 @@ Answers, with certificates, the questions driving the censuses:
 - root_signature: the number of real roots r and conjugate pairs s,
   r + 2s = n, by exact real-root counts of the squarefree factors;
 - factorize: certified factorization into irreducibles over the
-  integers of the squarefree factors of the stored analysis
-  (roots._analysis), recombining the root cells of one 53-bit isolation
+  integers of the squarefree factors of the memoised analysis
+  (roots._analysis), recombining the memoised cells of a 53-bit isolation
   into candidates that exact division certifies (degree_cap bounds the
   subsets tried; the isolation may raise PrecisionCapExceeded);
 - sn_certificate: one-sided Galois certification via Frobenius cycle
@@ -407,8 +407,8 @@ def factorize(f: IntPolynomial, degree_cap: int = DEFAULT_DEGREE_CAP) -> Factori
     """Certified factorization of f over the integers into content and
     primitive irreducible factors with positive leading coefficients.
 
-    Each squarefree factor of the stored analysis is split by recombining
-    the cells of one isolate_roots(f, precision_bits=53) (_recombine),
+    Each squarefree factor of the memoised analysis is split by recombining
+    the cells of the memoised isolate_roots(f, precision_bits=53) (_recombine),
     refined only where an enclosure is too wide to decide, so factorize
     raises PrecisionCapExceeded wherever isolate_roots does. Degrees
     above degree_cap raise DegreeCapExceeded: the cap bounds the at most

@@ -9,9 +9,9 @@ its disks view gives them as dyadic Fractions.
 
 Roots at zero are split off exactly and get a disk of radius zero, and
 Yun decomposition hands the rest over as squarefree factors with their
-multiplicities; this analysis (_analysis) is computed once per
-polynomial and stored on it, so refine and the classifiers in classify
-reuse it.
+multiplicities. This analysis (_analysis) and the root set of a 53-bit
+start are memoised for the last few polynomials by coefficients (_MEMO),
+for refine and classify to reuse; nothing is stored on a polynomial.
 Each factor goes through one certification rung: centres are proposed
 at the bits of its ladder step (_propose), and one exact integer routine
 certifies them (_certified, whose _horner and _apart the n = 4 census
@@ -56,7 +56,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -149,27 +149,38 @@ class _Analysis(NamedTuple):
     factors: Tuple[Tuple[IntPolynomial, int], ...]
 
 
+# [analysis, root set of a 53-bit start or None] by coefficients, oldest
+# first, for f, its zero deflation, its power-substitution root and theirs
+_MEMO_SIZE = 8
+_MEMO: Dict[Tuple[int, ...], list] = {}
+
+
+def _memoise(key: Tuple[int, ...], analysis: _Analysis) -> list:
+    """A new memo entry for key, evicting the oldest when the memo is full."""
+    if len(_MEMO) >= _MEMO_SIZE:
+        del _MEMO[next(iter(_MEMO))]
+    return _MEMO.setdefault(key, [analysis, None])
+
+
 def _analysis(f: IntPolynomial) -> _Analysis:
-    """The analysis of f, computed on first use and stored on f itself, so
+    """The analysis of f, from the memo or computed and memoised, so
     isolate_roots, refine and the classifiers in classify decompose a
-    polynomial once however many of them ask. It holds only factors and
-    integers."""
-    got = f.__dict__.get("_analysis")
+    polynomial once however many of them ask."""
+    got = _MEMO.get(f.coeffs)
     if got is None:
         v, g = _deflate_zero_roots(f)
         factors = squarefree_decomposition(g).factors if g.degree >= 1 else ()
-        got = _Analysis(v, factors)
-        object.__setattr__(f, "_analysis", got)
-    return got
+        got = _memoise(f.coeffs, _Analysis(v, factors))
+    return got[0]
 
 
 def _deflated(f: IntPolynomial) -> Tuple[int, IntPolynomial]:
-    """(v, u) with f = X^v u and u(0) != 0; u gets f's stored analysis, if
-    any, with zeros=0, which is exactly its own."""
+    """(v, u) with f = X^v u and u(0) != 0; u is memoised, if f is and u is
+    not, with f's analysis with zeros=0, which is exactly its own."""
     v, u = _deflate_zero_roots(f)
-    got = f.__dict__.get("_analysis")
-    if got is not None and v:
-        object.__setattr__(u, "_analysis", got._replace(zeros=0))
+    got = _MEMO.get(f.coeffs)
+    if got is not None and v and u.coeffs not in _MEMO:
+        _memoise(u.coeffs, got[0]._replace(zeros=0))
     return v, u
 
 
@@ -500,7 +511,13 @@ def isolate_roots(
     prec = max(precision_bits, 53, maxbits + 16)
     cap = max(precision_cap, prec)
     v, parts = _analysis(f)
+    entry = _MEMO[f.coeffs]
     t = None if radius_target is None else Fraction(radius_target)
+    # from a 53-bit start with no target the ladder steps 53, 106, 212, ...
+    # bits as the memo's set did, so up to its bits if the cap allows them
+    memo = prec == 53 and t is None
+    if memo and entry[1] and entry[1].precision_bits <= cap:
+        return entry[1]
     while True:
         got = _certified(
             ((fac.coeffs, mult, _propose(fac, prec)) for fac, mult in parts), v
@@ -508,7 +525,10 @@ def isolate_roots(
         if got is not None:
             cells, k = got
             if t is None or max(c[2] for c in cells) * t.denominator <= t.numerator << k:
-                return CertifiedRootSet(f, tuple(sorted(cells)), -k, prec)
+                rs = CertifiedRootSet(f, tuple(sorted(cells)), -k, prec)
+                if memo and prec == 53 << (prec // 53).bit_length() - 1:  # not clipped to a cap
+                    entry[1] = rs
+                return rs
         if prec >= cap:
             raise PrecisionCapExceeded(
                 "certification incomplete at %d bits (cap %d) for %s"

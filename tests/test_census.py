@@ -1080,6 +1080,10 @@ _BAD_DELTAS = {
     "totals-negative": lambda d: dict(d, totals=-5),
     "family-not-counted": lambda d: dict(d, counts=dict(d["counts"], **{"B*": {"1,1": 1}})),
     "label-never-produced": lambda d: dict(d, counts={"A*": {"99": 25}}),
+    # each family labels a point at most once, so its cells sum to at most
+    # totals - ambiguous
+    "counts-above-totals": lambda d: dict(
+        d, counts={fam: {label: k + 1000 for label, k in cells.items()} for fam, cells in d["counts"].items()}),
 }
 
 

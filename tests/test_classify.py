@@ -564,6 +564,27 @@ def test_one_squarefree_decomposition_per_analysed_polynomial(monkeypatch):
         assert len(calls) == 1, f.coeffs
 
 
+def _battery_inputs() -> List[IntPolynomial]:
+    """Irreducible and reducible inputs of degree 4-8 for the battery."""
+    rng = random.Random(7)
+    return [IntPolynomial(cs) for cs in _DENSE_IRREDUCIBLES] + [
+        IntPolynomial((1, 0, 0, 0, -1, -1)),
+        IntPolynomial((1, 0, 0, 0, 1)),
+        IntPolynomial((1, 0, 1)) * IntPolynomial((1, 1, 0, 3)),
+    ] + [_rand_factor(rng, rng.randint(4, 8), 20) for _ in range(10)]
+
+
+def _battery(f: IntPolynomial) -> None:
+    """The classify --all battery and a 53-bit isolation, as a stream
+    request runs them."""
+    isolate_roots(f, precision_bits=53)
+    modulus_profile(f)
+    root_signature(f)
+    if factorize(f).irreducible:
+        sn_certificate(f, assume_irreducible=True)
+    has_multiplicative_relation(f)
+
+
 def test_battery_computes_one_pattern_per_polynomial_and_prime(monkeypatch):
     """The classify --all battery on irreducible and reducible inputs: the
     factorization reads no pattern mod p, so sn_certificate's are the
@@ -571,21 +592,35 @@ def test_battery_computes_one_pattern_per_polynomial_and_prime(monkeypatch):
     seen = []
     fn = classify.factor_degree_pattern
     monkeypatch.setattr(classify, "factor_degree_pattern", lambda f, p: seen.append((f.coeffs, p)) or fn(f, p))
-    rng = random.Random(7)
-    polys = [IntPolynomial(cs) for cs in _DENSE_IRREDUCIBLES] + [
-        IntPolynomial((1, 0, 0, 0, -1, -1)),
-        IntPolynomial((1, 0, 0, 0, 1)),
-        IntPolynomial((1, 0, 1)) * IntPolynomial((1, 1, 0, 3)),
-    ] + [_rand_factor(rng, rng.randint(4, 8), 20) for _ in range(10)]
-    for f in polys:
-        isolate_roots(f, precision_bits=53)
-        modulus_profile(f)
-        root_signature(f)
-        if factorize(f).irreducible:
-            sn_certificate(f, assume_irreducible=True)
-        has_multiplicative_relation(f)
+    for f in _battery_inputs():
+        _battery(f)
     assert seen
     assert len(set(seen)) == len(seen)
+
+
+def test_battery_certifies_each_polynomial_once_from_53_bits(monkeypatch):
+    """The isolation, the profile, the factorization and the relation
+    prefilter all ask for the root set of a 53-bit start: the memo serves
+    one certification at that step per polynomial to all four, and leaves
+    nothing on the polynomial itself."""
+    from rootcensus import roots
+
+    steps, bits = [], []
+    propose, certified = roots._propose, roots._certified
+    monkeypatch.setattr(roots, "_propose", lambda g, b: bits.append(b) or propose(g, b))
+
+    def spy(factors, v):
+        factors = list(factors)  # every centre proposed at the step's bits
+        steps.append(bits[-1])
+        bits.clear()
+        return certified(factors, v)
+
+    monkeypatch.setattr(roots, "_certified", spy)
+    for f in _battery_inputs():
+        steps.clear()
+        _battery(f)
+        assert steps.count(53) == 1, f.coeffs
+        assert set(vars(f)) == {"coeffs"}, f.coeffs
 
 
 # -- S_n certificates --------------------------------------------------------------

@@ -21,7 +21,7 @@ import mpmath
 import numpy as np
 import pytest
 from rootcensus.classify import _mod2, _modulus_units, _runs, modulus_profile, root_signature
-from rootcensus.errors import DegreeTooSmall, ZeroPolynomial
+from rootcensus.errors import DegreeTooSmall, PrecisionCapExceeded, ZeroPolynomial
 from rootcensus.intpoly import IntPolynomial
 from rootcensus.roots import (
     CertifiedRootSet,
@@ -520,3 +520,90 @@ def test_rational_root_disks(bits, q):
     assert 0 < d.radius <= Fraction(1, 1 << (bits - 2))
     assert abs(d.center_re - Fraction(1, 3)) <= d.radius
     assert _holds_roots(f, rs)
+
+
+# -- the memo of analyses and 53-bit root sets -----------------------------------
+
+
+def _fresh(f: IntPolynomial, **kw):
+    """isolate_roots(f, 53) from an empty memo, as (cells, exponent, bits),
+    or None where it raises PrecisionCapExceeded."""
+    from rootcensus import roots
+
+    roots._MEMO.clear()
+    return _served(f, **kw)
+
+
+def _served(f: IntPolynomial, **kw):
+    """isolate_roots(f, 53) from the memo as it stands, as _fresh reads it."""
+    try:
+        rs = isolate_roots(f, precision_bits=53, **kw)
+    except PrecisionCapExceeded:
+        return None
+    return rs.cells, rs.exponent, rs.precision_bits
+
+
+def test_memo_serves_the_set_a_fresh_isolation_certifies():
+    # seeded degree 1-8 inputs, with roots at zero and squared factors: the
+    # signature memoises the analysis of f, and the profile that of its
+    # zero deflation u from it, with zeros=0. The sets then served for f
+    # and u are those an empty memo certifies, and a second call on f
+    # certifies nothing
+    from rootcensus import roots
+
+    rng = random.Random(83)
+    x = IntPolynomial((1, 0))
+    polys = []
+    for n in range(1, 9):
+        g = _rand_poly(rng, max_deg=n)
+        polys += [g, g * x, g * x * x * x, g * g, x * g * g * _rand_poly(rng, max_deg=2)]
+    calls = []
+    certified = roots._certified
+    for f in (f for f in polys if f.degree <= 8):
+        _, u = roots._deflate_zero_roots(f)
+        want = {f.coeffs: _fresh(f)} | ({u.coeffs: _fresh(u)} if u.degree >= 1 else {})
+        roots._MEMO.clear()
+        root_signature(f)
+        modulus_profile(f)
+        got = {p: _served(IntPolynomial(p)) for p in want}
+        assert got == want, f.coeffs
+        calls.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(roots, "_certified", lambda fs, v: calls.append(v) or certified(fs, v))
+            assert _served(f) == want[f.coeffs] and calls == [], f.coeffs
+
+
+def test_memo_serves_a_set_only_where_its_cap_would_certify_it():
+    # X^3 - 2 (2^14 X - 1)^2, Mignotte's polynomial, has two roots about
+    # 2^-34 apart and certifies at 106 bits from a 53-bit start. Under a
+    # cap of 53 the ladder fails; under 64 or 80 its second step is clipped
+    # to the cap and certifies there, a set no other cap reaches, which
+    # the memo never keeps. In any order of the caps each call returns
+    # what it returns from an empty memo
+    f = IntPolynomial((1, -(1 << 29), 1 << 16, -2))
+    caps = [53, 64, 80, 106, 200, 4096]
+    want = {cap: _fresh(f, precision_cap=cap) for cap in caps}
+    assert want[53] is None and [want[c][2] for c in caps[1:]] == [64, 80, 106, 106, 106]
+    for order in (caps, caps[::-1], [106, 53, 80, 4096, 200, 64]):
+        _fresh(f)
+        assert {cap: _served(f, precision_cap=cap) for cap in order} == want, order
+    # nor does it serve a call from another start, or with a radius target
+    assert isolate_roots(f).precision_bits == 128
+    target = Fraction(1, 1 << 120)
+    assert isolate_roots(f, precision_bits=53, radius_target=target).max_radius() <= target
+
+
+def test_memo_stays_at_its_size():
+    # 1,000 distinct polynomials with a root at zero, each isolated and
+    # profiled: the memo holds the last _MEMO_SIZE of them and of their
+    # zero deflations, and never more
+    from rootcensus import roots
+
+    sizes = []
+    for k in range(1000):
+        f = IntPolynomial((1, k, -1, 0))
+        isolate_roots(f, precision_bits=53)
+        modulus_profile(f)
+        sizes.append(len(roots._MEMO))
+    assert max(sizes) == roots._MEMO_SIZE == len(roots._MEMO)
+    assert list(roots._MEMO)[-2:] == [f.coeffs, (1, 999, -1)]

@@ -33,10 +33,14 @@ census calls itertools.product in one place, _blocks, so that a census
 box is enumerated in one place for every engine.
 
 Outside intpoly, where it is defined, the package uses
-squarefree_decomposition in one place, roots._analysis, which stores the
-result on the polynomial for every classifier to read: imports and
-re-exports of the name aside, no other function runs Yun's algorithm
-again.
+squarefree_decomposition in one place, roots._analysis, whose memo keeps
+the result for every classifier to read: imports and re-exports of the
+name aside, no other function runs Yun's algorithm again.
+
+The package calls object.__setattr__ only where a polynomial is built,
+in IntPolynomial.__post_init__ and in intpoly._poly, which set its one
+field: nothing is cached on a polynomial a caller keeps, so what stays
+alive with the inputs a caller holds is their coefficients alone.
 
 classify and census never read an attribute named disks: root sets are
 read there as the certifier's integer cells, and the hot paths build no
@@ -308,6 +312,23 @@ def test_squarefree_decomposition_use_is_found():
     }
     refs = _places(trees, "squarefree_decomposition", imports=False)
     assert refs == [("b.py", "f"), ("c.py", None)]
+
+
+def test_nothing_is_stored_on_a_polynomial():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in _MODULES}
+    assert _places(trees, "__setattr__") == [("intpoly.py", "__post_init__"), ("intpoly.py", "_poly")]
+
+
+def test_attribute_stored_on_a_polynomial_is_found():
+    # an analysis cached on the instance beside the constructor's write
+    tree = ast.parse(
+        "class IntPolynomial:\n"
+        "    def __post_init__(self):\n"
+        "        object.__setattr__(self, 'coeffs', tuple(self.coeffs))\n"
+        "def _analysis(f):\n"
+        "    object.__setattr__(f, '_analysis', 1)\n"
+    )
+    assert _places({"roots.py": tree}, "__setattr__") == [("roots.py", "__post_init__"), ("roots.py", "_analysis")]
 
 
 def _attribute_reads(trees: dict, attr: str) -> list:
